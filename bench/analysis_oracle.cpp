@@ -29,7 +29,7 @@
 #include "sim/bench_harness.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/reporting.hh"
-#include "sim/timeslice_engine.hh"
+#include "sim/machine_engine.hh"
 
 namespace {
 
@@ -47,9 +47,9 @@ pairWs(const ExperimentSpec &spec, const SimConfig &config, int a,
     calibrator.calibrate(mix);
 
     Machine machine(config.coreFor(2), config.mem);
-    TimesliceEngine engine(machine.core(0), config.timesliceCycles());
+    MachineEngine engine(machine, config.timesliceCycles());
 
-    const Schedule schedule = Schedule::fromPartition({{a, b}});
+    const MachineSchedule schedule(Schedule::fromPartition({{a, b}}));
     const std::uint64_t slices = 10;
     engine.runSchedule(mix, schedule, 2); // warm
     const auto run = engine.runSchedule(mix, schedule, slices);

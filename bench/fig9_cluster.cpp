@@ -42,6 +42,7 @@
 #include "common/rng.hh"
 #include "common/stats_util.hh"
 #include "sim/bench_harness.hh"
+#include "sim/params_io.hh"
 #include "sim/reporting.hh"
 #include "stats/json.hh"
 
@@ -53,8 +54,7 @@ std::uint64_t
 envU64(const char *name, std::uint64_t fallback)
 {
     const char *value = std::getenv(name);
-    return value != nullptr ? std::strtoull(value, nullptr, 10)
-                            : fallback;
+    return value != nullptr ? parseKnobU64(name, value) : fallback;
 }
 
 /** Exact percentile over the drained responses (doubles, cycles). */
@@ -88,7 +88,7 @@ main(int argc, char **argv)
         envU64("SOS_CLUSTER_MEAN_JOB", 30000000ULL);
     std::vector<int> node_counts = {2, 4};
     if (const char *nodes = std::getenv("SOS_CLUSTER_NODES"))
-        node_counts = {std::atoi(nodes)};
+        node_counts = {parseKnobInt("SOS_CLUSTER_NODES", nodes)};
     std::vector<std::string> policies = dispatcherNames();
     if (const char *policy = std::getenv("SOS_DISPATCH"))
         policies = {policy};

@@ -19,7 +19,8 @@ Cluster::Cluster(const SimConfig &base, const ClusterConfig &config)
                    config.numNodes,
                "more per-node machine configs than nodes");
     classes_ = effectiveClasses(ArrivalSpec{.classes = config.classes});
-    dispatcher_ = makeDispatcher(config.dispatch, config.seed);
+    dispatcher_ =
+        makeDispatcher(config.dispatch, config.seed, base.modelPath);
 
     // Per-node configuration: the base machine unless a per-node
     // machine-config file overrides it.

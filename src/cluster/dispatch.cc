@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -133,21 +132,21 @@ class SignatureDispatcher : public Dispatcher
  * prediction for the (job, node) coschedule tuple. The job side is
  * its static ThreadSignature; the node side is the proxy signature of
  * its recent counter measurements. Like the learned predictor, the
- * model arrives via SOS_MODEL; construction without one succeeds
- * (every registered name must construct) and pick() fails loudly.
+ * model path comes from SimConfig::modelPath (--model / SOS_MODEL);
+ * construction without one succeeds (every registered name must
+ * construct) and pick() fails loudly.
  */
 class LearnedDispatcher : public Dispatcher
 {
   public:
-    LearnedDispatcher()
+    explicit LearnedDispatcher(const std::string &model_path)
     {
-        const char *path = std::getenv("SOS_MODEL");
-        if (path == nullptr || *path == '\0')
+        if (model_path.empty())
             return;
         try {
-            model_ = model::loadModel(path);
+            model_ = model::loadModel(model_path);
         } catch (const model::ModelError &error) {
-            fatal("SOS_MODEL: ", error.what());
+            fatal("learned dispatcher: ", error.what());
         }
     }
 
@@ -158,8 +157,8 @@ class LearnedDispatcher : public Dispatcher
          const std::vector<NodeView> &views) override
     {
         if (!model_) {
-            fatal("the 'learned' dispatcher needs a model: set "
-                  "SOS_MODEL to a file written by sostrain");
+            fatal("the 'learned' dispatcher needs a model: pass --model "
+                  "or set SOS_MODEL to a file written by sostrain");
         }
         const WorkloadProfile &profile =
             WorkloadLibrary::instance().get(arrival.workload);
@@ -202,7 +201,8 @@ class LearnedDispatcher : public Dispatcher
 } // namespace
 
 std::unique_ptr<Dispatcher>
-makeDispatcher(const std::string &name, std::uint64_t seed)
+makeDispatcher(const std::string &name, std::uint64_t seed,
+               const std::string &model_path)
 {
     if (name == "random")
         return std::make_unique<RandomDispatcher>(seed);
@@ -213,7 +213,7 @@ makeDispatcher(const std::string &name, std::uint64_t seed)
     if (name == "signature")
         return std::make_unique<SignatureDispatcher>();
     if (name == "learned")
-        return std::make_unique<LearnedDispatcher>();
+        return std::make_unique<LearnedDispatcher>(model_path);
     std::string known;
     for (const std::string &registered : dispatcherNames())
         known += (known.empty() ? "" : ", ") + registered;

@@ -24,7 +24,7 @@
  *  - "learned":      the load term of "signature" with the hand-tuned
  *                    discount replaced by a trained WS model's
  *                    prediction for the (job, node) tuple; the model
- *                    file comes from SOS_MODEL (see sostrain).
+ *                    file is SimConfig::modelPath (see sostrain).
  */
 
 #ifndef SOS_CLUSTER_DISPATCH_HH
@@ -80,10 +80,13 @@ class Dispatcher
 /**
  * Build a dispatcher by registry name; fatal() -- listing the
  * registered names -- when @p name is unknown. @p seed feeds the
- * "random" policy's private stream (others ignore it).
+ * "random" policy's private stream and @p model_path the "learned"
+ * policy's model (empty = inert until asked to pick); the others
+ * ignore both.
  */
-std::unique_ptr<Dispatcher> makeDispatcher(const std::string &name,
-                                           std::uint64_t seed);
+std::unique_ptr<Dispatcher>
+makeDispatcher(const std::string &name, std::uint64_t seed,
+               const std::string &model_path = "");
 
 /** Registered dispatch-policy names. */
 const std::vector<std::string> &dispatcherNames();

@@ -45,6 +45,7 @@ ClusterNode::ClusterNode(int id, const SimConfig &sim,
     SosKernel::OpenConfig kernel_config;
     kernel_config.sampleSchedules = params.sampleSchedules;
     kernel_config.predictor = params.predictor;
+    kernel_config.modelPath = sim.modelPath;
     kernel_config.resamplePolicy = params.resamplePolicy;
     kernel_config.baseIntervalCycles = params.baseIntervalCycles;
     // Distinct per-node decision streams, derived from the cluster

@@ -1,20 +1,17 @@
 #include "core/learned_predictor.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
 
 namespace sos {
 
-LearnedPredictor::LearnedPredictor()
+LearnedPredictor::LearnedPredictor(const std::string &model_path)
 {
-    const char *path = std::getenv("SOS_MODEL");
-    if (path == nullptr || *path == '\0')
+    if (model_path.empty())
         return; // inert until a model arrives
     try {
-        model_ = model::loadModel(path);
+        model_ = model::loadModel(model_path);
     } catch (const model::ModelError &error) {
-        fatal("SOS_MODEL: ", error.what());
+        fatal("learned predictor: ", error.what());
     }
 }
 
@@ -35,8 +32,8 @@ std::vector<double>
 LearnedPredictor::score(const std::vector<ScheduleProfile> &profiles) const
 {
     if (!model_) {
-        fatal("the 'learned' predictor needs a model: set SOS_MODEL or "
-              "pass --model");
+        fatal("the 'learned' predictor needs a model: pass --model or "
+              "set SOS_MODEL");
     }
     if (features_.size() != profiles.size()) {
         fatal("the 'learned' predictor has features for ",

@@ -12,15 +12,17 @@
  *
  * Registry contract: makePredictor("learned") must construct even
  * with no model configured (every registered name is constructible,
- * test_predictors.cpp), so the default constructor defers loading --
- * SOS_MODEL is read if set, and an inert instance fails with a clear
- * fatal() only when actually asked to score.
+ * test_predictors.cpp), so an empty model path builds an inert
+ * instance that fails with a clear fatal() only when actually asked
+ * to score. The path is SimConfig::modelPath (--model / SOS_MODEL),
+ * handed down through makePredictor().
  */
 
 #ifndef SOS_CORE_LEARNED_PREDICTOR_HH
 #define SOS_CORE_LEARNED_PREDICTOR_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/predictor.hh"
@@ -32,8 +34,11 @@ namespace sos {
 class LearnedPredictor : public Predictor
 {
   public:
-    /** Loads the model named by SOS_MODEL; inert when unset. */
-    LearnedPredictor();
+    /**
+     * Loads the model at @p model_path (fatal on a bad file); inert
+     * when the path is empty.
+     */
+    explicit LearnedPredictor(const std::string &model_path = "");
 
     /** Uses an already-loaded model (the --model plumbing). */
     explicit LearnedPredictor(std::shared_ptr<const model::WsModel> ws_model);

@@ -59,9 +59,12 @@ std::vector<std::unique_ptr<Predictor>> makeAllPredictors();
 /**
  * Look up one predictor by its paper name; fatal() if unknown. Also
  * resolves "SliceDiversity", this library's per-timeslice repair of
- * the paper's (ineffective) aggregate Diversity predictor.
+ * the paper's (ineffective) aggregate Diversity predictor, and
+ * "learned", which loads its model from @p model_path
+ * (SimConfig::modelPath; empty = inert, see LearnedPredictor).
  */
-std::unique_ptr<Predictor> makePredictor(const std::string &name);
+std::unique_ptr<Predictor> makePredictor(const std::string &name,
+                                         const std::string &model_path = "");
 
 /** Names makePredictor() accepts, in lookup order. */
 const std::vector<std::string> &predictorNames();

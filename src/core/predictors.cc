@@ -230,7 +230,7 @@ makeAllPredictors()
 }
 
 std::unique_ptr<Predictor>
-makePredictor(const std::string &name)
+makePredictor(const std::string &name, const std::string &model_path)
 {
     // Extensions outside the paper's ten-predictor set.
     if (name == "SliceDiversity") {
@@ -243,7 +243,7 @@ makePredictor(const std::string &name)
             [](const ProfileSignature &s) { return -s.sliceDiversity; });
     }
     if (name == "learned")
-        return std::make_unique<LearnedPredictor>();
+        return std::make_unique<LearnedPredictor>(model_path);
     for (auto &predictor : makeAllPredictors()) {
         if (predictor->name() == name)
             return std::move(predictor);

@@ -62,6 +62,16 @@ randomGroupSchedule(const std::vector<int> &group, int level, int swap,
         swap);
 }
 
+/** Every unit a schedule names, ascending. */
+std::vector<int>
+unitsOf(const Schedule &schedule)
+{
+    std::set<int> units;
+    for (const std::vector<int> &tuple : schedule.tuples())
+        units.insert(tuple.begin(), tuple.end());
+    return {units.begin(), units.end()};
+}
+
 std::vector<int>
 sortedGroup(const std::vector<int> &group)
 {
@@ -75,6 +85,11 @@ sortedGroup(const std::vector<int> &group)
 MachineSchedule::MachineSchedule(Partition allocation,
                                  std::vector<Schedule> per_core)
     : MachineSchedule(std::move(allocation), std::move(per_core), {})
+{
+}
+
+MachineSchedule::MachineSchedule(const Schedule &one_core)
+    : MachineSchedule({unitsOf(one_core)}, {one_core})
 {
 }
 

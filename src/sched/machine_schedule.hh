@@ -69,6 +69,13 @@ class MachineSchedule
     MachineSchedule(Partition allocation, std::vector<Schedule> per_core,
                     const std::vector<int> &core_classes);
 
+    /**
+     * The 1-core lift of a single-core schedule: one core running
+     * @p one_core over every unit it names -- how the paper's SMT
+     * core runs on the machine-level engine.
+     */
+    explicit MachineSchedule(const Schedule &one_core);
+
     int
     numCores() const
     {

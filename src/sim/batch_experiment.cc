@@ -1,29 +1,17 @@
 #include "batch_experiment.hh"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "metrics/weighted_speedup.hh"
 #include "model/model.hh"
-#include "sim/sweep_backend.hh"
+#include "sos/model_screen.hh"
 #include "stats/stats.hh"
 #include "stats/trace.hh"
 
 namespace sos {
 
 namespace {
-
-std::uint64_t
-hashLabel(const std::string &label)
-{
-    // FNV-1a: stable per-label seed derivation.
-    std::uint64_t h = 1469598103934665603ULL;
-    for (char c : label)
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    return h;
-}
 
 /**
  * The neutral warmup schedule: cycle every job through the machine
@@ -65,27 +53,40 @@ BatchExperiment::timesliceCycles() const
 }
 
 ParallelScheduleRunner::SweepSpec
-BatchExperiment::makeSweep() const
+BatchExperiment::sweep() const
 {
-    ParallelScheduleRunner::SweepSpec sweep;
+    ParallelScheduleRunner::SweepSpec recipe;
     // Every task rebuilds the same mix from the same seed, so all
     // candidates see identical workload streams; the prototype's
     // calibration is copied instead of re-measured.
-    sweep.makeMix = [this](std::size_t) {
+    recipe.makeMix = [this](std::size_t) {
         JobMix mix =
             spec_.makeMix(config_.seed ^ hashLabel(spec_.label));
         for (int j = 0; j < mix.numJobs(); ++j)
             mix.job(j).soloIpc = mix_.job(j).soloIpc;
         return mix;
     };
-    sweep.core = config_.coreFor(spec_.level);
-    sweep.mem = config_.mem;
-    sweep.timesliceCycles = timesliceCycles();
-    sweep.warm = warmupSchedule(spec_);
-    sweep.warmTimeslices = sweep.warm.periodTimeslices();
-    sweep.useSnapshot = config_.snapshot;
-    sweep.sample = config_.sample;
-    return sweep;
+    // The paper's SMT core: a 1-core machine at this experiment's
+    // level (never machineFor(), which describes a configured CMP).
+    recipe.machine.core = config_.coreFor(spec_.level);
+    recipe.machine.mem = config_.mem;
+    recipe.timesliceCycles = timesliceCycles();
+    const MachineSchedule warm(warmupSchedule(spec_));
+    recipe.warmup = [warm](std::size_t) { return warm; };
+    recipe.useSnapshot = config_.snapshot;
+    recipe.sample = config_.sample;
+    return recipe;
+}
+
+std::vector<ParallelScheduleRunner::ScheduleRun>
+BatchExperiment::runCandidates(
+    const std::vector<Schedule> &schedules,
+    const std::function<std::uint64_t(std::size_t)> &timeslices) const
+{
+    return runner_.runAll(
+        sweep(), std::vector<MachineSchedule>(schedules.begin(),
+                                              schedules.end()),
+        timeslices);
 }
 
 std::vector<model::ThreadSignature>
@@ -128,40 +129,17 @@ BatchExperiment::runScreenedSamplePhase(std::uint64_t periods)
     const std::vector<model::FeatureVector> features =
         candidateFeatures();
     std::vector<double> predicted(features.size());
-    std::vector<double> uncertainty(features.size());
+    std::vector<bool> uncertain(features.size());
     for (std::size_t i = 0; i < features.size(); ++i) {
         predicted[i] = ws_model->predict(features[i]);
-        uncertainty[i] = ws_model->uncertainty(features[i]);
+        uncertain[i] = ws_model->uncertainty(features[i]) >
+                       ws_model->uncertaintyThreshold();
     }
-
-    // Shortlist = top-K predictions plus every candidate whose
-    // uncertainty exceeds the model's stored (training-p90)
-    // threshold; ties in prediction break toward the lower index so
-    // the screen is deterministic.
-    std::vector<std::size_t> order(features.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return predicted[a] > predicted[b];
-                     });
-    const std::size_t keep_top = std::min(
-        features.size(), static_cast<std::size_t>(config_.samplek));
-    std::vector<bool> keep(features.size(), false);
-    for (std::size_t i = 0; i < keep_top; ++i)
-        keep[order[i]] = true;
-    for (std::size_t i = 0; i < features.size(); ++i) {
-        if (uncertainty[i] > ws_model->uncertaintyThreshold())
-            keep[i] = true;
-    }
-
-    std::vector<std::size_t> shortlist;
+    const std::vector<std::size_t> shortlist = samplekShortlist(
+        predicted, std::move(uncertain), config_.samplek);
     std::vector<Schedule> shortlisted;
-    for (std::size_t i = 0; i < keep.size(); ++i) {
-        if (!keep[i])
-            continue;
-        shortlist.push_back(i);
+    for (std::size_t i : shortlist)
         shortlisted.push_back(schedules_[i]);
-    }
 
     // Synthetic profiles for the screened-out candidates: the model's
     // prediction stands in for the sample-phase WS, and no counters
@@ -174,13 +152,12 @@ BatchExperiment::runScreenedSamplePhase(std::uint64_t periods)
         synthetic[i].detailed = false;
     }
 
-    const ScheduleSweepBackend backend(runner_, makeSweep(),
-                                       shortlisted);
     kernel_.runSamplePhaseScreened(
-        backend,
-        [&](std::size_t i) {
-            return shortlisted[i].periodTimeslices() * periods;
-        },
+        runCandidates(shortlisted,
+                      [&](std::size_t i) {
+                          return shortlisted[i].periodTimeslices() *
+                                 periods;
+                      }),
         shortlist, std::move(synthetic));
 }
 
@@ -200,11 +177,16 @@ BatchExperiment::runSamplePhase()
         return;
     }
 
-    const ScheduleSweepBackend backend(runner_, makeSweep(),
-                                       schedules_);
-    kernel_.runSamplePhase(backend, [&](std::size_t i) {
-        return schedules_[i].periodTimeslices() * periods;
-    });
+    std::vector<std::string> labels;
+    for (const Schedule &schedule : schedules_)
+        labels.push_back(schedule.label());
+    kernel_.runSamplePhase(
+        runCandidates(schedules_,
+                      [&](std::size_t i) {
+                          return schedules_[i].periodTimeslices() *
+                                 periods;
+                      }),
+        labels);
 }
 
 void
@@ -215,57 +197,21 @@ BatchExperiment::runSymbiosValidation(std::uint64_t symbios_cycles)
     const std::uint64_t timeslices =
         std::max<std::uint64_t>(1, cycles / timesliceCycles());
 
-    const ScheduleSweepBackend backend(runner_, makeSweep(),
-                                       schedules_);
-    kernel_.runSymbiosValidation(
-        backend, [timeslices](std::size_t) { return timeslices; });
+    kernel_.runSymbiosValidation(runCandidates(
+        schedules_, [timeslices](std::size_t) { return timeslices; }));
 }
 
 void
 BatchExperiment::publishStats(const stats::Group &group) const
 {
     group.info("label", "experiment label") = spec_.label;
-    group.scalar("sample_phase_cycles",
-                 "simulated cycles spent profiling candidates")
-        .bind(&kernel_.samplePhaseCyclesStorage());
-
-    const std::vector<ScheduleProfile> &profiles = kernel_.profiles();
-    const std::vector<double> &symbios = kernel_.symbiosWs();
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-        const ScheduleProfile &profile = profiles[i];
-        const stats::Group cand =
-            group.group("candidate" + std::to_string(i));
-        cand.info("schedule", "candidate schedule label") =
-            profile.label;
-        cand.value("sample_ws", "WS observed during the sample phase") =
-            profile.sampleWs;
-        cand.value("balance", "stddev of per-timeslice IPC") =
-            profile.balance();
-        cand.value("diversity", "mean per-timeslice mix imbalance") =
-            profile.diversity();
-        if (i < symbios.size())
-            cand.value("ws", "symbios-phase weighted speedup") =
-                symbios[i];
-        profile.counters.registerStats(cand.group("counters"));
-    }
-
-    if (!symbios.empty()) {
-        const stats::Group summary = group.group("summary");
-        summary.value("best_ws", "best symbios WS in the sample") =
-            bestWs();
-        summary.value("worst_ws", "worst symbios WS in the sample") =
-            worstWs();
-        summary.value("avg_ws",
-                      "oblivious-scheduler expectation over the sample") =
-            averageWs();
-    }
+    kernel_.publishStats(group);
 }
 
 void
 BatchExperiment::recordTrace(stats::EventTrace &trace) const
 {
     const std::vector<ScheduleProfile> &profiles = kernel_.profiles();
-    const std::vector<double> &symbios = kernel_.symbiosWs();
     // Candidate features ride along so sostrain can join them against
     // the symbios_result labels without re-deriving the mix.
     const std::vector<model::FeatureVector> features =
@@ -285,27 +231,8 @@ BatchExperiment::recordTrace(stats::EventTrace &trace) const
         for (std::size_t f = 0; f < names.size(); ++f)
             event.field("feat_" + names[f], features[i][f]);
     }
-    if (symbios.empty())
-        return;
-
-    for (const std::unique_ptr<Predictor> &predictor :
-         makeAllPredictors()) {
-        const int pick = predictedIndex(*predictor);
-        trace.event("predictor_vote")
-            .field("experiment", spec_.label)
-            .field("predictor", predictor->name())
-            .field("pick", pick)
-            .field("schedule",
-                   profiles[static_cast<std::size_t>(pick)].label)
-            .field("ws", symbios[static_cast<std::size_t>(pick)]);
-    }
-    for (std::size_t i = 0; i < symbios.size(); ++i) {
-        trace.event("symbios_result")
-            .field("experiment", spec_.label)
-            .field("index", static_cast<std::uint64_t>(i))
-            .field("schedule", profiles[i].label)
-            .field("ws", symbios[i]);
-    }
+    kernel_.recordSymbios(trace, spec_.label, "predictor_vote",
+                          "symbios_result");
 }
 
 } // namespace sos

@@ -21,6 +21,7 @@
 #define SOS_SIM_BATCH_EXPERIMENT_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/predictor.hh"
@@ -119,6 +120,15 @@ class BatchExperiment
     }
 
     /**
+     * The recipe every phase runs its candidates with (candidates are
+     * lifted to 1-core MachineSchedules): private mixes cloned from
+     * the calibrated prototype on a 1-core machine at the
+     * experiment's level, each warmed by one period of the neutral
+     * rotation.
+     */
+    ParallelScheduleRunner::SweepSpec sweep() const;
+
+    /**
      * Register everything this experiment measured under @p group:
      * one "candidate<i>" subtree per sampled schedule (label, sample
      * and symbios WS, balance/diversity signals, the full counter
@@ -143,8 +153,11 @@ class BatchExperiment
     /** Engine quantum for this experiment in simulated cycles. */
     std::uint64_t timesliceCycles() const;
 
-    /** Sweep recipe: private per-task mixes cloned from the spec. */
-    ParallelScheduleRunner::SweepSpec makeSweep() const;
+    /** Run @p schedules for timeslices(i) quanta each on sweep(). */
+    std::vector<ParallelScheduleRunner::ScheduleRun> runCandidates(
+        const std::vector<Schedule> &schedules,
+        const std::function<std::uint64_t(std::size_t)> &timeslices)
+        const;
 
     /** Static per-unit signatures of the calibrated mix. */
     std::vector<model::ThreadSignature> unitSignatures() const;

@@ -14,14 +14,13 @@ benchConfigFromEnv()
 {
     SimConfig config = makeBenchConfig();
     if (const char *scale = std::getenv("SOS_CYCLE_SCALE")) {
-        const long value = std::strtol(scale, nullptr, 10);
+        const int value = parseKnobInt("SOS_CYCLE_SCALE", scale);
         if (value <= 0)
             fatal("SOS_CYCLE_SCALE must be a positive integer");
         config.cycleScale = static_cast<std::uint64_t>(value);
     }
-    if (const char *seed = std::getenv("SOS_SEED")) {
-        config.seed = std::strtoull(seed, nullptr, 10);
-    }
+    if (const char *seed = std::getenv("SOS_SEED"))
+        config.seed = parseKnobU64("SOS_SEED", seed);
     // Warm-state sharing for sweeps; semantics-preserving, so this is
     // an escape hatch rather than a tuning knob.
     if (const char *snapshot = std::getenv("SOS_SNAPSHOT"))

@@ -150,6 +150,15 @@ openSystemWorkloads()
 }
 
 std::uint64_t
+hashLabel(const std::string &label)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (char c : label)
+        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+    return h;
+}
+
+std::uint64_t
 expectedDistinctSchedules(const ExperimentSpec &spec)
 {
     return ScheduleSpace(spec.numUnits(), spec.level, spec.swap)

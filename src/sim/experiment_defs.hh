@@ -72,6 +72,12 @@ const std::vector<HierarchicalSpec> &hierarchicalExperiments();
  */
 const std::vector<std::string> &openSystemWorkloads();
 
+/**
+ * Stable per-label seed derivation (64-bit FNV-1a): the batch and
+ * machine experiments seed their mix and candidate draw from it.
+ */
+std::uint64_t hashLabel(const std::string &label);
+
 /** Paper Table 2 expectations for a spec (used by tests and benches). */
 std::uint64_t expectedDistinctSchedules(const ExperimentSpec &spec);
 

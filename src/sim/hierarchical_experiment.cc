@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "metrics/calibrator.hh"
-#include "sim/sweep_backend.hh"
 #include "stats/stats.hh"
 #include "stats/trace.hh"
 
@@ -79,22 +78,19 @@ HierarchicalExperiment::mixForPlan(const AllocationPlan &plan) const
 }
 
 ParallelScheduleRunner::SweepSpec
-HierarchicalExperiment::makeSweep() const
+HierarchicalExperiment::sweep() const
 {
-    ParallelScheduleRunner::SweepSpec sweep;
-    sweep.makeMix = [this](std::size_t index) {
+    ParallelScheduleRunner::SweepSpec recipe;
+    recipe.makeMix = [this](std::size_t index) {
         return mixForPlan(candidates_[index].plan);
     };
-    sweep.core = config_.coreFor(spec_.level);
-    sweep.mem = config_.mem;
-    sweep.timesliceCycles = config_.timesliceCycles();
-    // No shared warmup: every candidate starts equally cold, and the
-    // sample phase already runs several periods per candidate. The
-    // mix also differs per candidate (allocation plans change thread
-    // counts), so a shared warmed snapshot would be wrong anyway.
-    sweep.mixVariesByIndex = true;
-    sweep.sample = config_.sample;
-    return sweep;
+    recipe.machine.core = config_.coreFor(spec_.level);
+    recipe.machine.mem = config_.mem;
+    recipe.timesliceCycles = config_.timesliceCycles();
+    // No warm-up: every candidate starts equally cold, and the sample
+    // phase already runs several periods per candidate.
+    recipe.sample = config_.sample;
+    return recipe;
 }
 
 void
@@ -104,30 +100,33 @@ HierarchicalExperiment::run(std::uint64_t symbios_cycles)
         symbios_cycles > 0 ? symbios_cycles
                            : config_.symbiosCycles() / 4;
 
-    std::vector<Schedule> schedules;
-    schedules.reserve(candidates_.size());
-    for (const HierarchicalCandidate &candidate : candidates_)
-        schedules.push_back(candidate.schedule);
-
-    const ScheduleSweepBackend backend(
-        runner_, makeSweep(), schedules, [this](std::size_t i) {
-            return candidates_[i].plan.label() + " " +
-                   candidates_[i].schedule.label();
-        });
+    const ParallelScheduleRunner::SweepSpec recipe = sweep();
+    std::vector<MachineSchedule> schedules;
+    std::vector<std::string> labels;
+    for (const HierarchicalCandidate &candidate : candidates_) {
+        schedules.emplace_back(candidate.schedule);
+        labels.push_back(candidate.plan.label() + " " +
+                         candidate.schedule.label());
+    }
 
     // Sample phase: a few periods per candidate (see samplePeriods).
     const auto periods =
         static_cast<std::uint64_t>(std::max(1, config_.samplePeriods));
-    kernel_.runSamplePhase(backend, [&](std::size_t i) {
-        return schedules[i].periodTimeslices() * periods;
-    });
+    kernel_.runSamplePhase(
+        runner_.runAll(recipe, schedules,
+                       [&](std::size_t i) {
+                           return schedules[i].periodTimeslices() *
+                                  periods;
+                       }),
+        labels);
 
     // Symbios validation: what each candidate would have delivered.
     const std::uint64_t timeslice = config_.timesliceCycles();
-    kernel_.runSymbiosValidation(backend, [&](std::size_t i) {
-        return std::max<std::uint64_t>(
-            schedules[i].periodTimeslices(), symbios / timeslice);
-    });
+    kernel_.runSymbiosValidation(
+        runner_.runAll(recipe, schedules, [&](std::size_t i) {
+            return std::max<std::uint64_t>(
+                schedules[i].periodTimeslices(), symbios / timeslice);
+        }));
 
     // Copy the kernel's results back onto the candidate structs the
     // public API (and Figure 4 reporting) exposes.
@@ -135,50 +134,6 @@ HierarchicalExperiment::run(std::uint64_t symbios_cycles)
         candidates_[i].profile = kernel_.profiles()[i];
         candidates_[i].symbiosWs = kernel_.symbiosWs()[i];
     }
-}
-
-double
-HierarchicalExperiment::bestWs() const
-{
-    double best = candidates_.front().symbiosWs;
-    for (const auto &candidate : candidates_)
-        best = std::max(best, candidate.symbiosWs);
-    return best;
-}
-
-double
-HierarchicalExperiment::worstWs() const
-{
-    double worst = candidates_.front().symbiosWs;
-    for (const auto &candidate : candidates_)
-        worst = std::min(worst, candidate.symbiosWs);
-    return worst;
-}
-
-double
-HierarchicalExperiment::averageWs() const
-{
-    double total = 0.0;
-    for (const auto &candidate : candidates_)
-        total += candidate.symbiosWs;
-    return total / static_cast<double>(candidates_.size());
-}
-
-int
-HierarchicalExperiment::scoreBestIndex() const
-{
-    std::vector<ScheduleProfile> profiles;
-    profiles.reserve(candidates_.size());
-    for (const auto &candidate : candidates_)
-        profiles.push_back(candidate.profile);
-    return makeScorePredictor()->best(profiles);
-}
-
-double
-HierarchicalExperiment::scoreWs() const
-{
-    return candidates_[static_cast<std::size_t>(scoreBestIndex())]
-        .symbiosWs;
 }
 
 double

@@ -68,19 +68,41 @@ class HierarchicalExperiment
         return candidates_;
     }
 
-    double bestWs() const;
-    double worstWs() const;
-    double averageWs() const;
+    /** Simulated cycles spent in the sample phase. */
+    std::uint64_t
+    samplePhaseCycles() const
+    {
+        return kernel_.samplePhaseCycles();
+    }
+
+    double bestWs() const { return kernel_.bestWs(); }
+    double worstWs() const { return kernel_.worstWs(); }
+    double averageWs() const { return kernel_.averageWs(); }
 
     /** Candidate index Score picks from the sample profiles. */
-    int scoreBestIndex() const;
+    int
+    scoreBestIndex() const
+    {
+        return kernel_.predictedIndex(*makeScorePredictor());
+    }
 
     /** Symbios WS of the Score-selected candidate. */
-    double scoreWs() const;
+    double
+    scoreWs() const
+    {
+        return kernel_.wsOfPredictor(*makeScorePredictor());
+    }
 
     /** Figure 4 bars: Score's % improvement over the average/worst. */
     double improvementOverAveragePct() const;
     double improvementOverWorstPct() const;
+
+    /**
+     * The recipe both phases run the candidates with (each lifted to
+     * a 1-core MachineSchedule): candidate i's mix realizes its
+     * allocation plan; no warm-up.
+     */
+    ParallelScheduleRunner::SweepSpec sweep() const;
 
     /**
      * Register the measured candidates under @p group: a
@@ -100,9 +122,6 @@ class HierarchicalExperiment
   private:
     /** Fresh mix with @p plan applied and soloIpc references set. */
     JobMix mixForPlan(const AllocationPlan &plan) const;
-
-    /** Sweep recipe whose per-task mixes realize each plan. */
-    ParallelScheduleRunner::SweepSpec makeSweep() const;
 
     HierarchicalSpec spec_;
     SimConfig config_;

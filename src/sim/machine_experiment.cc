@@ -1,31 +1,18 @@
 #include "machine_experiment.hh"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "metrics/calibrator.hh"
-#include "metrics/weighted_speedup.hh"
-#include "sim/snapshot.hh"
-#include "sos/closed_backend.hh"
+#include "sim/experiment_defs.hh"
 #include "stats/stats.hh"
 #include "stats/trace.hh"
 
 namespace sos {
 
 namespace {
-
-std::uint64_t
-hashLabel(const std::string &label)
-{
-    // FNV-1a: stable per-label seed derivation.
-    std::uint64_t h = 1469598103934665603ULL;
-    for (char c : label)
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    return h;
-}
 
 std::string
 partitionLabel(const Partition &allocation)
@@ -42,64 +29,6 @@ partitionLabel(const Partition &allocation)
     }
     return out;
 }
-
-/** Package one measured machine run the way the sweeps report it. */
-ParallelScheduleRunner::ScheduleRun
-toScheduleRun(const MachineEngine::MachineRunResult &run,
-              const JobMix &mix)
-{
-    ParallelScheduleRunner::ScheduleRun result;
-    result.run.total = run.total;
-    result.run.jobRetired = run.jobRetired;
-    result.run.sliceIpc = run.sliceIpc;
-    result.run.sliceMixImbalance = run.sliceMixImbalance;
-    result.run.cycles = run.cycles;
-    result.ws = weightedSpeedup(mix, run.jobRetired, run.cycles);
-    return result;
-}
-
-/**
- * The machine sweep presented to the kernel. Machine phases run every
- * candidate for the same number of quanta, so the kernel's per-index
- * interval function is evaluated once.
- */
-class MachineSweepBackend : public ClosedSweepBackend
-{
-  public:
-    using RunFn = std::function<
-        std::vector<ParallelScheduleRunner::ScheduleRun>(
-            std::uint64_t)>;
-
-    MachineSweepBackend(const std::vector<MachineSchedule> &schedules,
-                        RunFn run)
-        : schedules_(schedules), run_(std::move(run))
-    {
-    }
-
-    std::size_t
-    numCandidates() const override
-    {
-        return schedules_.size();
-    }
-
-    std::string
-    candidateLabel(std::size_t index) const override
-    {
-        return schedules_[index].label();
-    }
-
-    std::vector<ParallelScheduleRunner::ScheduleRun>
-    runCandidates(
-        const std::function<std::uint64_t(std::size_t)> &timeslices)
-        const override
-    {
-        return run_(timeslices(0));
-    }
-
-  private:
-    const std::vector<MachineSchedule> &schedules_;
-    RunFn run_;
-};
 
 } // namespace
 
@@ -213,84 +142,22 @@ MachineExperiment::warmupFor(const Partition &allocation) const
     return MachineSchedule(allocation, std::move(per_core));
 }
 
-ParallelScheduleRunner::ScheduleRun
-MachineExperiment::runOne(const MachineSchedule &schedule,
-                          std::uint64_t timeslices) const
+ParallelScheduleRunner::SweepSpec
+MachineExperiment::sweep(
+    const std::vector<MachineSchedule> &schedules) const
 {
-    JobMix mix = freshMix();
-    // A private machine per task keeps the sweep a pure function of
-    // the candidate index (DESIGN.md determinism contract).
-    Machine machine(machineParams_);
-    MachineEngine engine(machine, timesliceCycles());
-    engine.setSampling(config_.sample);
-
-    const MachineSchedule warm = warmupFor(schedule.allocation());
-    engine.setSampleRecording(false);
-    engine.runSchedule(mix, warm, warm.periodTimeslices());
-    engine.setSampleRecording(true);
-
-    return toScheduleRun(engine.runSchedule(mix, schedule, timeslices),
-                         mix);
-}
-
-std::vector<ParallelScheduleRunner::ScheduleRun>
-MachineExperiment::runAll(const std::vector<MachineSchedule> &schedules,
-                          std::uint64_t timeslices) const
-{
-    if (!config_.snapshot) {
-        return runner_.map<ParallelScheduleRunner::ScheduleRun>(
-            schedules.size(), [&](std::size_t i) {
-                return runOne(schedules[i], timeslices);
-            });
-    }
-
-    // Shared-warmup fast path. The warmup key of a candidate is its
-    // allocation: warmupFor() depends on nothing else, and every task
-    // warms the same freshMix() on an identical machine, so all
-    // candidates sharing an allocation reach bit-identical warmed
-    // state (DESIGN.md §5c). Warm one snapshot per distinct
-    // allocation -- in parallel, the groups are independent -- then
-    // run each candidate's measured interval on a private fork.
-    std::vector<std::size_t> group_of(schedules.size());
-    std::vector<std::size_t> first_in_group;
-    std::map<std::string, std::size_t> group_index;
-    for (std::size_t i = 0; i < schedules.size(); ++i) {
-        const auto [it, inserted] = group_index.emplace(
-            partitionLabel(schedules[i].allocation()),
-            first_in_group.size());
-        if (inserted)
-            first_in_group.push_back(i);
-        group_of[i] = it->second;
-    }
-
-    const auto snapshots =
-        runner_.map<std::shared_ptr<const MachineSnapshot>>(
-            first_in_group.size(), [&](std::size_t g) {
-                const MachineSchedule &leader =
-                    schedules[first_in_group[g]];
-                JobMix mix = freshMix();
-                Machine machine(machineParams_);
-                MachineEngine engine(machine, timesliceCycles());
-                engine.setSampling(config_.sample);
-                engine.setSampleRecording(false);
-                const MachineSchedule warm =
-                    warmupFor(leader.allocation());
-                engine.runSchedule(mix, warm, warm.periodTimeslices());
-                return std::make_shared<const MachineSnapshot>(
-                    machine, mix, engine);
-            });
-
-    return runner_.map<ParallelScheduleRunner::ScheduleRun>(
-        schedules.size(), [&](std::size_t i) {
-            MachineSnapshot::Fork fork(*snapshots[group_of[i]]);
-            MachineEngine engine(fork.machine(), timesliceCycles());
-            engine.setSampling(config_.sample);
-            fork.adopt(engine);
-            return toScheduleRun(
-                engine.runSchedule(fork.mix(), schedules[i],
-                                   timeslices),
-                fork.mix());
-        });
+    ParallelScheduleRunner::SweepSpec recipe;
+    recipe.makeMix = [this](std::size_t) { return freshMix(); };
+    recipe.machine = machineParams_;
+    recipe.timesliceCycles = timesliceCycles();
+    // warmupFor() depends on the allocation alone, so candidates that
+    // share an allocation share one warmed snapshot.
+    recipe.warmup = [this, &schedules](std::size_t i) {
+        return warmupFor(schedules[i].allocation());
+    };
+    recipe.useSnapshot = config_.snapshot;
+    recipe.sample = config_.sample;
+    return recipe;
 }
 
 void
@@ -303,11 +170,13 @@ MachineExperiment::runSamplePhase()
         static_cast<std::uint64_t>(std::max(1, config_.samplePeriods));
     const std::uint64_t timeslices =
         space_.periodTimeslices() * periods;
-    const MachineSweepBackend backend(
-        schedules_,
-        [this](std::uint64_t t) { return runAll(schedules_, t); });
+    std::vector<std::string> labels;
+    for (const MachineSchedule &schedule : schedules_)
+        labels.push_back(schedule.label());
     kernel_.runSamplePhase(
-        backend, [timeslices](std::size_t) { return timeslices; });
+        runner_.runAll(sweep(schedules_), schedules_,
+                       [timeslices](std::size_t) { return timeslices; }),
+        labels);
 }
 
 void
@@ -318,11 +187,9 @@ MachineExperiment::runSymbiosValidation(std::uint64_t symbios_cycles)
     const std::uint64_t timeslices =
         std::max<std::uint64_t>(1, cycles / timesliceCycles());
 
-    const MachineSweepBackend backend(
-        schedules_,
-        [this](std::uint64_t t) { return runAll(schedules_, t); });
     kernel_.runSymbiosValidation(
-        backend, [timeslices](std::size_t) { return timeslices; });
+        runner_.runAll(sweep(schedules_), schedules_,
+                       [timeslices](std::size_t) { return timeslices; }));
 
     // Replay the measured best on a persistent machine so dumps can
     // read live cache and contention counters (publishStats binds,
@@ -376,7 +243,8 @@ MachineExperiment::evaluatePolicy(const std::string &name,
     const std::uint64_t timeslices =
         std::max<std::uint64_t>(1, cycles / timesliceCycles());
     const std::vector<ParallelScheduleRunner::ScheduleRun> runs =
-        runAll(schedules, timeslices);
+        runner_.runAll(sweep(schedules), schedules,
+                       [timeslices](std::size_t) { return timeslices; });
 
     double total = 0.0;
     double best = 0.0;
@@ -417,30 +285,7 @@ void
 MachineExperiment::publishStats(const stats::Group &group) const
 {
     group.info("label", "machine experiment label") = spec_.label;
-    group.scalar("sample_phase_cycles",
-                 "simulated machine cycles spent profiling candidates")
-        .bind(&kernel_.samplePhaseCyclesStorage());
-
-    const std::vector<ScheduleProfile> &profiles = kernel_.profiles();
-    const std::vector<double> &symbios = kernel_.symbiosWs();
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-        const ScheduleProfile &profile = profiles[i];
-        const stats::Group cand =
-            group.group("candidate" + std::to_string(i));
-        cand.info("schedule", "candidate machine schedule label") =
-            profile.label;
-        cand.value("sample_ws", "WS observed during the sample phase") =
-            profile.sampleWs;
-        cand.value("balance", "stddev of per-timeslice machine IPC") =
-            profile.balance();
-        cand.value("diversity",
-                   "mean per-timeslice machine mix imbalance") =
-            profile.diversity();
-        if (i < symbios.size())
-            cand.value("ws", "symbios-phase machine weighted speedup") =
-                symbios[i];
-        profile.counters.registerStats(cand.group("counters"));
-    }
+    kernel_.publishStats(group);
 
     if (statsMachine_) {
         // The acceptance-visible per-core groups: machine.l2.*,
@@ -471,24 +316,12 @@ MachineExperiment::publishStats(const stats::Group &group) const
                  "per-core schedule combinations measured") =
             static_cast<double>(policy.schedulesRun);
     }
-
-    if (!symbios.empty()) {
-        const stats::Group summary = group.group("summary");
-        summary.value("best_ws", "best symbios WS in the sample") =
-            bestWs();
-        summary.value("worst_ws", "worst symbios WS in the sample") =
-            worstWs();
-        summary.value("avg_ws",
-                      "oblivious-scheduler expectation over the sample") =
-            averageWs();
-    }
 }
 
 void
 MachineExperiment::recordTrace(stats::EventTrace &trace) const
 {
     const std::vector<ScheduleProfile> &profiles = kernel_.profiles();
-    const std::vector<double> &symbios = kernel_.symbiosWs();
     for (std::size_t i = 0; i < profiles.size(); ++i) {
         trace.event("machine_sample_candidate")
             .field("experiment", spec_.label)
@@ -497,27 +330,8 @@ MachineExperiment::recordTrace(stats::EventTrace &trace) const
             .field("sample_ws", profiles[i].sampleWs)
             .field("ipc", profiles[i].counters.ipc());
     }
-    if (!symbios.empty()) {
-        for (const std::unique_ptr<Predictor> &predictor :
-             makeAllPredictors()) {
-            const int pick = predictedIndex(*predictor);
-            trace.event("machine_predictor_vote")
-                .field("experiment", spec_.label)
-                .field("predictor", predictor->name())
-                .field("pick", pick)
-                .field("schedule",
-                       profiles[static_cast<std::size_t>(pick)].label)
-                .field("ws",
-                       symbios[static_cast<std::size_t>(pick)]);
-        }
-        for (std::size_t i = 0; i < symbios.size(); ++i) {
-            trace.event("machine_symbios_result")
-                .field("experiment", spec_.label)
-                .field("index", static_cast<std::uint64_t>(i))
-                .field("schedule", profiles[i].label)
-                .field("ws", symbios[i]);
-        }
-    }
+    kernel_.recordSymbios(trace, spec_.label, "machine_predictor_vote",
+                          "machine_symbios_result");
     for (const PolicyResult &policy : policyResults_) {
         trace.event("allocation_policy")
             .field("experiment", spec_.label)

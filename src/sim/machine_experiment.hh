@@ -182,6 +182,16 @@ class MachineExperiment
     std::vector<CoscheduleSample> coscheduleSamples() const;
 
     /**
+     * The recipe every phase runs @p schedules with: private
+     * calibrated mixes on private machines, each candidate warmed by
+     * its allocation's warm-up (shared through one snapshot per
+     * allocation unless SimConfig::snapshot is off). The recipe refers
+     * to @p schedules, which must outlive it.
+     */
+    ParallelScheduleRunner::SweepSpec
+    sweep(const std::vector<MachineSchedule> &schedules) const;
+
+    /**
      * Register everything measured under @p group: one "candidate<i>"
      * subtree per sampled machine schedule, a "machine" subtree with
      * the stats machine's shared-L2 and per-core cache counters (plus
@@ -213,22 +223,6 @@ class MachineExperiment
      * misses for its placement.
      */
     MachineSchedule warmupFor(const Partition &allocation) const;
-
-    /** One private-machine profiling task (pure in its inputs). */
-    ParallelScheduleRunner::ScheduleRun
-    runOne(const MachineSchedule &schedule,
-           std::uint64_t timeslices) const;
-
-    /**
-     * Fan @p schedules (for @p timeslices quanta each) across the
-     * worker pool. With SimConfig::snapshot set, candidates are
-     * grouped by allocation (the warmup key), one warmed snapshot is
-     * built per group and each candidate measures on a private fork;
-     * the results are bit-identical to per-candidate warmup (runOne).
-     */
-    std::vector<ParallelScheduleRunner::ScheduleRun>
-    runAll(const std::vector<MachineSchedule> &schedules,
-           std::uint64_t timeslices) const;
 
     MachineExperimentSpec spec_;
     SimConfig config_;

@@ -1,7 +1,6 @@
 #include "open_system.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,31 +23,6 @@
 namespace sos {
 
 namespace {
-
-/**
- * Historical weighted-speedup capacity table, kept only as the
- * SOS_CAPACITY_TABLE=1 fallback: values were measured on an early
- * revision of this substrate and drift as the core model evolves.
- * The default path measures the capacity instead (see below).
- */
-double
-capacityGuess(int level)
-{
-    switch (level) {
-      case 1:
-        return 0.95;
-      case 2:
-        return 1.45;
-      case 3:
-        return 1.70;
-      case 4:
-        return 1.95;
-      case 6:
-        return 2.20;
-      default:
-        return 1.0 + 0.2 * static_cast<double>(level);
-    }
-}
 
 /**
  * Measured weighted-speedup capacity of one SMT core at @p level:
@@ -155,8 +129,6 @@ machineCapacity(const SimConfig &sim, const OpenSystemConfig &config)
 {
     const auto cores =
         static_cast<double>(std::max(1, config.numCores));
-    if (std::getenv("SOS_CAPACITY_TABLE") != nullptr)
-        return capacityGuess(config.level) * cores;
     return measuredCapacity(sim, config.level) * cores;
 }
 
@@ -241,6 +213,7 @@ runOpenSystem(const SimConfig &sim, const OpenSystemConfig &config,
     SosKernel::OpenConfig kernel_config;
     kernel_config.sampleSchedules = config.sampleSchedules;
     kernel_config.predictor = config.predictor;
+    kernel_config.modelPath = sim.modelPath;
     kernel_config.resamplePolicy = config.resamplePolicy;
     kernel_config.baseIntervalCycles =
         sim.scaled(config.effectiveInterarrivalPaper(sim));

@@ -105,8 +105,7 @@ struct OpenSystemConfig
      * measured weighted-speedup capacity: a short naive-rotation
      * co-run of the open-system workload population on @p sim's
      * substrate, scored against the memoized Calibrator solo-IPC
-     * references and cached process-wide. Set SOS_CAPACITY_TABLE=1 to
-     * use the historical hard-coded per-level table instead.
+     * references and cached process-wide.
      */
     std::uint64_t effectiveInterarrivalPaper(const SimConfig &sim) const;
 };

@@ -1,13 +1,40 @@
 #include "parallel_runner.hh"
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "common/logging.hh"
-#include "cpu/machine.hh"
 #include "metrics/weighted_speedup.hh"
 #include "sim/snapshot.hh"
 
 namespace sos {
+
+namespace {
+
+/** Run one warm-up period, kept out of the sampling stats. */
+void
+warmUp(MachineEngine &engine, JobMix &mix, const MachineSchedule &warm)
+{
+    engine.setSampleRecording(false);
+    engine.runSchedule(mix, warm, warm.periodTimeslices());
+    engine.setSampleRecording(true);
+}
+
+/** The measured interval of one candidate on a warmed engine. */
+ParallelScheduleRunner::ScheduleRun
+measure(MachineEngine &engine, JobMix &mix,
+        const MachineSchedule &schedule, std::uint64_t timeslices)
+{
+    ParallelScheduleRunner::ScheduleRun result;
+    result.run = engine.runSchedule(mix, schedule, timeslices);
+    result.ws = weightedSpeedup(mix, result.run.jobRetired,
+                                result.run.cycles);
+    return result;
+}
+
+} // namespace
 
 ParallelScheduleRunner::ParallelScheduleRunner(int jobs)
     : jobs_(resolveJobs(jobs))
@@ -23,73 +50,66 @@ ParallelScheduleRunner::workersFor(std::size_t tasks) const
 
 std::vector<ParallelScheduleRunner::ScheduleRun>
 ParallelScheduleRunner::runAll(
-    const SweepSpec &sweep, const std::vector<Schedule> &schedules,
-    const std::function<std::uint64_t(const Schedule &)> &timeslices)
-    const
+    const SweepSpec &sweep, const std::vector<MachineSchedule> &schedules,
+    const std::function<std::uint64_t(std::size_t)> &timeslices) const
 {
     SOS_ASSERT(sweep.makeMix, "sweep needs a mix factory");
     SOS_ASSERT(sweep.timesliceCycles > 0);
 
-    const bool has_warmup =
-        sweep.warm.valid() && sweep.warmTimeslices > 0;
-    if (sweep.useSnapshot && has_warmup && !sweep.mixVariesByIndex) {
-        // Shared-warmup fast path: simulate the warmup once, then run
-        // every candidate's measured interval on a private fork of the
-        // warmed state.  Bit-identical to the legacy path below: each
-        // task there warms an identical mix on an identical machine,
-        // so its post-warmup state IS the snapshot (DESIGN.md §5c).
-        JobMix warm_mix = sweep.makeMix(0);
-        Machine warm_machine(sweep.core, sweep.mem);
-        TimesliceEngine warm_engine(warm_machine.core(0),
-                                    sweep.timesliceCycles);
-        warm_engine.setSampling(sweep.sample);
-        warm_engine.setSampleRecording(false);
-        warm_engine.runSchedule(warm_mix, sweep.warm,
-                                sweep.warmTimeslices);
-        const MachineSnapshot snapshot(warm_machine, warm_mix,
-                                       warm_engine);
-
+    if (!sweep.useSnapshot || !sweep.warmup) {
         return map<ScheduleRun>(schedules.size(), [&](std::size_t i) {
-            const Schedule &schedule = schedules[i];
-            MachineSnapshot::Fork fork(snapshot);
-            TimesliceEngine engine(fork.machine().core(0),
-                                   sweep.timesliceCycles);
+            JobMix mix = sweep.makeMix(i);
+            // A private machine per task keeps sweep results a pure
+            // function of the task index (DESIGN.md determinism
+            // contract).
+            Machine machine(sweep.machine);
+            MachineEngine engine(machine, sweep.timesliceCycles);
             engine.setSampling(sweep.sample);
-            fork.adopt(engine);
-
-            ScheduleRun result;
-            result.run = engine.runSchedule(fork.mix(), schedule,
-                                            timeslices(schedule));
-            result.ws = weightedSpeedup(fork.mix(),
-                                        result.run.jobRetired,
-                                        result.run.cycles);
-            return result;
+            if (sweep.warmup)
+                warmUp(engine, mix, sweep.warmup(i));
+            return measure(engine, mix, schedules[i], timeslices(i));
         });
     }
 
-    return map<ScheduleRun>(schedules.size(), [&](std::size_t i) {
-        const Schedule &schedule = schedules[i];
-        JobMix mix = sweep.makeMix(i);
-        // A private 1-core machine per task keeps sweep results a pure
-        // function of the task index (DESIGN.md determinism contract).
-        Machine machine(sweep.core, sweep.mem);
-        TimesliceEngine engine(machine.core(0), sweep.timesliceCycles);
-        engine.setSampling(sweep.sample);
-        if (has_warmup) {
-            // Warm-up is charged to every task identically; keep it
-            // out of the sampling stats so the totals match the
-            // shared-warmup fast path above.
-            engine.setSampleRecording(false);
-            engine.runSchedule(mix, sweep.warm, sweep.warmTimeslices);
-            engine.setSampleRecording(true);
+    // Shared-warmup fast path. Every task of a group warms the same
+    // mix on an identical machine with the same warm-up schedule, so
+    // its post-warmup state IS the group's snapshot (DESIGN.md §5c).
+    // Warm one snapshot per group -- in parallel, the groups are
+    // independent -- then run each candidate's measured interval on a
+    // private fork.
+    std::vector<MachineSchedule> warmups;
+    std::vector<std::size_t> leader;
+    std::vector<std::size_t> group_of(schedules.size());
+    std::map<std::string, std::size_t> group_index;
+    for (std::size_t i = 0; i < schedules.size(); ++i) {
+        MachineSchedule warm = sweep.warmup(i);
+        const auto [it, inserted] =
+            group_index.emplace(warm.label(), warmups.size());
+        if (inserted) {
+            warmups.push_back(std::move(warm));
+            leader.push_back(i);
         }
+        group_of[i] = it->second;
+    }
 
-        ScheduleRun result;
-        result.run =
-            engine.runSchedule(mix, schedule, timeslices(schedule));
-        result.ws = weightedSpeedup(mix, result.run.jobRetired,
-                                    result.run.cycles);
-        return result;
+    const auto snapshots =
+        map<std::shared_ptr<const MachineSnapshot>>(
+            warmups.size(), [&](std::size_t g) {
+                JobMix mix = sweep.makeMix(leader[g]);
+                Machine machine(sweep.machine);
+                MachineEngine engine(machine, sweep.timesliceCycles);
+                engine.setSampling(sweep.sample);
+                warmUp(engine, mix, warmups[g]);
+                return std::make_shared<const MachineSnapshot>(
+                    machine, mix, engine);
+            });
+
+    return map<ScheduleRun>(schedules.size(), [&](std::size_t i) {
+        MachineSnapshot::Fork fork(*snapshots[group_of[i]]);
+        MachineEngine engine(fork.machine(), sweep.timesliceCycles);
+        engine.setSampling(sweep.sample);
+        fork.adopt(engine);
+        return measure(engine, fork.mix(), schedules[i], timeslices(i));
     });
 }
 

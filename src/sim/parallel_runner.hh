@@ -2,11 +2,14 @@
  * @file
  * Deterministic parallel schedule sweeps.
  *
- * Profiling a candidate schedule is a pure function of (jobmix
- * recipe, machine configuration, schedule): the runner rebuilds a
- * private SmtCore + TimesliceEngine + JobMix per task, so every
- * schedule starts from bit-identical machine state and tasks can fan
- * out across worker threads with no shared mutable state at all.
+ * Profiling a candidate is a pure function of (jobmix recipe, machine
+ * configuration, warm-up, schedule): the runner rebuilds a private
+ * Machine + MachineEngine + JobMix per task, so every candidate starts
+ * from bit-identical machine state and tasks fan out across worker
+ * threads with no shared mutable state at all. Every closed-system
+ * experiment runs its candidates here: the paper's single SMT core is
+ * the 1-core case (batch and hierarchical lift their Schedules into
+ * 1-core MachineSchedules), the CMP experiments the C-core case.
  *
  * Determinism contract (see DESIGN.md):
  *  - results are a function of the task index only, never of worker
@@ -15,7 +18,7 @@
  *  - each task's workload generators derive their own RNG streams
  *    from the mix seed (per-schedule streams, no stream is shared or
  *    advanced across tasks);
- *  - every schedule is charged the same warmup, so candidates are
+ *  - every candidate is charged its warm-up, so candidates are
  *    compared from equal machine state (the serial seed code instead
  *    leaked cache/predictor state from one candidate into the next).
  */
@@ -28,21 +31,21 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "cpu/machine.hh"
 #include "sched/jobmix.hh"
-#include "sched/schedule.hh"
-#include "sim/sim_config.hh"
-#include "sim/timeslice_engine.hh"
+#include "sched/machine_schedule.hh"
+#include "sim/machine_engine.hh"
 
 namespace sos {
 
-/** Fans independent per-schedule simulations across a thread pool. */
+/** Fans independent per-candidate simulations across a thread pool. */
 class ParallelScheduleRunner
 {
   public:
     /** Everything one profiling task measures. */
     struct ScheduleRun
     {
-        TimesliceEngine::ScheduleRunResult run;
+        MachineEngine::MachineRunResult run;
         double ws = 0.0; ///< weighted speedup over the run
     };
 
@@ -50,48 +53,43 @@ class ParallelScheduleRunner
     struct SweepSpec
     {
         /**
-         * Build the (calibrated) jobmix for one task. Must return an
-         * identical mix for every index unless the sweep deliberately
-         * varies it (e.g. per-candidate allocation plans).
+         * Build the (calibrated) jobmix for one task. Candidates that
+         * share a warm-up schedule must get identical mixes: the
+         * snapshot path warms the first one and forks the rest.
          */
         std::function<JobMix(std::size_t index)> makeMix;
 
-        /** Core/memory configuration each task's private core uses. */
-        CoreParams core;
-        MemParams mem;
+        /** The machine each task builds privately. */
+        MachineParams machine;
 
         /** Engine quantum in simulated cycles. */
         std::uint64_t timesliceCycles = 0;
 
         /**
-         * Schedule run before measuring, for @ref warmTimeslices
-         * quanta; invalid() disables warmup.
+         * Warm-up schedule of candidate @p index, run for one period
+         * before measuring. Unset disables warm-up for every
+         * candidate.
          */
-        Schedule warm;
-        std::uint64_t warmTimeslices = 0;
+        std::function<MachineSchedule(std::size_t index)> warmup;
 
         /**
-         * Share the warmup across candidates: run it once, snapshot
-         * the warmed state and fork a private copy per task (see
-         * sim/snapshot.hh).  Bit-identical to per-task warmup --
-         * SimConfig::snapshot / SOS_SNAPSHOT=0 forces the legacy
-         * path.  Ignored when there is no warmup to share.
+         * Share warm-ups across candidates: candidates are grouped by
+         * their exact warm-up schedule (its per-core label -- never
+         * the core-permutation-invariant key, which would fork a
+         * snapshot with the groups on the wrong cores), one snapshot
+         * is warmed per group and every candidate measures on a
+         * private fork (see sim/snapshot.hh). Bit-identical to
+         * per-task warm-up; SimConfig::snapshot / SOS_SNAPSHOT=0
+         * forces the per-task path.
          */
         bool useSnapshot = true;
 
         /**
-         * Set when makeMix returns a *different* mix per index (e.g.
-         * per-candidate allocation plans): a shared warmed snapshot
-         * would be wrong, so the sweep always warms per task.
-         */
-        bool mixVariesByIndex = false;
-
-        /**
          * Sampled-simulation windows applied to every task's engine
-         * (and the shared warm-up engine). Disabled by default; see
+         * (and the warm-up engines). Disabled by default; see
          * cpu/sampling.hh. Warm-up runs never record sampling stats,
          * so the manifest's sampling group stays identical across the
-         * snapshot fast path and the legacy per-task warm-up.
+         * snapshot fast path and the per-task warm-up.
          */
         SampleWindows sample;
     };
@@ -106,14 +104,15 @@ class ParallelScheduleRunner
     int jobs() const { return jobs_; }
 
     /**
-     * Profile schedules[i] for timeslices(schedules[i]) quanta each on
-     * private state built from @p sweep. Results are indexed like
+     * Profile schedules[i] for timeslices(i) quanta each on private
+     * state built from @p sweep. Results are indexed like
      * @p schedules.
      */
     std::vector<ScheduleRun>
-    runAll(const SweepSpec &sweep, const std::vector<Schedule> &schedules,
-           const std::function<std::uint64_t(const Schedule &)>
-               &timeslices) const;
+    runAll(const SweepSpec &sweep,
+           const std::vector<MachineSchedule> &schedules,
+           const std::function<std::uint64_t(std::size_t)> &timeslices)
+        const;
 
     /**
      * Generic deterministic fan-out: evaluate task(0..n-1) on the

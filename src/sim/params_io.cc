@@ -238,6 +238,26 @@ applyOverride(SimConfig &config, const std::string &assignment)
     }
 }
 
+std::uint64_t
+parseKnobU64(const std::string &name, const std::string &value)
+{
+    try {
+        return parseU64(name, value);
+    } catch (const std::invalid_argument &error) {
+        fatal(error.what());
+    }
+}
+
+int
+parseKnobInt(const std::string &name, const std::string &value)
+{
+    try {
+        return parseInt(name, value);
+    } catch (const std::invalid_argument &error) {
+        fatal(error.what());
+    }
+}
+
 void
 applyOverrides(SimConfig &config,
                const std::vector<std::string> &assignments)

@@ -11,6 +11,7 @@
 #ifndef SOS_SIM_PARAMS_IO_HH
 #define SOS_SIM_PARAMS_IO_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,6 +59,16 @@ std::string renderConfig(const SimConfig &config);
  */
 std::vector<std::pair<std::string, std::string>>
 configPairs(const SimConfig &config);
+
+/**
+ * Parse one knob value (an environment variable such as SOS_SEED) as
+ * an unsigned or signed integer: the whole value must be a number, so
+ * a typo never turns into a silent zero or a truncated prefix.
+ * fatal() naming @p name otherwise.
+ */
+std::uint64_t parseKnobU64(const std::string &name,
+                           const std::string &value);
+int parseKnobInt(const std::string &name, const std::string &value);
 
 /**
  * Parse a sampled-simulation window spec: "U:W:M" (fast-forward,

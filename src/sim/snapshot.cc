@@ -6,14 +6,6 @@ namespace sos {
 
 MachineSnapshot::MachineSnapshot(const Machine &machine,
                                  const JobMix &mix,
-                                 const TimesliceEngine &engine)
-    : machine_(machine), mix_(mix)
-{
-    capture(mix, engine, 0);
-}
-
-MachineSnapshot::MachineSnapshot(const Machine &machine,
-                                 const JobMix &mix,
                                  const MachineEngine &engine)
     : machine_(machine), mix_(mix)
 {

@@ -37,13 +37,9 @@ class MachineSnapshot
 {
   public:
     /**
-     * Capture a warmed single-core run: @p engine must drive
-     * machine.core(0) and @p mix must own every resident unit.
+     * Capture a warmed run: @p engine must drive @p machine and
+     * @p mix must own every resident unit.
      */
-    MachineSnapshot(const Machine &machine, const JobMix &mix,
-                    const TimesliceEngine &engine);
-
-    /** Capture a warmed whole-machine run. */
     MachineSnapshot(const Machine &machine, const JobMix &mix,
                     const MachineEngine &engine);
 

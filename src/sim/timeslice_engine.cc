@@ -160,37 +160,4 @@ TimesliceEngine::runTimeslice(const std::vector<ThreadRef> &units)
     return result;
 }
 
-TimesliceEngine::ScheduleRunResult
-TimesliceEngine::runSchedule(JobMix &mix, const Schedule &schedule,
-                             std::uint64_t timeslices)
-{
-    SOS_ASSERT(schedule.valid());
-    ScheduleRunResult result;
-    result.jobRetired.assign(static_cast<std::size_t>(mix.numJobs()), 0);
-
-    for (std::uint64_t t = 0; t < timeslices; ++t) {
-        const std::vector<int> &tuple = schedule.tupleAt(t);
-        std::vector<ThreadRef> &units = unitsScratch_;
-        units.clear();
-        units.reserve(tuple.size());
-        for (int unit_index : tuple)
-            units.push_back(mix.unit(unit_index));
-
-        const SliceResult slice = runTimeslice(units);
-        result.total += slice.counters;
-        result.sliceIpc.push_back(slice.counters.ipc());
-        result.sliceMixImbalance.push_back(
-            slice.counters.mixImbalance());
-        for (std::size_t u = 0; u < units.size(); ++u) {
-            // Job ids are 1-based insertion order within the mix.
-            const int job_index =
-                static_cast<int>(units[u].job->id()) - 1;
-            result.jobRetired[static_cast<std::size_t>(job_index)] +=
-                slice.unitRetired[u];
-        }
-        result.cycles += timeslice_;
-    }
-    return result;
-}
-
 } // namespace sos

@@ -7,7 +7,8 @@
  * units staying resident keep their hardware context and pipeline
  * state (the "warmstart" effect of Section 8 -- under partial swap
  * only the replaced job cold-starts), swaps the rest, runs the core
- * for the quantum, and credits retired instructions to jobs.
+ * for the quantum, and credits retired instructions to jobs. Whole
+ * schedules run through MachineEngine, which steps one engine per core.
  */
 
 #ifndef SOS_SIM_TIMESLICE_ENGINE_HH
@@ -19,8 +20,6 @@
 
 #include "cpu/smt_core.hh"
 #include "sched/job.hh"
-#include "sched/jobmix.hh"
-#include "sched/schedule.hh"
 #include "cpu/sampling.hh"
 
 namespace sos {
@@ -35,16 +34,6 @@ class TimesliceEngine
         PerfCounters counters;
         /** Retired instructions per unit, ordered as the input set. */
         std::vector<std::uint64_t> unitRetired;
-    };
-
-    /** Outcome of running a whole schedule for several timeslices. */
-    struct ScheduleRunResult
-    {
-        PerfCounters total;
-        std::vector<double> sliceIpc;       ///< IPC of each timeslice
-        std::vector<double> sliceMixImbalance; ///< per-slice |fp-int|
-        std::vector<std::uint64_t> jobRetired; ///< per mix job index
-        std::uint64_t cycles = 0;
     };
 
     TimesliceEngine(SmtCore &core, std::uint64_t timeslice_cycles);
@@ -94,13 +83,6 @@ class TimesliceEngine
         sampler_.setRecording(recording);
     }
 
-    /**
-     * Run @p timeslices quanta of @p schedule over @p mix, crediting
-     * per-job progress. Schedule job identifiers index mix units.
-     */
-    ScheduleRunResult runSchedule(JobMix &mix, const Schedule &schedule,
-                                  std::uint64_t timeslices);
-
   private:
     struct Slot
     {
@@ -113,10 +95,8 @@ class TimesliceEngine
     SamplingController sampler_;
     std::array<Slot, MaxContexts> slots_;
 
-    /** @name Per-timeslice scratch (hoisted allocations) @{ */
-    std::vector<ThreadRef> unitsScratch_;
+    /** Per-timeslice scratch (hoisted allocation). */
     std::vector<int> unitSlotScratch_;
-    /** @} */
 };
 
 } // namespace sos

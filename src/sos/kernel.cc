@@ -4,6 +4,8 @@
 
 #include "common/logging.hh"
 #include "sos/open_run.hh"
+#include "stats/stats.hh"
+#include "stats/trace.hh"
 
 namespace sos {
 
@@ -36,52 +38,48 @@ SosKernel::advance(Phase next)
     phase_ = next;
 }
 
+ScheduleProfile
+SosKernel::sampleProfile(const Run &run, std::string label)
+{
+    ScheduleProfile profile;
+    profile.label = std::move(label);
+    profile.counters = run.run.total;
+    profile.sliceIpc = run.run.sliceIpc;
+    profile.sliceMixImbalance = run.run.sliceMixImbalance;
+    profile.sampleWs = run.ws;
+    profile.detailed = true;
+    sampleCycles_ += run.run.cycles;
+    return profile;
+}
+
 void
-SosKernel::runSamplePhase(const ClosedSweepBackend &backend,
-                          const TimeslicesFn &timeslices)
+SosKernel::runSamplePhase(const std::vector<Run> &runs,
+                          const std::vector<std::string> &labels)
 {
     SOS_ASSERT(profiles_.empty(), "sample phase already ran");
+    SOS_ASSERT(runs.size() == labels.size(), "one label per run");
     advance(Phase::Sample);
 
-    const std::vector<ParallelScheduleRunner::ScheduleRun> runs =
-        backend.runCandidates(timeslices);
-    SOS_ASSERT(runs.size() == backend.numCandidates(),
-               "backend returned a partial sweep");
-
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const ParallelScheduleRunner::ScheduleRun &result = runs[i];
-        ScheduleProfile profile;
-        profile.label = backend.candidateLabel(i);
-        profile.counters = result.run.total;
-        profile.sliceIpc = result.run.sliceIpc;
-        profile.sliceMixImbalance = result.run.sliceMixImbalance;
-        profile.sampleWs = result.ws;
-        profiles_.push_back(std::move(profile));
-        sampleCycles_ += result.run.cycles;
-    }
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        profiles_.push_back(sampleProfile(runs[i], labels[i]));
 }
 
 void
 SosKernel::runSamplePhaseScreened(
-    const ClosedSweepBackend &backend, const TimeslicesFn &timeslices,
+    const std::vector<Run> &runs,
     const std::vector<std::size_t> &shortlist,
     std::vector<ScheduleProfile> synthetic)
 {
     SOS_ASSERT(profiles_.empty(), "sample phase already ran");
     SOS_ASSERT(!shortlist.empty(),
                "the samplek screen kept no candidate");
-    SOS_ASSERT(shortlist.size() == backend.numCandidates(),
-               "backend/shortlist size mismatch");
+    SOS_ASSERT(shortlist.size() == runs.size(),
+               "run/shortlist size mismatch");
     advance(Phase::Sample);
 
     profiles_ = std::move(synthetic);
     for (ScheduleProfile &profile : profiles_)
         profile.detailed = false;
-
-    const std::vector<ParallelScheduleRunner::ScheduleRun> runs =
-        backend.runCandidates(timeslices);
-    SOS_ASSERT(runs.size() == backend.numCandidates(),
-               "backend returned a partial sweep");
 
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const std::size_t full = shortlist[i];
@@ -89,33 +87,22 @@ SosKernel::runSamplePhaseScreened(
                    "shortlist index out of range");
         SOS_ASSERT(i == 0 || shortlist[i - 1] < full,
                    "shortlist must be strictly increasing");
-        const ParallelScheduleRunner::ScheduleRun &result = runs[i];
-        ScheduleProfile profile;
-        profile.label = backend.candidateLabel(i);
-        profile.counters = result.run.total;
-        profile.sliceIpc = result.run.sliceIpc;
-        profile.sliceMixImbalance = result.run.sliceMixImbalance;
-        profile.sampleWs = result.ws;
-        profile.detailed = true;
-        profiles_[full] = std::move(profile);
-        sampleCycles_ += result.run.cycles;
+        profiles_[full] =
+            sampleProfile(runs[i], std::move(profiles_[full].label));
     }
 }
 
 void
-SosKernel::runSymbiosValidation(const ClosedSweepBackend &backend,
-                                const TimeslicesFn &timeslices)
+SosKernel::runSymbiosValidation(const std::vector<Run> &runs)
 {
     SOS_ASSERT(!profiles_.empty(), "run the sample phase first");
     SOS_ASSERT(symbiosWs_.empty(), "symbios validation already ran");
+    SOS_ASSERT(runs.size() == profiles_.size(),
+               "symbios runs must cover every candidate");
     advance(Phase::Symbios);
 
-    const std::vector<ParallelScheduleRunner::ScheduleRun> runs =
-        backend.runCandidates(timeslices);
-    SOS_ASSERT(runs.size() == backend.numCandidates(),
-               "backend returned a partial sweep");
-    for (const ParallelScheduleRunner::ScheduleRun &result : runs)
-        symbiosWs_.push_back(result.ws);
+    for (const Run &run : runs)
+        symbiosWs_.push_back(run.ws);
 
     advance(Phase::Done);
 }
@@ -176,6 +163,72 @@ SosKernel::wsOfPredictor(const Predictor &predictor) const
     SOS_ASSERT(!symbiosWs_.empty(), "run the symbios validation first");
     return symbiosWs_[static_cast<std::size_t>(
         predictedIndex(predictor))];
+}
+
+void
+SosKernel::publishStats(const stats::Group &group) const
+{
+    group.scalar("sample_phase_cycles",
+                 "simulated machine cycles spent profiling candidates")
+        .bind(&sampleCycles_);
+
+    for (std::size_t i = 0; i < profiles_.size(); ++i) {
+        const ScheduleProfile &profile = profiles_[i];
+        const stats::Group cand =
+            group.group("candidate" + std::to_string(i));
+        cand.info("schedule", "candidate schedule label") =
+            profile.label;
+        cand.value("sample_ws", "WS observed during the sample phase") =
+            profile.sampleWs;
+        cand.value("balance", "stddev of per-timeslice machine IPC") =
+            profile.balance();
+        cand.value("diversity",
+                   "mean per-timeslice machine mix imbalance") =
+            profile.diversity();
+        if (i < symbiosWs_.size())
+            cand.value("ws", "symbios-phase weighted speedup") =
+                symbiosWs_[i];
+        profile.counters.registerStats(cand.group("counters"));
+    }
+
+    if (!symbiosWs_.empty()) {
+        const stats::Group summary = group.group("summary");
+        summary.value("best_ws", "best symbios WS in the sample") =
+            bestWs();
+        summary.value("worst_ws", "worst symbios WS in the sample") =
+            worstWs();
+        summary.value("avg_ws",
+                      "oblivious-scheduler expectation over the sample") =
+            averageWs();
+    }
+}
+
+void
+SosKernel::recordSymbios(stats::EventTrace &trace,
+                         const std::string &experiment,
+                         const char *vote_event,
+                         const char *result_event) const
+{
+    if (symbiosWs_.empty())
+        return;
+    for (const std::unique_ptr<Predictor> &predictor :
+         makeAllPredictors()) {
+        const auto pick =
+            static_cast<std::size_t>(predictedIndex(*predictor));
+        trace.event(vote_event)
+            .field("experiment", experiment)
+            .field("predictor", predictor->name())
+            .field("pick", static_cast<int>(pick))
+            .field("schedule", profiles_[pick].label)
+            .field("ws", symbiosWs_[pick]);
+    }
+    for (std::size_t i = 0; i < symbiosWs_.size(); ++i) {
+        trace.event(result_event)
+            .field("experiment", experiment)
+            .field("index", static_cast<std::uint64_t>(i))
+            .field("schedule", profiles_[i].label)
+            .field("ws", symbiosWs_[i]);
+    }
 }
 
 OpenSystemResult

@@ -14,9 +14,11 @@
  *    measured symbios WS, sample-phase cycle accounting, predictor
  *    evaluation.
  *
- * Closed-system experiments adapt through ClosedSweepBackend: the
- * kernel runs their SAMPLE and SYMBIOS phases and keeps the results;
- * the experiments only translate configuration and publish stats.
+ * Closed-system experiments run their candidates through
+ * ParallelScheduleRunner::runAll and hand the index-ordered runs to
+ * the kernel, which turns them into SAMPLE profiles and SYMBIOS
+ * results and keeps them; the experiments only translate
+ * configuration and publish stats.
  * The open system adapts through EngineBackend: the kernel replays an
  * arrival trace, sampling candidate coschedules on parallel forks of
  * the live machine state and adopting the predicted winner.
@@ -40,7 +42,7 @@
 #include "core/predictor.hh"
 #include "core/schedule_profile.hh"
 #include "sim/open_system.hh"
-#include "sos/closed_backend.hh"
+#include "sim/parallel_runner.hh"
 #include "sos/event.hh"
 #include "sos/open_backend.hh"
 
@@ -48,6 +50,7 @@ namespace sos {
 
 namespace stats {
 class EventTrace;
+class Group;
 } // namespace stats
 
 /** The shared sample/symbios state machine behind all four drivers. */
@@ -63,8 +66,8 @@ class SosKernel
         Done,    ///< the run is complete
     };
 
-    /** Timeslices to run candidate @p index for. */
-    using TimeslicesFn = std::function<std::uint64_t(std::size_t)>;
+    /** One candidate's measured run, as the sweep runner reports it. */
+    using Run = ParallelScheduleRunner::ScheduleRun;
 
     SosKernel() = default;
     SosKernel(const SosKernel &) = delete;
@@ -86,36 +89,36 @@ class SosKernel
     /** @name Closed mode (batch / hierarchical / machine drivers) @{ */
 
     /**
-     * SAMPLE: profile every backend candidate from equal footing and
-     * record one ScheduleProfile per candidate plus the cycles spent.
+     * SAMPLE: record one ScheduleProfile per candidate run (profiled
+     * from equal footing, index-ordered) plus the cycles spent.
+     * @p labels names each candidate.
      */
-    void runSamplePhase(const ClosedSweepBackend &backend,
-                        const TimeslicesFn &timeslices);
+    void runSamplePhase(const std::vector<Run> &runs,
+                        const std::vector<std::string> &labels);
 
     /**
-     * SAMPLE with the samplek screen: detail-simulate only the
-     * shortlisted candidates and fill the rest with @p synthetic
+     * SAMPLE with the samplek screen: only the shortlisted candidates
+     * were detail-simulated; the rest keep their @p synthetic
      * profiles (detailed = false, model-predicted sampleWs).
      *
-     * @p backend and @p timeslices are indexed by shortlist position;
-     * @p shortlist maps each position to its full candidate index and
-     * must be strictly increasing. @p synthetic must hold one profile
-     * per full candidate; shortlisted entries are overwritten with the
-     * detailed measurements. Only detailed runs charge sample cycles.
+     * @p runs is indexed by shortlist position; @p shortlist maps each
+     * position to its full candidate index and must be strictly
+     * increasing. @p synthetic must hold one labelled profile per full
+     * candidate; shortlisted entries are overwritten with the detailed
+     * measurements under the same label. Only detailed runs charge
+     * sample cycles.
      */
-    void runSamplePhaseScreened(const ClosedSweepBackend &backend,
-                                const TimeslicesFn &timeslices,
+    void runSamplePhaseScreened(const std::vector<Run> &runs,
                                 const std::vector<std::size_t> &shortlist,
                                 std::vector<ScheduleProfile> synthetic);
 
     /**
-     * SYMBIOS: run every candidate for the validation interval and
-     * record its measured weighted speedup. Requires a completed
-     * sample phase; ends the state machine (closed runs validate all
-     * candidates instead of committing to one).
+     * SYMBIOS: record every candidate's measured weighted speedup over
+     * the validation interval. Requires a completed sample phase;
+     * ends the state machine (closed runs validate all candidates
+     * instead of committing to one).
      */
-    void runSymbiosValidation(const ClosedSweepBackend &backend,
-                              const TimeslicesFn &timeslices);
+    void runSymbiosValidation(const std::vector<Run> &runs);
 
     /** Sample-phase profiles, in candidate order. */
     const std::vector<ScheduleProfile> &profiles() const
@@ -129,16 +132,6 @@ class SosKernel
     /** Simulated cycles spent profiling candidates. */
     std::uint64_t samplePhaseCycles() const { return sampleCycles_; }
 
-    /**
-     * Stable storage for samplePhaseCycles(), so stat groups can
-     * bind() to it (the kernel must outlive any dump).
-     */
-    const std::uint64_t &
-    samplePhaseCyclesStorage() const
-    {
-        return sampleCycles_;
-    }
-
     /** @name Summary statistics over the symbios runs @{ */
     double bestWs() const;
     double worstWs() const;
@@ -150,6 +143,27 @@ class SosKernel
 
     /** Symbios WS attained by trusting the given predictor. */
     double wsOfPredictor(const Predictor &predictor) const;
+
+    /**
+     * Register the closed-sweep results under @p group: the
+     * sample-phase cost, one "candidate<i>" subtree per profile
+     * (label, sample and symbios WS, balance/diversity signals, the
+     * full counter snapshot) and, once the symbios validation ran,
+     * the best/worst/average summary. Stats bind to this kernel's
+     * storage, so it must outlive any dump.
+     */
+    void publishStats(const stats::Group &group) const;
+
+    /**
+     * Append the symbios-phase decisions to @p trace, tagged with
+     * @p experiment: one @p vote_event per predictor (its pick and
+     * the pick's measured WS), then one @p result_event per
+     * candidate. A no-op before the symbios validation.
+     */
+    void recordSymbios(stats::EventTrace &trace,
+                       const std::string &experiment,
+                       const char *vote_event,
+                       const char *result_event) const;
 
     /** @} */
 
@@ -163,6 +177,9 @@ class SosKernel
 
         /** Predictor the symbios phase trusts. */
         std::string predictor = "IPC";
+
+        /** Model file for the "learned" predictor (SimConfig::modelPath). */
+        std::string modelPath;
 
         /** Resample-timer policy name (makeResamplePolicy()). */
         std::string resamplePolicy = "backoff";
@@ -220,6 +237,9 @@ class SosKernel
   private:
     /** Move the state machine, asserting the transition is legal. */
     void advance(Phase next);
+
+    /** One detailed sample profile; charges its cycles. */
+    ScheduleProfile sampleProfile(const Run &run, std::string label);
 
     Phase phase_ = Phase::Idle;
 

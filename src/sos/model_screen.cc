@@ -42,6 +42,31 @@ candidateTuples(const OpenCandidate &candidate)
 
 } // namespace
 
+std::vector<std::size_t>
+samplekShortlist(const std::vector<double> &predicted,
+                 std::vector<bool> keep, int top_k)
+{
+    SOS_ASSERT(keep.size() == predicted.size());
+    SOS_ASSERT(top_k > 0, "samplek must keep at least one candidate");
+    std::vector<std::size_t> order(predicted.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return predicted[a] > predicted[b];
+                     });
+    const std::size_t keep_top =
+        std::min(predicted.size(), static_cast<std::size_t>(top_k));
+    for (std::size_t i = 0; i < keep_top; ++i)
+        keep[order[i]] = true;
+
+    std::vector<std::size_t> kept;
+    for (std::size_t i = 0; i < keep.size(); ++i) {
+        if (keep[i])
+            kept.push_back(i);
+    }
+    return kept;
+}
+
 std::function<std::vector<std::size_t>(
     const std::vector<OpenCandidate> &, const std::vector<Job *> &)>
 makeModelScreen(std::shared_ptr<const model::WsModel> ws_model,
@@ -81,23 +106,7 @@ makeModelScreen(std::shared_ptr<const model::WsModel> ws_model,
                 keep[i] = true;
         }
 
-        std::vector<std::size_t> order(count);
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return predicted[a] > predicted[b];
-                         });
-        const std::size_t keep_top =
-            std::min(count, static_cast<std::size_t>(top_k));
-        for (std::size_t i = 0; i < keep_top; ++i)
-            keep[order[i]] = true;
-
-        std::vector<std::size_t> kept;
-        for (std::size_t i = 0; i < count; ++i) {
-            if (keep[i])
-                kept.push_back(i);
-        }
-        return kept;
+        return samplekShortlist(predicted, std::move(keep), top_k);
     };
 }
 

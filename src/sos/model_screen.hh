@@ -7,22 +7,34 @@
  * per-job signatures alone -- no simulation -- and only the top-K
  * predictions plus the candidates whose prediction uncertainty
  * exceeds the model's stored threshold are detail-profiled on forks.
- * The closed drivers implement the same policy inside
- * BatchExperiment::runScreenedSamplePhase(); this is the open-mode
- * counterpart, shared by the single-machine open system and every
- * cluster node.
+ * The shortlist itself is samplekShortlist(), which BatchExperiment's
+ * screened sample phase shares; this file also builds the open-mode
+ * screen used by the single-machine open system and every cluster
+ * node.
  */
 
 #ifndef SOS_SOS_MODEL_SCREEN_HH
 #define SOS_SOS_MODEL_SCREEN_HH
 
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "model/model.hh"
 #include "sos/kernel.hh"
 
 namespace sos {
+
+/**
+ * The samplek shortlist: the @p top_k best-predicted candidates (ties
+ * in prediction break toward the lower index, so the screen is
+ * deterministic) plus every candidate already set in @p keep -- the
+ * uncertain ones. Returns the kept indices, strictly increasing.
+ */
+std::vector<std::size_t>
+samplekShortlist(const std::vector<double> &predicted,
+                 std::vector<bool> keep, int top_k);
 
 /**
  * A screen keeping the @p top_k best-predicted candidates plus every

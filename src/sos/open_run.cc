@@ -18,7 +18,7 @@ OpenRun::OpenRun(EngineBackend &backend,
       capacity_(backend.capacity()), rng_(config.seed),
       resample_(makeResamplePolicy(config.resamplePolicy,
                                    config.baseIntervalCycles)),
-      predictor_(makePredictor(config.predictor)), runner_(config.jobs)
+      predictor_(makePredictor(config.predictor, config.modelPath)), runner_(config.jobs)
 {
 }
 

@@ -549,7 +549,7 @@ cmdCluster(const Args &args)
     ClusterConfig cluster;
     // Environment defaults; explicit flags win below.
     if (const char *nodes = std::getenv("SOS_CLUSTER_NODES"))
-        cluster.numNodes = std::stoi(nodes);
+        cluster.numNodes = parseKnobInt("SOS_CLUSTER_NODES", nodes);
     if (const char *dispatch = std::getenv("SOS_DISPATCH"))
         cluster.dispatch = dispatch;
     cluster.numNodes =
@@ -567,9 +567,6 @@ cmdCluster(const Args &args)
     const std::string classes = args.flag("classes", "");
     if (!classes.empty())
         cluster.classes = parseClasses(classes);
-    // Fail fast on unknown registry names, before any simulation.
-    makeDispatcher(cluster.dispatch, 0);
-    makePredictor(cluster.predictor);
     makeResamplePolicy(cluster.resamplePolicy, 1);
 
     // One --machine-config applies to every node; repeating the flag
@@ -584,7 +581,14 @@ cmdCluster(const Args &args)
         applyMachineConfig(config, machines.front());
     else if (machines.size() > 1)
         cluster.nodeMachineConfigs = machines;
+    const std::string model = args.flag("model", "");
+    if (!model.empty())
+        config.modelPath = model;
     applyOverrides(config, args.overrides);
+    // Fail fast on unknown registry names and unreadable model files,
+    // before any simulation.
+    makeDispatcher(cluster.dispatch, 0, config.modelPath);
+    makePredictor(cluster.predictor, config.modelPath);
     const std::string jobs = args.flag("jobs", "");
     if (!jobs.empty())
         applyOverride(config, "jobs=" + jobs);

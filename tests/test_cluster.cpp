@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "cluster/arrival.hh"
 #include "cluster/cluster.hh"
 #include "cluster/dispatch.hh"
+#include "model/features.hh"
+#include "model/trainer.hh"
 #include "sim/params_io.hh"
 #include "stats/manifest.hh"
 #include "stats/stats.hh"
@@ -261,6 +264,60 @@ TEST(ClusterDeterminism, ManifestCarriesPercentilesAndNodes)
     EXPECT_NE(run.trace.find("\"event\":\"dispatch\""),
               std::string::npos);
     EXPECT_NE(run.trace.find("\"node\":"), std::string::npos);
+}
+
+/** Fit a tiny linear WS model on synthetic rows; return its path. */
+std::string
+writeTinyModel()
+{
+    const std::vector<std::string> &names = model::featureNames();
+    std::vector<model::TrainRow> rows;
+    for (int r = 0; r < 24; ++r) {
+        model::TrainRow row;
+        for (std::size_t f = 0; f < names.size(); ++f) {
+            row.features.push_back(
+                static_cast<double>((r * 7 + static_cast<int>(f) * 3) %
+                                    11) /
+                10.0);
+        }
+        row.ws = 1.0 + 0.05 * row.features[0] - 0.02 * row.features[1];
+        row.experiment = "synthetic";
+        row.index = r;
+        rows.push_back(std::move(row));
+    }
+    const auto ws_model =
+        model::fitLinearModel(names, rows, model::FitOptions{});
+    const std::string path = ::testing::TempDir() + "cluster_model.txt";
+    ws_model->save(path);
+    return path;
+}
+
+TEST(ClusterLearned, ModelPathComesFromTheConfig)
+{
+    // --model reaches the registry-built dispatcher and the nodes'
+    // predictors through SimConfig alone; no environment involved.
+    ::unsetenv("SOS_MODEL");
+    SimConfig sim = makeFastConfig();
+    sim.modelPath = writeTinyModel();
+    ClusterConfig config = smallCluster();
+    config.dispatch = "learned";
+    Cluster cluster(sim, config);
+    const ClusterResult result = cluster.run(nullptr);
+    EXPECT_EQ(result.completed,
+              static_cast<std::size_t>(config.numJobs));
+}
+
+TEST(ClusterLearned, UnreadableModelPathIsNamed)
+{
+    ::unsetenv("SOS_MODEL");
+    SimConfig sim = makeFastConfig();
+    sim.modelPath = "/nonexistent/model.txt";
+    ClusterConfig config = smallCluster();
+    config.dispatch = "learned";
+    // Re-execute rather than fork: sanitizer runtimes keep threads.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(Cluster(sim, config),
+                 "/nonexistent/model.txt:0: cannot open model file");
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 #include "cpu/machine.hh"
 #include "sched/jobmix.hh"
 #include "sched/schedule.hh"
+#include "sim/machine_engine.hh"
 #include "sim/timeslice_engine.hh"
 
 namespace sos {
@@ -111,6 +112,19 @@ TEST_F(EngineTest, EvictJobIsSelective)
     EXPECT_TRUE(core_.slotActive(0) != core_.slotActive(1));
 }
 
+/** Run @p schedule on a fresh 1-core MachineEngine like the fixture's. */
+MachineEngine::MachineRunResult
+runOneCore(JobMix &mix, const Schedule &schedule,
+           std::uint64_t timeslices)
+{
+    CoreParams params;
+    params.numContexts = 2;
+    Machine machine(params, MemParams{});
+    MachineEngine engine(machine, 10000);
+    return engine.runSchedule(mix, MachineSchedule(schedule),
+                              timeslices);
+}
+
 TEST_F(EngineTest, RunScheduleIsFairAcrossJobs)
 {
     JobMix mix(7);
@@ -118,7 +132,7 @@ TEST_F(EngineTest, RunScheduleIsFairAcrossJobs)
         mix.addJob(name);
     const Schedule schedule =
         Schedule::fromPartition({{0, 1}, {2, 3}});
-    const auto result = engine_.runSchedule(mix, schedule, 20);
+    const auto result = runOneCore(mix, schedule, 20);
     ASSERT_EQ(result.jobRetired.size(), 4u);
     // Identical jobs scheduled symmetrically retire similar counts.
     for (int j = 1; j < 4; ++j) {
@@ -140,7 +154,7 @@ TEST_F(EngineTest, RunScheduleAggregatesCounters)
     mix.addJob("GO");
     const Schedule schedule =
         Schedule::fromPartition({{0, 1}, {2, 3}});
-    const auto result = engine_.runSchedule(mix, schedule, 10);
+    const auto result = runOneCore(mix, schedule, 10);
     EXPECT_EQ(result.total.cycles, 100000u);
     std::uint64_t sum = 0;
     for (std::uint64_t r : result.jobRetired)

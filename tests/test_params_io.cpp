@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "sim/config_env.hh"
 #include "sim/params_io.hh"
 
 namespace sos {
@@ -109,6 +112,68 @@ TEST(ParamsIo, RenderReflectsOverrides)
     applyOverride(config, "core.numLsPorts=3");
     EXPECT_NE(renderConfig(config).find("core.numLsPorts=3"),
               std::string::npos);
+}
+
+TEST(ParamsIo, KnobParsersAcceptWholeNumbers)
+{
+    EXPECT_EQ(parseKnobU64("SOS_SEED", "12345"), 12345u);
+    EXPECT_EQ(parseKnobU64("SOS_CLUSTER_MEAN_JOB", "30000000"),
+              30000000u);
+    EXPECT_EQ(parseKnobInt("SOS_CLUSTER_NODES", "4"), 4);
+    EXPECT_EQ(parseKnobInt("SOS_CLUSTER_NODES", "-2"), -2);
+}
+
+TEST(ParamsIo, KnobParsersNameTheKnob)
+{
+    // A typo is an error naming the knob, never a silent zero or a
+    // truncated prefix.
+    EXPECT_DEATH(parseKnobU64("SOS_SEED", "12x"),
+                 "SOS_SEED is not an unsigned integer: '12x'");
+    EXPECT_DEATH(parseKnobU64("SOS_CLUSTER_JOBS", "1e3"),
+                 "SOS_CLUSTER_JOBS is not an unsigned integer");
+    EXPECT_DEATH(parseKnobU64("SOS_CLUSTER_MEAN_JOB", "-5"),
+                 "SOS_CLUSTER_MEAN_JOB is not an unsigned integer");
+    EXPECT_DEATH(parseKnobU64("SOS_CLUSTER_JOBS", ""),
+                 "SOS_CLUSTER_JOBS is not an unsigned integer");
+    EXPECT_DEATH(parseKnobInt("SOS_CLUSTER_NODES", "four"),
+                 "SOS_CLUSTER_NODES is not an integer");
+    EXPECT_DEATH(parseKnobInt("SOS_CLUSTER_NODES", "2 nodes"),
+                 "SOS_CLUSTER_NODES is not an integer");
+}
+
+TEST(ParamsIo, EnvironmentKnobsParseWholeValues)
+{
+    ::setenv("SOS_SEED", "4242", 1);
+    ::setenv("SOS_CYCLE_SCALE", "750", 1);
+    const SimConfig config = benchConfigFromEnv();
+    ::unsetenv("SOS_SEED");
+    ::unsetenv("SOS_CYCLE_SCALE");
+    EXPECT_EQ(config.seed, 4242u);
+    EXPECT_EQ(config.cycleScale, 750u);
+}
+
+TEST(ParamsIo, EnvironmentKnobTyposAreFatal)
+{
+    // Death tests run in a child process, so the setenv calls do not
+    // leak into the rest of the suite.
+    EXPECT_DEATH(
+        {
+            ::setenv("SOS_SEED", "12x", 1);
+            benchConfigFromEnv();
+        },
+        "SOS_SEED is not an unsigned integer");
+    EXPECT_DEATH(
+        {
+            ::setenv("SOS_CYCLE_SCALE", "500x", 1);
+            benchConfigFromEnv();
+        },
+        "SOS_CYCLE_SCALE is not an integer");
+    EXPECT_DEATH(
+        {
+            ::setenv("SOS_CYCLE_SCALE", "0", 1);
+            benchConfigFromEnv();
+        },
+        "SOS_CYCLE_SCALE must be a positive integer");
 }
 
 } // namespace

@@ -31,25 +31,25 @@ TEST(Snapshot, SingleCoreForkMatchesOriginal)
 
     JobMix mix = spec.makeMix(config.seed);
     Machine machine(config.coreFor(spec.level), config.mem);
-    TimesliceEngine engine(machine.core(0), config.timesliceCycles());
-    const Schedule warm =
-        Schedule::fromRotation({0, 1, 2, 3}, spec.level, spec.swap);
+    MachineEngine engine(machine, config.timesliceCycles());
+    const MachineSchedule warm(
+        Schedule::fromRotation({0, 1, 2, 3}, spec.level, spec.swap));
     engine.runSchedule(mix, warm, warm.periodTimeslices());
 
     const MachineSnapshot snapshot(machine, mix, engine);
 
     // The original warmed run simply continues; the fork re-creates
     // that state from the snapshot. Same schedule, same interval.
-    const Schedule measured =
-        Schedule::fromRotation({3, 1, 0, 2}, spec.level, spec.swap);
-    const TimesliceEngine::ScheduleRunResult original =
+    const MachineSchedule measured(
+        Schedule::fromRotation({3, 1, 0, 2}, spec.level, spec.swap));
+    const MachineEngine::MachineRunResult original =
         engine.runSchedule(mix, measured, 6);
 
     MachineSnapshot::Fork fork(snapshot);
-    TimesliceEngine forked_engine(fork.machine().core(0),
-                                  config.timesliceCycles());
+    MachineEngine forked_engine(fork.machine(),
+                                config.timesliceCycles());
     fork.adopt(forked_engine);
-    const TimesliceEngine::ScheduleRunResult forked =
+    const MachineEngine::MachineRunResult forked =
         forked_engine.runSchedule(fork.mix(), measured, 6);
 
     EXPECT_EQ(forked.total, original.total);
@@ -111,25 +111,25 @@ TEST(Snapshot, RepeatedForksAreIndependent)
 
     JobMix mix = spec.makeMix(config.seed);
     Machine machine(config.coreFor(spec.level), config.mem);
-    TimesliceEngine engine(machine.core(0), config.timesliceCycles());
-    const Schedule warm =
-        Schedule::fromRotation({0, 1, 2, 3}, spec.level, spec.swap);
+    MachineEngine engine(machine, config.timesliceCycles());
+    const MachineSchedule warm(
+        Schedule::fromRotation({0, 1, 2, 3}, spec.level, spec.swap));
     engine.runSchedule(mix, warm, warm.periodTimeslices());
     const MachineSnapshot snapshot(machine, mix, engine);
 
-    const Schedule measured =
-        Schedule::fromRotation({2, 0, 3, 1}, spec.level, spec.swap);
+    const MachineSchedule measured(
+        Schedule::fromRotation({2, 0, 3, 1}, spec.level, spec.swap));
     const auto run_fork = [&] {
         MachineSnapshot::Fork fork(snapshot);
-        TimesliceEngine forked_engine(fork.machine().core(0),
-                                      config.timesliceCycles());
+        MachineEngine forked_engine(fork.machine(),
+                                    config.timesliceCycles());
         fork.adopt(forked_engine);
         return forked_engine.runSchedule(fork.mix(), measured, 4);
     };
     // Running one fork must not perturb the snapshot: a second fork
     // reproduces the first bit-for-bit.
-    const TimesliceEngine::ScheduleRunResult first = run_fork();
-    const TimesliceEngine::ScheduleRunResult second = run_fork();
+    const MachineEngine::MachineRunResult first = run_fork();
+    const MachineEngine::MachineRunResult second = run_fork();
     EXPECT_EQ(first.total, second.total);
     EXPECT_EQ(first.jobRetired, second.jobRetired);
     EXPECT_EQ(first.sliceIpc, second.sliceIpc);
