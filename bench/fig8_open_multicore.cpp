@@ -3,8 +3,8 @@
  * Figure 8: open-system response time vs arrival rate (lambda) on a
  * CMP of SMT cores, at 2 and 4 cores.
  *
- * The same kernel event loop that produces Figures 5-6 on one SMT
- * core runs here on the MachineBackend: every candidate coschedule
+ * The same OpenRun event loop that produces Figures 5-6 on one SMT
+ * core runs here on a CMP EngineBackend: every candidate coschedule
  * assigns a job group (and a per-core schedule over it) to each core,
  * and sample phases profile the candidates on parallel forks of the
  * whole machine. The paper stops at one core for its open system;
@@ -136,11 +136,11 @@ main(int argc, char **argv)
                     static_cast<std::uint64_t>(7001 * cores);
         const std::vector<JobArrival> arrivals =
             makeArrivalTrace(config, open);
-        backends.push_back(makeOpenBackend(config, open));
+        backends.push_back(makeOpenBackend(config, level, cores));
         EngineBackend &backend = *backends.back();
         const OpenSystemResult sos = runOpenSystem(
-            config, open, arrivals, OpenPolicy::Sos, backend,
-            harness.wantsTrace() ? &harness.trace() : nullptr);
+            config, open, arrivals, OpenPolicy::Sos,
+            harness.wantsTrace() ? &harness.trace() : nullptr, &backend);
 
         const stats::Group machine =
             by_cores.group(std::to_string(cores)).group("machine");

@@ -36,21 +36,25 @@ Cluster::Cluster(const SimConfig &base, const ClusterConfig &config)
                 sim,
                 config.nodeMachineConfigs[static_cast<std::size_t>(k)]);
         }
-        const int cores = sim.machineCores > 0 ? sim.machineCores
-                                               : config.numCores;
+        ClusterNode::Params params;
+        params.open.level = config.level;
+        params.open.numCores = sim.machineCores > 0 ? sim.machineCores
+                                                    : config.numCores;
+        params.open.meanJobPaperCycles = config.meanJobPaperCycles;
+        params.open.sampleSchedules = config.sampleSchedules;
+        params.open.predictor = config.predictor;
+        params.open.resamplePolicy = config.resamplePolicy;
+        params.open.seed = config.seed;
         // The stable single-machine interarrival doubles as this
         // node's resample base interval and its capacity share of the
         // front-door rate.
-        OpenSystemConfig open;
-        open.level = config.level;
-        open.numCores = cores;
-        open.meanJobPaperCycles = config.meanJobPaperCycles;
         const std::uint64_t stable =
-            open.effectiveInterarrivalPaper(sim);
+            params.open.effectiveInterarrivalPaper(sim);
         cluster_rate += 1.0 / static_cast<double>(stable);
+        params.baseIntervalCycles = base.scaled(stable);
+        params.traceStride = base.traceSample;
         nodeSims_.push_back(std::move(sim));
-        nodeCores_.push_back(cores);
-        nodeBaseIntervals_.push_back(base.scaled(stable));
+        nodeParams_.push_back(std::move(params));
     }
 
     interarrivalPaper_ =
@@ -114,18 +118,10 @@ Cluster::run(stats::EventTrace *events)
     stats::EventTrace dispatch_trace;
     dispatch_trace.setPhaseStride(base_.traceSample);
 
-    ClusterNode::Params params;
-    params.level = config_.level;
-    params.sampleSchedules = config_.sampleSchedules;
-    params.predictor = config_.predictor;
-    params.resamplePolicy = config_.resamplePolicy;
-    params.seed = config_.seed;
-    params.wantTrace = want_trace;
-    params.traceStride = base_.traceSample;
     for (int k = 0; k < config_.numNodes; ++k) {
-        params.numCores = nodeCores_[static_cast<std::size_t>(k)];
-        params.baseIntervalCycles =
-            nodeBaseIntervals_[static_cast<std::size_t>(k)];
+        ClusterNode::Params &params =
+            nodeParams_[static_cast<std::size_t>(k)];
+        params.wantTrace = want_trace;
         nodes_.push_back(std::make_unique<ClusterNode>(
             k, nodeSims_[static_cast<std::size_t>(k)], params,
             arrivals_));
@@ -148,7 +144,7 @@ Cluster::run(stats::EventTrace *events)
         std::min(resolveJobs(base_.jobs), config_.numNodes));
     const auto advanceAll = [&](std::uint64_t limit) {
         pool.run(node_count, [&](std::size_t k) {
-            nodes_[k]->advanceTo(limit);
+            nodes_[k]->run().advanceTo(limit);
         });
     };
 
@@ -189,28 +185,28 @@ Cluster::run(stats::EventTrace *events)
     // Everything is routed: drain without further barriers.
     advanceAll(OpenRun::kNoLimit);
     for (const auto &node : nodes_)
-        node->finalize();
+        node->run().finalize();
 
     // Harvest.
     std::uint64_t makespan = 0;
     for (const auto &node : nodes_)
-        makespan = std::max(makespan, node->now());
+        makespan = std::max(makespan, node->run().now());
     double total_response = 0.0;
     for (const auto &node : nodes_) {
         ClusterNodeSummary summary;
         summary.id = node->id();
-        summary.dispatched = node->dispatched();
-        summary.completed = node->completed();
-        summary.busyCycles = node->slicesRun() * timeslice;
-        summary.sampleCycles = node->sampleSlices() * timeslice;
-        summary.samplePhases = node->samplePhases();
+        summary.dispatched = node->run().injected();
+        summary.completed = node->run().completed();
+        summary.busyCycles = node->run().slicesRun() * timeslice;
+        summary.sampleCycles = node->run().sampleSlices() * timeslice;
+        summary.samplePhases = node->run().samplePhases();
         summary.utilization =
             makespan > 0 ? static_cast<double>(summary.busyCycles) /
                                static_cast<double>(makespan)
                          : 0.0;
         result_.nodes.push_back(summary);
-        result_.completed += node->completed();
-        for (const auto &[index, response] : node->responses()) {
+        result_.completed += node->run().completed();
+        for (const auto &[index, response] : node->run().responses()) {
             result_.responseByArrival[static_cast<std::size_t>(
                 index)] = response;
             total_response += static_cast<double>(response);

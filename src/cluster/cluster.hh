@@ -179,8 +179,7 @@ class Cluster
     SimConfig base_;
     ClusterConfig config_;
     std::vector<SimConfig> nodeSims_;
-    std::vector<int> nodeCores_;
-    std::vector<std::uint64_t> nodeBaseIntervals_;
+    std::vector<ClusterNode::Params> nodeParams_;
     std::uint64_t interarrivalPaper_ = 0;
     std::vector<ClusterArrival> arrivals_;
     std::vector<ArrivalClass> classes_;

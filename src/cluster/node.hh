@@ -4,10 +4,10 @@
  * job factory, advanced between dispatch barriers.
  *
  * A node owns the full single-machine stack -- an EngineBackend (one
- * SMT core or a CMP), an OpenRun (the kernel's arrival-driven loop in
- * resumable form) and the Calibrator its job factory sizes solo-IPC
- * references from. dispatch() queues a routed arrival; advanceTo()
- * runs the node's event loop to the epoch barrier. The node performs
+ * SMT core or a CMP) and an OpenRun (the kernel's arrival-driven loop
+ * in resumable form), set up exactly as a single-machine open run
+ * (openRunSetup()). dispatch() queues a routed arrival; the cluster
+ * advances the node's run to each epoch barrier. The node performs
  * no synchronization of its own, so the cluster may advance all nodes
  * concurrently on a thread pool (one task per node, a pure function
  * of node state) and remain bit-identical to a serial sweep.
@@ -26,8 +26,9 @@
 
 #include "cluster/arrival.hh"
 #include "cluster/dispatch.hh"
-#include "metrics/calibrator.hh"
+#include "sim/open_system.hh"
 #include "sim/sim_config.hh"
+#include "sos/open_backend.hh"
 #include "sos/open_run.hh"
 #include "stats/trace.hh"
 
@@ -40,14 +41,14 @@ class ClusterNode
     /** Kernel knobs shared by every node of a cluster. */
     struct Params
     {
-        int level = 3;
-        int numCores = 1;
-        int sampleSchedules = 10;
-        std::string predictor = "IPC";
-        std::string resamplePolicy = "backoff";
+        /**
+         * The machine (level, numCores), the kernel knobs
+         * (sampleSchedules, predictor, resamplePolicy) and the cluster
+         * seed; the arrival-trace fields are unused.
+         */
+        OpenSystemConfig open;
         /** Base symbios interval in simulated cycles. */
         std::uint64_t baseIntervalCycles = 1;
-        std::uint64_t seed = 0;
         /** Record this node's kernel decisions (gated upstream). */
         bool wantTrace = false;
         std::uint64_t traceStride = 1;
@@ -73,46 +74,30 @@ class ClusterNode
     /** Route one arrival here (cycles nondecreasing per node). */
     void dispatch(std::size_t global_index);
 
-    /** Advance the node's event loop to the barrier cycle. */
-    void advanceTo(std::uint64_t limit) { run_->advanceTo(limit); }
-
-    /** Every routed job completed. */
-    bool drained() const { return run_->drained(); }
-
-    /** Close the node's phase machine (requires drained()). */
-    void finalize() { run_->finalize(); }
-
     /** The dispatcher's snapshot of this node, taken at a barrier. */
     NodeView view();
 
-    /** @name Results (read after the run) @{ */
-    std::size_t dispatched() const { return run_->injected(); }
-    std::size_t completed() const { return run_->completed(); }
-    std::uint64_t now() const { return run_->now(); }
-    std::uint64_t slicesRun() const { return run_->slicesRun(); }
-    std::uint64_t sampleSlices() const { return run_->sampleSlices(); }
-    int samplePhases() const { return run_->samplePhases(); }
-    std::uint64_t timesliceCycles() const { return timeslice_; }
+    /**
+     * The node's open run: advanced to each barrier by the cluster,
+     * finalized once drained, and read for results after the run.
+     */
+    OpenRun &run() { return *run_; }
+    const OpenRun &run() const { return *run_; }
 
-    /** (global index, response cycles) per completion, retire order. */
-    const std::vector<std::pair<int, std::uint64_t>> &
-    responses() const
+    std::uint64_t timesliceCycles() const
     {
-        return run_->responses();
+        return backend_->timesliceCycles();
     }
 
     /** This node's decision trace (node-tagged, stride-gated). */
     const stats::EventTrace &trace() const { return trace_; }
-    /** @} */
 
   private:
     int id_;
     const std::vector<ClusterArrival> &arrivals_;
-    Calibrator calibrator_;
     std::unique_ptr<EngineBackend> backend_;
     stats::EventTrace trace_;
     std::unique_ptr<OpenRun> run_;
-    std::uint64_t timeslice_;
 };
 
 } // namespace sos

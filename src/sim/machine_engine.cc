@@ -5,13 +5,16 @@
 namespace sos {
 
 MachineEngine::MachineEngine(Machine &machine,
-                             std::uint64_t timeslice_cycles)
+                             std::uint64_t timeslice_cycles,
+                             const SampleWindows &sample)
     : machine_(machine), timeslice_(timeslice_cycles)
 {
     SOS_ASSERT(timeslice_cycles > 0);
     engines_.reserve(static_cast<std::size_t>(machine.numCores()));
-    for (int k = 0; k < machine.numCores(); ++k)
+    for (int k = 0; k < machine.numCores(); ++k) {
         engines_.emplace_back(machine.core(k), timeslice_cycles);
+        engines_.back().setSampling(sample);
+    }
 }
 
 void
@@ -19,6 +22,28 @@ MachineEngine::evictAll()
 {
     for (TimesliceEngine &engine : engines_)
         engine.evictAll();
+}
+
+void
+MachineEngine::evictJob(const Job *job)
+{
+    for (TimesliceEngine &engine : engines_)
+        engine.evictJob(job);
+}
+
+MachineEngine::SliceResult
+MachineEngine::runSlice(const std::vector<std::vector<ThreadRef>> &units)
+{
+    static const std::vector<ThreadRef> idle;
+    SliceResult slice;
+    slice.cores.reserve(engines_.size());
+    for (std::size_t k = 0; k < engines_.size(); ++k) {
+        slice.cores.push_back(
+            engines_[k].runTimeslice(k < units.size() ? units[k] : idle));
+        slice.machine += slice.cores.back().counters;
+    }
+    slice.machine.cycles = timeslice_;
+    return slice;
 }
 
 MachineEngine::MachineRunResult
@@ -29,45 +54,33 @@ MachineEngine::runSchedule(JobMix &mix, const MachineSchedule &schedule,
     SOS_ASSERT(schedule.numCores() == machine_.numCores(),
                "schedule core count must match the machine");
 
+    const auto cores = static_cast<std::size_t>(machine_.numCores());
     MachineRunResult result;
-    result.perCore.resize(static_cast<std::size_t>(machine_.numCores()));
+    result.perCore.resize(cores);
     result.jobRetired.assign(static_cast<std::size_t>(mix.numJobs()), 0);
 
+    std::vector<std::vector<ThreadRef>> units(cores);
     for (std::uint64_t t = 0; t < timeslices; ++t) {
-        PerfCounters machine_slice;
-        // Core-index order within the timeslice: the documented
-        // determinism contract for sharing the L2.
-        for (int k = 0; k < machine_.numCores(); ++k) {
-            const std::vector<int> &tuple =
-                schedule.coreSchedule(k).tupleAt(t);
-            std::vector<ThreadRef> &units = unitsScratch_;
-            units.clear();
-            units.reserve(tuple.size());
-            for (int unit_index : tuple)
-                units.push_back(mix.unit(unit_index));
-
-            const TimesliceEngine::SliceResult slice =
-                engines_[static_cast<std::size_t>(k)].runTimeslice(
-                    units);
-            result.total += slice.counters;
-            result.perCore[static_cast<std::size_t>(k)] +=
-                slice.counters;
-            machine_slice += slice.counters;
-            for (std::size_t u = 0; u < units.size(); ++u) {
+        for (std::size_t k = 0; k < cores; ++k) {
+            units[k].clear();
+            for (int unit_index :
+                 schedule.coreSchedule(static_cast<int>(k)).tupleAt(t))
+                units[k].push_back(mix.unit(unit_index));
+        }
+        const SliceResult slice = runSlice(units);
+        for (std::size_t k = 0; k < cores; ++k) {
+            const TimesliceEngine::SliceResult &core = slice.cores[k];
+            result.total += core.counters;
+            result.perCore[k] += core.counters;
+            for (std::size_t u = 0; u < units[k].size(); ++u) {
                 // Job ids are 1-based insertion order within the mix.
-                const int job_index =
-                    static_cast<int>(units[u].job->id()) - 1;
-                result.jobRetired[static_cast<std::size_t>(
-                    job_index)] += slice.unitRetired[u];
+                const auto job_index =
+                    static_cast<std::size_t>(units[k][u].job->id() - 1);
+                result.jobRetired[job_index] += core.unitRetired[u];
             }
         }
-        // Machine-wide IPC: total retirement over the quantum's wall
-        // cycles (the cores run concurrently, so the summed per-core
-        // cycle count is not the interval length).
-        machine_slice.cycles = timeslice_;
-        result.sliceIpc.push_back(machine_slice.ipc());
-        result.sliceMixImbalance.push_back(
-            machine_slice.mixImbalance());
+        result.sliceIpc.push_back(slice.machine.ipc());
+        result.sliceMixImbalance.push_back(slice.machine.mixImbalance());
         result.cycles += timeslice_;
     }
     return result;

@@ -5,8 +5,9 @@
  * A MachineEngine owns one TimesliceEngine per core of a Machine and
  * advances them in lock-step: within every timeslice the cores are
  * stepped sequentially in core-index order (the determinism contract
- * Machine documents), each running its own coschedule tuple from the
- * MachineSchedule. Cores therefore interleave on the shared L2 at
+ * Machine documents), each running its own coschedule tuple -- from a
+ * MachineSchedule for closed sweeps, or one open-system slice at a
+ * time through runSlice(). Cores therefore interleave on the shared L2 at
  * timeslice granularity -- coarse, but deterministic and faithful to
  * the paper's OS-level view, where the scheduler only observes
  * counters at quantum boundaries anyway.
@@ -56,17 +57,14 @@ class MachineEngine
         std::uint64_t cycles = 0;
     };
 
-    MachineEngine(Machine &machine, std::uint64_t timeslice_cycles);
+    /**
+     * Drive every core of @p machine at the fidelity @p sample sets
+     * (cpu/sampling.hh; the default is full detail).
+     */
+    MachineEngine(Machine &machine, std::uint64_t timeslice_cycles,
+                  const SampleWindows &sample = SampleWindows{});
 
     std::uint64_t timesliceCycles() const { return timeslice_; }
-
-    /** Configure sampled simulation on every core's engine. */
-    void
-    setSampling(const SampleWindows &sample)
-    {
-        for (TimesliceEngine &engine : engines_)
-            engine.setSampling(sample);
-    }
 
     /** Toggle sampling-stats recording on every core's engine. */
     void
@@ -75,6 +73,28 @@ class MachineEngine
         for (TimesliceEngine &engine : engines_)
             engine.setSampleRecording(recording);
     }
+
+    /** What one machine timeslice measured. */
+    struct SliceResult
+    {
+        /**
+         * Counters summed over the cores, with cycles set to one
+         * quantum: the cores run concurrently, so the summed per-core
+         * cycle count is not the interval length.
+         */
+        PerfCounters machine;
+
+        /** Each core's own timeslice result, indexed by core. */
+        std::vector<TimesliceEngine::SliceResult> cores;
+    };
+
+    /**
+     * Run one timeslice: core k runs @p units[k]. Cores step in
+     * core-index order, the documented determinism contract for
+     * sharing the L2. A core with no units (or past the end of
+     * @p units) still runs the quantum and evicts its residents.
+     */
+    SliceResult runSlice(const std::vector<std::vector<ThreadRef>> &units);
 
     /**
      * Run @p schedule for @p timeslices quanta: every timeslice, core
@@ -90,6 +110,9 @@ class MachineEngine
 
     /** Detach every unit from every core. */
     void evictAll();
+
+    /** Detach any resident threads of one job from every core. */
+    void evictJob(const Job *job);
 
     /** Core @p k's timeslice engine (snapshot capture/adoption). */
     TimesliceEngine &
@@ -110,8 +133,6 @@ class MachineEngine
     std::uint64_t timeslice_;
     std::vector<TimesliceEngine> engines_;
 
-    /** Per-timeslice scratch (hoisted allocation). */
-    std::vector<ThreadRef> unitsScratch_;
 };
 
 } // namespace sos

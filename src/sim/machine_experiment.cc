@@ -202,8 +202,8 @@ MachineExperiment::runSymbiosValidation(std::uint64_t symbios_cycles)
         schedules_[static_cast<std::size_t>(bestIndex_)];
     JobMix mix = freshMix();
     statsMachine_ = std::make_unique<Machine>(machineParams_);
-    MachineEngine engine(*statsMachine_, timesliceCycles());
-    engine.setSampling(config_.sample);
+    MachineEngine engine(*statsMachine_, timesliceCycles(),
+                         config_.sample);
     const MachineSchedule warm = warmupFor(best.allocation());
     engine.setSampleRecording(false);
     engine.runSchedule(mix, warm, warm.periodTimeslices());

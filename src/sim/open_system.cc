@@ -12,12 +12,10 @@
 #include "metrics/calibrator.hh"
 #include "metrics/weighted_speedup.hh"
 #include "sim/experiment_defs.hh"
+#include "sim/machine_engine.hh"
 #include "sim/params_io.hh"
-#include "sim/timeslice_engine.hh"
-#include "sos/kernel.hh"
 #include "sos/model_screen.hh"
 #include "sos/open_backend.hh"
-#include "stats/trace.hh"
 #include "trace/workload_library.hh"
 
 namespace sos {
@@ -59,7 +57,7 @@ measuredCapacity(const SimConfig &sim, int level)
     const std::vector<std::string> &workloads = openSystemWorkloads();
 
     Machine machine(sim.referenceCoreFor(level), sim.referenceMem());
-    TimesliceEngine engine(machine.core(0), sim.timesliceCycles());
+    MachineEngine engine(machine, sim.timesliceCycles());
     std::vector<std::unique_ptr<Job>> jobs;
     std::vector<double> solo;
     jobs.reserve(workloads.size());
@@ -90,7 +88,7 @@ measuredCapacity(const SimConfig &sim, int level)
         1, sim.calibMeasureCycles / timeslice);
     double ws_total = 0.0;
     for (std::uint64_t g = 0; g < groups; ++g) {
-        std::vector<ThreadRef> units;
+        std::vector<std::vector<ThreadRef>> units(1);
         std::vector<std::size_t> members;
         for (int k = 0; k < level; ++k) {
             const std::size_t j =
@@ -98,15 +96,15 @@ measuredCapacity(const SimConfig &sim, int level)
                  static_cast<std::uint64_t>(k)) %
                 jobs.size();
             members.push_back(j);
-            units.push_back(ThreadRef{jobs[j].get(), 0});
+            units[0].push_back(ThreadRef{jobs[j].get(), 0});
         }
         for (std::uint64_t s = 0; s < warm_slices; ++s)
-            engine.runTimeslice(units);
+            engine.runSlice(units);
         std::vector<std::uint64_t> before;
         for (std::size_t j : members)
             before.push_back(jobs[j]->retired());
         for (std::uint64_t s = 0; s < measure_slices; ++s)
-            engine.runTimeslice(units);
+            engine.runSlice(units);
         std::vector<JobProgress> progress;
         for (std::size_t m = 0; m < members.size(); ++m)
             progress.push_back(JobProgress{
@@ -123,15 +121,6 @@ measuredCapacity(const SimConfig &sim, int level)
     return capacity;
 }
 
-/** Whole-machine capacity: per-core capacity times the core count. */
-double
-machineCapacity(const SimConfig &sim, const OpenSystemConfig &config)
-{
-    const auto cores =
-        static_cast<double>(std::max(1, config.numCores));
-    return measuredCapacity(sim, config.level) * cores;
-}
-
 } // namespace
 
 std::uint64_t
@@ -140,8 +129,10 @@ OpenSystemConfig::effectiveInterarrivalPaper(const SimConfig &sim) const
     if (meanInterarrivalPaper > 0)
         return meanInterarrivalPaper;
     // High but sub-saturation load: the paper sizes lambda so the
-    // queue holds about 2 x capacity jobs.
-    const double rate = 0.85 * machineCapacity(sim, *this);
+    // queue holds about 2 x capacity jobs. Whole-machine capacity is
+    // the per-core capacity times the core count.
+    const double rate = 0.85 * (measuredCapacity(sim, level) *
+                                static_cast<double>(std::max(1, numCores)));
     return static_cast<std::uint64_t>(
         static_cast<double>(meanJobPaperCycles) / rate);
 }
@@ -183,82 +174,108 @@ makeArrivalTrace(const SimConfig &sim, const OpenSystemConfig &config)
 }
 
 std::unique_ptr<EngineBackend>
-makeOpenBackend(const SimConfig &sim, const OpenSystemConfig &config)
+makeOpenBackend(const SimConfig &sim, int level, int num_cores)
 {
-    std::unique_ptr<EngineBackend> backend;
-    if (config.numCores <= 1) {
-        backend = std::make_unique<TimesliceBackend>(
-            sim.machineFor(config.level, 1), sim.timesliceCycles());
-    } else {
-        backend = std::make_unique<MachineBackend>(
-            sim.machineFor(config.level, config.numCores),
-            sim.timesliceCycles());
-    }
     // Capacity calibration (measuredCapacity above) deliberately stays
     // full detail; only the live system and its candidate forks sample.
-    backend->setSampling(sim.sample);
-    return backend;
+    return std::make_unique<EngineBackend>(
+        sim.machineFor(level, std::max(1, num_cores)),
+        sim.timesliceCycles(), sim.sample);
+}
+
+OpenRunSetup
+openRunSetup(const SimConfig &sim, const OpenSystemConfig &system,
+             std::uint64_t base_interval_cycles, std::uint64_t seed,
+             std::function<JobArrival(std::size_t)> arrival_at)
+{
+    OpenRunSetup setup;
+    setup.config.sampleSchedules = system.sampleSchedules;
+    setup.config.predictor = system.predictor;
+    setup.config.modelPath = sim.modelPath;
+    setup.config.resamplePolicy = system.resamplePolicy;
+    setup.config.baseIntervalCycles = base_interval_cycles;
+    setup.config.seed = seed ^ 0x5051d67eULL;
+    setup.config.jobs = sim.jobs;
+
+    auto calibrator = std::make_shared<Calibrator>(
+        sim.referenceCoreFor(system.level), sim.referenceMem(),
+        sim.calibWarmupCycles, sim.calibMeasureCycles);
+    setup.makeJob = [calibrator, seed,
+                     arrival_at = std::move(arrival_at)](
+                        std::size_t index) {
+        const JobArrival arrival = arrival_at(index);
+        auto job = std::make_unique<Job>(
+            static_cast<std::uint32_t>(index + 1),
+            WorkloadLibrary::instance().get(arrival.workload),
+            seed ^ mix64(index + 101), 1, false);
+        job->arrivalCycle = arrival.arrivalCycle;
+        job->sizeInstructions = arrival.sizeInstructions;
+        job->soloIpc = calibrator->soloIpc(arrival.workload);
+        return job;
+    };
+    return setup;
 }
 
 OpenSystemResult
 runOpenSystem(const SimConfig &sim, const OpenSystemConfig &config,
               const std::vector<JobArrival> &trace, OpenPolicy policy,
-              EngineBackend &backend, stats::EventTrace *events)
+              stats::EventTrace *events, EngineBackend *backend)
 {
     SOS_ASSERT(!trace.empty());
-    Calibrator calibrator(sim.referenceCoreFor(config.level),
-                          sim.referenceMem(), sim.calibWarmupCycles,
-                          sim.calibMeasureCycles);
-
-    SosKernel::OpenConfig kernel_config;
-    kernel_config.sampleSchedules = config.sampleSchedules;
-    kernel_config.predictor = config.predictor;
-    kernel_config.modelPath = sim.modelPath;
-    kernel_config.resamplePolicy = config.resamplePolicy;
-    kernel_config.baseIntervalCycles =
-        sim.scaled(config.effectiveInterarrivalPaper(sim));
-    kernel_config.seed = config.seed ^ 0x5051d67eULL;
-    kernel_config.jobs = sim.jobs;
+    std::unique_ptr<EngineBackend> owned;
+    if (backend == nullptr) {
+        owned = makeOpenBackend(sim, config.level, config.numCores);
+        backend = owned.get();
+    }
+    OpenRunSetup setup = openRunSetup(
+        sim, config, sim.scaled(config.effectiveInterarrivalPaper(sim)),
+        config.seed, [&trace](std::size_t index) { return trace[index]; });
     if (sim.samplek > 0 && !sim.modelPath.empty())
-        kernel_config.screen =
+        setup.config.screen =
             makeModelScreen(sim.modelPath, sim.samplek);
 
-    SosKernel kernel;
-    return kernel.runOpen(
-        backend, kernel_config, trace, policy,
-        [&](std::size_t index) {
-            const JobArrival &arrival = trace[index];
-            const WorkloadProfile &profile =
-                WorkloadLibrary::instance().get(arrival.workload);
-            auto job = std::make_unique<Job>(
-                static_cast<std::uint32_t>(index + 1), profile,
-                config.seed ^ mix64(index + 101), 1, false);
-            job->arrivalCycle = arrival.arrivalCycle;
-            job->sizeInstructions = arrival.sizeInstructions;
-            job->soloIpc = calibrator.soloIpc(arrival.workload);
-            return job;
-        },
-        policy == OpenPolicy::Sos ? events : nullptr);
-}
+    // Inject the whole arrival trace up front and drain it in one step.
+    OpenRun run(*backend, setup.config, policy, std::move(setup.makeJob),
+                events);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        run.inject(trace[i].arrivalCycle, static_cast<int>(i));
+    run.advanceTo(OpenRun::kNoLimit);
+    run.finalize();
 
-OpenSystemResult
-runOpenSystem(const SimConfig &sim, const OpenSystemConfig &config,
-              const std::vector<JobArrival> &trace, OpenPolicy policy,
-              stats::EventTrace *events)
-{
-    const std::unique_ptr<EngineBackend> backend =
-        makeOpenBackend(sim, config);
-    return runOpenSystem(sim, config, trace, policy, *backend, events);
+    OpenSystemResult result;
+    result.responseByArrival.assign(trace.size(), 0);
+    for (const auto &[index, response] : run.responses())
+        result.responseByArrival[static_cast<std::size_t>(index)] =
+            response;
+    result.completed = static_cast<int>(run.completed());
+    double total_response = 0.0;
+    for (std::uint64_t r : result.responseByArrival)
+        total_response += static_cast<double>(r);
+    result.meanResponseCycles =
+        total_response / static_cast<double>(trace.size());
+    result.meanJobsInSystem =
+        run.slicesRun() > 0
+            ? run.jobsInSystemIntegral() /
+                  static_cast<double>(run.slicesRun())
+            : 0.0;
+    result.totalCycles = run.now();
+    result.sampleCycles = run.sampleSlices() * backend->timesliceCycles();
+    result.samplePhases = run.samplePhases();
+    result.resamplesOnJobChange = run.resamplesOnJobChange();
+    result.resamplesOnTimer = run.resamplesOnTimer();
+    return result;
 }
 
 ResponseComparison
-compareResponseTimes(const SimConfig &sim, const OpenSystemConfig &config)
+compareResponseTimes(const SimConfig &sim, const OpenSystemConfig &config,
+                     EngineBackend *sos_backend, stats::EventTrace *events)
 {
     const std::vector<JobArrival> trace = makeArrivalTrace(sim, config);
     ResponseComparison comparison;
     comparison.naive =
         runOpenSystem(sim, config, trace, OpenPolicy::Naive);
-    comparison.sos = runOpenSystem(sim, config, trace, OpenPolicy::Sos);
+    comparison.sos = runOpenSystem(sim, config, trace, OpenPolicy::Sos,
+                                   events, sos_backend);
     comparison.jobsCompared = static_cast<int>(trace.size());
     if (comparison.naive.meanResponseCycles > 0.0) {
         comparison.improvementPct =

@@ -18,25 +18,25 @@
  * is inside the measurement, exactly as the paper reports it.
  *
  * This file is a thin adapter: trace generation and configuration
- * translation. The scheduling loop itself is SosKernel::runOpen() --
- * the event-driven sample/symbios state machine shared with the
- * closed-system drivers -- running on an EngineBackend substrate
- * (one SMT core for Figures 5-6, a CMP of SMT cores for Figure 8).
+ * translation. The scheduling loop itself is OpenRun -- the
+ * event-driven sample/symbios state machine, also driven by every
+ * cluster node -- running on an EngineBackend substrate (one SMT core
+ * for Figures 5-6, a CMP of SMT cores for Figure 8).
  */
 
 #ifndef SOS_SIM_OPEN_SYSTEM_HH
 #define SOS_SIM_OPEN_SYSTEM_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/sim_config.hh"
+#include "sos/open_run.hh"
 
 namespace sos {
-
-class EngineBackend;
 
 namespace stats {
 class EventTrace;
@@ -56,9 +56,9 @@ struct OpenSystemConfig
     int level = 3;
 
     /**
-     * SMT cores in the machine. 1 (the paper's substrate) schedules
-     * one core behind a TimesliceEngine; more build a CMP backend
-     * where every coschedule assigns a job group per core (Figure 8).
+     * SMT cores in the machine. 1 is the paper's substrate; more
+     * build a CMP where every coschedule assigns a job group per core
+     * (Figure 8).
      */
     int numCores = 1;
 
@@ -127,47 +127,60 @@ struct OpenSystemResult
     std::vector<std::uint64_t> responseByArrival;
 };
 
-/** Scheduling policy of an open-system run. */
-enum class OpenPolicy
-{
-    Naive,
-    Sos,
-};
-
 /** Generate the deterministic arrival trace both policies replay. */
 std::vector<JobArrival> makeArrivalTrace(const SimConfig &sim,
                                          const OpenSystemConfig &config);
 
 /**
  * Build the engine backend an open-system run schedules onto: a
- * single-SMT-core TimesliceBackend for numCores == 1, a CMP
- * MachineBackend otherwise. Exposed so harnesses can keep the backend
- * alive and publish its machine's stat groups after the run.
+ * @p num_cores machine (at least one core) of SMT-@p level cores,
+ * sampled as @p sim.sample says. Exposed so harnesses can keep the
+ * backend alive and publish its machine's stat groups after the run.
  */
 std::unique_ptr<EngineBackend>
-makeOpenBackend(const SimConfig &sim, const OpenSystemConfig &config);
+makeOpenBackend(const SimConfig &sim, int level, int num_cores);
+
+/** Everything an OpenRun needs besides its backend and policy. */
+struct OpenRunSetup
+{
+    OpenRun::Config config;
+    OpenRun::JobFactory makeJob;
+};
 
 /**
- * Run one policy over a trace on an externally owned backend.
+ * The open-run setup runOpenSystem() and every cluster node share.
+ * Kernel knobs come from @p system (sample schedules, predictor,
+ * resample policy), @p sim (model path, fork workers) and
+ * @p base_interval_cycles. @p seed seeds the kernel's decision stream
+ * (seed ^ 0x5051d67e) and every job: arrival i runs its workload with
+ * seed ^ mix64(i + 101), carrying the arrival cycle and size
+ * @p arrival_at returns for it and a solo IPC calibrated at
+ * system.level.
+ */
+OpenRunSetup
+openRunSetup(const SimConfig &sim, const OpenSystemConfig &system,
+             std::uint64_t base_interval_cycles, std::uint64_t seed,
+             std::function<JobArrival(std::size_t)> arrival_at);
+
+/**
+ * Run one policy over a trace.
  *
  * When @p events is non-null, the kernel's SOS decisions -- each
  * "sample_phase_begin" (with its trigger: job_change or timer) and
  * each "symbios_pick" -- are appended to it. Decisions are emitted
  * from the kernel's deterministic event loop, so traces are
  * byte-identical across runs and worker counts.
+ *
+ * The run schedules onto @p backend when non-null (a fresh backend
+ * the caller keeps, so its machine's stat groups outlive the run);
+ * otherwise it builds and discards one.
  */
 OpenSystemResult runOpenSystem(const SimConfig &sim,
                                const OpenSystemConfig &config,
                                const std::vector<JobArrival> &trace,
-                               OpenPolicy policy, EngineBackend &backend,
-                               stats::EventTrace *events = nullptr);
-
-/** Convenience overload: builds (and discards) the backend itself. */
-OpenSystemResult runOpenSystem(const SimConfig &sim,
-                               const OpenSystemConfig &config,
-                               const std::vector<JobArrival> &trace,
                                OpenPolicy policy,
-                               stats::EventTrace *events = nullptr);
+                               stats::EventTrace *events = nullptr,
+                               EngineBackend *backend = nullptr);
 
 /** Side-by-side comparison used by Figures 5, 6 and 8. */
 struct ResponseComparison
@@ -179,9 +192,14 @@ struct ResponseComparison
     double improvementPct = 0.0;
 };
 
-/** Run both policies over the same trace and compare. */
-ResponseComparison compareResponseTimes(const SimConfig &sim,
-                                        const OpenSystemConfig &config);
+/**
+ * Run both policies over the same trace and compare; the SOS run
+ * takes @p events and @p sos_backend as runOpenSystem() does.
+ */
+ResponseComparison
+compareResponseTimes(const SimConfig &sim, const OpenSystemConfig &config,
+                     EngineBackend *sos_backend = nullptr,
+                     stats::EventTrace *events = nullptr);
 
 } // namespace sos
 

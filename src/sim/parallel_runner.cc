@@ -63,8 +63,8 @@ ParallelScheduleRunner::runAll(
             // function of the task index (DESIGN.md determinism
             // contract).
             Machine machine(sweep.machine);
-            MachineEngine engine(machine, sweep.timesliceCycles);
-            engine.setSampling(sweep.sample);
+            MachineEngine engine(machine, sweep.timesliceCycles,
+                                 sweep.sample);
             if (sweep.warmup)
                 warmUp(engine, mix, sweep.warmup(i));
             return measure(engine, mix, schedules[i], timeslices(i));
@@ -97,8 +97,8 @@ ParallelScheduleRunner::runAll(
             warmups.size(), [&](std::size_t g) {
                 JobMix mix = sweep.makeMix(leader[g]);
                 Machine machine(sweep.machine);
-                MachineEngine engine(machine, sweep.timesliceCycles);
-                engine.setSampling(sweep.sample);
+                MachineEngine engine(machine, sweep.timesliceCycles,
+                                     sweep.sample);
                 warmUp(engine, mix, warmups[g]);
                 return std::make_shared<const MachineSnapshot>(
                     machine, mix, engine);
@@ -106,8 +106,8 @@ ParallelScheduleRunner::runAll(
 
     return map<ScheduleRun>(schedules.size(), [&](std::size_t i) {
         MachineSnapshot::Fork fork(*snapshots[group_of[i]]);
-        MachineEngine engine(fork.machine(), sweep.timesliceCycles);
-        engine.setSampling(sweep.sample);
+        MachineEngine engine(fork.machine(), sweep.timesliceCycles,
+                             sweep.sample);
         fork.adopt(engine);
         return measure(engine, fork.mix(), schedules[i], timeslices(i));
     });

@@ -1,8 +1,11 @@
 #include "params_io.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -29,6 +32,7 @@ std::uint64_t
 parseU64(const std::string &key, const std::string &value)
 {
     char *end = nullptr;
+    errno = 0;
     const unsigned long long parsed =
         std::strtoull(value.c_str(), &end, 10);
     // strtoull wraps negatives around; no unsigned value spells '-'.
@@ -38,6 +42,10 @@ parseU64(const std::string &key, const std::string &value)
                                     " is not an unsigned integer: '" +
                                     value + "'");
     }
+    if (errno == ERANGE) {
+        throw std::invalid_argument("value for " + key +
+                                    " is out of range: '" + value + "'");
+    }
     return parsed;
 }
 
@@ -45,13 +53,36 @@ int
 parseInt(const std::string &key, const std::string &value)
 {
     char *end = nullptr;
+    errno = 0;
     const long parsed = std::strtol(value.c_str(), &end, 10);
     if (end == value.c_str() || *end != '\0') {
         throw std::invalid_argument("value for " + key +
                                     " is not an integer: '" + value +
                                     "'");
     }
+    // Never narrow silently: 4294967297 is not 1.
+    if (errno == ERANGE || parsed < std::numeric_limits<int>::min() ||
+        parsed > std::numeric_limits<int>::max()) {
+        throw std::invalid_argument("value for " + key +
+                                    " is out of range for an int: '" +
+                                    value + "'");
+    }
     return static_cast<int>(parsed);
+}
+
+double
+parseDouble(const std::string &key, const std::string &value)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double parsed = std::strtod(value.c_str(), &end);
+    if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(parsed)) {
+        throw std::invalid_argument("value for " + key +
+                                    " is not a finite number: '" +
+                                    value + "'");
+    }
+    return parsed;
 }
 
 bool
@@ -253,6 +284,16 @@ parseKnobInt(const std::string &name, const std::string &value)
 {
     try {
         return parseInt(name, value);
+    } catch (const std::invalid_argument &error) {
+        fatal(error.what());
+    }
+}
+
+double
+parseKnobDouble(const std::string &name, const std::string &value)
+{
+    try {
+        return parseDouble(name, value);
     } catch (const std::invalid_argument &error) {
         fatal(error.what());
     }

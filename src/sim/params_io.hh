@@ -61,14 +61,17 @@ std::vector<std::pair<std::string, std::string>>
 configPairs(const SimConfig &config);
 
 /**
- * Parse one knob value (an environment variable such as SOS_SEED) as
- * an unsigned or signed integer: the whole value must be a number, so
- * a typo never turns into a silent zero or a truncated prefix.
- * fatal() naming @p name otherwise.
+ * Parse one knob value (an environment variable such as SOS_SEED or a
+ * command-line flag such as --nodes) as an unsigned integer, an int
+ * or a finite double: the whole value must be a number that fits the
+ * type, so a typo never turns into a silent zero, a truncated prefix
+ * or a narrowed int. fatal() naming @p name otherwise.
  */
 std::uint64_t parseKnobU64(const std::string &name,
                            const std::string &value);
 int parseKnobInt(const std::string &name, const std::string &value);
+double parseKnobDouble(const std::string &name,
+                       const std::string &value);
 
 /**
  * Parse a sampled-simulation window spec: "U:W:M" (fast-forward,

@@ -37,23 +37,19 @@ MachineSnapshot::Fork::Fork(const MachineSnapshot &snapshot)
 }
 
 void
-MachineSnapshot::Fork::adopt(TimesliceEngine &engine, int core)
-{
-    std::vector<std::pair<int, ThreadRef>> resident;
-    for (const ResidentUnit &unit : snapshot_->resident_) {
-        if (unit.core != core)
-            continue;
-        Job &job = mix_.job(unit.jobIndex);
-        resident.emplace_back(unit.slot, ThreadRef{&job, unit.thread});
-    }
-    engine.adoptResident(resident);
-}
-
-void
 MachineSnapshot::Fork::adopt(MachineEngine &engine)
 {
-    for (int k = 0; k < engine.numCores(); ++k)
-        adopt(engine.coreEngine(k), k);
+    for (int k = 0; k < engine.numCores(); ++k) {
+        std::vector<std::pair<int, ThreadRef>> resident;
+        for (const ResidentUnit &unit : snapshot_->resident_) {
+            if (unit.core != k)
+                continue;
+            Job &job = mix_.job(unit.jobIndex);
+            resident.emplace_back(unit.slot,
+                                  ThreadRef{&job, unit.thread});
+        }
+        engine.coreEngine(k).adoptResident(resident);
+    }
 }
 
 } // namespace sos

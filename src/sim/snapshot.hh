@@ -54,13 +54,10 @@ class MachineSnapshot
         JobMix &mix() { return mix_; }
 
         /**
-         * Seed a fresh TimesliceEngine over machine().core(core) with
-         * the captured resident set, rebinding the core's contexts to
-         * this fork's jobmix.  Call once per engine before running.
+         * Seed a fresh MachineEngine over machine() with the captured
+         * resident set, rebinding every core's contexts to this
+         * fork's jobmix.  Call once per engine before running.
          */
-        void adopt(TimesliceEngine &engine, int core = 0);
-
-        /** Seed every core engine of a fresh MachineEngine. */
         void adopt(MachineEngine &engine);
 
       private:

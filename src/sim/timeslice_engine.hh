@@ -7,8 +7,9 @@
  * units staying resident keep their hardware context and pipeline
  * state (the "warmstart" effect of Section 8 -- under partial swap
  * only the replaced job cold-starts), swaps the rest, runs the core
- * for the quantum, and credits retired instructions to jobs. Whole
- * schedules run through MachineEngine, which steps one engine per core.
+ * for the quantum, and credits retired instructions to jobs.
+ * MachineEngine is its only driver: it steps one engine per core, for
+ * closed schedules and open-system slices alike.
  */
 
 #ifndef SOS_SIM_TIMESLICE_ENGINE_HH

@@ -1,16 +1,20 @@
 #include "sos/kernel.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/logging.hh"
-#include "sos/open_run.hh"
 #include "stats/stats.hh"
 #include "stats/trace.hh"
 
 namespace sos {
 
+namespace {
+
+using Phase = SosKernel::Phase;
+
 bool
-SosKernel::legalTransition(Phase from, Phase to)
+legalTransition(Phase from, Phase to)
 {
     switch (from) {
       case Phase::Idle:
@@ -30,12 +34,14 @@ SosKernel::legalTransition(Phase from, Phase to)
     return false;
 }
 
+} // namespace
+
 void
-SosKernel::advance(Phase next)
+SosKernel::advance(Phase &phase, Phase next)
 {
-    SOS_ASSERT(legalTransition(phase_, next),
+    SOS_ASSERT(legalTransition(phase, next),
                "illegal SOS phase transition");
-    phase_ = next;
+    phase = next;
 }
 
 ScheduleProfile
@@ -58,7 +64,7 @@ SosKernel::runSamplePhase(const std::vector<Run> &runs,
 {
     SOS_ASSERT(profiles_.empty(), "sample phase already ran");
     SOS_ASSERT(runs.size() == labels.size(), "one label per run");
-    advance(Phase::Sample);
+    advance(phase_, Phase::Sample);
 
     for (std::size_t i = 0; i < runs.size(); ++i)
         profiles_.push_back(sampleProfile(runs[i], labels[i]));
@@ -75,7 +81,7 @@ SosKernel::runSamplePhaseScreened(
                "the samplek screen kept no candidate");
     SOS_ASSERT(shortlist.size() == runs.size(),
                "run/shortlist size mismatch");
-    advance(Phase::Sample);
+    advance(phase_, Phase::Sample);
 
     profiles_ = std::move(synthetic);
     for (ScheduleProfile &profile : profiles_)
@@ -99,12 +105,12 @@ SosKernel::runSymbiosValidation(const std::vector<Run> &runs)
     SOS_ASSERT(symbiosWs_.empty(), "symbios validation already ran");
     SOS_ASSERT(runs.size() == profiles_.size(),
                "symbios runs must cover every candidate");
-    advance(Phase::Symbios);
+    advance(phase_, Phase::Symbios);
 
     for (const Run &run : runs)
         symbiosWs_.push_back(run.ws);
 
-    advance(Phase::Done);
+    advance(phase_, Phase::Done);
 }
 
 double
@@ -229,49 +235,6 @@ SosKernel::recordSymbios(stats::EventTrace &trace,
             .field("schedule", profiles_[i].label)
             .field("ws", symbiosWs_[i]);
     }
-}
-
-OpenSystemResult
-SosKernel::runOpen(EngineBackend &backend, const OpenConfig &config,
-                   const std::vector<JobArrival> &trace,
-                   OpenPolicy policy, const JobFactory &make_job,
-                   stats::EventTrace *events)
-{
-    SOS_ASSERT(!trace.empty());
-    SOS_ASSERT(phase_ == Phase::Idle && profiles_.empty(),
-               "a kernel instance runs once");
-
-    // Preload the whole arrival trace and drain it in one step: this
-    // replays the exact pre-OpenRun operation sequence.
-    OpenRun run(backend, config, policy, make_job, events);
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        run.inject(trace[i].arrivalCycle, static_cast<int>(i));
-    run.advanceTo(OpenRun::kNoLimit);
-    run.finalize();
-    phase_ = run.phase();
-
-    OpenSystemResult result;
-    result.responseByArrival.assign(trace.size(), 0);
-    for (const auto &[index, response] : run.responses())
-        result.responseByArrival[static_cast<std::size_t>(index)] =
-            response;
-    result.completed = static_cast<int>(run.completed());
-    double total_response = 0.0;
-    for (std::uint64_t r : result.responseByArrival)
-        total_response += static_cast<double>(r);
-    result.meanResponseCycles =
-        total_response / static_cast<double>(trace.size());
-    result.meanJobsInSystem =
-        run.slicesRun() > 0
-            ? run.jobsInSystemIntegral() /
-                  static_cast<double>(run.slicesRun())
-            : 0.0;
-    result.totalCycles = run.now();
-    result.sampleCycles = run.sampleSlices() * backend.timesliceCycles();
-    result.samplePhases = run.samplePhases();
-    result.resamplesOnJobChange = run.resamplesOnJobChange();
-    result.resamplesOnTimer = run.resamplesOnTimer();
-    return result;
 }
 
 } // namespace sos

@@ -1,50 +1,41 @@
 /**
  * @file
- * The event-driven SOS kernel: one sample/symbios state machine.
+ * The SOS kernel: one sample/symbios state machine.
  *
  * Before this kernel existed, four drivers (batch, hierarchical,
  * machine, open system) each re-implemented the paper's
- * Sample-Optimize-Symbios loop. The kernel owns the loop once:
+ * Sample-Optimize-Symbios loop. The kernel owns it once:
  *
  *  - a Phase state machine (Idle -> Sample -> Symbios -> ... -> Done)
- *    whose transitions are validated in one place;
- *  - a deterministic EventQueue (job arrivals, departures, backoff-
- *    timer expiries, phase completions) driving the open-system run;
- *  - the phase bookkeeping every driver needs: candidate profiles,
- *    measured symbios WS, sample-phase cycle accounting, predictor
- *    evaluation.
+ *    whose transitions are validated in one place (advance(), shared
+ *    with the open-system loop);
+ *  - the phase bookkeeping every closed driver needs: candidate
+ *    profiles, measured symbios WS, sample-phase cycle accounting,
+ *    predictor evaluation.
  *
  * Closed-system experiments run their candidates through
  * ParallelScheduleRunner::runAll and hand the index-ordered runs to
  * the kernel, which turns them into SAMPLE profiles and SYMBIOS
  * results and keeps them; the experiments only translate
- * configuration and publish stats.
- * The open system adapts through EngineBackend: the kernel replays an
- * arrival trace, sampling candidate coschedules on parallel forks of
- * the live machine state and adopting the predicted winner.
+ * configuration and publish stats. The open system's arrival-driven
+ * loop is OpenRun (sos/open_run.hh), which runs the same phase
+ * machine over an event queue on an EngineBackend.
  *
- * Determinism: every decision is a pure function of (config, trace,
- * candidate index). Fork profiling fans out through
- * ParallelScheduleRunner, so runs are bit-identical for any SOS_JOBS
- * worker count; the event queue breaks same-cycle ties by scheduling
- * order (see event.hh).
+ * Determinism: every decision is a pure function of (config,
+ * candidate index), so runs are bit-identical for any SOS_JOBS
+ * worker count.
  */
 
 #ifndef SOS_SOS_KERNEL_HH
 #define SOS_SOS_KERNEL_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/predictor.hh"
 #include "core/schedule_profile.hh"
-#include "sim/open_system.hh"
 #include "sim/parallel_runner.hh"
-#include "sos/event.hh"
-#include "sos/open_backend.hh"
 
 namespace sos {
 
@@ -53,7 +44,7 @@ class EventTrace;
 class Group;
 } // namespace stats
 
-/** The shared sample/symbios state machine behind all four drivers. */
+/** The shared sample/symbios state machine behind every driver. */
 class SosKernel
 {
   public:
@@ -81,10 +72,10 @@ class SosKernel
     Phase phase() const { return phase_; }
 
     /**
-     * True when @p from -> @p to is a legal phase transition; shared
-     * with OpenRun, which owns its own copy of the state machine.
+     * Move @p phase to @p next, asserting the transition is legal;
+     * shared with OpenRun, which owns its own copy of the state machine.
      */
-    static bool legalTransition(Phase from, Phase to);
+    static void advance(Phase &phase, Phase next);
 
     /** @name Closed mode (batch / hierarchical / machine drivers) @{ */
 
@@ -167,77 +158,7 @@ class SosKernel
 
     /** @} */
 
-    /** @name Open mode (arrival-driven job pool) @{ */
-
-    /** Open-system knobs the kernel needs (substrate-independent). */
-    struct OpenConfig
-    {
-        /** Maximum candidates profiled per sample phase. */
-        int sampleSchedules = 10;
-
-        /** Predictor the symbios phase trusts. */
-        std::string predictor = "IPC";
-
-        /** Model file for the "learned" predictor (SimConfig::modelPath). */
-        std::string modelPath;
-
-        /** Resample-timer policy name (makeResamplePolicy()). */
-        std::string resamplePolicy = "backoff";
-
-        /** Base symbios interval in cycles (the backoff seed). */
-        std::uint64_t baseIntervalCycles = 1;
-
-        /** Seed of the kernel's private decision stream. */
-        std::uint64_t seed = 0;
-
-        /** Sweep worker count (SimConfig::jobs semantics). */
-        int jobs = 0;
-
-        /**
-         * Optional samplek screen: given the drawn candidates and
-         * the resident pool (pool order), return the indices of the
-         * candidates worth detail-profiling, strictly increasing and
-         * non-empty. Unset (the default) profiles every candidate,
-         * bit-identical to pre-model builds. See makeModelScreen().
-         */
-        std::function<std::vector<std::size_t>(
-            const std::vector<OpenCandidate> &,
-            const std::vector<Job *> &)>
-            screen;
-    };
-
-    /** Materialize the job of arrival @p index, ready to run. */
-    using JobFactory =
-        std::function<std::unique_ptr<Job>(std::size_t index)>;
-
-    /**
-     * Replay @p trace on @p backend under @p policy until every job
-     * completes. Arrivals, departures, backoff-timer expiries and
-     * phase completions flow through the deterministic event queue;
-     * under OpenPolicy::Sos each sample phase profiles candidates on
-     * parallel forks of the live state (see EngineBackend) and adopts
-     * the predictor's pick. When @p events is non-null the kernel
-     * appends "sample_phase_begin" and "symbios_pick" decisions.
-     *
-     * The loop itself lives in OpenRun (sos/open_run.hh); this wrapper
-     * injects the whole trace up front and drains it, which replays
-     * the exact pre-OpenRun operation sequence (golden-pinned).
-     *
-     * A kernel instance runs once; use a fresh one per run.
-     */
-    OpenSystemResult runOpen(EngineBackend &backend,
-                             const OpenConfig &config,
-                             const std::vector<JobArrival> &trace,
-                             OpenPolicy policy,
-                             const JobFactory &make_job,
-                             stats::EventTrace *events = nullptr);
-
-    /** @} */
-
   private:
-    /** Move the state machine, asserting the transition is legal. */
-    void advance(Phase next);
-
     /** One detailed sample profile; charges its cycles. */
     ScheduleProfile sampleProfile(const Run &run, std::string label);
 

@@ -2,7 +2,7 @@
  * @file
  * The samplek candidate screen for open-system runs.
  *
- * Builds the OpenConfig::screen function from a trained WS model
+ * Builds the OpenRun::Config::screen function from a trained WS model
  * (sostrain output): every drawn candidate is scored from static
  * per-job signatures alone -- no simulation -- and only the top-K
  * predictions plus the candidates whose prediction uncertainty
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "model/model.hh"
-#include "sos/kernel.hh"
+#include "sos/open_backend.hh"
 
 namespace sos {
 

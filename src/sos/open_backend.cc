@@ -46,56 +46,60 @@ groupSchedule(int size, int level)
     return Schedule::fromRotation(order, level, level);
 }
 
+/** Thread units of per-core pool-index tuples. */
+std::vector<std::vector<ThreadRef>>
+unitsOf(const std::vector<Job *> &pool,
+        const std::vector<std::vector<int>> &core_tuples)
+{
+    std::vector<std::vector<ThreadRef>> units(core_tuples.size());
+    for (std::size_t k = 0; k < core_tuples.size(); ++k)
+        for (int index : core_tuples[k])
+            units[k].push_back(
+                ThreadRef{pool.at(static_cast<std::size_t>(index)), 0});
+    return units;
+}
+
 } // namespace
 
-std::vector<int>
-OpenCandidate::coreTupleAt(std::size_t k, std::uint64_t t) const
+std::vector<std::vector<int>>
+OpenCandidate::tuplesAt(std::uint64_t t) const
 {
-    std::vector<int> tuple;
-    if (k >= groups.size() || groups[k].empty() ||
-        !schedules[k].valid())
-        return tuple;
-    for (int position : schedules[k].tupleAt(t))
-        tuple.push_back(groups[k][static_cast<std::size_t>(position)]);
-    return tuple;
+    std::vector<std::vector<int>> tuples(groups.size());
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+        if (groups[k].empty() || !schedules[k].valid())
+            continue;
+        for (int position : schedules[k].tupleAt(t))
+            tuples[k].push_back(
+                groups[k][static_cast<std::size_t>(position)]);
+    }
+    return tuples;
 }
 
-EngineBackend::EngineBackend(const MachineParams &params, int level,
-                             std::uint64_t timeslice_cycles)
-    : numCores_(params.numCores), level_(level),
-      classes_(params.coreClasses()), timeslice_(timeslice_cycles)
+EngineBackend::EngineBackend(const MachineParams &params,
+                             std::uint64_t timeslice_cycles,
+                             const SampleWindows &sample)
+    : numCores_(params.numCores),
+      level_(params.coreParams(0).numContexts),
+      classes_(params.coreClasses()), timeslice_(timeslice_cycles),
+      sample_(sample)
 {
-    SOS_ASSERT(params.numCores >= 1 && level >= 1,
+    SOS_ASSERT(numCores_ >= 1 && level_ >= 1,
                "backend needs at least one core and one context");
     live_.machine = std::make_unique<Machine>(params);
-    for (int k = 0; k < params.numCores; ++k)
-        live_.engines.push_back(std::make_unique<TimesliceEngine>(
-            live_.machine->core(k), timeslice_cycles));
-}
-
-bool
-EngineBackend::heterogeneous() const
-{
-    return std::any_of(classes_.begin(), classes_.end(),
-                       [](int c) { return c != 0; });
-}
-
-EngineBackend::~EngineBackend() = default;
-
-void
-EngineBackend::setSampling(const SampleWindows &sample)
-{
-    sample_ = sample;
-    for (auto &engine : live_.engines)
-        engine->setSampling(sample_);
+    live_.engine = std::make_unique<MachineEngine>(*live_.machine,
+                                                   timeslice_, sample_);
 }
 
 std::uint64_t
 EngineBackend::windowSlices(int num_jobs) const
 {
-    return 2 *
-           static_cast<std::uint64_t>(
-               (num_jobs + capacity() - 1) / capacity());
+    const auto sweeps = 2 * static_cast<std::uint64_t>(
+                                (num_jobs + capacity() - 1) / capacity());
+    if (numCores_ > 1)
+        return sweeps;
+    return std::min<std::uint64_t>(
+        ScheduleSpace(num_jobs, level_, level_).periodTimeslices(),
+        sweeps);
 }
 
 OpenCandidate
@@ -143,20 +147,7 @@ EngineBackend::runLiveSlice(const std::vector<Job *> &pool,
                             const std::vector<std::vector<int>>
                                 &core_tuples)
 {
-    PerfCounters slice;
-    for (int k = 0; k < numCores_; ++k) {
-        std::vector<ThreadRef> units;
-        if (static_cast<std::size_t>(k) < core_tuples.size())
-            for (int index : core_tuples[static_cast<std::size_t>(k)])
-                units.push_back(ThreadRef{
-                    pool.at(static_cast<std::size_t>(index)), 0});
-        slice += live_.engines[static_cast<std::size_t>(k)]
-                     ->runTimeslice(units)
-                     .counters;
-    }
-    // Cores run in parallel: machine-wide wall clock is one quantum.
-    slice.cycles = timeslice_;
-    return slice;
+    return live_.engine->runSlice(unitsOf(pool, core_tuples)).machine;
 }
 
 EngineBackend::State
@@ -164,17 +155,15 @@ EngineBackend::forkLive(const std::vector<Job *> &pool) const
 {
     State fork;
     fork.machine = std::make_unique<Machine>(*live_.machine);
+    fork.engine = std::make_unique<MachineEngine>(*fork.machine,
+                                                  timeslice_, sample_);
     fork.jobs.reserve(pool.size());
     for (const Job *job : pool)
         fork.jobs.push_back(std::make_unique<Job>(*job));
     for (int k = 0; k < numCores_; ++k) {
-        auto engine = std::make_unique<TimesliceEngine>(
-            fork.machine->core(k), timeslice_);
-        engine->setSampling(sample_);
         std::vector<std::pair<int, ThreadRef>> resident;
         for (const auto &[slot, unit] :
-             live_.engines[static_cast<std::size_t>(k)]
-                 ->residentUnits()) {
+             live_.engine->coreEngine(k).residentUnits()) {
             // Rebind the resident context onto the fork's job copy.
             std::size_t position = pool.size();
             for (std::size_t p = 0; p < pool.size(); ++p) {
@@ -189,8 +178,7 @@ EngineBackend::forkLive(const std::vector<Job *> &pool) const
                 slot, ThreadRef{fork.jobs[position].get(),
                                 unit.thread});
         }
-        engine->adoptResident(resident);
-        fork.engines.push_back(std::move(engine));
+        fork.engine->coreEngine(k).adoptResident(resident);
     }
     return fork;
 }
@@ -207,30 +195,22 @@ EngineBackend::profileCandidates(
     auto profiles = runner.map<ScheduleProfile>(
         candidates.size(), [&](std::size_t i) {
             State fork = forkLive(pool);
+            std::vector<Job *> fork_pool;
             std::vector<std::uint64_t> before;
-            before.reserve(fork.jobs.size());
-            for (const auto &job : fork.jobs)
+            for (const auto &job : fork.jobs) {
+                fork_pool.push_back(job.get());
                 before.push_back(job->retired());
+            }
 
             ScheduleProfile profile;
             profile.label = candidates[i].label;
             for (std::uint64_t s = 0; s < window; ++s) {
-                PerfCounters slice;
-                for (int k = 0; k < numCores_; ++k) {
-                    std::vector<ThreadRef> units;
-                    for (int index : candidates[i].coreTupleAt(
-                             static_cast<std::size_t>(k),
-                             offset + s))
-                        units.push_back(ThreadRef{
-                            fork.jobs[static_cast<std::size_t>(index)]
-                                .get(),
-                            0});
-                    slice +=
-                        fork.engines[static_cast<std::size_t>(k)]
-                            ->runTimeslice(units)
-                            .counters;
-                }
-                slice.cycles = timeslice_;
+                const PerfCounters slice =
+                    fork.engine
+                        ->runSlice(unitsOf(
+                            fork_pool,
+                            candidates[i].tuplesAt(offset + s)))
+                        .machine;
                 profile.counters += slice;
                 profile.sliceIpc.push_back(slice.ipc());
                 profile.sliceMixImbalance.push_back(
@@ -259,35 +239,19 @@ EngineBackend::adoptFork(std::size_t index)
     State &winner = forks_[index];
     SOS_ASSERT(winner.machine != nullptr, "adopting an empty fork");
     live_.machine = std::move(winner.machine);
-    live_.engines = std::move(winner.engines);
+    live_.engine = std::move(winner.engine);
     std::vector<std::unique_ptr<Job>> jobs = std::move(winner.jobs);
     forks_.clear();
     return jobs;
 }
 
-void
-EngineBackend::evictJob(const Job *job)
-{
-    for (auto &engine : live_.engines)
-        engine->evictJob(job);
-}
+namespace {
 
-TimesliceBackend::TimesliceBackend(const MachineParams &params,
-                                   std::uint64_t timeslice_cycles)
-    : EngineBackend(params, params.coreParams(0).numContexts,
-                    timeslice_cycles)
-{
-    SOS_ASSERT(params.numCores == 1,
-               "the timeslice backend is single-core");
-}
-
+/** One core: distinct Js(num_jobs, level, level) schedules. */
 std::vector<OpenCandidate>
-TimesliceBackend::drawCandidates(int num_jobs, int count,
-                                 Rng &rng) const
+drawSchedules(int num_jobs, int count, int level, Rng &rng)
 {
-    // Same draw as the pre-kernel open system: distinct schedules of
-    // Js(n, level, level) over the pool positions.
-    const ScheduleSpace space(num_jobs, level(), level());
+    const ScheduleSpace space(num_jobs, level, level);
     std::vector<Schedule> schedules = space.sample(count, rng);
 
     std::vector<int> everyone(static_cast<std::size_t>(num_jobs));
@@ -305,26 +269,15 @@ TimesliceBackend::drawCandidates(int num_jobs, int count,
     return candidates;
 }
 
-std::uint64_t
-TimesliceBackend::windowSlices(int num_jobs) const
-{
-    return std::min<std::uint64_t>(
-        ScheduleSpace(num_jobs, level(), level()).periodTimeslices(),
-        EngineBackend::windowSlices(num_jobs));
-}
-
-MachineBackend::MachineBackend(const MachineParams &params,
-                               std::uint64_t timeslice_cycles)
-    : EngineBackend(params, params.coreParams(0).numContexts,
-                    timeslice_cycles)
-{
-}
-
+/**
+ * A CMP: random per-core group assignments over cores of the given
+ * equivalence @p classes (one entry per core).
+ */
 std::vector<OpenCandidate>
-MachineBackend::drawCandidates(int num_jobs, int count,
-                               Rng &rng) const
+drawPlacements(int num_jobs, int count, int level,
+               const std::vector<int> &classes, Rng &rng)
 {
-    const int cores = numCores();
+    const int cores = static_cast<int>(classes.size());
     std::vector<OpenCandidate> candidates;
     std::set<std::string> seen;
     // Rejection-sample distinct group assignments; the space can be
@@ -353,8 +306,7 @@ MachineBackend::drawCandidates(int num_jobs, int count,
                 perm.begin() +
                     static_cast<std::ptrdiff_t>(cursor) + take);
             cursor += static_cast<std::size_t>(take);
-            candidate.schedules.push_back(
-                groupSchedule(take, level()));
+            candidate.schedules.push_back(groupSchedule(take, level));
             candidate.groups.push_back(std::move(group));
         }
 
@@ -363,7 +315,9 @@ MachineBackend::drawCandidates(int num_jobs, int count,
         // candidate. On a heterogeneous machine each part carries the
         // core's equivalence class, so moving a group across classes
         // changes the key (the placement matters there).
-        const bool hetero = heterogeneous();
+        const bool hetero =
+            std::any_of(classes.begin(), classes.end(),
+                        [](int c) { return c != 0; });
         std::vector<std::string> parts;
         std::ostringstream label;
         for (std::size_t k = 0; k < candidate.groups.size(); ++k) {
@@ -371,12 +325,12 @@ MachineBackend::drawCandidates(int num_jobs, int count,
             // order is irrelevant; rotating groups are identified by
             // their rotation order.
             std::vector<int> members = candidate.groups[k];
-            if (static_cast<int>(members.size()) <= level())
+            if (static_cast<int>(members.size()) <= level)
                 std::sort(members.begin(), members.end());
             std::string part = groupLabel(members) +
                                candidate.schedules[k].key();
             if (hetero)
-                part = std::to_string(coreClasses()[k]) + ':' + part;
+                part = std::to_string(classes[k]) + ':' + part;
             parts.push_back(std::move(part));
             if (k > 0)
                 label << '|';
@@ -395,6 +349,16 @@ MachineBackend::drawCandidates(int num_jobs, int count,
     SOS_ASSERT(!candidates.empty(),
                "machine backend drew no candidates");
     return candidates;
+}
+
+} // namespace
+
+std::vector<OpenCandidate>
+EngineBackend::drawCandidates(int num_jobs, int count, Rng &rng) const
+{
+    return numCores_ == 1
+               ? drawSchedules(num_jobs, count, level_, rng)
+               : drawPlacements(num_jobs, count, level_, classes_, rng);
 }
 
 } // namespace sos

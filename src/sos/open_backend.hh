@@ -1,19 +1,19 @@
 /**
  * @file
- * Engine backends for the open-system SOS kernel.
+ * The engine backend of the open-system SOS kernel.
  *
- * The kernel schedules a changing pool of jobs; an EngineBackend is
+ * The kernel schedules a changing pool of jobs; the EngineBackend is
  * the substrate it schedules onto. The backend owns the live machine
- * state, runs one timeslice of a chosen coschedule, draws candidate
- * coschedules over the pool, and -- the heart of the kernel's sample
- * phase -- profiles every candidate in parallel on private forks of
- * the live state and lets the kernel adopt the winner's end state.
+ * state (a Machine behind a MachineEngine), runs one timeslice of a
+ * chosen coschedule, draws candidate coschedules over the pool, and
+ * -- the heart of the kernel's sample phase -- profiles every
+ * candidate in parallel on private forks of the live state and lets
+ * the kernel adopt the winner's end state.
  *
- * Two substrates implement the interface:
- *  - TimesliceBackend: one SMT core behind a TimesliceEngine (the
- *    paper's machine; Figures 5-6);
- *  - MachineBackend:   a CMP of SMT cores behind a MachineEngine
- *    (Figure 8), one coschedule group per core.
+ * The core count picks the candidate draw: one SMT core (the paper's
+ * machine; Figures 5-6) draws distinct schedules of Js(n, level,
+ * level) over the whole pool, while a CMP of SMT cores (Figure 8)
+ * assigns one coschedule group per core.
  *
  * Determinism: fork profiling is a pure function of (live state,
  * candidate), fanned out via ParallelScheduleRunner::map, so results
@@ -34,7 +34,6 @@
 #include "sched/schedule.hh"
 #include "sim/machine_engine.hh"
 #include "sim/parallel_runner.hh"
-#include "sim/timeslice_engine.hh"
 
 namespace sos {
 
@@ -56,22 +55,30 @@ struct OpenCandidate
     /** Canonical identity (the kernel's changed-schedule check). */
     std::string key;
 
-    /** Pool indices core @p k runs at period position @p t. */
-    std::vector<int> coreTupleAt(std::size_t k, std::uint64_t t) const;
+    /** Pool indices each core runs at period position @p t. */
+    std::vector<std::vector<int>> tuplesAt(std::uint64_t t) const;
 };
 
 /** The substrate an open-system kernel run schedules onto. */
 class EngineBackend
 {
   public:
-    virtual ~EngineBackend();
+    /**
+     * @p params describes the (possibly heterogeneous) machine; the
+     * SMT level is uniform across cores (SimConfig::machineFor()
+     * forces it). The live slices and the candidate-profiling forks
+     * run at the fidelity @p sample sets (cpu/sampling.hh), so the
+     * kernel's WS comparisons stay internally consistent.
+     */
+    EngineBackend(const MachineParams &params,
+                  std::uint64_t timeslice_cycles,
+                  const SampleWindows &sample);
 
-    virtual std::string name() const = 0;
-
-    int numCores() const { return numCores_; }
-
-    /** Hardware contexts per core (the SMT level). */
-    int level() const { return level_; }
+    /** The substrate, as the "open.backend" manifest field names it. */
+    std::string name() const
+    {
+        return numCores_ == 1 ? "smt-core" : "machine";
+    }
 
     /** Units the whole machine can run per timeslice. */
     int capacity() const { return numCores_ * level_; }
@@ -84,16 +91,25 @@ class EngineBackend
     /**
      * Draw up to @p count distinct candidate coschedules of a pool of
      * @p num_jobs jobs. Consumes @p rng deterministically.
+     *
+     * One core: distinct schedules of Js(num_jobs, level, level) over
+     * the pool positions. More cores: random permutations of the pool
+     * split into near-equal contiguous per-core groups, deduplicated
+     * by canonical key. On a heterogeneous machine the key tags each
+     * per-core part with the core's equivalence class, so placements
+     * that differ only by permuting identical cores still collapse
+     * while moves across classes count as distinct candidates.
      */
-    virtual std::vector<OpenCandidate>
-    drawCandidates(int num_jobs, int count, Rng &rng) const = 0;
+    std::vector<OpenCandidate>
+    drawCandidates(int num_jobs, int count, Rng &rng) const;
 
     /**
      * Profiling window per candidate, in timeslices: a couple of
      * sweeps over the pool, so the sample phase can finish between
-     * arrivals even for awkward pool sizes.
+     * arrivals even for awkward pool sizes. One core also caps it at
+     * the schedule period.
      */
-    virtual std::uint64_t windowSlices(int num_jobs) const;
+    std::uint64_t windowSlices(int num_jobs) const;
 
     /** The only sensible coschedule when the pool fits the machine. */
     OpenCandidate trivialCandidate(int num_jobs) const;
@@ -137,36 +153,14 @@ class EngineBackend
     std::vector<std::unique_ptr<Job>> adoptFork(std::size_t index);
 
     /** Detach a departing job from every core. */
-    void evictJob(const Job *job);
-
-    /**
-     * Configure sampled simulation on the live engines and every
-     * future fork (cpu/sampling.hh). The live slices and the
-     * candidate-profiling forks run at the same fidelity, so the
-     * kernel's WS comparisons stay internally consistent.
-     */
-    void setSampling(const SampleWindows &sample);
-
-  protected:
-    /**
-     * @p params describes the (possibly heterogeneous) machine; the
-     * SMT level is uniform across cores (machineFor() forces it).
-     */
-    EngineBackend(const MachineParams &params, int level,
-                  std::uint64_t timeslice_cycles);
-
-    /** Per-core equivalence classes (all zero when homogeneous). */
-    const std::vector<int> &coreClasses() const { return classes_; }
-
-    /** True when the cores are not all identical. */
-    bool heterogeneous() const;
+    void evictJob(const Job *job) { live_.engine->evictJob(job); }
 
   private:
-    /** A complete runnable copy of machine + engines (+ fork jobs). */
+    /** A complete runnable copy of machine + engine (+ fork jobs). */
     struct State
     {
         std::unique_ptr<Machine> machine;
-        std::vector<std::unique_ptr<TimesliceEngine>> engines;
+        std::unique_ptr<MachineEngine> engine;
         /** Deep-copied pool jobs; empty for the live state (the
          *  kernel owns the live pool). */
         std::vector<std::unique_ptr<Job>> jobs;
@@ -182,48 +176,6 @@ class EngineBackend
     SampleWindows sample_;
     State live_;
     std::vector<State> forks_; ///< retained by profileCandidates()
-};
-
-/** The paper's substrate: one SMT core (TimesliceEngine). */
-class TimesliceBackend : public EngineBackend
-{
-  public:
-    /** @p params must describe a single-core machine. */
-    TimesliceBackend(const MachineParams &params,
-                     std::uint64_t timeslice_cycles);
-
-    std::string name() const override { return "smt-core"; }
-
-    /**
-     * Exactly the pre-kernel open system's candidate draw: sample
-     * distinct schedules of Js(num_jobs, level, level).
-     */
-    std::vector<OpenCandidate>
-    drawCandidates(int num_jobs, int count, Rng &rng) const override;
-
-    /** The pre-kernel window: min(schedule period, two sweeps). */
-    std::uint64_t windowSlices(int num_jobs) const override;
-};
-
-/** The CMP substrate: one coschedule group per core (Figure 8). */
-class MachineBackend : public EngineBackend
-{
-  public:
-    explicit MachineBackend(const MachineParams &params,
-                            std::uint64_t timeslice_cycles);
-
-    std::string name() const override { return "machine"; }
-
-    /**
-     * Random permutations of the pool split into near-equal
-     * contiguous per-core groups, deduplicated by canonical key. On a
-     * heterogeneous machine the key tags each per-core part with the
-     * core's equivalence class, so placements that differ only by
-     * permuting identical cores still collapse while moves across
-     * classes count as distinct candidates.
-     */
-    std::vector<OpenCandidate>
-    drawCandidates(int num_jobs, int count, Rng &rng) const override;
 };
 
 } // namespace sos

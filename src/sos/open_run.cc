@@ -7,9 +7,8 @@
 
 namespace sos {
 
-OpenRun::OpenRun(EngineBackend &backend,
-                 const SosKernel::OpenConfig &config, OpenPolicy policy,
-                 SosKernel::JobFactory make_job,
+OpenRun::OpenRun(EngineBackend &backend, const Config &config,
+                 OpenPolicy policy, JobFactory make_job,
                  stats::EventTrace *events)
     : backend_(backend), config_(config), policy_(policy),
       makeJob_(std::move(make_job)),
@@ -20,14 +19,6 @@ OpenRun::OpenRun(EngineBackend &backend,
                                    config.baseIntervalCycles)),
       predictor_(makePredictor(config.predictor, config.modelPath)), runner_(config.jobs)
 {
-}
-
-void
-OpenRun::advance(SosKernel::Phase next)
-{
-    SOS_ASSERT(SosKernel::legalTransition(phase_, next),
-               "illegal SOS phase transition");
-    phase_ = next;
 }
 
 void
@@ -51,16 +42,6 @@ OpenRun::poolPointers() const
     for (const PoolEntry &entry : pool_)
         jobs.push_back(entry.job.get());
     return jobs;
-}
-
-std::vector<int>
-OpenRun::poolIndices() const
-{
-    std::vector<int> indices;
-    indices.reserve(pool_.size());
-    for (const PoolEntry &entry : pool_)
-        indices.push_back(entry.arrivalIndex);
-    return indices;
 }
 
 std::uint64_t
@@ -129,7 +110,7 @@ OpenRun::beginPhase(bool from_timer)
         // Trivial pool: only one sensible coschedule, nothing to
         // learn. Run it; the next membership change resamples.
         current_ = backend_.trivialCandidate(n);
-        advance(SosKernel::Phase::Symbios);
+        SosKernel::advance(phase_, SosKernel::Phase::Symbios);
         return;
     }
     window_ = backend_.windowSlices(n);
@@ -176,12 +157,12 @@ OpenRun::beginPhase(bool from_timer)
             std::min(window_, (until + timeslice_ - 1) / timeslice_);
     }
     // Nor past the advanceTo() horizon: an epoch barrier truncates
-    // the window exactly like an imminent arrival. (No-op for the
-    // whole-trace wrapper, whose horizon is kNoLimit.)
+    // the window exactly like an imminent arrival. (No-op for a
+    // whole-trace run, whose horizon is kNoLimit.)
     if (limit_ != kNoLimit)
         window_ = std::min(window_, (limit_ - now_) / timeslice_);
     window_ = std::max<std::uint64_t>(1, window_);
-    advance(SosKernel::Phase::Sample);
+    SosKernel::advance(phase_, SosKernel::Phase::Sample);
     queue_.push(EventKind::PhaseComplete, now_ + window_ * timeslice_);
     if (events_) {
         events_->event("sample_phase_begin")
@@ -192,6 +173,63 @@ OpenRun::beginPhase(bool from_timer)
                    static_cast<std::uint64_t>(candidates_.size()))
             .field("slices_per_candidate", window_);
     }
+}
+
+void
+OpenRun::retireAndResample()
+{
+    if (retire() && policy_ == OpenPolicy::Sos && !pool_.empty()) {
+        resample_->onJobChange();
+        beginPhase(/*from_timer=*/false);
+    }
+}
+
+void
+OpenRun::runSampleWindow()
+{
+    // Profile every candidate on a private fork of the live state, in
+    // parallel; the whole window elapses at once.
+    const int n = static_cast<int>(pool_.size());
+    const std::vector<ScheduleProfile> profiles =
+        backend_.profileCandidates(poolPointers(), candidates_, window_,
+                                   phase_offset_, runner_);
+    const int best = predictor_->best(profiles);
+    const OpenCandidate &pick =
+        candidates_[static_cast<std::size_t>(best)];
+    const bool changed = pick.key != previousKey_;
+    previousKey_ = pick.key;
+    if (timer_triggered_)
+        resample_->onTimerSample(changed);
+    if (events_) {
+        events_->event("symbios_pick")
+            .field("phase", sample_phases_)
+            .field("predictor", predictor_->name())
+            .field("pick", best)
+            .field("schedule", pick.label)
+            .field("changed", changed);
+    }
+
+    // The winner's fork ran the pool for the whole window on its
+    // schedule: adopt its end state as the live state.
+    std::vector<std::unique_ptr<Job>> adopted =
+        backend_.adoptFork(static_cast<std::size_t>(best));
+    SOS_ASSERT(adopted.size() == pool_.size());
+    for (std::size_t j = 0; j < pool_.size(); ++j)
+        pool_[j].job = std::move(adopted[j]);
+    current_ = pick;
+
+    now_ += window_ * timeslice_;
+    slices_ += window_;
+    sample_slices_ += window_;
+    jobs_in_system_integral_ +=
+        static_cast<double>(n) * static_cast<double>(window_);
+
+    SosKernel::advance(phase_, SosKernel::Phase::Symbios);
+    symbios_slice_ = 0;
+    queue_.push(EventKind::BackoffTimer,
+                now_ + resample_->symbiosDuration(), -1,
+                ++timer_generation_);
+    retireAndResample();
 }
 
 void
@@ -249,6 +287,7 @@ OpenRun::advanceTo(std::uint64_t limit)
         }
 
         const int n = static_cast<int>(pool_.size());
+        std::vector<std::vector<int>> tuples;
 
         if (policy_ == OpenPolicy::Naive) {
             // Coschedule the next `capacity` jobs in arrival-rotation
@@ -263,93 +302,32 @@ OpenRun::advanceTo(std::uint64_t limit)
             naive_cursor_ =
                 (naive_cursor_ + static_cast<std::size_t>(count)) %
                 pool_.size();
-            recentCounters_ += backend_.runLiveSlice(
-                poolPointers(), backend_.spread(chosen));
-            now_ += timeslice_;
-            ++slices_;
-            jobs_in_system_integral_ += static_cast<double>(n);
-            retire();
-            continue;
-        }
-
-        if (membership_changed) {
-            resample_->onJobChange();
-            beginPhase(/*from_timer=*/false);
-        } else if (timer_due && phase_ == SosKernel::Phase::Symbios &&
-                   n > capacity_) {
-            beginPhase(/*from_timer=*/true);
-        }
-
-        if (phase_ == SosKernel::Phase::Sample) {
-            // Profile every candidate on a private fork of the live
-            // state, in parallel; the whole window elapses at once.
-            const std::vector<ScheduleProfile> profiles =
-                backend_.profileCandidates(poolPointers(), candidates_,
-                                           window_, phase_offset_,
-                                           runner_);
-            const int best = predictor_->best(profiles);
-            const OpenCandidate &pick =
-                candidates_[static_cast<std::size_t>(best)];
-            const bool changed = pick.key != previousKey_;
-            previousKey_ = pick.key;
-            if (timer_triggered_)
-                resample_->onTimerSample(changed);
-            if (events_) {
-                events_->event("symbios_pick")
-                    .field("phase", sample_phases_)
-                    .field("predictor", predictor_->name())
-                    .field("pick", best)
-                    .field("schedule", pick.label)
-                    .field("changed", changed);
-            }
-
-            // The winner's fork ran the pool for the whole window on
-            // its schedule: adopt its end state as the live state.
-            std::vector<std::unique_ptr<Job>> adopted =
-                backend_.adoptFork(static_cast<std::size_t>(best));
-            SOS_ASSERT(adopted.size() == pool_.size());
-            for (std::size_t j = 0; j < pool_.size(); ++j)
-                pool_[j].job = std::move(adopted[j]);
-            current_ = pick;
-
-            now_ += window_ * timeslice_;
-            slices_ += window_;
-            sample_slices_ += window_;
-            jobs_in_system_integral_ +=
-                static_cast<double>(n) * static_cast<double>(window_);
-
-            advance(SosKernel::Phase::Symbios);
-            symbios_slice_ = 0;
-            queue_.push(EventKind::BackoffTimer,
-                        now_ + resample_->symbiosDuration(), -1,
-                        ++timer_generation_);
-
-            if (retire() && !pool_.empty()) {
+            tuples = backend_.spread(chosen);
+        } else {
+            if (membership_changed) {
                 resample_->onJobChange();
                 beginPhase(/*from_timer=*/false);
+            } else if (timer_due &&
+                       phase_ == SosKernel::Phase::Symbios &&
+                       n > capacity_) {
+                beginPhase(/*from_timer=*/true);
             }
-            continue;
+            if (phase_ == SosKernel::Phase::Sample) {
+                runSampleWindow();
+                continue;
+            }
+            // Symbios (also covers trivial pools): run the committed
+            // coschedule one timeslice at a time.
+            SOS_ASSERT(phase_ == SosKernel::Phase::Symbios);
+            tuples = current_.tuplesAt(phase_offset_ + symbios_slice_);
+            ++symbios_slice_;
         }
 
-        // Symbios (also covers trivial pools): run the committed
-        // coschedule one timeslice at a time.
-        SOS_ASSERT(phase_ == SosKernel::Phase::Symbios);
-        std::vector<std::vector<int>> tuples;
-        tuples.reserve(static_cast<std::size_t>(backend_.numCores()));
-        for (int k = 0; k < backend_.numCores(); ++k)
-            tuples.push_back(current_.coreTupleAt(
-                static_cast<std::size_t>(k),
-                phase_offset_ + symbios_slice_));
         recentCounters_ += backend_.runLiveSlice(poolPointers(), tuples);
-        ++symbios_slice_;
         now_ += timeslice_;
         ++slices_;
         jobs_in_system_integral_ += static_cast<double>(n);
-
-        if (retire() && !pool_.empty()) {
-            resample_->onJobChange();
-            beginPhase(/*from_timer=*/false);
-        }
+        retireAndResample();
     }
 
     limit_ = kNoLimit;
@@ -359,7 +337,7 @@ void
 OpenRun::finalize()
 {
     SOS_ASSERT(drained(), "finalize() before the run drained");
-    advance(SosKernel::Phase::Done);
+    SosKernel::advance(phase_, SosKernel::Phase::Done);
 }
 
 } // namespace sos

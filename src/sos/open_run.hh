@@ -1,27 +1,26 @@
 /**
  * @file
- * A resumable open-system run: the kernel's arrival-driven loop as an
- * object that can be advanced in bounded steps.
+ * The open-system run: the kernel's arrival-driven sample/symbios
+ * loop as an object that can be advanced in bounded steps.
  *
- * SosKernel::runOpen() replays a complete arrival trace to the end in
- * one call. The cluster layer needs the same loop sliced differently:
- * each node advances to a barrier cycle (the dispatch epoch), receives
- * whatever arrivals the dispatcher routed to it, and resumes -- all
- * while staying bit-identical to a serial execution. OpenRun is that
- * loop with its state (pool, event queue, phase machine, resample
- * timers, RNG) lifted from locals into members:
+ * This is the only open-system loop. A single-machine experiment
+ * (runOpenSystem()) injects its whole arrival trace up front and
+ * drains it in one advanceTo(kNoLimit) step; the cluster layer slices
+ * the same loop differently: each node advances to a barrier cycle
+ * (the dispatch epoch), receives whatever arrivals the dispatcher
+ * routed to it, and resumes -- all while staying bit-identical to a
+ * serial execution. The loop's state (pool, event queue, phase
+ * machine, resample timers, RNG) lives in members:
  *
  *   - inject() appends one arrival (cycles must be nondecreasing);
  *   - advanceTo() runs the event loop until the virtual clock reaches
  *     the limit or every injected job has completed;
  *   - finalize() asserts the run drained and closes the phase machine.
  *
- * With every arrival injected up front and no limit, the sequence of
- * operations is exactly runOpen()'s -- the wrapper in kernel.cc stays
- * byte-identical to the pre-refactor loop (golden-pinned). Under a
- * finite limit the only new behaviour is the epoch cap: an atomic
- * sample window never crosses the advanceTo() horizon, truncated the
- * same way an imminent arrival always truncated it.
+ * Under a finite limit the only extra behaviour is the epoch cap: an
+ * atomic sample window never crosses the advanceTo() horizon,
+ * truncated the same way an imminent arrival always truncated it.
+ * The open golden (tests/golden/open.json) pins both drivers.
  *
  * Determinism: an OpenRun is a pure function of (config, injected
  * arrivals). It performs no synchronization, so a cluster may advance
@@ -34,6 +33,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -50,6 +50,17 @@
 
 namespace sos {
 
+namespace stats {
+class EventTrace;
+} // namespace stats
+
+/** Scheduling policy of an open-system run. */
+enum class OpenPolicy
+{
+    Naive,
+    Sos,
+};
+
 /** One open-system kernel run, advanced in barrier-bounded steps. */
 class OpenRun
 {
@@ -57,8 +68,56 @@ class OpenRun
     /** No horizon: advance until every injected job completes. */
     static constexpr std::uint64_t kNoLimit = ~0ULL;
 
-    OpenRun(EngineBackend &backend, const SosKernel::OpenConfig &config,
-            OpenPolicy policy, SosKernel::JobFactory make_job,
+    /** Open-system knobs the kernel needs (substrate-independent). */
+    struct Config
+    {
+        /** Maximum candidates profiled per sample phase. */
+        int sampleSchedules = 10;
+
+        /** Predictor the symbios phase trusts. */
+        std::string predictor = "IPC";
+
+        /** Model file for the "learned" predictor (SimConfig::modelPath). */
+        std::string modelPath;
+
+        /** Resample-timer policy name (makeResamplePolicy()). */
+        std::string resamplePolicy = "backoff";
+
+        /** Base symbios interval in cycles (the backoff seed). */
+        std::uint64_t baseIntervalCycles = 1;
+
+        /** Seed of the kernel's private decision stream. */
+        std::uint64_t seed = 0;
+
+        /** Sweep worker count (SimConfig::jobs semantics). */
+        int jobs = 0;
+
+        /**
+         * Optional samplek screen: given the drawn candidates and
+         * the resident pool (pool order), return the indices of the
+         * candidates worth detail-profiling, strictly increasing and
+         * non-empty. Unset (the default) profiles every candidate,
+         * bit-identical to pre-model builds. See makeModelScreen().
+         */
+        std::function<std::vector<std::size_t>(
+            const std::vector<OpenCandidate> &,
+            const std::vector<Job *> &)>
+            screen;
+    };
+
+    /** Materialize the job of arrival @p index, ready to run. */
+    using JobFactory =
+        std::function<std::unique_ptr<Job>(std::size_t index)>;
+
+    /**
+     * Schedule arrivals onto @p backend under @p policy. Under
+     * OpenPolicy::Sos each sample phase profiles candidates on
+     * parallel forks of the live state (see EngineBackend) and adopts
+     * the predictor's pick; when @p events is non-null the run
+     * appends its "sample_phase_begin" and "symbios_pick" decisions.
+     */
+    OpenRun(EngineBackend &backend, const Config &config,
+            OpenPolicy policy, JobFactory make_job,
             stats::EventTrace *events = nullptr);
 
     OpenRun(const OpenRun &) = delete;
@@ -85,16 +144,9 @@ class OpenRun
     /** Close the phase machine; requires drained(). */
     void finalize();
 
-    SosKernel::Phase phase() const { return phase_; }
     std::uint64_t now() const { return now_; }
     std::size_t injected() const { return injected_; }
     std::size_t completed() const { return completed_; }
-
-    /** Jobs currently resident (arrived, not yet finished). */
-    int poolSize() const { return static_cast<int>(pool_.size()); }
-
-    /** Global index of every resident job, in pool order. */
-    std::vector<int> poolIndices() const;
 
     /** Instructions the resident jobs still have to retire. */
     std::uint64_t remainingInstructions() const;
@@ -128,9 +180,12 @@ class OpenRun
     PerfCounters takeRecentCounters();
 
   private:
-    void advance(SosKernel::Phase next);
     bool retire();
+    /** Retire finished jobs; under SOS a departure resamples. */
+    void retireAndResample();
     void beginPhase(bool from_timer);
+    /** Profile the drawn candidates and adopt the predicted best. */
+    void runSampleWindow();
     std::uint64_t maxSlices() const;
 
     /** One resident job. */
@@ -143,9 +198,9 @@ class OpenRun
     std::vector<Job *> poolPointers() const;
 
     EngineBackend &backend_;
-    SosKernel::OpenConfig config_;
+    Config config_;
     OpenPolicy policy_;
-    SosKernel::JobFactory makeJob_;
+    JobFactory makeJob_;
     stats::EventTrace *events_;
 
     std::uint64_t timeslice_;

@@ -62,6 +62,30 @@ struct Args
         }
         return fallback;
     }
+
+    /** True when --name was given (even with an empty value). */
+    bool
+    has(const std::string &name) const
+    {
+        return std::any_of(flags.begin(), flags.end(),
+                           [&](const auto &f) { return f.first == name; });
+    }
+
+    /** --name as an int (@p fallback when absent); fatal() if malformed. */
+    int
+    intFlag(const std::string &name, int fallback) const
+    {
+        return has(name) ? parseKnobInt("--" + name, flag(name, ""))
+                         : fallback;
+    }
+
+    /** --name as an unsigned integer; fatal() if malformed. */
+    std::uint64_t
+    u64Flag(const std::string &name, std::uint64_t fallback) const
+    {
+        return has(name) ? parseKnobU64("--" + name, flag(name, ""))
+                         : fallback;
+    }
 };
 
 /**
@@ -311,8 +335,8 @@ int
 cmdOpen(const Args &args)
 {
     OpenSystemConfig open;
-    open.level = std::stoi(args.flag("level", "3"));
-    open.numJobs = std::stoi(args.flag("jobs", "24"));
+    open.level = args.intFlag("level", 3);
+    open.numJobs = args.intFlag("jobs", 24);
 
     // The open system has its own --set keys: predictor= and policy=
     // name registry entries, not SimConfig fields (the manifest's
@@ -338,35 +362,17 @@ cmdOpen(const Args &args)
     const SimConfig &config = harness.config();
     // --cores wins; otherwise a loaded machine config sets the core
     // count, and the default stays the paper's single SMT core.
-    const std::string cores_flag = args.flag("cores", "");
-    open.numCores = !cores_flag.empty()
-                        ? std::stoi(cores_flag)
-                        : std::max(1, config.machineCores);
+    open.numCores = args.intFlag("cores", std::max(1, config.machineCores));
     open.seed = config.seed ^ 0x09e2ULL;
 
-    // Run the two policies here (rather than compareResponseTimes) so
-    // the SOS run can stream its decisions into the trace; both runs
-    // are serial, so the trace stays deterministic. The SOS backend is
-    // owned here so its machine's stat groups survive into the
-    // manifest dump.
-    const std::vector<JobArrival> arrivals =
-        makeArrivalTrace(config, open);
+    // The SOS backend is owned here so its machine's stat groups
+    // survive into the manifest dump; both runs are serial, so the
+    // decision trace stays deterministic.
     const std::unique_ptr<EngineBackend> backend =
-        makeOpenBackend(config, open);
-    ResponseComparison comparison;
-    comparison.naive =
-        runOpenSystem(config, open, arrivals, OpenPolicy::Naive);
-    comparison.sos = runOpenSystem(
-        config, open, arrivals, OpenPolicy::Sos, *backend,
+        makeOpenBackend(config, open.level, open.numCores);
+    const ResponseComparison comparison = compareResponseTimes(
+        config, open, backend.get(),
         harness.wantsTrace() ? &harness.trace() : nullptr);
-    comparison.jobsCompared = static_cast<int>(arrivals.size());
-    if (comparison.naive.meanResponseCycles > 0.0) {
-        comparison.improvementPct =
-            100.0 *
-            (comparison.naive.meanResponseCycles -
-             comparison.sos.meanResponseCycles) /
-            comparison.naive.meanResponseCycles;
-    }
 
     const stats::Group open_group = harness.group("open");
     open_group.scalar("jobs", "arrivals simulated") =
@@ -429,7 +435,7 @@ cmdHier(const Args &args)
     BenchHarness harness("sossim hier", configWithWorkers(args),
                          outputsFor(args));
     const SimConfig &config = harness.config();
-    const int level = std::stoi(args.flag("level", "2"));
+    const int level = args.intFlag("level", 2);
     const HierarchicalSpec *chosen = nullptr;
     for (const HierarchicalSpec &spec : hierarchicalExperiments()) {
         if (spec.level == level)
@@ -466,12 +472,8 @@ cmdMachine(const Args &args)
     const SimConfig &config = harness.config();
     // --cores wins; otherwise a loaded machine config picks the
     // experiment its core count can host, defaulting to the 2-core CMP.
-    const std::string cores_flag = args.flag("cores", "");
-    const int cores = !cores_flag.empty()
-                          ? std::stoi(cores_flag)
-                          : (config.machineCores > 0
-                                 ? config.machineCores
-                                 : 2);
+    const int cores = args.intFlag(
+        "cores", config.machineCores > 0 ? config.machineCores : 2);
     const MachineExperimentSpec *chosen = nullptr;
     for (const MachineExperimentSpec &spec : machineExperiments()) {
         if (spec.numCores == cores)
@@ -535,8 +537,11 @@ parseClasses(const std::string &spec)
         ArrivalClass klass;
         klass.name = entry.substr(0, first);
         klass.weight =
-            std::stod(entry.substr(first + 1, second - first - 1));
-        klass.sizeFactor = std::stod(entry.substr(second + 1));
+            parseKnobDouble("--classes weight of " + klass.name,
+                            entry.substr(first + 1, second - first - 1));
+        klass.sizeFactor =
+            parseKnobDouble("--classes sizeFactor of " + klass.name,
+                            entry.substr(second + 1));
         classes.push_back(std::move(klass));
         start = end + 1;
     }
@@ -552,18 +557,16 @@ cmdCluster(const Args &args)
         cluster.numNodes = parseKnobInt("SOS_CLUSTER_NODES", nodes);
     if (const char *dispatch = std::getenv("SOS_DISPATCH"))
         cluster.dispatch = dispatch;
-    cluster.numNodes =
-        std::stoi(args.flag("nodes", std::to_string(cluster.numNodes)));
+    cluster.numNodes = args.intFlag("nodes", cluster.numNodes);
     cluster.dispatch = args.flag("dispatch", cluster.dispatch);
     cluster.process = args.flag("process", cluster.process);
-    cluster.numJobs = std::stoi(args.flag("arrivals", "1000"));
-    cluster.level = std::stoi(args.flag("level", "3"));
-    cluster.numCores = std::stoi(args.flag("cores", "1"));
-    cluster.epochSlices = std::stoi(args.flag("epoch", "8"));
-    cluster.meanJobPaperCycles = std::stoull(args.flag(
-        "mean-job", std::to_string(cluster.meanJobPaperCycles)));
-    cluster.meanInterarrivalPaper =
-        std::stoull(args.flag("mean-interarrival", "0"));
+    cluster.numJobs = args.intFlag("arrivals", 1000);
+    cluster.level = args.intFlag("level", 3);
+    cluster.numCores = args.intFlag("cores", 1);
+    cluster.epochSlices = args.intFlag("epoch", 8);
+    cluster.meanJobPaperCycles =
+        args.u64Flag("mean-job", cluster.meanJobPaperCycles);
+    cluster.meanInterarrivalPaper = args.u64Flag("mean-interarrival", 0);
     const std::string classes = args.flag("classes", "");
     if (!classes.empty())
         cluster.classes = parseClasses(classes);

@@ -162,6 +162,44 @@ TEST_F(EngineTest, RunScheduleAggregatesCounters)
     EXPECT_EQ(sum, result.total.retired);
 }
 
+TEST(MachineEngineSlice, RunsEveryCoreForOneQuantum)
+{
+    // One open-system step on a 2-core machine: machine counters sum
+    // the cores' but span one quantum, and a core given no units (here
+    // core 1, past the end of the list) idles with its residents
+    // evicted.
+    CoreParams params;
+    params.numContexts = 2;
+    MachineParams machine_params;
+    machine_params.numCores = 2;
+    machine_params.core = params;
+    Machine machine(machine_params);
+    MachineEngine engine(machine, 10000);
+    JobMix mix(11);
+    mix.addJob("EP");
+    mix.addJob("FP");
+    mix.addJob("MG");
+
+    const MachineEngine::SliceResult both =
+        engine.runSlice({{mix.unit(0)}, {mix.unit(1), mix.unit(2)}});
+    ASSERT_EQ(both.cores.size(), 2u);
+    EXPECT_EQ(both.machine.cycles, 10000u);
+    EXPECT_EQ(both.machine.retired, both.cores[0].counters.retired +
+                                        both.cores[1].counters.retired);
+    EXPECT_GT(both.cores[1].counters.retired, 0u);
+    EXPECT_EQ(engine.coreEngine(1).residentUnits().size(), 2u);
+
+    const MachineEngine::SliceResult first =
+        engine.runSlice({{mix.unit(0)}});
+    EXPECT_EQ(first.machine.cycles, 10000u);
+    EXPECT_EQ(first.cores[1].counters.retired, 0u);
+    EXPECT_TRUE(engine.coreEngine(1).residentUnits().empty());
+
+    // evictJob detaches a job from whichever core holds it.
+    engine.evictJob(&mix.job(0));
+    EXPECT_TRUE(engine.coreEngine(0).residentUnits().empty());
+}
+
 TEST_F(EngineTest, SetTimesliceTakesEffect)
 {
     JobMix mix(9);

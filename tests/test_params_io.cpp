@@ -2,13 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <utility>
 
 #include "sim/config_env.hh"
 #include "sim/params_io.hh"
 
 namespace sos {
 namespace {
+
+/**
+ * Run the sossim CLI with @p args under the extra environment
+ * assignments @p env: (exit status, stdout + stderr).
+ */
+std::pair<int, std::string>
+runSossim(const std::string &args, const std::string &env = "")
+{
+    const std::string command =
+        "env " + env + " " + SOS_SOSSIM + " " + args + " 2>&1";
+    FILE *pipe = ::popen(command.c_str(), "r");
+    if (pipe == nullptr)
+        return {-1, "cannot run " + command};
+    std::string output;
+    char buffer[256];
+    while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr)
+        output += buffer;
+    const int status = ::pclose(pipe);
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
+}
 
 TEST(ParamsIo, SetsHarnessFields)
 {
@@ -139,6 +164,76 @@ TEST(ParamsIo, KnobParsersNameTheKnob)
                  "SOS_CLUSTER_NODES is not an integer");
     EXPECT_DEATH(parseKnobInt("SOS_CLUSTER_NODES", "2 nodes"),
                  "SOS_CLUSTER_NODES is not an integer");
+}
+
+TEST(ParamsIo, KnobParsersRejectOutOfRangeValues)
+{
+    // A value the type cannot hold is an error, never a narrowed or
+    // saturated number: 4294967297 nodes must not run as 1.
+    EXPECT_EQ(parseKnobInt("SOS_CLUSTER_NODES", "2147483647"),
+              2147483647);
+    EXPECT_DEATH(parseKnobInt("SOS_CLUSTER_NODES", "4294967297"),
+                 "SOS_CLUSTER_NODES is out of range for an int: "
+                 "'4294967297'");
+    EXPECT_DEATH(parseKnobInt("SOS_CLUSTER_NODES", "-2147483649"),
+                 "SOS_CLUSTER_NODES is out of range for an int");
+    EXPECT_DEATH(parseKnobU64("SOS_SEED", "18446744073709551616"),
+                 "SOS_SEED is out of range");
+}
+
+TEST(ParamsIo, DoubleKnobParserAcceptsFiniteNumbersOnly)
+{
+    EXPECT_DOUBLE_EQ(parseKnobDouble("--classes weight", "0.5"), 0.5);
+    EXPECT_DOUBLE_EQ(parseKnobDouble("--classes weight", "1e3"), 1000.0);
+    EXPECT_DOUBLE_EQ(parseKnobDouble("--classes weight", "-2"), -2.0);
+    for (const char *bad : {"", "1x", "one", "nan", "inf", "1e999"}) {
+        EXPECT_DEATH(parseKnobDouble("--classes weight", bad),
+                     "--classes weight is not a finite number")
+            << bad;
+    }
+}
+
+TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
+{
+    // Every numeric flag fails with exit 1 and an error naming the
+    // flag, before any simulation runs -- never an uncaught exception
+    // (exit 134) or a silently truncated value.
+    const std::pair<const char *, const char *> cases[] = {
+        {"cluster --nodes abc",
+         "value for --nodes is not an integer: 'abc'"},
+        {"cluster --nodes 4x", "value for --nodes is not an integer: '4x'"},
+        {"cluster --arrivals 1e3", "--arrivals is not an integer"},
+        {"cluster --level x", "--level is not an integer"},
+        {"cluster --cores 1.5", "--cores is not an integer"},
+        {"cluster --epoch 8s", "--epoch is not an integer"},
+        {"cluster --mean-job -5", "--mean-job is not an unsigned integer"},
+        {"cluster --mean-interarrival 4e7",
+         "--mean-interarrival is not an unsigned integer"},
+        {"cluster --classes a:x:1",
+         "--classes weight of a is not a finite number: 'x'"},
+        {"cluster --classes a:1:inf",
+         "--classes sizeFactor of a is not a finite number: 'inf'"},
+        {"open --level x", "value for --level is not an integer: 'x'"},
+        {"open --jobs 24k", "--jobs is not an integer"},
+        {"open --cores 4294967297", "--cores is out of range for an int"},
+        {"hier --level 2x", "--level is not an integer"},
+        {"machine --cores two", "--cores is not an integer"},
+    };
+    for (const auto &[args, message] : cases) {
+        const auto [status, output] = runSossim(args);
+        EXPECT_EQ(status, 1) << args << "\n" << output;
+        EXPECT_NE(output.find(message), std::string::npos)
+            << args << "\n" << output;
+    }
+
+    // The environment default narrows no more than the flag does.
+    const auto [status, output] = runSossim(
+        "cluster --arrivals 3", "SOS_CLUSTER_NODES=4294967297");
+    EXPECT_EQ(status, 1) << output;
+    EXPECT_NE(output.find("value for SOS_CLUSTER_NODES is out of range "
+                          "for an int: '4294967297'"),
+              std::string::npos)
+        << output;
 }
 
 TEST(ParamsIo, EnvironmentKnobsParseWholeValues)

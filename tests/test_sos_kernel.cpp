@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the event-driven SOS kernel: the deterministic event
- * queue, the engine backends the open system schedules onto, and the
- * kernel's worker-count invariance (the SOS_JOBS acceptance check,
- * run in-process via config.jobs).
+ * queue, the engine backend the open system schedules onto (one SMT
+ * core and a CMP), and the open run's worker-count invariance (the
+ * SOS_JOBS acceptance check, run in-process via config.jobs).
  */
 
 #include <gtest/gtest.h>
@@ -95,8 +95,9 @@ TEST(EventQueue, TimerGenerationsSurviveTheHeap)
 TEST(OpenBackend, SpreadFillsCoresInIndexOrder)
 {
     const SimConfig sim = fast();
-    MachineBackend backend(sim.machineFor(2, 2),
-                           sim.timesliceCycles());
+    EngineBackend backend(sim.machineFor(2, 2), sim.timesliceCycles(),
+                          sim.sample);
+    EXPECT_EQ(backend.name(), "machine");
     EXPECT_EQ(backend.capacity(), 4);
     const auto groups = backend.spread({0, 1, 2});
     ASSERT_EQ(groups.size(), 2u);
@@ -107,22 +108,23 @@ TEST(OpenBackend, SpreadFillsCoresInIndexOrder)
 TEST(OpenBackend, TrivialCandidateCoversTheWholePool)
 {
     const SimConfig sim = fast();
-    TimesliceBackend backend(sim.machineFor(3, 1),
-                             sim.timesliceCycles());
+    EngineBackend backend(sim.machineFor(3, 1), sim.timesliceCycles(),
+                          sim.sample);
+    EXPECT_EQ(backend.name(), "smt-core");
     const OpenCandidate candidate = backend.trivialCandidate(2);
     ASSERT_EQ(candidate.groups.size(), 1u);
     EXPECT_EQ(candidate.groups[0], (std::vector<int>{0, 1}));
     EXPECT_FALSE(candidate.key.empty());
     // The schedule wraps, so any period position yields a tuple.
     for (std::uint64_t t = 0; t < 4; ++t)
-        EXPECT_FALSE(candidate.coreTupleAt(0, t).empty());
+        EXPECT_FALSE(candidate.tuplesAt(t)[0].empty());
 }
 
 TEST(OpenBackend, DrawCandidatesIsDeterministicAndDistinct)
 {
     const SimConfig sim = fast();
-    TimesliceBackend backend(sim.machineFor(2, 1),
-                             sim.timesliceCycles());
+    EngineBackend backend(sim.machineFor(2, 1), sim.timesliceCycles(),
+                          sim.sample);
     Rng rng_a(1234);
     Rng rng_b(1234);
     const auto a = backend.drawCandidates(5, 6, rng_a);
@@ -142,8 +144,8 @@ TEST(OpenBackend, DrawCandidatesIsDeterministicAndDistinct)
 TEST(OpenBackend, MachineCandidatesAssignEveryJobToOneCore)
 {
     const SimConfig sim = fast();
-    MachineBackend backend(sim.machineFor(2, 2),
-                           sim.timesliceCycles());
+    EngineBackend backend(sim.machineFor(2, 2), sim.timesliceCycles(),
+                          sim.sample);
     Rng rng(99);
     const auto candidates = backend.drawCandidates(6, 5, rng);
     ASSERT_FALSE(candidates.empty());
