@@ -200,6 +200,8 @@ makeClusterArrivals(const SimConfig &sim, const ArrivalSpec &spec)
                           sim.referenceMem(), sim.calibWarmupCycles,
                           sim.calibMeasureCycles);
     const auto &workloads = openSystemWorkloads();
+    const std::vector<double> solo =
+        calibrator.soloIpcs(soloKeys(workloads), sim.jobs);
 
     std::vector<ClusterArrival> trace;
     trace.reserve(static_cast<std::size_t>(spec.numJobs));
@@ -208,7 +210,8 @@ makeClusterArrivals(const SimConfig &sim, const ArrivalSpec &spec)
         clock += process->nextGap(rng, clock);
         ClusterArrival arrival;
         arrival.arrivalCycle = static_cast<std::uint64_t>(clock);
-        arrival.workload = workloads[rng.below(workloads.size())];
+        const std::size_t w = rng.below(workloads.size());
+        arrival.workload = workloads[w];
         arrival.klass = drawClass(rng, classes, total_weight);
         // Duration in solo cycles around the class mean, clamped like
         // the single-machine trace so no job degenerates.
@@ -217,9 +220,8 @@ makeClusterArrivals(const SimConfig &sim, const ArrivalSpec &spec)
             classes[static_cast<std::size_t>(arrival.klass)].sizeFactor;
         double duration = rng.exponential(mean);
         duration = std::clamp(duration, mean * 0.05, mean * 6.0);
-        const double solo = calibrator.soloIpc(arrival.workload);
         arrival.sizeInstructions = std::max<std::uint64_t>(
-            1000, static_cast<std::uint64_t>(duration * solo));
+            1000, static_cast<std::uint64_t>(duration * solo[w]));
         trace.push_back(std::move(arrival));
     }
     return trace;

@@ -6,6 +6,13 @@
 
 namespace sos {
 
+namespace {
+
+/** Set while this thread runs a pool task (see ThreadPool::inTask). */
+thread_local bool runningTask = false;
+
+} // namespace
+
 int
 resolveJobs(int requested)
 {
@@ -43,9 +50,19 @@ ThreadPool::~ThreadPool()
         thread.join();
 }
 
+bool
+ThreadPool::inTask()
+{
+    return runningTask;
+}
+
 void
 ThreadPool::drain(const std::function<void(std::size_t)> &task)
 {
+    // Saved and restored: a nested inline batch must not clear the
+    // flag of the task that runs it.
+    const bool outer = runningTask;
+    runningTask = true;
     for (;;) {
         const std::size_t index =
             next_.fetch_add(1, std::memory_order_relaxed);
@@ -60,6 +77,7 @@ ThreadPool::drain(const std::function<void(std::size_t)> &task)
         }
         finished_.fetch_add(1, std::memory_order_acq_rel);
     }
+    runningTask = outer;
 }
 
 void

@@ -48,6 +48,14 @@ class ThreadPool
     int workers() const { return workers_; }
 
     /**
+     * True while the calling thread is executing a task of some
+     * pool's batch. Construction-time fan-outs (Calibrator batches)
+     * check it and run inline there, so a batch only ever spreads
+     * across workers from the thread that constructs the experiment.
+     */
+    static bool inTask();
+
+    /**
      * Execute task(0) .. task(count - 1) and block until all are done.
      * Tasks must not touch shared mutable state. If any task throws,
      * the first exception (in claim order) is rethrown here after the

@@ -70,6 +70,8 @@ struct MachineParams
      */
     std::vector<MemParams> coreMem;
 
+    bool operator==(const MachineParams &) const = default;
+
     /** Core @p k's microarchitecture (override or shared default). */
     const CoreParams &
     coreParams(int k) const

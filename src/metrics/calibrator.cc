@@ -1,10 +1,10 @@
 #include "calibrator.hh"
 
 #include <algorithm>
-#include <mutex>
 #include <type_traits>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "cpu/machine.hh"
 #include "cpu/sampling.hh"
 #include "sched/job.hh"
@@ -102,58 +102,84 @@ soloIpcKey(const CoreParams &core, const MemParams &mem,
     return key;
 }
 
-/**
- * Process-wide reference table. A solo IPC is a pure function of its
- * key (the measurement runs a private job with a fixed internal seed
- * on a private machine), so experiments sharing a configuration --
- * every figure harness builds several Calibrators with the same one --
- * can share measurements across instances and threads.
- */
-std::mutex soloIpcCacheMutex;
-std::map<std::string, double> soloIpcCache;
-
 } // namespace
+
+std::vector<SoloKey>
+soloKeys(const std::vector<std::string> &workloads)
+{
+    std::vector<SoloKey> keys;
+    keys.reserve(workloads.size());
+    for (const std::string &workload : workloads)
+        keys.push_back({workload, 1});
+    return keys;
+}
+
+SoloIpcTable &
+SoloIpcTable::shared()
+{
+    // A solo IPC is a pure function of its key, so experiments sharing
+    // a configuration -- every figure harness builds several
+    // Calibrators with the same one -- share measurements across
+    // instances and threads.
+    static SoloIpcTable table;
+    return table;
+}
+
+std::optional<double>
+SoloIpcTable::find(const std::string &key) const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto hit = values_.find(key);
+    if (hit == values_.end())
+        return std::nullopt;
+    return hit->second;
+}
+
+double
+SoloIpcTable::install(const std::string &key, double ipc)
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++measured_;
+    // emplace keeps an existing value: the first writer wins, and a
+    // racing writer of the same key measured the same value.
+    return values_.emplace(key, ipc).first->second;
+}
+
+std::uint64_t
+SoloIpcTable::measured() const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return measured_;
+}
 
 Calibrator::Calibrator(const CoreParams &core, const MemParams &mem,
                        std::uint64_t warmup_cycles,
-                       std::uint64_t measure_cycles)
+                       std::uint64_t measure_cycles, SoloIpcTable &table)
     : coreParams_(core), memParams_(mem), warmupCycles_(warmup_cycles),
-      measureCycles_(measure_cycles)
+      measureCycles_(measure_cycles), table_(&table)
 {
     SOS_ASSERT(measure_cycles > 0);
 }
 
-double
-Calibrator::soloIpc(const std::string &workload, int threads)
+std::string
+Calibrator::tableKey(const SoloKey &key) const
 {
-    SOS_ASSERT(threads >= 1 && threads <= coreParams_.numContexts,
-               "solo run cannot use more threads than contexts");
-    const auto key = std::make_pair(workload, threads);
-    const auto cached = cache_.find(key);
-    if (cached != cache_.end())
-        return cached->second;
+    return soloIpcKey(coreParams_, memParams_, warmupCycles_,
+                      measureCycles_, sample_, key.workload, key.threads);
+}
 
-    const std::string global_key =
-        soloIpcKey(coreParams_, memParams_, warmupCycles_,
-                   measureCycles_, sample_, workload, threads);
-    {
-        const std::lock_guard<std::mutex> lock(soloIpcCacheMutex);
-        const auto shared = soloIpcCache.find(global_key);
-        if (shared != soloIpcCache.end()) {
-            cache_.emplace(key, shared->second);
-            return shared->second;
-        }
-    }
-
+double
+Calibrator::measureOne(const SoloKey &key) const
+{
     // A private job on a private core: the reference must not perturb
     // or observe the experiment's machine state.
     const WorkloadProfile &profile =
-        WorkloadLibrary::instance().get(workload);
-    Job job(1, profile, 0xca11b7a7eULL, threads,
+        WorkloadLibrary::instance().get(key.workload);
+    Job job(1, profile, 0xca11b7a7eULL, key.threads,
             /*adaptive=*/false);
     Machine machine(coreParams_, memParams_);
     SmtCore &core = machine.core(0);
-    for (int t = 0; t < threads; ++t) {
+    for (int t = 0; t < key.threads; ++t) {
         ThreadBinding binding;
         binding.gen = &job.generator(t);
         binding.sync = job.syncDomain();
@@ -173,29 +199,108 @@ Calibrator::soloIpc(const std::string &workload, int threads)
     sampler.run(measureCycles_, measured);
 
     const double ipc = measured.ipc();
-    SOS_ASSERT(ipc > 0.0, "calibration produced zero IPC for ", workload);
-    cache_.emplace(key, ipc);
-    {
-        // The measurement is deterministic, so concurrent callers that
-        // raced past the lookup computed the same value; last writer
-        // wins harmlessly.
-        const std::lock_guard<std::mutex> lock(soloIpcCacheMutex);
-        soloIpcCache.emplace(global_key, ipc);
-    }
+    SOS_ASSERT(ipc > 0.0, "calibration produced zero IPC for ",
+               key.workload);
     return ipc;
 }
 
-void
-Calibrator::calibrate(Job &job)
+std::vector<double>
+Calibrator::measure(const std::vector<Request> &requests, int jobs)
 {
-    job.soloIpc = soloIpc(job.name(), job.numThreads());
+    // A key to measure, and the requests waiting for it.
+    struct Pending
+    {
+        Calibrator *calibrator;
+        SoloKey key;
+        std::string tableKey;
+        std::vector<std::size_t> waiting;
+    };
+
+    std::vector<double> ipcs(requests.size(), 0.0);
+    std::vector<Pending> pending;
+    std::map<std::pair<const SoloIpcTable *, std::string>, std::size_t>
+        pending_index;
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+        Calibrator &calibrator = *requests[r].calibrator;
+        const SoloKey &key = requests[r].key;
+        SOS_ASSERT(key.threads >= 1 &&
+                       key.threads <= calibrator.coreParams_.numContexts,
+                   "solo run cannot use more threads than contexts");
+        const auto memo =
+            calibrator.cache_.find({key.workload, key.threads});
+        if (memo != calibrator.cache_.end()) {
+            ipcs[r] = memo->second;
+            continue;
+        }
+        std::string table_key = calibrator.tableKey(key);
+        if (const auto shared = calibrator.table_->find(table_key)) {
+            calibrator.cache_.emplace(
+                std::make_pair(key.workload, key.threads), *shared);
+            ipcs[r] = *shared;
+            continue;
+        }
+        const auto [it, inserted] = pending_index.emplace(
+            std::make_pair(calibrator.table_, table_key), pending.size());
+        if (inserted)
+            pending.push_back(
+                {&calibrator, key, std::move(table_key), {}});
+        pending[it->second].waiting.push_back(r);
+    }
+    if (pending.empty())
+        return ipcs;
+
+    // Each task reads its own request and writes its own slot.
+    std::vector<double> measured(pending.size(), 0.0);
+    const int workers =
+        ThreadPool::inTask()
+            ? 1
+            : static_cast<int>(std::min<std::size_t>(
+                  static_cast<std::size_t>(resolveJobs(jobs)),
+                  pending.size()));
+    ThreadPool pool(workers);
+    pool.run(pending.size(), [&](std::size_t p) {
+        measured[p] = pending[p].calibrator->measureOne(pending[p].key);
+    });
+
+    for (std::size_t p = 0; p < pending.size(); ++p) {
+        Pending &entry = pending[p];
+        const double ipc =
+            entry.calibrator->table_->install(entry.tableKey, measured[p]);
+        for (std::size_t r : entry.waiting) {
+            requests[r].calibrator->cache_.emplace(
+                std::make_pair(entry.key.workload, entry.key.threads),
+                ipc);
+            ipcs[r] = ipc;
+        }
+    }
+    return ipcs;
+}
+
+std::vector<double>
+Calibrator::soloIpcs(const std::vector<SoloKey> &keys, int jobs)
+{
+    std::vector<Request> requests;
+    requests.reserve(keys.size());
+    for (const SoloKey &key : keys)
+        requests.push_back({this, key});
+    return measure(requests, jobs);
+}
+
+double
+Calibrator::soloIpc(const std::string &workload, int threads)
+{
+    return soloIpcs({{workload, threads}}, 1).front();
 }
 
 void
-Calibrator::calibrate(JobMix &mix)
+Calibrator::calibrate(JobMix &mix, int jobs)
 {
+    std::vector<SoloKey> keys;
     for (int j = 0; j < mix.numJobs(); ++j)
-        calibrate(mix.job(j));
+        keys.push_back({mix.job(j).name(), mix.job(j).numThreads()});
+    const std::vector<double> ipcs = soloIpcs(keys, jobs);
+    for (int j = 0; j < mix.numJobs(); ++j)
+        mix.job(j).soloIpc = ipcs[static_cast<std::size_t>(j)];
 }
 
 } // namespace sos

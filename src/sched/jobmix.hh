@@ -51,6 +51,9 @@ class JobMix
      */
     Job &addAdaptiveJob(const std::string &workload);
 
+    /** The base seed every job's streams derive from. */
+    std::uint64_t seed() const { return seed_; }
+
     int numJobs() const { return static_cast<int>(jobs_.size()); }
     Job &job(int index) { return *jobs_.at(static_cast<std::size_t>(index)); }
     const Job &

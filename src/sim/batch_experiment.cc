@@ -42,7 +42,7 @@ BatchExperiment::BatchExperiment(const ExperimentSpec &spec,
                           config_.calibWarmupCycles,
                           config_.calibMeasureCycles);
     calibrator.setSampling(config_.sample);
-    calibrator.calibrate(mix_);
+    calibrator.calibrate(mix_, config_.jobs);
 }
 
 std::uint64_t
@@ -81,11 +81,13 @@ BatchExperiment::sweep() const
 std::vector<ParallelScheduleRunner::ScheduleRun>
 BatchExperiment::runCandidates(
     const std::vector<Schedule> &schedules,
-    const std::function<std::uint64_t(std::size_t)> &timeslices) const
+    const std::function<std::uint64_t(std::size_t)> &timeslices)
 {
+    ParallelScheduleRunner::SweepSpec recipe = sweep();
+    recipe.snapshots = &warmed_;
     return runner_.runAll(
-        sweep(), std::vector<MachineSchedule>(schedules.begin(),
-                                              schedules.end()),
+        recipe, std::vector<MachineSchedule>(schedules.begin(),
+                                             schedules.end()),
         timeslices);
 }
 
@@ -199,6 +201,9 @@ BatchExperiment::runSymbiosValidation(std::uint64_t symbios_cycles)
 
     kernel_.runSymbiosValidation(runCandidates(
         schedules_, [timeslices](std::size_t) { return timeslices; }));
+    // The last phase that forks the warm state; a finished experiment
+    // (harnesses keep them for their stats dumps) holds no snapshot.
+    warmed_.clear();
 }
 
 void

@@ -153,11 +153,13 @@ class BatchExperiment
     /** Engine quantum for this experiment in simulated cycles. */
     std::uint64_t timesliceCycles() const;
 
-    /** Run @p schedules for timeslices(i) quanta each on sweep(). */
+    /**
+     * Run @p schedules for timeslices(i) quanta each on sweep(),
+     * forking the warm state an earlier phase kept in warmed_.
+     */
     std::vector<ParallelScheduleRunner::ScheduleRun> runCandidates(
         const std::vector<Schedule> &schedules,
-        const std::function<std::uint64_t(std::size_t)> &timeslices)
-        const;
+        const std::function<std::uint64_t(std::size_t)> &timeslices);
 
     /** Static per-unit signatures of the calibrated mix. */
     std::vector<model::ThreadSignature> unitSignatures() const;
@@ -174,6 +176,8 @@ class BatchExperiment
     SimConfig config_;
     JobMix mix_; ///< calibrated prototype; tasks clone its soloIpc
     ParallelScheduleRunner runner_;
+    /** Warmed once by the sample phase, forked again by the symbios. */
+    WarmSnapshots warmed_;
 
     std::vector<Schedule> schedules_;
     SosKernel kernel_; ///< owns profiles, symbios WS, phase cycles

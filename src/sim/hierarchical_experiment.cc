@@ -42,20 +42,24 @@ HierarchicalExperiment::HierarchicalExperiment(
     }
     SOS_ASSERT(!candidates_.empty());
 
-    // Measure every solo-IPC reference the plans can ask for now, on
-    // this thread; the sweep tasks then only read the table.
+    // Measure every solo-IPC reference the plans can ask for now, as
+    // one batch from this thread; the sweep tasks then only read the
+    // table.
     Calibrator calibrator(config_.coreFor(spec_.level), config_.mem,
                           config_.calibWarmupCycles,
                           config_.calibMeasureCycles);
     calibrator.setSampling(config_.sample);
+    std::vector<SoloKey> keys;
     for (const AllocationPlan &plan : plans) {
-        for (int j = 0; j < prototype.numJobs(); ++j) {
-            const int threads =
-                plan.threadsPerJob[static_cast<std::size_t>(j)];
-            const std::string &name = prototype.job(j).name();
-            soloIpc_[{name, threads}] = calibrator.soloIpc(name, threads);
-        }
+        for (int j = 0; j < prototype.numJobs(); ++j)
+            keys.push_back(
+                {prototype.job(j).name(),
+                 plan.threadsPerJob[static_cast<std::size_t>(j)]});
     }
+    const std::vector<double> references =
+        calibrator.soloIpcs(keys, config_.jobs);
+    for (std::size_t k = 0; k < keys.size(); ++k)
+        soloIpc_[{keys[k].workload, keys[k].threads}] = references[k];
 }
 
 JobMix

@@ -74,37 +74,42 @@ MachineExperiment::MachineExperiment(const MachineExperimentSpec &spec,
     // Solo IPC is a property of one job alone on one core; core 0's
     // configuration is the machine's reference class (on a
     // homogeneous machine that is the one configuration there is).
-    Calibrator calibrator(machineParams_.coreParams(0),
-                          machineParams_.memParams(0),
-                          config_.calibWarmupCycles,
-                          config_.calibMeasureCycles);
-    calibrator.setSampling(config_.sample);
-    calibrator.calibrate(mix_);
+    // Heterogeneity-aware policies additionally need every job's solo
+    // IPC on every core class. Classes are numbered in order of first
+    // appearance (class 0 holds core 0), so the first core of each
+    // class gets a calibrator, and all of them measure in one batch.
+    std::vector<Calibrator> calibrators;
+    const int cores = std::max(1, static_cast<int>(coreClasses_.size()));
+    for (int k = 0; k < cores; ++k) {
+        if (!coreClasses_.empty() &&
+            coreClasses_[static_cast<std::size_t>(k)] !=
+                static_cast<int>(calibrators.size()))
+            continue;
+        calibrators.emplace_back(machineParams_.coreParams(k),
+                                 machineParams_.memParams(k),
+                                 config_.calibWarmupCycles,
+                                 config_.calibMeasureCycles);
+        calibrators.back().setSampling(config_.sample);
+    }
+    std::vector<Calibrator::Request> requests;
+    for (Calibrator &calibrator : calibrators) {
+        for (int j = 0; j < mix_.numJobs(); ++j)
+            requests.push_back({&calibrator,
+                                {mix_.job(j).name(),
+                                 mix_.job(j).numThreads()}});
+    }
+    const std::vector<double> references =
+        Calibrator::measure(requests, config_.jobs);
 
+    const auto jobs = static_cast<std::ptrdiff_t>(mix_.numJobs());
+    for (int j = 0; j < mix_.numJobs(); ++j)
+        mix_.job(j).soloIpc = references[static_cast<std::size_t>(j)];
     if (coreClasses_.empty())
         return;
-    // Heterogeneity-aware policies additionally need every job's solo
-    // IPC on every core class. One calibrator per class representative
-    // -- the process-wide cache already keys on the full per-class
-    // configuration, so repeated experiments share the measurements.
-    const int num_classes =
-        1 + *std::max_element(coreClasses_.begin(), coreClasses_.end());
-    soloIpcByClass_.resize(static_cast<std::size_t>(num_classes));
-    for (int c = 0; c < num_classes; ++c) {
-        const int rep = static_cast<int>(
-            std::find(coreClasses_.begin(), coreClasses_.end(), c) -
-            coreClasses_.begin());
-        Calibrator class_calibrator(machineParams_.coreParams(rep),
-                                    machineParams_.memParams(rep),
-                                    config_.calibWarmupCycles,
-                                    config_.calibMeasureCycles);
-        class_calibrator.setSampling(config_.sample);
-        auto &references = soloIpcByClass_[static_cast<std::size_t>(c)];
-        for (int j = 0; j < mix_.numJobs(); ++j) {
-            references.push_back(class_calibrator.soloIpc(
-                mix_.job(j).name(), mix_.job(j).numThreads()));
-        }
-    }
+    for (std::ptrdiff_t c = 0;
+         c < static_cast<std::ptrdiff_t>(calibrators.size()); ++c)
+        soloIpcByClass_.emplace_back(references.begin() + c * jobs,
+                                     references.begin() + (c + 1) * jobs);
 }
 
 std::uint64_t
@@ -173,8 +178,10 @@ MachineExperiment::runSamplePhase()
     std::vector<std::string> labels;
     for (const MachineSchedule &schedule : schedules_)
         labels.push_back(schedule.label());
+    ParallelScheduleRunner::SweepSpec recipe = sweep(schedules_);
+    recipe.snapshots = &warmed_;
     kernel_.runSamplePhase(
-        runner_.runAll(sweep(schedules_), schedules_,
+        runner_.runAll(recipe, schedules_,
                        [timeslices](std::size_t) { return timeslices; }),
         labels);
 }
@@ -187,9 +194,14 @@ MachineExperiment::runSymbiosValidation(std::uint64_t symbios_cycles)
     const std::uint64_t timeslices =
         std::max<std::uint64_t>(1, cycles / timesliceCycles());
 
+    // Same schedules, same allocations: fork the sample phase's warm
+    // states, then let them go.
+    ParallelScheduleRunner::SweepSpec recipe = sweep(schedules_);
+    recipe.snapshots = &warmed_;
     kernel_.runSymbiosValidation(
-        runner_.runAll(sweep(schedules_), schedules_,
+        runner_.runAll(recipe, schedules_,
                        [timeslices](std::size_t) { return timeslices; }));
+    warmed_.clear();
 
     // Replay the measured best on a persistent machine so dumps can
     // read live cache and contention counters (publishStats binds,

@@ -230,6 +230,8 @@ class MachineExperiment
     MachineScheduleSpace space_;
     JobMix mix_; ///< calibrated prototype; tasks clone its soloIpc
     ParallelScheduleRunner runner_;
+    /** Warm states the sample phase leaves for the symbios phase. */
+    WarmSnapshots warmed_;
 
     /** @name Heterogeneity context for allocation policies @{ */
     std::vector<int> coreClasses_; ///< empty when homogeneous

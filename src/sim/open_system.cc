@@ -59,17 +59,19 @@ measuredCapacity(const SimConfig &sim, int level)
     Machine machine(sim.referenceCoreFor(level), sim.referenceMem());
     MachineEngine engine(machine, sim.timesliceCycles());
     std::vector<std::unique_ptr<Job>> jobs;
-    std::vector<double> solo;
     jobs.reserve(workloads.size());
-    solo.reserve(workloads.size());
     for (std::size_t w = 0; w < workloads.size(); ++w) {
         const WorkloadProfile &profile =
             WorkloadLibrary::instance().get(workloads[w]);
         jobs.push_back(std::make_unique<Job>(
             static_cast<std::uint32_t>(w + 1), profile,
             0xcafac17eULL ^ mix64(w + 11), 1, false));
-        solo.push_back(calibrator.soloIpc(workloads[w]));
     }
+    // The solo references are independent, so they are measured as
+    // one batch; the co-run groups below stay serial, because each
+    // group runs on the machine state the previous group left.
+    const std::vector<double> solo =
+        calibrator.soloIpcs(soloKeys(workloads), sim.jobs);
 
     // The steady-state open system mostly runs a resident coschedule
     // of `level` jobs for many consecutive timeslices, so capacity is
@@ -151,6 +153,8 @@ makeArrivalTrace(const SimConfig &sim, const OpenSystemConfig &config)
     const double mean_cycles =
         static_cast<double>(sim.scaled(config.meanJobPaperCycles));
     const auto &workloads = openSystemWorkloads();
+    const std::vector<double> solo =
+        calibrator.soloIpcs(soloKeys(workloads), sim.jobs);
 
     std::vector<JobArrival> trace;
     trace.reserve(static_cast<std::size_t>(config.numJobs));
@@ -159,15 +163,15 @@ makeArrivalTrace(const SimConfig &sim, const OpenSystemConfig &config)
         clock += rng.exponential(interarrival);
         JobArrival arrival;
         arrival.arrivalCycle = static_cast<std::uint64_t>(clock);
-        arrival.workload = workloads[rng.below(workloads.size())];
+        const std::size_t w = rng.below(workloads.size());
+        arrival.workload = workloads[w];
         // Duration in solo cycles, clamped so no job is shorter than a
         // few timeslices or absurdly long.
         double duration = rng.exponential(mean_cycles);
         duration = std::clamp(duration, mean_cycles * 0.05,
                               mean_cycles * 6.0);
-        const double solo = calibrator.soloIpc(arrival.workload);
         arrival.sizeInstructions = std::max<std::uint64_t>(
-            1000, static_cast<std::uint64_t>(duration * solo));
+            1000, static_cast<std::uint64_t>(duration * solo[w]));
         trace.push_back(std::move(arrival));
     }
     return trace;

@@ -7,7 +7,6 @@
 
 #include "common/logging.hh"
 #include "metrics/weighted_speedup.hh"
-#include "sim/snapshot.hh"
 
 namespace sos {
 
@@ -74,9 +73,10 @@ ParallelScheduleRunner::runAll(
     // Shared-warmup fast path. Every task of a group warms the same
     // mix on an identical machine with the same warm-up schedule, so
     // its post-warmup state IS the group's snapshot (DESIGN.md §5c).
-    // Warm one snapshot per group -- in parallel, the groups are
-    // independent -- then run each candidate's measured interval on a
-    // private fork.
+    // Take each group's snapshot from the experiment's store when an
+    // earlier sweep warmed the same recipe, warm the rest -- in
+    // parallel, the groups are independent -- then run each
+    // candidate's measured interval on a private fork.
     std::vector<MachineSchedule> warmups;
     std::vector<std::size_t> leader;
     std::vector<std::size_t> group_of(schedules.size());
@@ -92,9 +92,25 @@ ParallelScheduleRunner::runAll(
         group_of[i] = it->second;
     }
 
-    const auto snapshots =
+    std::vector<std::shared_ptr<const MachineSnapshot>> snapshots(
+        warmups.size());
+    std::vector<WarmSnapshots::Recipe> recipes(warmups.size());
+    std::vector<std::size_t> cold;
+    for (std::size_t g = 0; g < warmups.size(); ++g) {
+        if (sweep.snapshots != nullptr) {
+            recipes[g] = WarmSnapshots::recipe(
+                sweep.makeMix(leader[g]), sweep.machine,
+                sweep.timesliceCycles, warmups[g].label(), sweep.sample);
+            snapshots[g] = sweep.snapshots->find(recipes[g]);
+        }
+        if (snapshots[g] == nullptr)
+            cold.push_back(g);
+    }
+
+    const auto warmed =
         map<std::shared_ptr<const MachineSnapshot>>(
-            warmups.size(), [&](std::size_t g) {
+            cold.size(), [&](std::size_t c) {
+                const std::size_t g = cold[c];
                 JobMix mix = sweep.makeMix(leader[g]);
                 Machine machine(sweep.machine);
                 MachineEngine engine(machine, sweep.timesliceCycles,
@@ -103,6 +119,11 @@ ParallelScheduleRunner::runAll(
                 return std::make_shared<const MachineSnapshot>(
                     machine, mix, engine);
             });
+    for (std::size_t c = 0; c < cold.size(); ++c) {
+        snapshots[cold[c]] = warmed[c];
+        if (sweep.snapshots != nullptr)
+            sweep.snapshots->add(std::move(recipes[cold[c]]), warmed[c]);
+    }
 
     return map<ScheduleRun>(schedules.size(), [&](std::size_t i) {
         MachineSnapshot::Fork fork(*snapshots[group_of[i]]);

@@ -35,6 +35,7 @@
 #include "sched/jobmix.hh"
 #include "sched/machine_schedule.hh"
 #include "sim/machine_engine.hh"
+#include "sim/snapshot.hh"
 
 namespace sos {
 
@@ -92,6 +93,16 @@ class ParallelScheduleRunner
          * snapshot fast path and the per-task warm-up.
          */
         SampleWindows sample;
+
+        /**
+         * Where the snapshot path keeps its warm states across
+         * sweeps, or null to warm every sweep afresh. Owned by the
+         * experiment: each group looks its whole recipe up here first
+         * and only the groups not found are warmed (and then added),
+         * so a symbios phase forks the snapshot its sample phase
+         * warmed. See WarmSnapshots (sim/snapshot.hh).
+         */
+        WarmSnapshots *snapshots = nullptr;
     };
 
     /**

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hh"
 #include "metrics/calibrator.hh"
 #include "metrics/weighted_speedup.hh"
 #include "sched/jobmix.hh"
@@ -122,6 +123,147 @@ TEST(Calibrator, CalibratesWholeMix)
     calib.calibrate(mix);
     EXPECT_GT(mix.job(0).soloIpc, 0.0);
     EXPECT_GT(mix.job(1).soloIpc, 0.0);
+}
+
+/** Each reference measured one at a time into a private table. */
+std::vector<double>
+oneAtATime(const CoreParams &core, const SampleWindows &sample,
+           const std::vector<SoloKey> &keys)
+{
+    SoloIpcTable table;
+    Calibrator calib(core, MemParams{}, 20000, 50000, table);
+    calib.setSampling(sample);
+    std::vector<double> ipcs;
+    for (const SoloKey &key : keys)
+        ipcs.push_back(calib.soloIpc(key.workload, key.threads));
+    return ipcs;
+}
+
+/** Batch @p keys (after caching @p cached) at @p workers workers. */
+std::vector<double>
+batched(const CoreParams &core, const SampleWindows &sample,
+        const std::vector<SoloKey> &keys, const SoloKey &cached,
+        int workers)
+{
+    SoloIpcTable table;
+    Calibrator calib(core, MemParams{}, 20000, 50000, table);
+    calib.setSampling(sample);
+    calib.soloIpc(cached.workload, cached.threads);
+    return calib.soloIpcs(keys, workers);
+}
+
+/** Duplicates, a 2-thread ARRAY key and an already-cached key. */
+std::vector<SoloKey>
+mixedKeys()
+{
+    return {{"GCC", 1}, {"ARRAY", 2}, {"EP", 1},
+            {"GCC", 1}, {"MG", 1},    {"ARRAY", 2}};
+}
+
+CoreParams
+twoContexts()
+{
+    CoreParams params;
+    params.numContexts = 2;
+    return params;
+}
+
+TEST(Calibrator, BatchMatchesOneAtATimeBitForBit)
+{
+    const std::vector<double> expected =
+        oneAtATime(twoContexts(), SampleWindows{}, mixedKeys());
+    for (int workers : {1, 2, 8}) {
+        const std::vector<double> got = batched(
+            twoContexts(), SampleWindows{}, mixedKeys(), {"EP", 1},
+            workers);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t k = 0; k < got.size(); ++k)
+            EXPECT_EQ(got[k], expected[k]) << "key " << k << " at "
+                                           << workers << " workers";
+    }
+}
+
+TEST(Calibrator, SampledBatchMatchesOneAtATimeBitForBit)
+{
+    SampleWindows sample;
+    sample.fastForward = 4000;
+    sample.warm = 500;
+    sample.measure = 1500;
+    ASSERT_TRUE(sample.enabled());
+    const std::vector<double> expected =
+        oneAtATime(twoContexts(), sample, mixedKeys());
+    // Sampled references are not the full-detail ones.
+    EXPECT_NE(expected,
+              oneAtATime(twoContexts(), SampleWindows{}, mixedKeys()));
+    for (int workers : {1, 2, 8}) {
+        EXPECT_EQ(batched(twoContexts(), sample, mixedKeys(), {"EP", 1},
+                          workers),
+                  expected)
+            << workers << " workers";
+    }
+}
+
+TEST(Calibrator, BatchMeasuresEachKeyOnce)
+{
+    SoloIpcTable table;
+    Calibrator calib(twoContexts(), MemParams{}, 20000, 50000, table);
+    calib.soloIpc("EP");
+    EXPECT_EQ(table.measured(), 1u);
+
+    // GCC, ARRAY/2 and MG are new; EP is cached; GCC and ARRAY/2
+    // repeat.
+    const std::vector<double> ipcs = calib.soloIpcs(mixedKeys(), 8);
+    EXPECT_EQ(table.measured(), 4u);
+    EXPECT_EQ(ipcs[0], ipcs[3]);
+    EXPECT_EQ(ipcs[1], ipcs[5]);
+
+    // Another calibrator on the same table measures nothing new.
+    Calibrator other(twoContexts(), MemParams{}, 20000, 50000, table);
+    EXPECT_EQ(other.soloIpcs(mixedKeys(), 8), ipcs);
+    EXPECT_EQ(table.measured(), 4u);
+}
+
+TEST(Calibrator, BatchSpansCalibratorsAndDedupsSharedConfigs)
+{
+    SoloIpcTable table;
+    Calibrator a(twoContexts(), MemParams{}, 20000, 50000, table);
+    Calibrator same(twoContexts(), MemParams{}, 20000, 50000, table);
+    CoreParams wide = twoContexts();
+    wide.numContexts = 4;
+    Calibrator other(wide, MemParams{}, 20000, 50000, table);
+
+    const std::vector<double> ipcs = Calibrator::measure(
+        {{&a, {"FP", 1}}, {&same, {"FP", 1}}, {&other, {"FP", 1}}}, 4);
+    // a and same share a configuration; other's core differs.
+    EXPECT_EQ(table.measured(), 2u);
+    EXPECT_EQ(ipcs[0], ipcs[1]);
+    EXPECT_EQ(ipcs[0],
+              oneAtATime(twoContexts(), SampleWindows{}, {{"FP", 1}})
+                  .front());
+}
+
+TEST(Calibrator, BatchRejectsMoreThreadsThanContexts)
+{
+    SoloIpcTable table;
+    Calibrator calib(twoContexts(), MemParams{}, 20000, 50000, table);
+    EXPECT_DEATH(calib.soloIpcs({{"GCC", 1}, {"ARRAY", 3}}, 8),
+                 "more threads than contexts");
+    EXPECT_DEATH(calib.soloIpc("ARRAY", 3), "more threads than contexts");
+}
+
+TEST(Calibrator, BatchInsidePoolTaskMatches)
+{
+    // A batch started from a pool task runs inline on that task.
+    const std::vector<double> expected =
+        oneAtATime(twoContexts(), SampleWindows{}, mixedKeys());
+    ThreadPool pool(2);
+    std::vector<std::vector<double>> got(2);
+    pool.run(2, [&](std::size_t t) {
+        got[t] = batched(twoContexts(), SampleWindows{}, mixedKeys(),
+                         {"EP", 1}, 8);
+    });
+    EXPECT_EQ(got[0], expected);
+    EXPECT_EQ(got[1], expected);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "sim/batch_experiment.hh"
 #include "sim/parallel_runner.hh"
@@ -147,6 +148,99 @@ TEST(ParallelRunner, ManifestBitIdenticalAcrossWorkerCounts)
         EXPECT_EQ(serial, manifestWith("Jsb(4,2,2)", jobs));
 }
 
+/** Jsb(4,2,2)'s whole space as 1-core machine schedules. */
+std::vector<MachineSchedule>
+jsb422Schedules(const BatchExperiment &exp)
+{
+    const ScheduleSpace space(exp.spec().numUnits(), exp.spec().level,
+                              exp.spec().swap);
+    Rng rng(7);
+    std::vector<MachineSchedule> schedules;
+    for (const Schedule &schedule : space.sample(10, rng))
+        schedules.emplace_back(schedule);
+    return schedules;
+}
+
+/** Bit-for-bit equality of two sweeps' runs. */
+void
+expectRunsIdentical(const std::vector<ParallelScheduleRunner::ScheduleRun> &a,
+                    const std::vector<ParallelScheduleRunner::ScheduleRun> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        expectCountersIdentical(a[i].run.total, b[i].run.total);
+        EXPECT_EQ(a[i].run.jobRetired, b[i].run.jobRetired);
+        EXPECT_EQ(a[i].ws, b[i].ws);
+    }
+}
+
+TEST(ParallelRunner, WarmStoreForksOneSnapshotAcrossSweeps)
+{
+    const BatchExperiment exp(experimentByLabel("Jsb(4,2,2)"),
+                              makeFastConfig());
+    const std::vector<MachineSchedule> schedules = jsb422Schedules(exp);
+    const auto timeslices = [&](std::size_t i) {
+        return schedules[i].periodTimeslices();
+    };
+    const ParallelScheduleRunner runner(4);
+    const auto fresh = runner.runAll(exp.sweep(), schedules, timeslices);
+
+    WarmSnapshots store;
+    ParallelScheduleRunner::SweepSpec recipe = exp.sweep();
+    recipe.snapshots = &store;
+    expectRunsIdentical(fresh,
+                        runner.runAll(recipe, schedules, timeslices));
+    // One warm-up schedule, one mix: a single warmed snapshot...
+    ASSERT_EQ(store.size(), 1u);
+    JobMix mix = exp.sweep().makeMix(0);
+    const WarmSnapshots::Recipe key = WarmSnapshots::recipe(
+        mix, recipe.machine, recipe.timesliceCycles,
+        recipe.warmup(0).label(), recipe.sample);
+    const auto warmed = store.find(key);
+    ASSERT_NE(warmed, nullptr);
+
+    // ...that the next sweep forks instead of warming again.
+    expectRunsIdentical(fresh,
+                        runner.runAll(recipe, schedules, timeslices));
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.find(key), warmed);
+}
+
+TEST(ParallelRunner, WarmStoreKeysOnTheWholeRecipe)
+{
+    const BatchExperiment exp(experimentByLabel("Jsb(4,2,2)"),
+                              makeFastConfig());
+    const std::vector<MachineSchedule> schedules = jsb422Schedules(exp);
+    const auto timeslices = [&](std::size_t i) {
+        return schedules[i].periodTimeslices();
+    };
+    const ParallelScheduleRunner runner(4);
+
+    // The same warm-up label over a different mix (another seed) and
+    // over different sampling windows: neither may fork the first
+    // sweep's snapshot.
+    ParallelScheduleRunner::SweepSpec reseeded = exp.sweep();
+    reseeded.makeMix = [&exp](std::size_t) {
+        JobMix mix = exp.spec().makeMix(0x5eed);
+        JobMix calibrated = exp.sweep().makeMix(0);
+        for (int j = 0; j < mix.numJobs(); ++j)
+            mix.job(j).soloIpc = calibrated.job(j).soloIpc;
+        return mix;
+    };
+    ParallelScheduleRunner::SweepSpec sampled = exp.sweep();
+    sampled.sample = parseSampleWindows("2250:62:188");
+
+    WarmSnapshots store;
+    for (ParallelScheduleRunner::SweepSpec variant :
+         {exp.sweep(), reseeded, sampled}) {
+        const auto fresh = runner.runAll(variant, schedules, timeslices);
+        variant.snapshots = &store;
+        expectRunsIdentical(fresh,
+                            runner.runAll(variant, schedules, timeslices));
+    }
+    EXPECT_EQ(store.size(), 3u);
+}
+
 TEST(ParallelRunner, MapPreservesIndexOrder)
 {
     const ParallelScheduleRunner runner(4);
@@ -198,6 +292,24 @@ TEST(ThreadPool, PropagatesTaskExceptions)
         std::atomic<int> sum{0};
         pool.run(8, [&](std::size_t) { ++sum; });
         EXPECT_EQ(sum.load(), 8);
+    }
+}
+
+TEST(ThreadPool, InTaskHoldsOnlyInsideTasks)
+{
+    EXPECT_FALSE(ThreadPool::inTask());
+    for (int workers : {1, 4}) {
+        ThreadPool pool(workers);
+        std::atomic<int> inside{0};
+        pool.run(16, [&](std::size_t) {
+            // A nested inline batch leaves the outer task marked.
+            ThreadPool nested(1);
+            nested.run(1, [](std::size_t) {});
+            if (ThreadPool::inTask())
+                ++inside;
+        });
+        EXPECT_EQ(inside.load(), 16);
+        EXPECT_FALSE(ThreadPool::inTask());
     }
 }
 
