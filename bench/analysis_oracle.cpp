@@ -161,7 +161,8 @@ main(int argc, char **argv)
     std::vector<std::pair<double, double>> points;
     for (std::size_t i = 0; i < exp.schedules().size(); ++i) {
         double sum = 0.0;
-        for (const auto &tuple : exp.schedules()[i].tuples()) {
+        for (const auto &tuple :
+             exp.schedules()[i].coreSchedule(0).tuples()) {
             for (std::size_t x = 0; x < tuple.size(); ++x) {
                 for (std::size_t y = x + 1; y < tuple.size(); ++y) {
                     const int a = std::min(tuple[x], tuple[y]);

@@ -96,7 +96,8 @@ main(int argc, char **argv)
             double split_best = 0.0;
             for (std::size_t i = 0; i < exp.schedules().size(); ++i) {
                 bool together = false;
-                for (const auto &tuple : exp.schedules()[i].tuples()) {
+                for (const auto &tuple :
+                     exp.schedules()[i].coreSchedule(0).tuples()) {
                     if (tuple == std::vector<int>{8, 9})
                         together = true;
                 }

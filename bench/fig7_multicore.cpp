@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "sim/bench_harness.hh"
-#include "sim/machine_experiment.hh"
+#include "sim/batch_experiment.hh"
 #include "sim/reporting.hh"
 
 int
@@ -36,7 +36,7 @@ main(int argc, char **argv)
     const stats::Group experiments = harness.group("experiments");
     // publishStats binds into each experiment, so they must stay
     // alive until the manifest is written.
-    std::vector<std::unique_ptr<MachineExperiment>> kept;
+    std::vector<std::unique_ptr<BatchExperiment>> kept;
 
     printBanner("Figure 7: machine-level SOS on a CMP of SMT cores");
     TablePrinter table({"Machine", "schedules", "worst WS", "best WS",
@@ -44,7 +44,7 @@ main(int argc, char **argv)
                        {13, 10, 9, 8, 8, 8});
     table.printHeader();
 
-    for (const MachineExperimentSpec &spec : machineExperiments()) {
+    for (const ExperimentSpec &spec : machineExperiments()) {
         // A loaded machine config fixes the core count; skip the
         // machines the configured hardware cannot host. Without a
         // config every machine runs (the pre-config sweep).
@@ -52,8 +52,8 @@ main(int argc, char **argv)
             spec.numCores != config.machineCores)
             continue;
         kept.push_back(
-            std::make_unique<MachineExperiment>(spec, config));
-        MachineExperiment &exp = *kept.back();
+            std::make_unique<BatchExperiment>(spec, config));
+        BatchExperiment &exp = *kept.back();
         exp.runSamplePhase();
         exp.runSymbiosValidation();
         const double pct =
@@ -81,11 +81,11 @@ main(int argc, char **argv)
     }
 
     for (std::size_t i = 0; i < kept.size(); ++i) {
-        MachineExperiment &exp = *kept[i];
-        std::vector<MachineExperiment::PolicyResult> results;
+        BatchExperiment &exp = *kept[i];
+        std::vector<BatchExperiment::PolicyResult> results;
         for (const std::string &name : policy_names) {
             results.push_back(exp.evaluatePolicy(name));
-            const MachineExperiment::PolicyResult &result =
+            const BatchExperiment::PolicyResult &result =
                 results.back();
             policies.printRow({exp.spec().label, result.policy,
                                result.allocationLabel,
@@ -106,7 +106,7 @@ main(int argc, char **argv)
         // stays byte-identical to the pre-config-file bench.
         if (!config.heteroCores.empty()) {
             const stats::Group policyStats = expGroup.group("policies");
-            for (const MachineExperiment::PolicyResult &result :
+            for (const BatchExperiment::PolicyResult &result :
                  results) {
                 const stats::Group g = policyStats.group(
                     stats::sanitizeSegment(result.policy));

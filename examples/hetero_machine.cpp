@@ -18,7 +18,7 @@
 
 #include "config/machine_config.hh"
 #include "sim/config_env.hh"
-#include "sim/machine_experiment.hh"
+#include "sim/batch_experiment.hh"
 #include "sim/reporting.hh"
 
 int
@@ -71,14 +71,13 @@ main()
     // Four jobs on the 2-core machine: sample machine schedules --
     // under heterogeneity, swapping the groups across the two cores
     // is a *different* schedule -- then ask each policy to place.
-    MachineExperimentSpec spec;
-    spec.label = "Jm(4,2,2,2)-bigLITTLE";
-    spec.workloads = {"FP", "MG", "GCC", "IS"};
-    spec.numCores = parsed.numCores;
-    spec.level = 2;
-    spec.swap = 2;
+    const ExperimentSpec spec{
+        .label = "Jm(4,2,2,2)-bigLITTLE",
+        .entries = {{"FP"}, {"MG"}, {"GCC"}, {"IS"}},
+        .numCores = parsed.numCores,
+    };
 
-    MachineExperiment experiment(spec, config);
+    BatchExperiment experiment(spec, config);
     experiment.runSamplePhase();
     experiment.runSymbiosValidation();
 
@@ -98,7 +97,7 @@ main()
     table.printHeader();
     for (const char *name :
          {"naive", "balanced-icount", "big-core-first", "synpa-class"}) {
-        const MachineExperiment::PolicyResult &result =
+        const BatchExperiment::PolicyResult &result =
             experiment.evaluatePolicy(name);
         table.printRow({result.policy, result.allocationLabel,
                         fmt(result.avgWs, 3), fmt(result.bestWs, 3)});

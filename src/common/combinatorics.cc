@@ -249,4 +249,25 @@ gcdInt(int a, int b)
     return a;
 }
 
+std::string
+groupLabel(const std::vector<int> &group)
+{
+    std::string out = "{";
+    for (std::size_t i = 0; i < group.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        out += std::to_string(group[i]);
+    }
+    return out + '}';
+}
+
+std::string
+partitionLabel(const Partition &partition)
+{
+    std::string out;
+    for (const std::vector<int> &group : partition)
+        out += groupLabel(group);
+    return out;
+}
+
 } // namespace sos

@@ -20,6 +20,7 @@
 #define SOS_COMMON_COMBINATORICS_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace sos {
@@ -107,6 +108,12 @@ enumerateMixedRadix(const std::vector<std::uint64_t> &radices);
  */
 std::vector<int> mapThroughGroup(const std::vector<int> &local,
                                  const std::vector<int> &group);
+
+/** "{a,b,c}" for one group of identifiers. */
+std::string groupLabel(const std::vector<int> &group);
+
+/** The groups' labels in order, e.g. "{0,1}{2,3}". */
+std::string partitionLabel(const Partition &partition);
 
 } // namespace sos
 

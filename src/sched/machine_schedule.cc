@@ -11,57 +11,6 @@ namespace sos {
 
 namespace {
 
-/** Map a local partition of {0..g-1} through a sorted group. */
-Schedule
-scheduleFromLocalPartition(const Partition &local,
-                           const std::vector<int> &group)
-{
-    Partition mapped;
-    mapped.reserve(local.size());
-    for (const std::vector<int> &tuple : local)
-        mapped.push_back(mapThroughGroup(tuple, group));
-    return Schedule::fromPartition(mapped);
-}
-
-/** Every distinct schedule of one core's (sorted) group. */
-std::vector<Schedule>
-groupSchedules(const std::vector<int> &group, int level, int swap)
-{
-    const int g = static_cast<int>(group.size());
-    if (g == level)
-        return {Schedule::fromPartition({group})};
-    const ScheduleSpace local(g, level, swap);
-    std::vector<Schedule> out;
-    if (local.fullSwap()) {
-        for (const Partition &p : enumerateEqualPartitions(g, level))
-            out.push_back(scheduleFromLocalPartition(p, group));
-        return out;
-    }
-    for (const std::vector<int> &order : enumerateCircularOrders(g)) {
-        out.push_back(Schedule::fromRotation(
-            mapThroughGroup(order, group), level, swap));
-    }
-    return out;
-}
-
-/** One uniformly random schedule of one core's (sorted) group. */
-Schedule
-randomGroupSchedule(const std::vector<int> &group, int level, int swap,
-                    Rng &rng)
-{
-    const int g = static_cast<int>(group.size());
-    if (g == level)
-        return Schedule::fromPartition({group});
-    const ScheduleSpace local(g, level, swap);
-    if (local.fullSwap()) {
-        return scheduleFromLocalPartition(
-            randomEqualPartition(g, level, rng), group);
-    }
-    return Schedule::fromRotation(
-        mapThroughGroup(randomCircularOrder(g, rng), group), level,
-        swap);
-}
-
 /** Every unit a schedule names, ascending. */
 std::vector<int>
 unitsOf(const Schedule &schedule)
@@ -107,6 +56,10 @@ MachineSchedule::MachineSchedule(Partition allocation,
     for (std::size_t k = 0; k < perCore_.size(); ++k) {
         SOS_ASSERT(!allocation_[k].empty(), "a core with no jobs");
         SOS_ASSERT(perCore_[k].valid(), "invalid per-core schedule");
+        if (perCore_.size() == 1) {
+            label_ = perCore_[k].label();
+            continue;
+        }
         if (k > 0)
             label_ += '|';
         label_ += 'c' + std::to_string(k) + '[' +
@@ -331,7 +284,8 @@ MachineScheduleSpace::schedulesForAllocation(const Partition &allocation,
         SOS_ASSERT(static_cast<int>(raw.size()) == groupSize_,
                    "allocation groups must hold X/C jobs each");
         groups.push_back(sortedGroup(raw));
-        choices.push_back(groupSchedules(groups.back(), level_, swap_));
+        choices.push_back(ScheduleSpace(groupSize_, level_, swap_)
+                              .enumerateOver(groups.back()));
         radices.push_back(choices.back().size());
     }
     std::uint64_t count = 1;
@@ -368,8 +322,8 @@ MachineScheduleSpace::allocationRandom(const Partition &allocation,
         SOS_ASSERT(static_cast<int>(raw.size()) == groupSize_,
                    "allocation groups must hold X/C jobs each");
         groups.push_back(sortedGroup(raw));
-        per_core.push_back(
-            randomGroupSchedule(groups.back(), level_, swap_, rng));
+        per_core.push_back(ScheduleSpace(groupSize_, level_, swap_)
+                               .randomOver(groups.back(), rng));
     }
     return MachineSchedule(std::move(groups), std::move(per_core),
                            classes_);

@@ -93,7 +93,9 @@ class MachineSchedule
 
     /**
      * Readable per-core label, e.g. "c0[01_23]|c1[45_67]" -- reflects
-     * the actual core assignment.
+     * the actual core assignment. A 1-core schedule carries its
+     * core's label alone ("012_345"), as the paper's single SMT core
+     * labels its schedules.
      */
     const std::string &label() const { return label_; }
 

@@ -1,6 +1,7 @@
 #include "schedule.hh"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "common/logging.hh"
@@ -32,6 +33,26 @@ anyWide(const std::vector<std::vector<int>> &tuples)
         }
     }
     return false;
+}
+
+/** Every job of a J(X,Y,Z) space under its own index. */
+std::vector<int>
+everyJob(int num_jobs)
+{
+    std::vector<int> jobs(static_cast<std::size_t>(num_jobs));
+    std::iota(jobs.begin(), jobs.end(), 0);
+    return jobs;
+}
+
+/** A full-swap schedule from a local partition mapped through @p group. */
+Schedule
+fromLocalPartition(const Partition &local, const std::vector<int> &group)
+{
+    Partition mapped;
+    mapped.reserve(local.size());
+    for (const std::vector<int> &tuple : local)
+        mapped.push_back(mapThroughGroup(tuple, group));
+    return Schedule::fromPartition(mapped);
 }
 
 std::string
@@ -141,41 +162,56 @@ ScheduleSpace::periodTimeslices() const
 std::vector<Schedule>
 ScheduleSpace::enumerateAll(std::uint64_t limit) const
 {
+    return enumerateOver(everyJob(numJobs_), limit);
+}
+
+std::vector<Schedule>
+ScheduleSpace::enumerateOver(const std::vector<int> &group,
+                             std::uint64_t limit) const
+{
+    SOS_ASSERT(static_cast<int>(group.size()) == numJobs_,
+               "one identifier per job required");
     const std::uint64_t count = distinctCount();
     if (count > limit) {
         fatal("schedule space of ", count,
               " schedules exceeds the enumeration limit of ", limit);
     }
+    if (numJobs_ == level_)
+        return {Schedule::fromPartition({group})};
     std::vector<Schedule> out;
-    if (numJobs_ == level_) {
-        std::vector<int> everyone(static_cast<std::size_t>(numJobs_));
-        for (int j = 0; j < numJobs_; ++j)
-            everyone[static_cast<std::size_t>(j)] = j;
-        out.push_back(Schedule::fromPartition({everyone}));
-        return out;
-    }
     if (fullSwap_) {
         for (const Partition &p :
              enumerateEqualPartitions(numJobs_, level_))
-            out.push_back(Schedule::fromPartition(p));
+            out.push_back(fromLocalPartition(p, group));
         return out;
     }
-    for (const auto &order : enumerateCircularOrders(numJobs_))
-        out.push_back(Schedule::fromRotation(order, level_, swap_));
+    for (const auto &order : enumerateCircularOrders(numJobs_)) {
+        out.push_back(Schedule::fromRotation(
+            mapThroughGroup(order, group), level_, swap_));
+    }
     return out;
 }
 
 Schedule
 ScheduleSpace::random(Rng &rng) const
 {
+    return randomOver(everyJob(numJobs_), rng);
+}
+
+Schedule
+ScheduleSpace::randomOver(const std::vector<int> &group, Rng &rng) const
+{
+    SOS_ASSERT(static_cast<int>(group.size()) == numJobs_,
+               "one identifier per job required");
     if (numJobs_ == level_)
-        return enumerateAll().front();
+        return Schedule::fromPartition({group});
     if (fullSwap_) {
-        return Schedule::fromPartition(
-            randomEqualPartition(numJobs_, level_, rng));
+        return fromLocalPartition(
+            randomEqualPartition(numJobs_, level_, rng), group);
     }
-    return Schedule::fromRotation(randomCircularOrder(numJobs_, rng),
-                                  level_, swap_);
+    return Schedule::fromRotation(
+        mapThroughGroup(randomCircularOrder(numJobs_, rng), group),
+        level_, swap_);
 }
 
 std::vector<Schedule>

@@ -116,8 +116,19 @@ class ScheduleSpace
      */
     std::vector<Schedule> enumerateAll(std::uint64_t limit = 100000) const;
 
+    /**
+     * enumerateAll() with job i relabelled to @p group[i] (X sorted
+     * identifiers): one core's schedules over its share of a
+     * machine's jobs.
+     */
+    std::vector<Schedule> enumerateOver(const std::vector<int> &group,
+                                        std::uint64_t limit = 100000) const;
+
     /** Draw one schedule uniformly at random. */
     Schedule random(Rng &rng) const;
+
+    /** random() relabelled through @p group, drawing the same numbers. */
+    Schedule randomOver(const std::vector<int> &group, Rng &rng) const;
 
     /**
      * Draw up to @p count distinct schedules: the whole space when it

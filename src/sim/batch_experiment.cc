@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "metrics/calibrator.hh"
 #include "model/model.hh"
 #include "sos/model_screen.hh"
 #include "stats/stats.hh"
@@ -14,20 +15,19 @@ namespace sos {
 namespace {
 
 /**
- * The neutral warmup schedule: cycle every job through the machine
- * once so no candidate is charged for compulsory cache and predictor
- * misses. (The paper's 5 M-cycle timeslices amortize cold start; our
- * scaled ones need this.)
+ * The machine a spec runs on. The paper's SMT core is a 1-core
+ * machine at the experiment's level (never machineFor(), which
+ * describes a configured CMP).
  */
-Schedule
-warmupSchedule(const ExperimentSpec &spec)
+MachineParams
+machineOf(const ExperimentSpec &spec, const SimConfig &config)
 {
-    std::vector<int> order(static_cast<std::size_t>(spec.numUnits()));
-    for (std::size_t u = 0; u < order.size(); ++u)
-        order[u] = static_cast<int>(u);
-    return spec.numUnits() == spec.level
-               ? Schedule::fromPartition({order})
-               : Schedule::fromRotation(order, spec.level, spec.swap);
+    if (spec.numCores > 1)
+        return config.machineFor(spec.level, spec.numCores);
+    MachineParams params;
+    params.core = config.coreFor(spec.level);
+    params.mem = config.mem;
+    return params;
 }
 
 } // namespace
@@ -35,14 +35,59 @@ warmupSchedule(const ExperimentSpec &spec)
 BatchExperiment::BatchExperiment(const ExperimentSpec &spec,
                                  const SimConfig &config)
     : spec_(spec), config_(config),
+      machineParams_(machineOf(spec, config)),
+      space_(spec.numUnits(), spec.numCores, spec.level, spec.swap,
+             machineParams_.coreClasses()),
       mix_(spec.makeMix(config.seed ^ hashLabel(spec.label))),
       runner_(config.jobs)
 {
-    Calibrator calibrator(config_.coreFor(spec_.level), config_.mem,
-                          config_.calibWarmupCycles,
-                          config_.calibMeasureCycles);
-    calibrator.setSampling(config_.sample);
-    calibrator.calibrate(mix_, config_.jobs);
+    if (spec_.numCores > 1) {
+        for (const ExperimentSpec::Entry &entry : spec_.entries)
+            SOS_ASSERT(entry.threads == 1,
+                       "multicore experiments take single-threaded jobs");
+    }
+    if (space_.heterogeneous())
+        coreClasses_ = space_.coreClasses();
+
+    // Solo IPC is a property of one job alone on one core; core 0's
+    // configuration is the machine's reference class (on a
+    // homogeneous machine that is the one configuration there is).
+    // Heterogeneity-aware policies additionally need every job's solo
+    // IPC on every core class. Classes are numbered in order of first
+    // appearance (class 0 holds core 0), so the first core of each
+    // class gets a calibrator, and all of them measure in one batch.
+    std::vector<Calibrator> calibrators;
+    const int cores = std::max(1, static_cast<int>(coreClasses_.size()));
+    for (int k = 0; k < cores; ++k) {
+        if (!coreClasses_.empty() &&
+            coreClasses_[static_cast<std::size_t>(k)] !=
+                static_cast<int>(calibrators.size()))
+            continue;
+        calibrators.emplace_back(machineParams_.coreParams(k),
+                                 machineParams_.memParams(k),
+                                 config_.calibWarmupCycles,
+                                 config_.calibMeasureCycles);
+        calibrators.back().setSampling(config_.sample);
+    }
+    std::vector<Calibrator::Request> requests;
+    for (Calibrator &calibrator : calibrators) {
+        for (int j = 0; j < mix_.numJobs(); ++j)
+            requests.push_back({&calibrator,
+                                {mix_.job(j).name(),
+                                 mix_.job(j).numThreads()}});
+    }
+    const std::vector<double> references =
+        Calibrator::measure(requests, config_.jobs);
+
+    const auto jobs = static_cast<std::ptrdiff_t>(mix_.numJobs());
+    for (int j = 0; j < mix_.numJobs(); ++j)
+        mix_.job(j).soloIpc = references[static_cast<std::size_t>(j)];
+    if (coreClasses_.empty())
+        return;
+    for (std::ptrdiff_t c = 0;
+         c < static_cast<std::ptrdiff_t>(calibrators.size()); ++c)
+        soloIpcByClass_.emplace_back(references.begin() + c * jobs,
+                                     references.begin() + (c + 1) * jobs);
 }
 
 std::uint64_t
@@ -52,27 +97,55 @@ BatchExperiment::timesliceCycles() const
                         : config_.timesliceCycles();
 }
 
-ParallelScheduleRunner::SweepSpec
-BatchExperiment::sweep() const
+std::uint64_t
+BatchExperiment::symbiosTimeslices(std::uint64_t symbios_cycles) const
 {
-    ParallelScheduleRunner::SweepSpec recipe;
+    const std::uint64_t cycles =
+        symbios_cycles > 0 ? symbios_cycles : config_.symbiosCycles();
+    return std::max<std::uint64_t>(1, cycles / timesliceCycles());
+}
+
+JobMix
+BatchExperiment::freshMix() const
+{
     // Every task rebuilds the same mix from the same seed, so all
     // candidates see identical workload streams; the prototype's
     // calibration is copied instead of re-measured.
-    recipe.makeMix = [this](std::size_t) {
-        JobMix mix =
-            spec_.makeMix(config_.seed ^ hashLabel(spec_.label));
-        for (int j = 0; j < mix.numJobs(); ++j)
-            mix.job(j).soloIpc = mix_.job(j).soloIpc;
-        return mix;
-    };
-    // The paper's SMT core: a 1-core machine at this experiment's
-    // level (never machineFor(), which describes a configured CMP).
-    recipe.machine.core = config_.coreFor(spec_.level);
-    recipe.machine.mem = config_.mem;
+    JobMix mix = spec_.makeMix(config_.seed ^ hashLabel(spec_.label));
+    for (int j = 0; j < mix.numJobs(); ++j)
+        mix.job(j).soloIpc = mix_.job(j).soloIpc;
+    return mix;
+}
+
+MachineSchedule
+BatchExperiment::warmupFor(const Partition &allocation) const
+{
+    std::vector<Schedule> per_core;
+    per_core.reserve(allocation.size());
+    for (const std::vector<int> &raw : allocation) {
+        std::vector<int> group = raw;
+        std::sort(group.begin(), group.end());
+        per_core.push_back(
+            static_cast<int>(group.size()) == spec_.level
+                ? Schedule::fromPartition({group})
+                : Schedule::fromRotation(group, spec_.level,
+                                         spec_.swap));
+    }
+    return MachineSchedule(allocation, std::move(per_core));
+}
+
+ParallelScheduleRunner::SweepSpec
+BatchExperiment::sweep(const std::vector<MachineSchedule> &schedules) const
+{
+    ParallelScheduleRunner::SweepSpec recipe;
+    recipe.makeMix = [this](std::size_t) { return freshMix(); };
+    recipe.machine = machineParams_;
     recipe.timesliceCycles = timesliceCycles();
-    const MachineSchedule warm(warmupSchedule(spec_));
-    recipe.warmup = [warm](std::size_t) { return warm; };
+    // warmupFor() depends on the allocation alone, so candidates that
+    // share an allocation share one warmed snapshot.
+    recipe.warmup = [this, &schedules](std::size_t i) {
+        return warmupFor(schedules[i].allocation());
+    };
     recipe.useSnapshot = config_.snapshot;
     recipe.sample = config_.sample;
     return recipe;
@@ -80,20 +153,21 @@ BatchExperiment::sweep() const
 
 std::vector<ParallelScheduleRunner::ScheduleRun>
 BatchExperiment::runCandidates(
-    const std::vector<Schedule> &schedules,
+    const std::vector<MachineSchedule> &schedules,
     const std::function<std::uint64_t(std::size_t)> &timeslices)
 {
-    ParallelScheduleRunner::SweepSpec recipe = sweep();
+    ParallelScheduleRunner::SweepSpec recipe = sweep(schedules);
     recipe.snapshots = &warmed_;
-    return runner_.runAll(
-        recipe, std::vector<MachineSchedule>(schedules.begin(),
-                                             schedules.end()),
-        timeslices);
+    return runner_.runAll(recipe, schedules, timeslices);
 }
 
-std::vector<model::ThreadSignature>
-BatchExperiment::unitSignatures() const
+std::vector<model::FeatureVector>
+BatchExperiment::candidateFeatures() const
 {
+    SOS_ASSERT(spec_.numCores == 1,
+               "candidate features describe one SMT core");
+    SOS_ASSERT(!schedules_.empty(), "run the sample phase first");
+    // Static per-unit signatures of the calibrated mix.
     std::vector<model::ThreadSignature> signatures;
     for (int u = 0; u < mix_.numUnits(); ++u) {
         const Job *job = mix_.unit(u).job;
@@ -101,20 +175,11 @@ BatchExperiment::unitSignatures() const
         signatures.push_back(model::makeThreadSignature(
             static_cast<int>(job->id()), job->profile(), job->soloIpc));
     }
-    return signatures;
-}
-
-std::vector<model::FeatureVector>
-BatchExperiment::candidateFeatures() const
-{
-    SOS_ASSERT(!schedules_.empty(), "run the sample phase first");
-    const std::vector<model::ThreadSignature> signatures =
-        unitSignatures();
     std::vector<model::FeatureVector> features;
     features.reserve(schedules_.size());
-    for (const Schedule &schedule : schedules_)
+    for (const MachineSchedule &schedule : schedules_)
         features.push_back(model::composeScheduleFeatures(
-            signatures, schedule.tuples()));
+            signatures, schedule.coreSchedule(0).tuples()));
     return features;
 }
 
@@ -139,7 +204,7 @@ BatchExperiment::runScreenedSamplePhase(std::uint64_t periods)
     }
     const std::vector<std::size_t> shortlist = samplekShortlist(
         predicted, std::move(uncertain), config_.samplek);
-    std::vector<Schedule> shortlisted;
+    std::vector<MachineSchedule> shortlisted;
     for (std::size_t i : shortlist)
         shortlisted.push_back(schedules_[i]);
 
@@ -167,20 +232,19 @@ void
 BatchExperiment::runSamplePhase()
 {
     Rng rng(config_.seed ^ hashLabel(spec_.label) ^ 0x5a3217e1ULL);
-
-    const ScheduleSpace space(spec_.numUnits(), spec_.level, spec_.swap);
-    schedules_ = space.sample(config_.sampleSchedules, rng);
+    schedules_ = space_.sample(config_.sampleSchedules, rng);
 
     const auto periods =
         static_cast<std::uint64_t>(std::max(1, config_.samplePeriods));
 
-    if (config_.samplek > 0 && !config_.modelPath.empty()) {
+    if (spec_.numCores == 1 && config_.samplek > 0 &&
+        !config_.modelPath.empty()) {
         runScreenedSamplePhase(periods);
         return;
     }
 
     std::vector<std::string> labels;
-    for (const Schedule &schedule : schedules_)
+    for (const MachineSchedule &schedule : schedules_)
         labels.push_back(schedule.label());
     kernel_.runSamplePhase(
         runCandidates(schedules_,
@@ -194,16 +258,101 @@ BatchExperiment::runSamplePhase()
 void
 BatchExperiment::runSymbiosValidation(std::uint64_t symbios_cycles)
 {
-    const std::uint64_t cycles =
-        symbios_cycles > 0 ? symbios_cycles : config_.symbiosCycles();
-    const std::uint64_t timeslices =
-        std::max<std::uint64_t>(1, cycles / timesliceCycles());
-
+    const std::uint64_t timeslices = symbiosTimeslices(symbios_cycles);
     kernel_.runSymbiosValidation(runCandidates(
         schedules_, [timeslices](std::size_t) { return timeslices; }));
     // The last phase that forks the warm state; a finished experiment
     // (harnesses keep them for their stats dumps) holds no snapshot.
     warmed_.clear();
+    if (spec_.numCores > 1)
+        replayBest(timeslices);
+}
+
+void
+BatchExperiment::replayBest(std::uint64_t timeslices)
+{
+    const std::vector<double> &symbios = kernel_.symbiosWs();
+    bestIndex_ = static_cast<int>(
+        std::max_element(symbios.begin(), symbios.end()) -
+        symbios.begin());
+    const MachineSchedule &best =
+        schedules_[static_cast<std::size_t>(bestIndex_)];
+    JobMix mix = freshMix();
+    statsMachine_ = std::make_unique<Machine>(machineParams_);
+    MachineEngine engine(*statsMachine_, timesliceCycles(),
+                         config_.sample);
+    const MachineSchedule warm = warmupFor(best.allocation());
+    engine.setSampleRecording(false);
+    engine.runSchedule(mix, warm, warm.periodTimeslices());
+    engine.setSampleRecording(true);
+    bestRun_ = engine.runSchedule(mix, best, timeslices);
+    engine.evictAll();
+}
+
+const BatchExperiment::PolicyResult &
+BatchExperiment::evaluatePolicy(const std::string &name,
+                                std::uint64_t symbios_cycles)
+{
+    SOS_ASSERT(!kernel_.profiles().empty(),
+               "run the sample phase first");
+    const std::unique_ptr<ThreadToCorePolicy> policy =
+        makeThreadToCorePolicy(name);
+
+    AllocationContext ctx;
+    ctx.numJobs = spec_.numUnits();
+    ctx.numCores = spec_.numCores;
+    for (int j = 0; j < mix_.numJobs(); ++j)
+        ctx.soloIpc.push_back(mix_.job(j).soloIpc);
+    ctx.samples = coscheduleSamples();
+    ctx.seed = config_.seed ^ hashLabel(spec_.label);
+    ctx.coreClass = coreClasses_;
+    ctx.soloIpcByClass = soloIpcByClass_;
+
+    PolicyResult result;
+    result.policy = policy->name();
+    result.allocation = policy->allocate(ctx);
+    result.allocationLabel = partitionLabel(result.allocation);
+
+    const std::vector<MachineSchedule> schedules =
+        space_.schedulesForAllocation(result.allocation);
+    const std::uint64_t timeslices = symbiosTimeslices(symbios_cycles);
+    const std::vector<ParallelScheduleRunner::ScheduleRun> runs =
+        runner_.runAll(sweep(schedules), schedules,
+                       [timeslices](std::size_t) { return timeslices; });
+
+    double total = 0.0;
+    double best = 0.0;
+    for (const ParallelScheduleRunner::ScheduleRun &run : runs) {
+        total += run.ws;
+        best = std::max(best, run.ws);
+    }
+    result.schedulesRun = static_cast<int>(runs.size());
+    result.bestWs = best;
+    result.avgWs = runs.empty()
+                       ? 0.0
+                       : total / static_cast<double>(runs.size());
+    policyResults_.push_back(std::move(result));
+    return policyResults_.back();
+}
+
+std::vector<CoscheduleSample>
+BatchExperiment::coscheduleSamples() const
+{
+    const std::vector<ScheduleProfile> &profiles = kernel_.profiles();
+    std::vector<CoscheduleSample> samples;
+    samples.reserve(profiles.size());
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        CoscheduleSample sample;
+        const MachineSchedule &schedule = schedules_[i];
+        for (int k = 0; k < schedule.numCores(); ++k) {
+            const auto &tuples = schedule.coreSchedule(k).tuples();
+            sample.tuples.insert(sample.tuples.end(), tuples.begin(),
+                                 tuples.end());
+        }
+        sample.ws = profiles[i].sampleWs;
+        samples.push_back(std::move(sample));
+    }
+    return samples;
 }
 
 void
@@ -211,33 +360,76 @@ BatchExperiment::publishStats(const stats::Group &group) const
 {
     group.info("label", "experiment label") = spec_.label;
     kernel_.publishStats(group);
+
+    if (statsMachine_) {
+        // The acceptance-visible per-core groups: machine.l2.*,
+        // machine.core<k>.{l1i,l1d,itlb,dtlb,prefetch,l2_contention},
+        // plus each core's best-run pipeline counters.
+        const stats::Group machine = group.group("machine");
+        machine.info("best_schedule",
+                     "machine schedule replayed for these counters") =
+            schedules_[static_cast<std::size_t>(bestIndex_)].label();
+        statsMachine_->registerStats(machine);
+        for (std::size_t k = 0; k < bestRun_.perCore.size(); ++k) {
+            bestRun_.perCore[k].registerStats(
+                machine.group("core" + std::to_string(k))
+                    .group("perf"));
+        }
+    }
+
+    for (const PolicyResult &policy : policyResults_) {
+        const stats::Group pg =
+            group.group("policy").group(policy.policy);
+        pg.info("allocation", "jobs-to-cores partition chosen") =
+            policy.allocationLabel;
+        pg.value("best_ws", "best symbios WS under the allocation") =
+            policy.bestWs;
+        pg.value("avg_ws", "mean symbios WS under the allocation") =
+            policy.avgWs;
+        pg.value("schedules_run",
+                 "per-core schedule combinations measured") =
+            static_cast<double>(policy.schedulesRun);
+    }
 }
 
 void
 BatchExperiment::recordTrace(stats::EventTrace &trace) const
 {
     const std::vector<ScheduleProfile> &profiles = kernel_.profiles();
+    const bool cmp = spec_.numCores > 1;
     // Candidate features ride along so sostrain can join them against
     // the symbios_result labels without re-deriving the mix.
     const std::vector<model::FeatureVector> features =
-        candidateFeatures();
+        cmp ? std::vector<model::FeatureVector>{} : candidateFeatures();
     const std::vector<std::string> &names = model::featureNames();
     for (std::size_t i = 0; i < profiles.size(); ++i) {
         auto event =
-            trace.event("sample_candidate")
+            trace.event(cmp ? "machine_sample_candidate"
+                            : "sample_candidate")
                 .field("experiment", spec_.label)
                 .field("index", static_cast<std::uint64_t>(i))
                 .field("schedule", profiles[i].label)
                 .field("sample_ws", profiles[i].sampleWs)
-                .field("ipc", profiles[i].counters.ipc())
-                .field("features_version",
-                       static_cast<std::uint64_t>(
-                           model::kFeatureSchemaVersion));
+                .field("ipc", profiles[i].counters.ipc());
+        if (cmp)
+            continue;
+        event.field("features_version", static_cast<std::uint64_t>(
+                                            model::kFeatureSchemaVersion));
         for (std::size_t f = 0; f < names.size(); ++f)
             event.field("feat_" + names[f], features[i][f]);
     }
-    kernel_.recordSymbios(trace, spec_.label, "predictor_vote",
-                          "symbios_result");
+    kernel_.recordSymbios(
+        trace, spec_.label,
+        cmp ? "machine_predictor_vote" : "predictor_vote",
+        cmp ? "machine_symbios_result" : "symbios_result");
+    for (const PolicyResult &policy : policyResults_) {
+        trace.event("allocation_policy")
+            .field("experiment", spec_.label)
+            .field("policy", policy.policy)
+            .field("allocation", policy.allocationLabel)
+            .field("best_ws", policy.bestWs)
+            .field("avg_ws", policy.avgWs);
+    }
 }
 
 } // namespace sos

@@ -1,6 +1,8 @@
 /**
  * @file
- * Closed-system (fixed jobmix) SOS experiment.
+ * Closed-system (fixed jobmix) SOS experiment Jm(X,C,Y,Z): X runnable
+ * jobs on C SMT cores of level Y swapping Z jobs per timeslice. The
+ * paper's Js(X,Y,Z) experiments are the C=1 case.
  *
  * Reproduces the paper's Section 5 methodology: sample a set of
  * distinct schedules (10, or the whole space when smaller), profile
@@ -8,10 +10,20 @@
  * progress, then run every sampled schedule for the symbios duration
  * and measure its weighted speedup. Predictors are then judged by
  * the symbios WS of the schedule they would have picked from the
- * sample-phase profiles alone (Table 3, Figures 1-3).
+ * sample-phase profiles alone (Table 3, Figures 1-3). On a CMP a
+ * candidate is a machine schedule -- a thread-to-core allocation plus
+ * a per-core coschedule sequence each -- and the counters sum over
+ * cores, which is the machine-level SOS the multicore figure reports.
  *
- * Each candidate schedule is profiled on private machine state (its
- * own core, engine and jobmix rebuilt from the spec), so candidates
+ * The same sample-phase data also feeds the thread-to-core *policy*
+ * comparison: a ThreadToCorePolicy fixes only the allocation, and the
+ * experiment measures the symbios WS over that allocation's per-core
+ * schedule choices -- what an OS choosing placements without (naive,
+ * random), with coarse (balanced-icount), or with full (synpa)
+ * symbiosis information would achieve.
+ *
+ * Each candidate is profiled on private machine state (its own
+ * machine, engine and jobmix rebuilt from the spec), so candidates
  * are compared from bit-identical starting conditions and the whole
  * sweep fans out across worker threads deterministically; see
  * ParallelScheduleRunner for the contract.
@@ -22,15 +34,19 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/predictor.hh"
 #include "core/schedule_profile.hh"
-#include "metrics/calibrator.hh"
+#include "core/thread_to_core.hh"
+#include "cpu/machine.hh"
 #include "model/features.hh"
 #include "sched/jobmix.hh"
-#include "sched/schedule.hh"
+#include "sched/machine_schedule.hh"
 #include "sim/experiment_defs.hh"
+#include "sim/machine_engine.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/sim_config.hh"
 #include "sos/kernel.hh"
@@ -42,10 +58,27 @@ class EventTrace;
 class Group;
 } // namespace stats
 
-/** Runs the sample and symbios phases of one Table 1 experiment. */
+/** Runs the sample and symbios phases of one closed experiment. */
 class BatchExperiment
 {
   public:
+    /** Outcome of evaluating one thread-to-core allocation policy. */
+    struct PolicyResult
+    {
+        std::string policy;       ///< registry key
+        Partition allocation;     ///< the partition the policy chose
+        std::string allocationLabel; ///< e.g. "{0,1,2,3}{4,5,6,7}"
+        double bestWs = 0.0; ///< best symbios WS over the allocation
+        double avgWs = 0.0;  ///< mean symbios WS over the allocation
+        int schedulesRun = 0; ///< per-core schedule combinations run
+    };
+
+    /**
+     * Calibrates the mix's solo IPCs (once per core class). A 1-core
+     * spec runs on the homogeneous coreFor(level)/mem core even when
+     * a machine config is loaded; C > 1 builds machineFor(level, C),
+     * and every job must then be single-threaded.
+     */
     BatchExperiment(const ExperimentSpec &spec, const SimConfig &config);
 
     /**
@@ -57,17 +90,34 @@ class BatchExperiment
     /**
      * Symbios validation: run every sampled schedule for the symbios
      * duration and record its measured weighted speedup. Requires a
-     * completed sample phase.
+     * completed sample phase. On a CMP it also replays the best-WS
+     * candidate on a persistent stats machine so publishStats() can
+     * expose live per-core cache counters.
      *
      * @param symbios_cycles Override; 0 uses the config default.
      */
     void runSymbiosValidation(std::uint64_t symbios_cycles = 0);
 
+    /**
+     * Evaluate a thread-to-core policy: let it pick an allocation
+     * (from solo IPCs and the sample-phase coschedule measurements),
+     * then measure the symbios WS of every per-core schedule choice
+     * under that fixed allocation. Requires a completed sample phase;
+     * results accumulate for publishStats()/recordTrace().
+     */
+    const PolicyResult &
+    evaluatePolicy(const std::string &name,
+                   std::uint64_t symbios_cycles = 0);
+
     const ExperimentSpec &spec() const { return spec_; }
     const SimConfig &config() const { return config_; }
+    const MachineScheduleSpace &space() const { return space_; }
     JobMix &mix() { return mix_; }
 
-    const std::vector<Schedule> &schedules() const { return schedules_; }
+    const std::vector<MachineSchedule> &schedules() const
+    {
+        return schedules_;
+    }
     const std::vector<ScheduleProfile> &profiles() const
     {
         return kernel_.profiles();
@@ -79,8 +129,9 @@ class BatchExperiment
      * signatures and each schedule's tuple structure. Pure static
      * information -- computable before any candidate is simulated --
      * which is what lets the samplek screen shortlist candidates and
-     * the learned predictor score them. Requires a completed sample
-     * phase (the schedules must have been drawn).
+     * the learned predictor score them. Single-core experiments only;
+     * requires a completed sample phase (the schedules must have been
+     * drawn).
      */
     std::vector<model::FeatureVector> candidateFeatures() const;
 
@@ -119,33 +170,55 @@ class BatchExperiment
         return kernel_.wsOfPredictor(predictor);
     }
 
+    /** Policy evaluations so far, in evaluation order. */
+    const std::vector<PolicyResult> &policyResults() const
+    {
+        return policyResults_;
+    }
+
     /**
-     * The recipe every phase runs its candidates with (candidates are
-     * lifted to 1-core MachineSchedules): private mixes cloned from
-     * the calibrated prototype on a 1-core machine at the
-     * experiment's level, each warmed by one period of the neutral
-     * rotation.
+     * Sample-phase measurements in the form SYNPA-style policies
+     * consume: per candidate, the per-core coschedule tuples of one
+     * period plus the sampled WS.
      */
-    ParallelScheduleRunner::SweepSpec sweep() const;
+    std::vector<CoscheduleSample> coscheduleSamples() const;
+
+    /**
+     * The recipe every phase runs @p schedules with: private mixes
+     * cloned from the calibrated prototype on private machines, each
+     * candidate warmed by one period of its allocation's neutral
+     * rotation (shared through one snapshot per allocation unless
+     * SimConfig::snapshot is off). The recipe refers to @p schedules,
+     * which must outlive it.
+     */
+    ParallelScheduleRunner::SweepSpec
+    sweep(const std::vector<MachineSchedule> &schedules) const;
 
     /**
      * Register everything this experiment measured under @p group:
      * one "candidate<i>" subtree per sampled schedule (label, sample
      * and symbios WS, balance/diversity signals, the full counter
      * snapshot) plus the sample-phase cost and, once the symbios
-     * validation ran, the best/worst/average summary. Stats bind to
-     * this experiment's storage, so it must outlive any dump. Call
-     * after the phases you want visible have completed.
+     * validation ran, the best/worst/average summary. A CMP adds a
+     * "machine" subtree with the stats machine's shared-L2 and
+     * per-core cache counters (plus each core's best-run pipeline
+     * counters under "core<k>.perf"), and every evaluated policy adds
+     * a "policy.<name>" subtree. Stats bind to this experiment's
+     * storage, so it must outlive any dump. Call after the phases you
+     * want visible have completed.
      */
     void publishStats(const stats::Group &group) const;
 
     /**
      * Append this experiment's scheduler decisions to @p trace: one
-     * "sample_candidate" event per profiled schedule, then (after the
-     * symbios validation) every predictor's "predictor_vote" and the
-     * measured "symbios_result" per candidate. Events are appended
-     * from the merged, index-ordered results, preserving the sweep
-     * determinism contract.
+     * sample-candidate event per profiled schedule, then (after the
+     * symbios validation) every predictor's vote and the measured
+     * symbios result per candidate, then one "allocation_policy" per
+     * evaluated policy. A single core writes "sample_candidate" (with
+     * the candidate's model features), "predictor_vote" and
+     * "symbios_result"; a CMP writes the "machine_"-prefixed names.
+     * Events are appended from the merged, index-ordered results,
+     * preserving the sweep determinism contract.
      */
     void recordTrace(stats::EventTrace &trace) const;
 
@@ -153,16 +226,28 @@ class BatchExperiment
     /** Engine quantum for this experiment in simulated cycles. */
     std::uint64_t timesliceCycles() const;
 
+    /** Symbios-phase timeslices for a @p symbios_cycles override. */
+    std::uint64_t symbiosTimeslices(std::uint64_t symbios_cycles) const;
+
+    /** Rebuild the calibrated mix a private task runs on. */
+    JobMix freshMix() const;
+
     /**
-     * Run @p schedules for timeslices(i) quanta each on sweep(),
-     * forking the warm state an earlier phase kept in warmed_.
+     * The neutral warmup schedule for an allocation: each core cycles
+     * its own group once, so no candidate is charged for compulsory
+     * cache and predictor misses. (The paper's 5 M-cycle timeslices
+     * amortize cold start; our scaled ones need this.)
+     */
+    MachineSchedule warmupFor(const Partition &allocation) const;
+
+    /**
+     * Run @p schedules for timeslices(i) quanta each on
+     * sweep(schedules), forking the warm state an earlier phase kept
+     * in warmed_.
      */
     std::vector<ParallelScheduleRunner::ScheduleRun> runCandidates(
-        const std::vector<Schedule> &schedules,
+        const std::vector<MachineSchedule> &schedules,
         const std::function<std::uint64_t(std::size_t)> &timeslices);
-
-    /** Static per-unit signatures of the calibrated mix. */
-    std::vector<model::ThreadSignature> unitSignatures() const;
 
     /**
      * The samplek screen: score every candidate with the model named
@@ -172,15 +257,37 @@ class BatchExperiment
      */
     void runScreenedSamplePhase(std::uint64_t periods);
 
+    /**
+     * Replay the measured best candidate for @p timeslices on a
+     * persistent machine, so dumps can read live cache and contention
+     * counters (publishStats binds, never copies).
+     */
+    void replayBest(std::uint64_t timeslices);
+
     ExperimentSpec spec_;
     SimConfig config_;
+    MachineParams machineParams_; ///< the machine every candidate runs on
+    MachineScheduleSpace space_;
     JobMix mix_; ///< calibrated prototype; tasks clone its soloIpc
     ParallelScheduleRunner runner_;
     /** Warmed once by the sample phase, forked again by the symbios. */
     WarmSnapshots warmed_;
 
-    std::vector<Schedule> schedules_;
+    /** @name Heterogeneity context for allocation policies @{ */
+    std::vector<int> coreClasses_; ///< empty when homogeneous
+    std::vector<std::vector<double>> soloIpcByClass_;
+    /** @} */
+
+    std::vector<MachineSchedule> schedules_;
     SosKernel kernel_; ///< owns profiles, symbios WS, phase cycles
+
+    std::vector<PolicyResult> policyResults_;
+
+    /** @name Best-candidate replay for live machine stats (CMP) @{ */
+    std::unique_ptr<Machine> statsMachine_;
+    MachineEngine::MachineRunResult bestRun_;
+    int bestIndex_ = -1;
+    /** @} */
 };
 
 } // namespace sos

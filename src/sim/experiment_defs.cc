@@ -112,6 +112,24 @@ experimentByLabel(const std::string &label)
     fatal("unknown experiment '", label, "'");
 }
 
+const std::vector<ExperimentSpec> &
+machineExperiments()
+{
+    // The Jsb(8,4,4) jobs (Table 1) redistributed over a CMP: the
+    // same eight single-threaded jobs on two and on four two-way
+    // cores. Jm(8,2,2,2) has 35 allocations x 3^2 per-core schedules
+    // = 315 machine schedules; Jm(8,4,2,2) has 105.
+    static const std::vector<ExperimentSpec> experiments = [] {
+        const auto eight = singles(
+            {"FP", "MG", "WAVE", "SWIM", "GCC", "GCC", "GO", "IS"});
+        return std::vector<ExperimentSpec>{
+            {"Jm(8,2,2,2)", eight, 2, 2, false, 2},
+            {"Jm(8,4,2,2)", eight, 2, 2, false, 4},
+        };
+    }();
+    return experiments;
+}
+
 JobMix
 HierarchicalSpec::makeMix(std::uint64_t seed) const
 {

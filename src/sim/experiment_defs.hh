@@ -5,7 +5,9 @@
  * An experiment is labelled Jmn(X,Y,Z): X runnable jobs, SMT level Y,
  * Z jobs swapped per timeslice; m in {s,p} for single-threaded vs
  * parallel-including mixes, n in {b,l} for the big (5 M-cycle) vs
- * little timeslice.
+ * little timeslice. The CMP extension Jm(X,C,Y,Z) runs X
+ * single-threaded jobs on C SMT cores sharing the L2; the paper's
+ * experiments are its C=1 case.
  */
 
 #ifndef SOS_SIM_EXPERIMENT_DEFS_HH
@@ -34,6 +36,7 @@ struct ExperimentSpec
     int level = 2;              ///< Y: multithreading level
     int swap = 2;               ///< Z: jobs replaced per timeslice
     bool little = false;        ///< 'l': small timeslice
+    int numCores = 1;           ///< C: SMT cores sharing the L2
 
     /** X: number of schedulable units. */
     int numUnits() const;
@@ -50,6 +53,12 @@ const std::vector<ExperimentSpec> &paperExperiments();
 
 /** Look up an experiment by its label; fatal() if unknown. */
 const ExperimentSpec &experimentByLabel(const std::string &label);
+
+/**
+ * The multicore-figure sweep Jm(8,C,2,2): the Jsb(8,4,4) jobs on two
+ * and on four two-way cores.
+ */
+const std::vector<ExperimentSpec> &machineExperiments();
 
 /**
  * The Section 7 hierarchical-symbiosis mixes, one per SMT level
@@ -73,8 +82,8 @@ const std::vector<HierarchicalSpec> &hierarchicalExperiments();
 const std::vector<std::string> &openSystemWorkloads();
 
 /**
- * Stable per-label seed derivation (64-bit FNV-1a): the batch and
- * machine experiments seed their mix and candidate draw from it.
+ * Stable per-label seed derivation (64-bit FNV-1a): closed
+ * experiments seed their mix and candidate draw from it.
  */
 std::uint64_t hashLabel(const std::string &label);
 

@@ -8,8 +8,8 @@
  * from bit-identical machine state and tasks fan out across worker
  * threads with no shared mutable state at all. Every closed-system
  * experiment runs its candidates here: the paper's single SMT core is
- * the 1-core case (batch and hierarchical lift their Schedules into
- * 1-core MachineSchedules), the CMP experiments the C-core case.
+ * the 1-core case (hierarchical lifts its Schedules into 1-core
+ * MachineSchedules), a CMP the C-core case.
  *
  * Determinism contract (see DESIGN.md):
  *  - results are a function of the task index only, never of worker

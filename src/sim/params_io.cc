@@ -49,6 +49,19 @@ parseU64(const std::string &key, const std::string &value)
     return parsed;
 }
 
+std::uint32_t
+parseU32(const std::string &key, const std::string &value)
+{
+    const std::uint64_t parsed = parseU64(key, value);
+    // Never narrow silently: 4294967296 bytes is not 0.
+    if (parsed > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::invalid_argument("value for " + key +
+                                    " is out of range for a 32-bit "
+                                    "unsigned: '" + value + "'");
+    }
+    return static_cast<std::uint32_t>(parsed);
+}
+
 int
 parseInt(const std::string &key, const std::string &value)
 {
@@ -106,7 +119,7 @@ parseBool(const std::string &key, const std::string &value)
 #define SOS_FIELD_U32(path, doc)                                            \
     Field{#path, doc,                                                       \
           [](SimConfig &c, const std::string &v) {                          \
-              c.path = static_cast<std::uint32_t>(parseU64(#path, v));      \
+              c.path = parseU32(#path, v);                                  \
           },                                                                \
           [](const SimConfig &c) { return std::to_string(c.path); }}
 

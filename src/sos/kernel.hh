@@ -77,7 +77,7 @@ class SosKernel
      */
     static void advance(Phase &phase, Phase next);
 
-    /** @name Closed mode (batch / hierarchical / machine drivers) @{ */
+    /** @name Closed mode (batch / hierarchical drivers) @{ */
 
     /**
      * SAMPLE: record one ScheduleProfile per candidate run (profiled

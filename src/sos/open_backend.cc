@@ -13,21 +13,6 @@ namespace sos {
 
 namespace {
 
-/** "{a,b,c}" for a pool-index group. */
-std::string
-groupLabel(const std::vector<int> &group)
-{
-    std::ostringstream out;
-    out << '{';
-    for (std::size_t i = 0; i < group.size(); ++i) {
-        if (i > 0)
-            out << ',';
-        out << group[i];
-    }
-    out << '}';
-    return out.str();
-}
-
 /** Local-position schedule for a group of @p size jobs on an
  *  @p level-context core (the open system always swaps fully). */
 Schedule

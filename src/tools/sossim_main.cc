@@ -35,7 +35,6 @@
 #include "sim/bench_harness.hh"
 #include "sim/config_env.hh"
 #include "sim/hierarchical_experiment.hh"
-#include "sim/machine_experiment.hh"
 #include "sim/open_system.hh"
 #include "sim/params_io.hh"
 #include "sim/reporting.hh"
@@ -474,8 +473,8 @@ cmdMachine(const Args &args)
     // experiment its core count can host, defaulting to the 2-core CMP.
     const int cores = args.intFlag(
         "cores", config.machineCores > 0 ? config.machineCores : 2);
-    const MachineExperimentSpec *chosen = nullptr;
-    for (const MachineExperimentSpec &spec : machineExperiments()) {
+    const ExperimentSpec *chosen = nullptr;
+    for (const ExperimentSpec &spec : machineExperiments()) {
         if (spec.numCores == cores)
             chosen = &spec;
     }
@@ -483,7 +482,7 @@ cmdMachine(const Args &args)
         fatal("no machine experiment with ", cores,
               " cores (try `sossim machine --help`)");
 
-    MachineExperiment exp(*chosen, config);
+    BatchExperiment exp(*chosen, config);
     exp.runSamplePhase();
     exp.runSymbiosValidation();
 
@@ -501,7 +500,7 @@ cmdMachine(const Args &args)
 
     std::printf("\nthread-to-core allocation policies:\n");
     for (const std::string &name : threadToCorePolicyNames()) {
-        const MachineExperiment::PolicyResult &result =
+        const BatchExperiment::PolicyResult &result =
             exp.evaluatePolicy(name);
         std::printf("  %-16s %-24s avg WS %.3f  best WS %.3f\n",
                     result.policy.c_str(),

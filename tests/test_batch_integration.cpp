@@ -115,7 +115,8 @@ TEST(BatchIntegration, SplittingTightArrayThreadsIsPenalized)
     // Find the schedule that pairs units 2 and 3 (the ARRAY threads).
     int together = -1;
     for (std::size_t i = 0; i < exp.schedules().size(); ++i) {
-        for (const auto &tuple : exp.schedules()[i].tuples()) {
+        for (const auto &tuple :
+             exp.schedules()[i].coreSchedule(0).tuples()) {
             if (tuple == std::vector<int>{2, 3})
                 together = static_cast<int>(i);
         }

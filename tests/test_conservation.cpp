@@ -30,7 +30,6 @@
 
 #include "sim/batch_experiment.hh"
 #include "sim/hierarchical_experiment.hh"
-#include "sim/machine_experiment.hh"
 #include "sim/params_io.hh"
 
 namespace sos {
@@ -130,9 +129,8 @@ TEST_P(Conservation, BatchCandidateRuns)
     exp.runSamplePhase();
     exp.runSymbiosValidation();
 
-    const ParallelScheduleRunner::SweepSpec sweep = exp.sweep();
-    const std::vector<MachineSchedule> schedules(exp.schedules().begin(),
-                                                 exp.schedules().end());
+    const std::vector<MachineSchedule> &schedules = exp.schedules();
+    const ParallelScheduleRunner::SweepSpec sweep = exp.sweep(schedules);
     const auto periods =
         static_cast<std::uint64_t>(std::max(1, config.samplePeriods));
     expectSamplePhase(
@@ -192,9 +190,9 @@ TEST_P(Conservation, HierarchicalCandidateRuns)
 TEST_P(Conservation, MachineCandidateRuns)
 {
     const SimConfig config = configFor(GetParam());
-    const MachineExperimentSpec &spec = machineExperiments()[0];
+    const ExperimentSpec &spec = machineExperiments()[0];
     ASSERT_EQ(spec.label, "Jm(8,2,2,2)");
-    MachineExperiment exp(spec, config);
+    BatchExperiment exp(spec, config);
     exp.runSamplePhase();
     exp.runSymbiosValidation();
 

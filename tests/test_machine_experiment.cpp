@@ -1,37 +1,35 @@
 /**
  * @file
- * Machine-level experiment tests: the machine sweep obeys the sweep
- * determinism contract -- profiles and symbios WS are bit-identical
- * for any worker count (the SOS_JOBS=1/2/8 acceptance check, run
- * in-process via config.jobs). That the 1-core machine is the paper's
- * SMT core is pinned by the batch golden (test_adapter_equivalence),
- * which the 1-core MachineEngine path must reproduce byte-for-byte.
+ * Machine-level experiment tests: a closed experiment on a CMP
+ * (Jm(X,C,Y,Z), C > 1) obeys the sweep determinism contract --
+ * profiles and symbios WS are bit-identical for any worker count (the
+ * SOS_JOBS=1/2/8 acceptance check, run in-process via config.jobs).
+ * That the 1-core case is the paper's SMT core is pinned by the batch
+ * golden (test_adapter_equivalence).
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "sim/machine_experiment.hh"
+#include "sim/batch_experiment.hh"
 
 namespace sos {
 namespace {
 
-MachineExperimentSpec
+ExperimentSpec
 smallSpec()
 {
-    MachineExperimentSpec spec;
-    spec.label = "Jm(4,2,2,2)";
-    spec.workloads = {"FP", "MG", "GCC", "IS"};
-    spec.numCores = 2;
-    spec.level = 2;
-    spec.swap = 2;
-    return spec;
+    return {
+        .label = "Jm(4,2,2,2)",
+        .entries = {{"FP"}, {"MG"}, {"GCC"}, {"IS"}},
+        .numCores = 2,
+    };
 }
 
 TEST(MachineExperiment, SweepIsBitIdenticalForAnyWorkerCount)
 {
-    const MachineExperimentSpec spec = smallSpec();
+    const ExperimentSpec spec = smallSpec();
 
     struct Observed
     {
@@ -43,7 +41,7 @@ TEST(MachineExperiment, SweepIsBitIdenticalForAnyWorkerCount)
     for (const int jobs : {1, 2, 8}) {
         SimConfig config = makeFastConfig();
         config.jobs = jobs;
-        MachineExperiment exp(spec, config);
+        BatchExperiment exp(spec, config);
         exp.runSamplePhase();
         exp.runSymbiosValidation();
         Observed obs;
@@ -69,14 +67,14 @@ TEST(MachineExperiment, SweepIsBitIdenticalForAnyWorkerCount)
 
 TEST(MachineExperiment, PolicyEvaluationIsDeterministicAndWellFormed)
 {
-    const MachineExperimentSpec spec = smallSpec();
+    const ExperimentSpec spec = smallSpec();
     SimConfig config = makeFastConfig();
     config.jobs = 2;
-    MachineExperiment exp(spec, config);
+    BatchExperiment exp(spec, config);
     exp.runSamplePhase();
 
     for (const std::string &name : threadToCorePolicyNames()) {
-        const MachineExperiment::PolicyResult &result =
+        const BatchExperiment::PolicyResult &result =
             exp.evaluatePolicy(name);
         EXPECT_EQ(result.policy, name);
         EXPECT_EQ(static_cast<int>(result.allocation.size()),
@@ -89,7 +87,7 @@ TEST(MachineExperiment, PolicyEvaluationIsDeterministicAndWellFormed)
               threadToCorePolicyNames().size());
 
     // A second experiment replays the synpa evaluation identically.
-    MachineExperiment again(spec, config);
+    BatchExperiment again(spec, config);
     again.runSamplePhase();
     const auto &a = exp.policyResults().front();
     const auto &b = again.evaluatePolicy(a.policy);
@@ -99,10 +97,10 @@ TEST(MachineExperiment, PolicyEvaluationIsDeterministicAndWellFormed)
 
 TEST(MachineExperiment, CoscheduleSamplesCoverEveryCandidate)
 {
-    const MachineExperimentSpec spec = smallSpec();
+    const ExperimentSpec spec = smallSpec();
     SimConfig config = makeFastConfig();
     config.jobs = 1;
-    MachineExperiment exp(spec, config);
+    BatchExperiment exp(spec, config);
     exp.runSamplePhase();
     const std::vector<CoscheduleSample> samples =
         exp.coscheduleSamples();

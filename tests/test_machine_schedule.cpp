@@ -2,8 +2,9 @@
  * @file
  * MachineSchedule / MachineScheduleSpace tests: the distinct counts
  * the header advertises, enumeration with canonical-key dedup,
- * core-permutation key invariance, rejection sampling, and the
- * fixed-allocation product used by the allocation policies.
+ * core-permutation key invariance, rejection sampling, the
+ * fixed-allocation product used by the allocation policies, and the
+ * 1-core case that stands in for the paper's single SMT core.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 
 #include "common/rng.hh"
 #include "sched/machine_schedule.hh"
+#include "sim/experiment_defs.hh"
 
 namespace sos {
 namespace {
@@ -138,6 +140,65 @@ TEST(MachineScheduleSpace, RandomIsDeterministicInTheSeed)
 }
 
 // --- Heterogeneous machines: core classes partition the symmetry ---
+
+TEST(MachineScheduleSpace, OneCoreDrawsTheSingleCoreSchedules)
+{
+    // Js(X,Y,Z) is Jm(X,1,Y,Z): for every Table 1 experiment, seed and
+    // sample size, the 1-core space draws the ScheduleSpace schedules
+    // in the same order and leaves the RNG in the same state -- so a
+    // closed experiment's candidates do not depend on which space
+    // drew them.
+    int cases = 0;
+    for (const ExperimentSpec &spec : paperExperiments()) {
+        const ScheduleSpace single(spec.numUnits(), spec.level,
+                                   spec.swap);
+        const MachineScheduleSpace machine(spec.numUnits(), 1,
+                                           spec.level, spec.swap);
+        EXPECT_EQ(machine.distinctCount(), single.distinctCount());
+        EXPECT_EQ(machine.periodTimeslices(), single.periodTimeslices());
+        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+            for (const int count : {3, 10, 24}) {
+                SCOPED_TRACE(spec.label + " seed " +
+                             std::to_string(seed) + " count " +
+                             std::to_string(count));
+                Rng single_rng(hashLabel(spec.label) ^ seed);
+                Rng machine_rng(hashLabel(spec.label) ^ seed);
+                const std::vector<Schedule> expected =
+                    single.sample(count, single_rng);
+                const std::vector<MachineSchedule> drawn =
+                    machine.sample(count, machine_rng);
+                ASSERT_EQ(drawn.size(), expected.size());
+                for (std::size_t i = 0; i < drawn.size(); ++i) {
+                    ASSERT_EQ(drawn[i].numCores(), 1);
+                    EXPECT_EQ(drawn[i].label(), expected[i].label());
+                    EXPECT_EQ(drawn[i].coreSchedule(0).tuples(),
+                              expected[i].tuples());
+                    EXPECT_EQ(drawn[i].periodTimeslices(),
+                              expected[i].periodTimeslices());
+                }
+                EXPECT_EQ(machine_rng.next(), single_rng.next())
+                    << "the draws consumed different RNG streams";
+                ++cases;
+            }
+        }
+    }
+    EXPECT_EQ(cases, 195);
+}
+
+TEST(MachineSchedule, OneCoreCarriesItsCoreLabel)
+{
+    const Schedule one = Schedule::fromPartition({{0, 1, 2}, {3, 4, 5}});
+    EXPECT_EQ(MachineSchedule(one).label(), "012_345");
+    const MachineSchedule lifted({{0, 1, 2, 3, 4, 5}}, {one});
+    EXPECT_EQ(lifted.label(), one.label());
+
+    // More cores keep the per-core form.
+    const MachineSchedule two(
+        {{0, 1}, {2, 3}},
+        {Schedule::fromPartition({{0, 1}}),
+         Schedule::fromPartition({{2, 3}})});
+    EXPECT_EQ(two.label(), "c0[01]|c1[23]");
+}
 
 TEST(HeteroMachineScheduleSpace, DistinctCountScalesByClassPartition)
 {

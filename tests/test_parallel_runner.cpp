@@ -152,13 +152,8 @@ TEST(ParallelRunner, ManifestBitIdenticalAcrossWorkerCounts)
 std::vector<MachineSchedule>
 jsb422Schedules(const BatchExperiment &exp)
 {
-    const ScheduleSpace space(exp.spec().numUnits(), exp.spec().level,
-                              exp.spec().swap);
     Rng rng(7);
-    std::vector<MachineSchedule> schedules;
-    for (const Schedule &schedule : space.sample(10, rng))
-        schedules.emplace_back(schedule);
-    return schedules;
+    return exp.space().sample(10, rng);
 }
 
 /** Bit-for-bit equality of two sweeps' runs. */
@@ -183,16 +178,16 @@ TEST(ParallelRunner, WarmStoreForksOneSnapshotAcrossSweeps)
         return schedules[i].periodTimeslices();
     };
     const ParallelScheduleRunner runner(4);
-    const auto fresh = runner.runAll(exp.sweep(), schedules, timeslices);
+    const auto fresh = runner.runAll(exp.sweep(schedules), schedules, timeslices);
 
     WarmSnapshots store;
-    ParallelScheduleRunner::SweepSpec recipe = exp.sweep();
+    ParallelScheduleRunner::SweepSpec recipe = exp.sweep(schedules);
     recipe.snapshots = &store;
     expectRunsIdentical(fresh,
                         runner.runAll(recipe, schedules, timeslices));
     // One warm-up schedule, one mix: a single warmed snapshot...
     ASSERT_EQ(store.size(), 1u);
-    JobMix mix = exp.sweep().makeMix(0);
+    JobMix mix = exp.sweep(schedules).makeMix(0);
     const WarmSnapshots::Recipe key = WarmSnapshots::recipe(
         mix, recipe.machine, recipe.timesliceCycles,
         recipe.warmup(0).label(), recipe.sample);
@@ -219,20 +214,20 @@ TEST(ParallelRunner, WarmStoreKeysOnTheWholeRecipe)
     // The same warm-up label over a different mix (another seed) and
     // over different sampling windows: neither may fork the first
     // sweep's snapshot.
-    ParallelScheduleRunner::SweepSpec reseeded = exp.sweep();
-    reseeded.makeMix = [&exp](std::size_t) {
+    ParallelScheduleRunner::SweepSpec reseeded = exp.sweep(schedules);
+    reseeded.makeMix = [&exp, &schedules](std::size_t) {
         JobMix mix = exp.spec().makeMix(0x5eed);
-        JobMix calibrated = exp.sweep().makeMix(0);
+        JobMix calibrated = exp.sweep(schedules).makeMix(0);
         for (int j = 0; j < mix.numJobs(); ++j)
             mix.job(j).soloIpc = calibrated.job(j).soloIpc;
         return mix;
     };
-    ParallelScheduleRunner::SweepSpec sampled = exp.sweep();
+    ParallelScheduleRunner::SweepSpec sampled = exp.sweep(schedules);
     sampled.sample = parseSampleWindows("2250:62:188");
 
     WarmSnapshots store;
     for (ParallelScheduleRunner::SweepSpec variant :
-         {exp.sweep(), reseeded, sampled}) {
+         {exp.sweep(schedules), reseeded, sampled}) {
         const auto fresh = runner.runAll(variant, schedules, timeslices);
         variant.snapshots = &store;
         expectRunsIdentical(fresh,

@@ -117,6 +117,30 @@ TEST(ParamsIo, BadValueIsFatal)
                  "not a boolean");
 }
 
+TEST(ParamsIo, U32FieldsRejectValuesAboveTheirWidth)
+{
+    // A value a 32-bit field cannot hold is an error, never a wrapped
+    // number: 2^32 bytes must not run as 0, nor 2^32 + 8 ways as 8.
+    SimConfig config;
+    applyOverride(config, "mem.l1d.sizeBytes=4294967295");
+    EXPECT_EQ(config.mem.l1d.sizeBytes, 4294967295u);
+    EXPECT_DEATH(applyOverride(config, "mem.l1d.sizeBytes=4294967296"),
+                 "mem.l1d.sizeBytes is out of range for a 32-bit "
+                 "unsigned: '4294967296'");
+    EXPECT_DEATH(applyOverride(config, "mem.l2.assoc=4294967304"),
+                 "mem.l2.assoc is out of range");
+
+    // The non-fatal path (machine configs) names the same error and
+    // leaves the field untouched.
+    std::string error;
+    EXPECT_FALSE(
+        tryApplyOverride(config, "mem.l2.assoc", "4294967304", error));
+    EXPECT_NE(error.find("mem.l2.assoc is out of range"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(config.mem.l2.assoc, SimConfig().mem.l2.assoc);
+}
+
 TEST(ParamsIo, CatalogueCoversRoundTrip)
 {
     // Every advertised key must accept its own rendered default.

@@ -38,7 +38,6 @@
 #include "cpu/machine.hh"
 #include "sched/job.hh"
 #include "sim/batch_experiment.hh"
-#include "sim/machine_experiment.hh"
 #include "sim/params_io.hh"
 #include "stats/manifest.hh"
 #include "stats/stats.hh"
@@ -265,13 +264,12 @@ fig7ConfigManifest(int jobs)
         stats::Group(registry).group("experiments");
     std::string document;
     {
-        MachineExperimentSpec spec;
-        spec.label = "Jm(4,2,2,2)";
-        spec.workloads = {"FP", "MG", "GCC", "IS"};
-        spec.numCores = 2;
-        spec.level = 2;
-        spec.swap = 2;
-        MachineExperiment exp(spec, config);
+        const ExperimentSpec spec{
+            .label = "Jm(4,2,2,2)",
+            .entries = {{"FP"}, {"MG"}, {"GCC"}, {"IS"}},
+            .numCores = 2,
+        };
+        BatchExperiment exp(spec, config);
         exp.runSamplePhase();
         exp.runSymbiosValidation();
         exp.publishStats(

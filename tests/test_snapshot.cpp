@@ -15,7 +15,6 @@
 
 #include "common/rng.hh"
 #include "sim/batch_experiment.hh"
-#include "sim/machine_experiment.hh"
 #include "sim/params_io.hh"
 #include "sim/snapshot.hh"
 #include "stats/manifest.hh"
@@ -63,14 +62,13 @@ TEST(Snapshot, SingleCoreForkMatchesOriginal)
 TEST(Snapshot, MachineForkMatchesOriginal)
 {
     const SimConfig config = makeFastConfig();
-    MachineExperimentSpec spec;
-    spec.label = "Jm(4,2,2,2)";
-    spec.workloads = {"FP", "MG", "GCC", "IS"};
-    spec.numCores = 2;
-    spec.level = 2;
-    spec.swap = 2;
+    const ExperimentSpec spec{
+        .label = "Jm(4,2,2,2)",
+        .entries = {{"FP"}, {"MG"}, {"GCC"}, {"IS"}},
+        .numCores = 2,
+    };
 
-    const MachineScheduleSpace space(spec.numJobs(), spec.numCores,
+    const MachineScheduleSpace space(spec.numUnits(), spec.numCores,
                                      spec.level, spec.swap);
     Rng rng(7);
     const std::vector<MachineSchedule> schedules = space.sample(2, rng);
@@ -171,12 +169,11 @@ TEST(Snapshot, BatchManifestIdenticalAcrossSnapshotAndJobs)
 
 TEST(Snapshot, MachineExperimentIdenticalAcrossSnapshotAndJobs)
 {
-    MachineExperimentSpec spec;
-    spec.label = "Jm(4,2,2,2)";
-    spec.workloads = {"FP", "MG", "GCC", "IS"};
-    spec.numCores = 2;
-    spec.level = 2;
-    spec.swap = 2;
+    const ExperimentSpec spec{
+        .label = "Jm(4,2,2,2)",
+        .entries = {{"FP"}, {"MG"}, {"GCC"}, {"IS"}},
+        .numCores = 2,
+    };
 
     struct Observed
     {
@@ -190,7 +187,7 @@ TEST(Snapshot, MachineExperimentIdenticalAcrossSnapshotAndJobs)
             SimConfig config = makeFastConfig();
             config.snapshot = snapshot;
             config.jobs = jobs;
-            MachineExperiment exp(spec, config);
+            BatchExperiment exp(spec, config);
             exp.runSamplePhase();
             exp.runSymbiosValidation();
             Observed obs;
