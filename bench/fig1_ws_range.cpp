@@ -25,9 +25,11 @@ main(int argc, char **argv)
     BenchHarness harness("fig1_ws_range", argc, argv);
     const SimConfig &config = harness.config();
     const stats::Group experiments = harness.group("experiments");
+    ThreadPool pool(resolveJobs(config.jobs));
     // publishStats binds into each experiment, so they must stay
     // alive until the manifest is written.
-    std::vector<std::unique_ptr<BatchExperiment>> kept;
+    const std::vector<std::unique_ptr<BatchExperiment>> kept =
+        runExperiments(paperExperiments(), config, pool);
 
     printBanner("Figure 1: worst and best weighted speedup");
     TablePrinter table({"Experiment", "worst WS", "best WS", "avg WS",
@@ -43,11 +45,9 @@ main(int argc, char **argv)
     };
     std::vector<Entry> entries;
 
-    for (const ExperimentSpec &spec : paperExperiments()) {
-        kept.push_back(std::make_unique<BatchExperiment>(spec, config));
-        BatchExperiment &exp = *kept.back();
-        exp.runSamplePhase();
-        exp.runSymbiosValidation();
+    for (const std::unique_ptr<BatchExperiment> &experiment : kept) {
+        const BatchExperiment &exp = *experiment;
+        const ExperimentSpec &spec = exp.spec();
         exp.publishStats(
             experiments.group(stats::sanitizeSegment(spec.label)));
         if (harness.wantsTrace())

@@ -23,7 +23,9 @@ main(int argc, char **argv)
     BenchHarness harness("fig3_sos_jobmixes", argc, argv);
     const SimConfig &config = harness.config();
     const stats::Group experiments = harness.group("experiments");
-    std::vector<std::unique_ptr<BatchExperiment>> kept;
+    ThreadPool pool(resolveJobs(config.jobs));
+    const std::vector<std::unique_ptr<BatchExperiment>> kept =
+        runExperiments(paperExperiments(), config, pool);
     const auto predictors = makeAllPredictors();
 
     printBanner("Figure 3: WS achieved by SOS per predictor");
@@ -51,11 +53,9 @@ main(int argc, char **argv)
     };
     ParallelResult jpb, j2pb;
 
-    for (const ExperimentSpec &spec : paperExperiments()) {
-        kept.push_back(std::make_unique<BatchExperiment>(spec, config));
-        BatchExperiment &exp = *kept.back();
-        exp.runSamplePhase();
-        exp.runSymbiosValidation();
+    for (const std::unique_ptr<BatchExperiment> &experiment : kept) {
+        const BatchExperiment &exp = *experiment;
+        const ExperimentSpec &spec = exp.spec();
         const stats::Group expGroup =
             experiments.group(stats::sanitizeSegment(spec.label));
         exp.publishStats(expGroup);

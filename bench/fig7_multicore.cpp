@@ -34,9 +34,21 @@ main(int argc, char **argv)
     BenchHarness harness("fig7_multicore", argc, argv);
     const SimConfig &config = harness.config();
     const stats::Group experiments = harness.group("experiments");
+
+    // A loaded machine config fixes the core count; skip the machines
+    // the configured hardware cannot host. Without a config every
+    // machine runs (the pre-config sweep).
+    std::vector<ExperimentSpec> specs;
+    for (const ExperimentSpec &spec : machineExperiments()) {
+        if (config.machineCores <= 0 ||
+            spec.numCores == config.machineCores)
+            specs.push_back(spec);
+    }
+    ThreadPool pool(resolveJobs(config.jobs));
     // publishStats binds into each experiment, so they must stay
     // alive until the manifest is written.
-    std::vector<std::unique_ptr<BatchExperiment>> kept;
+    const std::vector<std::unique_ptr<BatchExperiment>> kept =
+        runExperiments(specs, config, pool);
 
     printBanner("Figure 7: machine-level SOS on a CMP of SMT cores");
     TablePrinter table({"Machine", "schedules", "worst WS", "best WS",
@@ -44,21 +56,11 @@ main(int argc, char **argv)
                        {13, 10, 9, 8, 8, 8});
     table.printHeader();
 
-    for (const ExperimentSpec &spec : machineExperiments()) {
-        // A loaded machine config fixes the core count; skip the
-        // machines the configured hardware cannot host. Without a
-        // config every machine runs (the pre-config sweep).
-        if (config.machineCores > 0 &&
-            spec.numCores != config.machineCores)
-            continue;
-        kept.push_back(
-            std::make_unique<BatchExperiment>(spec, config));
-        BatchExperiment &exp = *kept.back();
-        exp.runSamplePhase();
-        exp.runSymbiosValidation();
+    for (const std::unique_ptr<BatchExperiment> &experiment : kept) {
+        const BatchExperiment &exp = *experiment;
         const double pct =
             100.0 * (exp.bestWs() - exp.worstWs()) / exp.worstWs();
-        table.printRow({spec.label,
+        table.printRow({exp.spec().label,
                         std::to_string(exp.space().distinctCount()),
                         fmt(exp.worstWs(), 3), fmt(exp.bestWs(), 3),
                         fmt(exp.averageWs(), 3), fmt(pct, 1)});

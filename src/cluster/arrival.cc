@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "metrics/calibrator.hh"
 #include "sim/experiment_defs.hh"
 
@@ -200,8 +201,9 @@ makeClusterArrivals(const SimConfig &sim, const ArrivalSpec &spec)
                           sim.referenceMem(), sim.calibWarmupCycles,
                           sim.calibMeasureCycles);
     const auto &workloads = openSystemWorkloads();
+    ThreadPool pool(resolveJobs(sim.jobs));
     const std::vector<double> solo =
-        calibrator.soloIpcs(soloKeys(workloads), sim.jobs);
+        calibrator.soloIpcs(soloKeys(workloads), pool);
 
     std::vector<ClusterArrival> trace;
     trace.reserve(static_cast<std::size_t>(spec.numJobs));

@@ -1,27 +1,44 @@
 #include "thread_pool.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdlib>
+#include <exception>
+#include <limits>
 
 #include "logging.hh"
 
 namespace sos {
 
-namespace {
-
-/** Set while this thread runs a pool task (see ThreadPool::inTask). */
-thread_local bool runningTask = false;
-
-} // namespace
+/** One run() call; lives on the submitter's stack. */
+struct ThreadPool::Batch
+{
+    const std::function<void(std::size_t)> *task = nullptr;
+    std::size_t count = 0;
+    std::atomic<std::size_t> next{0}; ///< next unclaimed index
+    int helpers = 0;                  ///< workers inside a task (guarded)
+    std::exception_ptr firstError;    ///< guarded by mutex_
+};
 
 int
 resolveJobs(int requested)
 {
+    SOS_ASSERT(requested >= 0, "worker count must be >= 0, got ",
+               requested);
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("SOS_JOBS")) {
         char *end = nullptr;
+        errno = 0;
         const long parsed = std::strtol(env, &end, 10);
-        if (end == env || *end != '\0' || parsed <= 0)
+        if (end == env || *end != '\0')
+            fatal("SOS_JOBS is not an integer: '", env, "'");
+        // Never narrow silently: 4294967297 is not 1.
+        if (errno == ERANGE || parsed < std::numeric_limits<int>::min() ||
+            parsed > std::numeric_limits<int>::max())
+            fatal("SOS_JOBS is out of range for an int: '", env, "'");
+        if (parsed <= 0)
             fatal("SOS_JOBS must be a positive integer, got '", env,
                   "'");
         return static_cast<int>(parsed);
@@ -33,8 +50,8 @@ resolveJobs(int requested)
 ThreadPool::ThreadPool(int workers) : workers_(workers)
 {
     SOS_ASSERT(workers >= 0);
-    // The submitting thread participates in every batch, so N workers
-    // means N - 1 spawned threads plus the submitter.
+    // Every submitter runs its own batch, so N workers means N - 1
+    // spawned threads plus the submitting thread.
     for (int w = 1; w < workers_; ++w)
         threads_.emplace_back([this] { workerLoop(); });
 }
@@ -43,67 +60,74 @@ ThreadPool::~ThreadPool()
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        SOS_ASSERT(open_.empty(), "pool destroyed during a batch");
         shutdown_ = true;
     }
-    wake_.notify_all();
+    changed_.notify_all();
     for (std::thread &thread : threads_)
         thread.join();
 }
 
-bool
-ThreadPool::inTask()
+void
+ThreadPool::retireLocked(const Batch &batch)
 {
-    return runningTask;
+    const auto it = std::find(open_.begin(), open_.end(), &batch);
+    if (it != open_.end())
+        open_.erase(it);
+}
+
+ThreadPool::Batch *
+ThreadPool::claimLocked(std::size_t &index)
+{
+    // Newest first: a worker finishes the work already in flight
+    // (typically a nested batch) before it starts an older batch's
+    // next index.
+    while (!open_.empty()) {
+        Batch *batch = open_.back();
+        index = batch->next.fetch_add(1, std::memory_order_relaxed);
+        if (index + 1 >= batch->count)
+            open_.pop_back(); // nothing left to claim
+        if (index < batch->count) {
+            ++batch->helpers;
+            return batch;
+        }
+    }
+    return nullptr;
 }
 
 void
-ThreadPool::drain(const std::function<void(std::size_t)> &task)
+ThreadPool::runIndex(Batch &batch, std::size_t index)
 {
-    // Saved and restored: a nested inline batch must not clear the
-    // flag of the task that runs it.
-    const bool outer = runningTask;
-    runningTask = true;
-    for (;;) {
-        const std::size_t index =
-            next_.fetch_add(1, std::memory_order_relaxed);
-        if (index >= count_)
-            break;
-        try {
-            task(index);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-        }
-        finished_.fetch_add(1, std::memory_order_acq_rel);
+    try {
+        (*batch.task)(index);
+    } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!batch.firstError)
+            batch.firstError = std::current_exception();
     }
-    runningTask = outer;
 }
 
 void
 ThreadPool::workerLoop()
 {
-    std::uint64_t seen = 0; // last batch this worker took part in
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        const std::function<void(std::size_t)> *task = nullptr;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [&] {
-                return shutdown_ ||
-                       (task_ != nullptr && batchId_ != seen);
-            });
+        std::size_t index = 0;
+        Batch *batch = claimLocked(index);
+        if (batch == nullptr) {
+            // claimLocked() left open_ empty.
             if (shutdown_)
                 return;
-            seen = batchId_;
-            task = task_;
-            ++active_;
+            changed_.wait(lock, [&] { return shutdown_ || !open_.empty(); });
+            continue;
         }
-        drain(*task);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --active_;
-        }
-        done_.notify_one();
+        lock.unlock();
+        runIndex(*batch, index);
+        lock.lock();
+        // The submitter may return (and free the batch) as soon as the
+        // last helper leaves, so the batch is not touched after this.
+        if (--batch->helpers == 0)
+            changed_.notify_all();
     }
 }
 
@@ -113,36 +137,34 @@ ThreadPool::run(std::size_t count,
 {
     if (count == 0)
         return;
-    count_ = count;
-    next_.store(0, std::memory_order_relaxed);
-    finished_.store(0, std::memory_order_relaxed);
-    if (threads_.empty()) {
-        // Serial mode: the same claim loop, no threads involved.
-        drain(task);
-    } else {
+    Batch batch;
+    batch.task = &task;
+    batch.count = count;
+    const bool shared = !threads_.empty() && count > 1;
+    if (shared) {
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            SOS_ASSERT(task_ == nullptr, "pool batch already running");
-            task_ = &task;
-            ++batchId_;
+            open_.push_back(&batch);
         }
-        wake_.notify_all();
-        drain(task);
-        // Wait for completion AND for every participant to leave
-        // drain(), so the next batch cannot reset the counters under a
-        // straggler that has claimed past the end but not returned.
+        changed_.notify_all();
+    }
+    for (;;) {
+        const std::size_t index =
+            batch.next.fetch_add(1, std::memory_order_relaxed);
+        if (index >= count)
+            break;
+        runIndex(batch, index);
+    }
+    if (shared) {
+        // Every index is claimed; wait until the helpers that claimed
+        // some have left (their results and errors are then visible
+        // under the mutex).
         std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [&] {
-            return active_ == 0 &&
-                   finished_.load(std::memory_order_acquire) == count_;
-        });
-        task_ = nullptr;
+        retireLocked(batch);
+        changed_.wait(lock, [&] { return batch.helpers == 0; });
     }
-    if (firstError_) {
-        std::exception_ptr error = firstError_;
-        firstError_ = nullptr;
-        std::rethrow_exception(error);
-    }
+    if (batch.firstError)
+        std::rethrow_exception(batch.firstError);
 }
 
 } // namespace sos

@@ -1,6 +1,5 @@
 #include "calibrator.hh"
 
-#include <algorithm>
 #include <type_traits>
 
 #include "common/logging.hh"
@@ -205,7 +204,7 @@ Calibrator::measureOne(const SoloKey &key) const
 }
 
 std::vector<double>
-Calibrator::measure(const std::vector<Request> &requests, int jobs)
+Calibrator::measure(const std::vector<Request> &requests, ThreadPool &pool)
 {
     // A key to measure, and the requests waiting for it.
     struct Pending
@@ -251,13 +250,6 @@ Calibrator::measure(const std::vector<Request> &requests, int jobs)
 
     // Each task reads its own request and writes its own slot.
     std::vector<double> measured(pending.size(), 0.0);
-    const int workers =
-        ThreadPool::inTask()
-            ? 1
-            : static_cast<int>(std::min<std::size_t>(
-                  static_cast<std::size_t>(resolveJobs(jobs)),
-                  pending.size()));
-    ThreadPool pool(workers);
     pool.run(pending.size(), [&](std::size_t p) {
         measured[p] = pending[p].calibrator->measureOne(pending[p].key);
     });
@@ -277,28 +269,30 @@ Calibrator::measure(const std::vector<Request> &requests, int jobs)
 }
 
 std::vector<double>
-Calibrator::soloIpcs(const std::vector<SoloKey> &keys, int jobs)
+Calibrator::soloIpcs(const std::vector<SoloKey> &keys, ThreadPool &pool)
 {
     std::vector<Request> requests;
     requests.reserve(keys.size());
     for (const SoloKey &key : keys)
         requests.push_back({this, key});
-    return measure(requests, jobs);
+    return measure(requests, pool);
 }
 
 double
 Calibrator::soloIpc(const std::string &workload, int threads)
 {
-    return soloIpcs({{workload, threads}}, 1).front();
+    ThreadPool inline_pool(1);
+    return soloIpcs({{workload, threads}}, inline_pool).front();
 }
 
 void
-Calibrator::calibrate(JobMix &mix, int jobs)
+Calibrator::calibrate(JobMix &mix)
 {
     std::vector<SoloKey> keys;
     for (int j = 0; j < mix.numJobs(); ++j)
         keys.push_back({mix.job(j).name(), mix.job(j).numThreads()});
-    const std::vector<double> ipcs = soloIpcs(keys, jobs);
+    ThreadPool inline_pool(1);
+    const std::vector<double> ipcs = soloIpcs(keys, inline_pool);
     for (int j = 0; j < mix.numJobs(); ++j)
         mix.job(j).soloIpc = ipcs[static_cast<std::size_t>(j)];
 }

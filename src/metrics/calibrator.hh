@@ -21,20 +21,20 @@
  * unless it is handed its own.
  *
  * Batches. Every reference goes through one path, Calibrator::measure:
- * it takes (calibrator, workload, threads) requests and a worker
- * count, drops duplicates and keys already in a table, measures the
- * rest as index-addressed tasks on a ThreadPool and installs them in
- * request order. soloIpc() is its one-key case. Concurrency contract:
+ * it takes (calibrator, workload, threads) requests and the pool to run
+ * on, drops duplicates and keys already in a table, measures the rest
+ * as index-addressed tasks of one batch on that pool and installs them
+ * in request order. soloIpc() is its one-key case. Concurrency
+ * contract:
  *  - a Calibrator instance belongs to one thread (its memo is not
  *    locked); different instances may batch concurrently, and the
  *    table tolerates racing writers of the same key by keeping the
  *    first value installed (the values are equal anyway);
  *  - measurement tasks read only their own request and write only
  *    their own result slot; the memo and the table are written on the
- *    calling thread after the pool drains;
- *  - a batch called from inside a pool task (ThreadPool::inTask) runs
- *    inline on that thread, so batches spread across workers only
- *    from the thread that constructs an experiment;
+ *    calling thread after the batch drains;
+ *  - a batch started from inside a task of the same pool is a nested
+ *    batch: it fans out onto that pool's idle workers;
  *  - results are bit-identical for every worker count.
  */
 
@@ -56,6 +56,7 @@
 namespace sos {
 
 class JobMix;
+class ThreadPool;
 
 /** One solo reference: a workload alone on @c threads contexts. */
 struct SoloKey
@@ -127,30 +128,30 @@ class Calibrator
 
     /**
      * The measurement path. Returns the reference IPC of every
-     * request, in request order, measuring the uncached ones in
-     * parallel on up to resolveJobs(@p jobs) workers (see the file
-     * comment for the concurrency contract). A request with more
-     * threads than its core has contexts fails an assertion before
-     * anything is measured.
+     * request, in request order, measuring the uncached ones as one
+     * batch on @p pool (see the file comment for the concurrency
+     * contract). A request with more threads than its core has
+     * contexts fails an assertion before anything is measured.
      */
     static std::vector<double> measure(const std::vector<Request> &requests,
-                                       int jobs);
+                                       ThreadPool &pool);
 
     /** measure() over @p keys of this calibrator. */
     std::vector<double> soloIpcs(const std::vector<SoloKey> &keys,
-                                 int jobs);
+                                 ThreadPool &pool);
 
     /**
      * Reference IPC of a workload running alone with the given number
-     * of threads (1 for sequential jobs): the one-key batch.
+     * of threads (1 for sequential jobs): the one-key batch, measured
+     * on the calling thread.
      */
     double soloIpc(const std::string &workload, int threads = 1);
 
     /**
      * Set every job's soloIpc from its workload and current thread
-     * count, as one batch on @p jobs workers.
+     * count, as one batch on the calling thread.
      */
-    void calibrate(JobMix &mix, int jobs = 1);
+    void calibrate(JobMix &mix);
 
   private:
     /** This calibrator's SoloIpcTable key for @p key. */

@@ -30,16 +30,77 @@ machineOf(const ExperimentSpec &spec, const SimConfig &config)
     return params;
 }
 
+/** The mix every task of @p spec rebuilds (same seed, same streams). */
+JobMix
+mixOf(const ExperimentSpec &spec, const SimConfig &config)
+{
+    return spec.makeMix(config.seed ^ hashLabel(spec.label));
+}
+
+/**
+ * One calibrator per core class of @p machine. Solo IPC is a property
+ * of one job alone on one core; core 0's configuration is the
+ * machine's reference class (on a homogeneous machine the only one).
+ * Classes are numbered in order of first appearance (class 0 holds
+ * core 0), so the first core of each class gets the calibrator.
+ */
+std::vector<Calibrator>
+classCalibrators(const MachineParams &machine, const SimConfig &config,
+                 SoloIpcTable &table)
+{
+    const std::vector<int> classes = machine.coreClasses();
+    std::vector<Calibrator> calibrators;
+    for (int k = 0; k < machine.numCores; ++k) {
+        if (classes[static_cast<std::size_t>(k)] !=
+            static_cast<int>(calibrators.size()))
+            continue;
+        calibrators.emplace_back(machine.coreParams(k),
+                                 machine.memParams(k),
+                                 config.calibWarmupCycles,
+                                 config.calibMeasureCycles, table);
+        calibrators.back().setSampling(config.sample);
+    }
+    return calibrators;
+}
+
+/** Every job of @p mix on every calibrator, calibrator-major. */
+void
+appendRequests(std::vector<Calibrator> &calibrators, const JobMix &mix,
+               std::vector<Calibrator::Request> &requests)
+{
+    for (Calibrator &calibrator : calibrators) {
+        for (int j = 0; j < mix.numJobs(); ++j)
+            requests.push_back(
+                {&calibrator,
+                 {mix.job(j).name(), mix.job(j).numThreads()}});
+    }
+}
+
 } // namespace
 
 BatchExperiment::BatchExperiment(const ExperimentSpec &spec,
                                  const SimConfig &config)
+    : BatchExperiment(spec, config, nullptr, SoloIpcTable::shared())
+{
+}
+
+BatchExperiment::BatchExperiment(const ExperimentSpec &spec,
+                                 const SimConfig &config, ThreadPool &pool,
+                                 SoloIpcTable &table)
+    : BatchExperiment(spec, config, &pool, table)
+{
+}
+
+BatchExperiment::BatchExperiment(const ExperimentSpec &spec,
+                                 const SimConfig &config, ThreadPool *pool,
+                                 SoloIpcTable &table)
     : spec_(spec), config_(config),
       machineParams_(machineOf(spec, config)),
       space_(spec.numUnits(), spec.numCores, spec.level, spec.swap,
              machineParams_.coreClasses()),
-      mix_(spec.makeMix(config.seed ^ hashLabel(spec.label))),
-      runner_(config.jobs)
+      mix_(mixOf(spec, config)),
+      runner_(pool != nullptr ? ParallelScheduleRunner(*pool)
+                              : ParallelScheduleRunner(config.jobs))
 {
     if (spec_.numCores > 1) {
         for (const ExperimentSpec::Entry &entry : spec_.entries)
@@ -49,35 +110,14 @@ BatchExperiment::BatchExperiment(const ExperimentSpec &spec,
     if (space_.heterogeneous())
         coreClasses_ = space_.coreClasses();
 
-    // Solo IPC is a property of one job alone on one core; core 0's
-    // configuration is the machine's reference class (on a
-    // homogeneous machine that is the one configuration there is).
-    // Heterogeneity-aware policies additionally need every job's solo
-    // IPC on every core class. Classes are numbered in order of first
-    // appearance (class 0 holds core 0), so the first core of each
-    // class gets a calibrator, and all of them measure in one batch.
-    std::vector<Calibrator> calibrators;
-    const int cores = std::max(1, static_cast<int>(coreClasses_.size()));
-    for (int k = 0; k < cores; ++k) {
-        if (!coreClasses_.empty() &&
-            coreClasses_[static_cast<std::size_t>(k)] !=
-                static_cast<int>(calibrators.size()))
-            continue;
-        calibrators.emplace_back(machineParams_.coreParams(k),
-                                 machineParams_.memParams(k),
-                                 config_.calibWarmupCycles,
-                                 config_.calibMeasureCycles);
-        calibrators.back().setSampling(config_.sample);
-    }
+    // Heterogeneity-aware policies need every job's solo IPC on every
+    // core class; all of them are measured in one batch.
+    std::vector<Calibrator> calibrators =
+        classCalibrators(machineParams_, config_, table);
     std::vector<Calibrator::Request> requests;
-    for (Calibrator &calibrator : calibrators) {
-        for (int j = 0; j < mix_.numJobs(); ++j)
-            requests.push_back({&calibrator,
-                                {mix_.job(j).name(),
-                                 mix_.job(j).numThreads()}});
-    }
+    appendRequests(calibrators, mix_, requests);
     const std::vector<double> references =
-        Calibrator::measure(requests, config_.jobs);
+        Calibrator::measure(requests, runner_.pool());
 
     const auto jobs = static_cast<std::ptrdiff_t>(mix_.numJobs());
     for (int j = 0; j < mix_.numJobs(); ++j)
@@ -111,7 +151,7 @@ BatchExperiment::freshMix() const
     // Every task rebuilds the same mix from the same seed, so all
     // candidates see identical workload streams; the prototype's
     // calibration is copied instead of re-measured.
-    JobMix mix = spec_.makeMix(config_.seed ^ hashLabel(spec_.label));
+    JobMix mix = mixOf(spec_, config_);
     for (int j = 0; j < mix.numJobs(); ++j)
         mix.job(j).soloIpc = mix_.job(j).soloIpc;
     return mix;
@@ -430,6 +470,41 @@ BatchExperiment::recordTrace(stats::EventTrace &trace) const
             .field("best_ws", policy.bestWs)
             .field("avg_ws", policy.avgWs);
     }
+}
+
+std::vector<std::unique_ptr<BatchExperiment>>
+runExperiments(const std::vector<ExperimentSpec> &specs,
+               const SimConfig &config, ThreadPool &pool,
+               SoloIpcTable &table)
+{
+    // Every spec's solo references in one batch, ahead of the
+    // experiments: two constructors running at once would otherwise
+    // both measure a key they share. The constructors then find every
+    // key in the table.
+    std::vector<std::vector<Calibrator>> calibrators;
+    calibrators.reserve(specs.size());
+    std::vector<Calibrator::Request> requests;
+    for (const ExperimentSpec &spec : specs) {
+        calibrators.push_back(
+            classCalibrators(machineOf(spec, config), config, table));
+        appendRequests(calibrators.back(), mixOf(spec, config), requests);
+    }
+    Calibrator::measure(requests, pool);
+
+    // One task per experiment, claimed in spec order. A thread holds
+    // at most one experiment (its sweeps are nested batches it only
+    // helps), so no more than pool.workers() warm snapshots are ever
+    // alive; idle workers join the in-flight experiments' sweeps.
+    std::vector<std::unique_ptr<BatchExperiment>> experiments(
+        specs.size());
+    pool.run(specs.size(), [&](std::size_t i) {
+        auto experiment =
+            std::make_unique<BatchExperiment>(specs[i], config, pool, table);
+        experiment->runSamplePhase();
+        experiment->runSymbiosValidation();
+        experiments[i] = std::move(experiment);
+    });
+    return experiments;
 }
 
 } // namespace sos

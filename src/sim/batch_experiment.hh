@@ -38,10 +38,12 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "core/predictor.hh"
 #include "core/schedule_profile.hh"
 #include "core/thread_to_core.hh"
 #include "cpu/machine.hh"
+#include "metrics/calibrator.hh"
 #include "model/features.hh"
 #include "sched/jobmix.hh"
 #include "sched/machine_schedule.hh"
@@ -74,12 +76,22 @@ class BatchExperiment
     };
 
     /**
-     * Calibrates the mix's solo IPCs (once per core class). A 1-core
-     * spec runs on the homogeneous coreFor(level)/mem core even when
-     * a machine config is loaded; C > 1 builds machineFor(level, C),
-     * and every job must then be single-threaded.
+     * Calibrates the mix's solo IPCs (once per core class) into the
+     * shared SoloIpcTable, on a pool of config.jobs workers the
+     * experiment owns for its lifetime. A 1-core spec runs on the
+     * homogeneous coreFor(level)/mem core even when a machine config
+     * is loaded; C > 1 builds machineFor(level, C), and every job must
+     * then be single-threaded.
      */
     BatchExperiment(const ExperimentSpec &spec, const SimConfig &config);
+
+    /**
+     * The same experiment with every batch -- calibration and sweeps
+     * -- on @p pool and its references in @p table. Both must outlive
+     * the experiment.
+     */
+    BatchExperiment(const ExperimentSpec &spec, const SimConfig &config,
+                    ThreadPool &pool, SoloIpcTable &table);
 
     /**
      * Sample phase: draw the candidate schedules and profile each for
@@ -223,6 +235,10 @@ class BatchExperiment
     void recordTrace(stats::EventTrace &trace) const;
 
   private:
+    /** Borrows @p pool, or owns a config.jobs pool when it is null. */
+    BatchExperiment(const ExperimentSpec &spec, const SimConfig &config,
+                    ThreadPool *pool, SoloIpcTable &table);
+
     /** Engine quantum for this experiment in simulated cycles. */
     std::uint64_t timesliceCycles() const;
 
@@ -289,6 +305,22 @@ class BatchExperiment
     int bestIndex_ = -1;
     /** @} */
 };
+
+/**
+ * Construct every experiment of @p specs and run its sample and
+ * symbios phases, the experiments overlapping on @p pool: the union of
+ * their solo references is measured first as one batch into
+ * @p table, then each experiment is one task of one batch, admitted in
+ * spec order and never more at once than the pool has workers. Every
+ * experiment is bit-identical to a serial construct -> sample ->
+ * symbios loop; the caller publishes stats, records traces and
+ * prints rows from the returned experiments, which are in spec order.
+ * @p pool and @p table must outlive them.
+ */
+std::vector<std::unique_ptr<BatchExperiment>>
+runExperiments(const std::vector<ExperimentSpec> &specs,
+               const SimConfig &config, ThreadPool &pool,
+               SoloIpcTable &table = SoloIpcTable::shared());
 
 } // namespace sos
 

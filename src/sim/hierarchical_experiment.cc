@@ -57,7 +57,7 @@ HierarchicalExperiment::HierarchicalExperiment(
                  plan.threadsPerJob[static_cast<std::size_t>(j)]});
     }
     const std::vector<double> references =
-        calibrator.soloIpcs(keys, config_.jobs);
+        calibrator.soloIpcs(keys, runner_.pool());
     for (std::size_t k = 0; k < keys.size(); ++k)
         soloIpc_[{keys[k].workload, keys[k].threads}] = references[k];
 }

@@ -8,6 +8,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "cpu/machine.hh"
 #include "metrics/calibrator.hh"
 #include "metrics/weighted_speedup.hh"
@@ -70,8 +71,9 @@ measuredCapacity(const SimConfig &sim, int level)
     // The solo references are independent, so they are measured as
     // one batch; the co-run groups below stay serial, because each
     // group runs on the machine state the previous group left.
+    ThreadPool pool(resolveJobs(sim.jobs));
     const std::vector<double> solo =
-        calibrator.soloIpcs(soloKeys(workloads), sim.jobs);
+        calibrator.soloIpcs(soloKeys(workloads), pool);
 
     // The steady-state open system mostly runs a resident coschedule
     // of `level` jobs for many consecutive timeslices, so capacity is
@@ -153,8 +155,9 @@ makeArrivalTrace(const SimConfig &sim, const OpenSystemConfig &config)
     const double mean_cycles =
         static_cast<double>(sim.scaled(config.meanJobPaperCycles));
     const auto &workloads = openSystemWorkloads();
+    ThreadPool pool(resolveJobs(sim.jobs));
     const std::vector<double> solo =
-        calibrator.soloIpcs(soloKeys(workloads), sim.jobs);
+        calibrator.soloIpcs(soloKeys(workloads), pool);
 
     std::vector<JobArrival> trace;
     trace.reserve(static_cast<std::size_t>(config.numJobs));

@@ -1,6 +1,5 @@
 #include "parallel_runner.hh"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,15 +35,14 @@ measure(MachineEngine &engine, JobMix &mix,
 } // namespace
 
 ParallelScheduleRunner::ParallelScheduleRunner(int jobs)
-    : jobs_(resolveJobs(jobs))
+    : owned_(std::make_unique<ThreadPool>(resolveJobs(jobs))),
+      pool_(owned_.get())
 {
 }
 
-int
-ParallelScheduleRunner::workersFor(std::size_t tasks) const
+ParallelScheduleRunner::ParallelScheduleRunner(ThreadPool &pool)
+    : pool_(&pool)
 {
-    return static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(jobs_), std::max<std::size_t>(tasks, 1)));
 }
 
 std::vector<ParallelScheduleRunner::ScheduleRun>

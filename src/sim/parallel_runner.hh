@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -106,13 +107,18 @@ class ParallelScheduleRunner
     };
 
     /**
+     * Own a pool of @p jobs workers for the runner's lifetime.
+     *
      * @param jobs Worker threads; 0 resolves via SOS_JOBS / hardware
      *        concurrency (see resolveJobs()).
      */
     explicit ParallelScheduleRunner(int jobs = 0);
 
-    /** Resolved worker count. */
-    int jobs() const { return jobs_; }
+    /** Run on @p pool, which must outlive the runner. */
+    explicit ParallelScheduleRunner(ThreadPool &pool);
+
+    /** The pool every batch of this runner runs on. */
+    ThreadPool &pool() const { return *pool_; }
 
     /**
      * Profile schedules[i] for timeslices(i) quanta each on private
@@ -136,15 +142,13 @@ class ParallelScheduleRunner
         const std::function<Result(std::size_t)> &task) const
     {
         std::vector<Result> out(n);
-        ThreadPool pool(workersFor(n));
-        pool.run(n, [&](std::size_t i) { out[i] = task(i); });
+        pool_->run(n, [&](std::size_t i) { out[i] = task(i); });
         return out;
     }
 
   private:
-    int workersFor(std::size_t tasks) const;
-
-    int jobs_;
+    std::unique_ptr<ThreadPool> owned_; ///< null when the pool is borrowed
+    ThreadPool *pool_;
 };
 
 } // namespace sos

@@ -152,8 +152,18 @@ fields()
                       "schedules profiled per sample phase"),
         SOS_FIELD_INT(samplePeriods,
                       "schedule periods per profiled candidate"),
-        SOS_FIELD_INT(jobs,
-                      "sweep worker threads (0 = SOS_JOBS/auto)"),
+        Field{"jobs", "sweep worker threads (0 = SOS_JOBS/auto)",
+              [](SimConfig &c, const std::string &v) {
+                  const int jobs = parseInt("jobs", v);
+                  // A negative count would silently mean "auto".
+                  if (jobs < 0) {
+                      throw std::invalid_argument(
+                          "value for jobs must be >= 0 (0 = auto): '" +
+                          v + "'");
+                  }
+                  c.jobs = jobs;
+              },
+              [](const SimConfig &c) { return std::to_string(c.jobs); }},
         SOS_FIELD_BOOL(snapshot,
                        "share sweep warmups via snapshot forks "
                        "(bit-identical; 0 = legacy path)"),

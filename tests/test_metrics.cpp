@@ -139,17 +139,17 @@ oneAtATime(const CoreParams &core, const SampleWindows &sample,
     return ipcs;
 }
 
-/** Batch @p keys (after caching @p cached) at @p workers workers. */
+/** Batch @p keys (after caching @p cached) on @p pool. */
 std::vector<double>
 batched(const CoreParams &core, const SampleWindows &sample,
         const std::vector<SoloKey> &keys, const SoloKey &cached,
-        int workers)
+        ThreadPool &pool)
 {
     SoloIpcTable table;
     Calibrator calib(core, MemParams{}, 20000, 50000, table);
     calib.setSampling(sample);
     calib.soloIpc(cached.workload, cached.threads);
-    return calib.soloIpcs(keys, workers);
+    return calib.soloIpcs(keys, pool);
 }
 
 /** Duplicates, a 2-thread ARRAY key and an already-cached key. */
@@ -173,9 +173,9 @@ TEST(Calibrator, BatchMatchesOneAtATimeBitForBit)
     const std::vector<double> expected =
         oneAtATime(twoContexts(), SampleWindows{}, mixedKeys());
     for (int workers : {1, 2, 8}) {
+        ThreadPool pool(workers);
         const std::vector<double> got = batched(
-            twoContexts(), SampleWindows{}, mixedKeys(), {"EP", 1},
-            workers);
+            twoContexts(), SampleWindows{}, mixedKeys(), {"EP", 1}, pool);
         ASSERT_EQ(got.size(), expected.size());
         for (std::size_t k = 0; k < got.size(); ++k)
             EXPECT_EQ(got[k], expected[k]) << "key " << k << " at "
@@ -196,8 +196,9 @@ TEST(Calibrator, SampledBatchMatchesOneAtATimeBitForBit)
     EXPECT_NE(expected,
               oneAtATime(twoContexts(), SampleWindows{}, mixedKeys()));
     for (int workers : {1, 2, 8}) {
+        ThreadPool pool(workers);
         EXPECT_EQ(batched(twoContexts(), sample, mixedKeys(), {"EP", 1},
-                          workers),
+                          pool),
                   expected)
             << workers << " workers";
     }
@@ -206,20 +207,21 @@ TEST(Calibrator, SampledBatchMatchesOneAtATimeBitForBit)
 TEST(Calibrator, BatchMeasuresEachKeyOnce)
 {
     SoloIpcTable table;
+    ThreadPool pool(8);
     Calibrator calib(twoContexts(), MemParams{}, 20000, 50000, table);
     calib.soloIpc("EP");
     EXPECT_EQ(table.measured(), 1u);
 
     // GCC, ARRAY/2 and MG are new; EP is cached; GCC and ARRAY/2
     // repeat.
-    const std::vector<double> ipcs = calib.soloIpcs(mixedKeys(), 8);
+    const std::vector<double> ipcs = calib.soloIpcs(mixedKeys(), pool);
     EXPECT_EQ(table.measured(), 4u);
     EXPECT_EQ(ipcs[0], ipcs[3]);
     EXPECT_EQ(ipcs[1], ipcs[5]);
 
     // Another calibrator on the same table measures nothing new.
     Calibrator other(twoContexts(), MemParams{}, 20000, 50000, table);
-    EXPECT_EQ(other.soloIpcs(mixedKeys(), 8), ipcs);
+    EXPECT_EQ(other.soloIpcs(mixedKeys(), pool), ipcs);
     EXPECT_EQ(table.measured(), 4u);
 }
 
@@ -232,8 +234,9 @@ TEST(Calibrator, BatchSpansCalibratorsAndDedupsSharedConfigs)
     wide.numContexts = 4;
     Calibrator other(wide, MemParams{}, 20000, 50000, table);
 
+    ThreadPool pool(4);
     const std::vector<double> ipcs = Calibrator::measure(
-        {{&a, {"FP", 1}}, {&same, {"FP", 1}}, {&other, {"FP", 1}}}, 4);
+        {{&a, {"FP", 1}}, {&same, {"FP", 1}}, {&other, {"FP", 1}}}, pool);
     // a and same share a configuration; other's core differs.
     EXPECT_EQ(table.measured(), 2u);
     EXPECT_EQ(ipcs[0], ipcs[1]);
@@ -246,24 +249,28 @@ TEST(Calibrator, BatchRejectsMoreThreadsThanContexts)
 {
     SoloIpcTable table;
     Calibrator calib(twoContexts(), MemParams{}, 20000, 50000, table);
-    EXPECT_DEATH(calib.soloIpcs({{"GCC", 1}, {"ARRAY", 3}}, 8),
+    ThreadPool pool(8);
+    EXPECT_DEATH(calib.soloIpcs({{"GCC", 1}, {"ARRAY", 3}}, pool),
                  "more threads than contexts");
     EXPECT_DEATH(calib.soloIpc("ARRAY", 3), "more threads than contexts");
 }
 
 TEST(Calibrator, BatchInsidePoolTaskMatches)
 {
-    // A batch started from a pool task runs inline on that task.
+    // A batch started from a task of the same pool is a nested batch
+    // that fans out onto the pool's idle workers.
     const std::vector<double> expected =
         oneAtATime(twoContexts(), SampleWindows{}, mixedKeys());
-    ThreadPool pool(2);
-    std::vector<std::vector<double>> got(2);
-    pool.run(2, [&](std::size_t t) {
-        got[t] = batched(twoContexts(), SampleWindows{}, mixedKeys(),
-                         {"EP", 1}, 8);
-    });
-    EXPECT_EQ(got[0], expected);
-    EXPECT_EQ(got[1], expected);
+    for (int workers : {1, 2, 8}) {
+        ThreadPool pool(workers);
+        std::vector<std::vector<double>> got(2);
+        pool.run(2, [&](std::size_t t) {
+            got[t] = batched(twoContexts(), SampleWindows{}, mixedKeys(),
+                             {"EP", 1}, pool);
+        });
+        EXPECT_EQ(got[0], expected) << workers << " workers";
+        EXPECT_EQ(got[1], expected) << workers << " workers";
+    }
 }
 
 } // namespace

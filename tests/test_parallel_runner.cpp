@@ -9,7 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
@@ -19,6 +24,7 @@
 #include "sim/params_io.hh"
 #include "stats/manifest.hh"
 #include "stats/stats.hh"
+#include "stats/trace.hh"
 
 namespace sos {
 namespace {
@@ -146,6 +152,79 @@ TEST(ParallelRunner, ManifestBitIdenticalAcrossWorkerCounts)
     const std::string serial = manifestWith("Jsb(4,2,2)", 1);
     for (int jobs : {2, 8})
         EXPECT_EQ(serial, manifestWith("Jsb(4,2,2)", jobs));
+}
+
+/** The manifest and decision trace of @p experiments, in order. */
+std::string
+renderExperiments(
+    const std::vector<std::unique_ptr<BatchExperiment>> &experiments,
+    const SimConfig &config)
+{
+    stats::Registry registry;
+    stats::EventTrace trace;
+    const stats::Group group(registry, "experiments");
+    for (const std::unique_ptr<BatchExperiment> &exp : experiments) {
+        exp->publishStats(
+            group.group(stats::sanitizeSegment(exp->spec().label)));
+        exp->recordTrace(trace);
+    }
+    stats::Manifest manifest;
+    manifest.tool = "test_parallel_runner";
+    manifest.gitRev = "pinned";
+    manifest.seed = config.seed;
+    manifest.config = configPairs(config);
+    return renderManifest(manifest, registry) + trace.render();
+}
+
+TEST(RunExperiments, OverlappedMatchesSerialLoop)
+{
+    std::vector<ExperimentSpec> specs;
+    for (const char *label :
+         {"Jsb(4,2,2)", "Jsb(5,2,1)", "Jsb(6,3,1)", "Jsl(6,3,1)"})
+        specs.push_back(experimentByLabel(label));
+    // Short phases: the test pins orchestration, not fidelity.
+    SimConfig config = makeFastConfig();
+    config.cycleScale = 2000;
+    config.symbiosSimCycles = 100000;
+    config.calibWarmupCycles = 50000;
+    config.calibMeasureCycles = 50000;
+
+    // The plain serial loop, on its own table.
+    SoloIpcTable serial_table;
+    ThreadPool serial_pool(1);
+    std::vector<std::unique_ptr<BatchExperiment>> serial;
+    for (const ExperimentSpec &spec : specs) {
+        serial.push_back(std::make_unique<BatchExperiment>(
+            spec, config, serial_pool, serial_table));
+        serial.back()->runSamplePhase();
+        serial.back()->runSymbiosValidation();
+    }
+    const std::string expected = renderExperiments(serial, config);
+
+    // One key per (level, workload, threads): the core configuration
+    // differs only by level here.
+    std::set<std::tuple<int, std::string, int>> keys;
+    for (const ExperimentSpec &spec : specs) {
+        for (const ExperimentSpec::Entry &entry : spec.entries)
+            keys.emplace(spec.level, entry.workload, entry.threads);
+    }
+    EXPECT_EQ(serial_table.measured(), keys.size());
+
+    for (int workers : {1, 2, 8}) {
+        SoloIpcTable table;
+        ThreadPool pool(workers);
+        const std::vector<std::unique_ptr<BatchExperiment>> overlapped =
+            runExperiments(specs, config, pool, table);
+        // No key is measured twice, however the constructors overlap.
+        EXPECT_EQ(table.measured(), keys.size()) << workers << " workers";
+        ASSERT_EQ(overlapped.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            EXPECT_EQ(overlapped[i]->spec().label, specs[i].label);
+            expectExperimentsIdentical(*serial[i], *overlapped[i]);
+        }
+        EXPECT_EQ(renderExperiments(overlapped, config), expected)
+            << workers << " workers";
+    }
 }
 
 /** Jsb(4,2,2)'s whole space as 1-core machine schedules. */
@@ -290,22 +369,75 @@ TEST(ThreadPool, PropagatesTaskExceptions)
     }
 }
 
-TEST(ThreadPool, InTaskHoldsOnlyInsideTasks)
+TEST(ThreadPool, NestedBatchRunsEveryIndexOnce)
 {
-    EXPECT_FALSE(ThreadPool::inTask());
-    for (int workers : {1, 4}) {
+    for (int workers : {1, 2, 4, 8}) {
         ThreadPool pool(workers);
-        std::atomic<int> inside{0};
-        pool.run(16, [&](std::size_t) {
-            // A nested inline batch leaves the outer task marked.
-            ThreadPool nested(1);
-            nested.run(1, [](std::size_t) {});
-            if (ThreadPool::inTask())
-                ++inside;
+        constexpr std::size_t outer = 12;
+        constexpr std::size_t inner = 40;
+        std::vector<std::atomic<int>> hits(outer * inner);
+        pool.run(outer, [&](std::size_t o) {
+            pool.run(inner, [&](std::size_t i) { ++hits[o * inner + i]; });
         });
-        EXPECT_EQ(inside.load(), 16);
-        EXPECT_FALSE(ThreadPool::inTask());
+        for (const std::atomic<int> &hit : hits)
+            EXPECT_EQ(hit.load(), 1) << workers << " workers";
     }
+}
+
+TEST(ThreadPool, ConcurrentSubmittersBothComplete)
+{
+    ThreadPool pool(4);
+    constexpr int rounds = 50;
+    std::atomic<int> sums[2] = {0, 0};
+    auto submit = [&](int s) {
+        for (int round = 0; round < rounds; ++round) {
+            pool.run(17, [&](std::size_t) {
+                pool.run(3, [&](std::size_t) { ++sums[s]; });
+            });
+        }
+    };
+    std::thread first(submit, 0);
+    std::thread second(submit, 1);
+    first.join();
+    second.join();
+    EXPECT_EQ(sums[0].load(), rounds * 17 * 3);
+    EXPECT_EQ(sums[1].load(), rounds * 17 * 3);
+}
+
+TEST(ThreadPool, NestedExceptionReachesOnlyItsSubmitter)
+{
+    for (int workers : {1, 2, 4, 8}) {
+        ThreadPool pool(workers);
+        std::atomic<int> caught{0};
+        std::atomic<int> ran{0};
+        // The outer batch never sees the nested batch's exception.
+        EXPECT_NO_THROW(pool.run(8, [&](std::size_t o) {
+            try {
+                pool.run(16, [&](std::size_t i) {
+                    ++ran;
+                    if (o == 3 && i == 5)
+                        throw std::runtime_error("nested");
+                });
+            } catch (const std::runtime_error &) {
+                ++caught;
+            }
+        }));
+        EXPECT_EQ(caught.load(), 1) << workers << " workers";
+        // The throwing batch still drained every index.
+        EXPECT_EQ(ran.load(), 8 * 16) << workers << " workers";
+    }
+}
+
+TEST(ThreadPool, OneWorkerPoolNestsWithoutDeadlock)
+{
+    ThreadPool pool(1);
+    std::atomic<int> leaves{0};
+    pool.run(4, [&](std::size_t) {
+        pool.run(3, [&](std::size_t) {
+            pool.run(2, [&](std::size_t) { ++leaves; });
+        });
+    });
+    EXPECT_EQ(leaves.load(), 4 * 3 * 2);
 }
 
 TEST(ThreadPool, ResolveJobsPrefersExplicitRequest)

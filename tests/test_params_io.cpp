@@ -117,6 +117,21 @@ TEST(ParamsIo, BadValueIsFatal)
                  "not a boolean");
 }
 
+TEST(ParamsIo, JobsRejectsNegativeAndOutOfRangeCounts)
+{
+    SimConfig config;
+    applyOverride(config, "jobs=3");
+    EXPECT_EQ(config.jobs, 3);
+    applyOverride(config, "jobs=0");
+    EXPECT_EQ(config.jobs, 0);
+    // -3 would otherwise silently mean "auto".
+    EXPECT_DEATH(applyOverride(config, "jobs=-3"),
+                 "value for jobs must be >= 0 \\(0 = auto\\): '-3'");
+    EXPECT_DEATH(applyOverride(config, "jobs=4294967297"),
+                 "value for jobs is out of range for an int: "
+                 "'4294967297'");
+}
+
 TEST(ParamsIo, U32FieldsRejectValuesAboveTheirWidth)
 {
     // A value a 32-bit field cannot hold is an error, never a wrapped
@@ -293,6 +308,33 @@ TEST(ParamsIo, EnvironmentKnobTyposAreFatal)
             benchConfigFromEnv();
         },
         "SOS_CYCLE_SCALE must be a positive integer");
+}
+
+TEST(ParamsIo, SosJobsNeverNarrowsSilently)
+{
+    // Each value used to wrap through a long -> int cast: to 1 worker,
+    // to -1 and to -1294967296.
+    for (const char *wide : {"4294967297", "4294967295", "3000000000"}) {
+        EXPECT_DEATH(
+            {
+                ::setenv("SOS_JOBS", wide, 1);
+                benchConfigFromEnv();
+            },
+            std::string("SOS_JOBS is out of range for an int: '") + wide +
+                "'");
+    }
+    EXPECT_DEATH(
+        {
+            ::setenv("SOS_JOBS", "-3", 1);
+            benchConfigFromEnv();
+        },
+        "SOS_JOBS must be a positive integer, got '-3'");
+    EXPECT_DEATH(
+        {
+            ::setenv("SOS_JOBS", "4x", 1);
+            benchConfigFromEnv();
+        },
+        "SOS_JOBS is not an integer: '4x'");
 }
 
 } // namespace
