@@ -15,17 +15,19 @@
  * The manifest carries, per (nodes, policy), the cluster's streaming
  * response-time percentiles (cluster-wide and per class) and per-node
  * utilization. Wall-clock numbers never enter the manifest: when
- * --bench-cluster / SOS_BENCH_CLUSTER names a report file, a second
- * pass re-runs the largest configuration under 1, 2 and 4 host
- * workers (SOS_JOBS-style fan-out, one ThreadPool task per node),
- * asserts the results stay bit-identical, and writes the scaling
- * curve there -- the flag is the opt-in, as with --bench-core.
+ * --bench FILE is given, a second pass re-runs the largest
+ * configuration under 1, 2 and 4 host workers (SOS_JOBS-style
+ * fan-out, one ThreadPool task per node), asserts the results stay
+ * bit-identical, and records the scaling curve as the "cluster"
+ * section of the "sos.bench" document.
  *
  * Scale knobs (the defaults keep a laptop run in minutes; CI smoke
  * and large-trace runs override them):
  *   SOS_CLUSTER_JOBS      arrivals per run          (default 400)
  *   SOS_CLUSTER_NODES     single node count         (default 2 and 4)
- *   SOS_DISPATCH          single policy             (default all four)
+ *   SOS_DISPATCH          single policy             (default all four,
+ *                                                  plus learned with a
+ *                                                  --model / SOS_MODEL)
  *   SOS_CLUSTER_MEAN_JOB  mean job, paper cycles    (default 30M)
  * A 10^5-10^6 job trace is a matter of SOS_CLUSTER_JOBS plus a
  * coarser SOS_CYCLE_SCALE (see EXPERIMENTS.md "Figure 9").
@@ -44,7 +46,6 @@
 #include "sim/bench_harness.hh"
 #include "sim/params_io.hh"
 #include "sim/reporting.hh"
-#include "stats/json.hh"
 
 namespace {
 
@@ -90,6 +91,9 @@ main(int argc, char **argv)
     if (const char *nodes = std::getenv("SOS_CLUSTER_NODES"))
         node_counts = {parseKnobInt("SOS_CLUSTER_NODES", nodes)};
     std::vector<std::string> policies = dispatcherNames();
+    // The learned dispatcher needs a trained model (--model / SOS_MODEL).
+    if (config.modelPath.empty())
+        std::erase(policies, "learned");
     if (const char *policy = std::getenv("SOS_DISPATCH"))
         policies = {policy};
 
@@ -145,34 +149,45 @@ main(int argc, char **argv)
         }
     }
 
-    // Host-thread scaling curve: opt-in via --bench-cluster, timed
-    // outside the manifest. The largest node count under the
-    // signature policy is re-run at 1, 2 and 4 workers; results must
-    // stay bit-identical (the cluster determinism contract), only the
-    // wall clock may move.
-    if (!harness.outputs().benchCluster.empty()) {
+    // Host-thread scaling curve: opt-in via --bench, timed outside
+    // the manifest. The largest node count under the signature policy
+    // is re-run at 1, 2 and 4 workers; results must stay bit-identical
+    // (the cluster determinism contract), only the wall clock may move.
+    if (harness.wantsBench()) {
         const int nodes = node_counts.back();
         const std::string policy = "signature";
-        const std::vector<int> workers = {1, 2, 4};
         std::printf("\nscaling curve: %d nodes, %s dispatch\n", nodes,
                     policy.c_str());
 
-        std::vector<double> elapsed;
+        const stats::Group curve = harness.bench("cluster");
+        curve.scalar("nodes", "cluster nodes") =
+            static_cast<std::uint64_t>(nodes);
+        curve.scalar("jobs", "arrivals per run") =
+            static_cast<std::uint64_t>(jobs);
+        curve.info("policy", "dispatch policy") = policy;
+        double serial = 0.0;
         std::vector<ClusterResult> results;
-        for (int w : workers) {
+        for (int w : {1, 2, 4}) {
             SimConfig run_config = config;
             run_config.jobs = w;
             Cluster cluster(run_config,
                             clusterConfig(nodes, policy));
             const auto start = std::chrono::steady_clock::now();
             results.push_back(cluster.run());
-            elapsed.push_back(
+            const double elapsed =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
-                    .count());
+                    .count();
+            if (w == 1)
+                serial = elapsed;
             std::printf("  %d worker%s  %8.2fs  (speedup %.2fx)\n", w,
-                        w == 1 ? ": " : "s:", elapsed.back(),
-                        elapsed.front() / elapsed.back());
+                        w == 1 ? ": " : "s:", elapsed,
+                        serial / elapsed);
+            const stats::Group point =
+                curve.group("workers" + std::to_string(w));
+            point.value("elapsed_seconds", "host wall-clock") = elapsed;
+            point.value("speedup", "1-worker time over this one") =
+                serial / elapsed;
         }
         for (const ClusterResult &result : results) {
             SOS_ASSERT(result.responseByArrival ==
@@ -181,49 +196,6 @@ main(int argc, char **argv)
                                results.front().nodeByArrival,
                        "cluster results drifted across worker counts");
         }
-
-        std::string document;
-        stats::JsonWriter json(&document);
-        json.beginObject();
-        json.key("schema");
-        json.string("sos.bench-cluster");
-        json.key("schema_version");
-        json.number(1);
-        json.key("tool");
-        json.string("fig9_cluster");
-        json.key("nodes");
-        json.number(nodes);
-        json.key("jobs");
-        json.number(jobs);
-        json.key("policy");
-        json.string(policy);
-        json.key("deterministic");
-        json.boolean(true);
-        json.key("points");
-        json.beginArray();
-        for (std::size_t i = 0; i < workers.size(); ++i) {
-            json.beginObject();
-            json.key("workers");
-            json.number(workers[i]);
-            json.key("elapsed_seconds");
-            json.number(elapsed[i]);
-            json.key("speedup");
-            json.number(elapsed.front() / elapsed[i]);
-            json.endObject();
-        }
-        json.endArray();
-        json.endObject();
-        SOS_ASSERT(json.complete());
-        document += '\n';
-
-        const std::string &path = harness.outputs().benchCluster;
-        std::FILE *file = std::fopen(path.c_str(), "w");
-        if (file == nullptr)
-            fatal("cannot open bench-cluster output '", path, "'");
-        const std::size_t written =
-            std::fwrite(document.data(), 1, document.size(), file);
-        if (written != document.size() || std::fclose(file) != 0)
-            fatal("short write to bench-cluster output '", path, "'");
     }
 
     std::printf("\n(Extrapolation: the paper stops at one SMT "

@@ -4,6 +4,11 @@
  * trace generation, cache access, branch prediction, core simulation
  * throughput, and predictor scoring. These bound how much simulated
  * time the experiment harnesses can afford.
+ *
+ * With --bench FILE the binary also runs the fixed core-loop
+ * microbench (sim/core_bench.hh) and writes its per-level host
+ * throughput as the "core" section of the "sos.bench" document; the
+ * document's elapsed time covers the google-benchmark run too.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,8 +19,8 @@
 #include "core/predictor.hh"
 #include "cpu/machine.hh"
 #include "mem/cache.hh"
-#include "sched/job.hh"
 #include "sim/bench_harness.hh"
+#include "sim/core_bench.hh"
 #include "trace/trace_generator.hh"
 #include "trace/workload_library.hh"
 
@@ -74,18 +79,7 @@ BM_SmtCoreCycles(benchmark::State &state)
     params.numContexts = level;
     Machine machine(params, MemParams{});
     SmtCore &core = machine.core(0);
-    const char *names[] = {"EP", "FP", "MG", "GCC", "GO", "WAVE"};
-    std::vector<std::unique_ptr<Job>> jobs;
-    for (int t = 0; t < level; ++t) {
-        jobs.push_back(std::make_unique<Job>(
-            static_cast<std::uint32_t>(t + 1),
-            WorkloadLibrary::instance().get(names[t % 6]),
-            0xb0b0 + static_cast<std::uint64_t>(t), 1, false));
-        ThreadBinding binding;
-        binding.gen = &jobs.back()->generator(0);
-        binding.asid = jobs.back()->asid();
-        core.attachThread(t, binding);
-    }
+    const auto jobs = attachBenchJobs(core, level);
     PerfCounters pc;
     for (auto _ : state) {
         core.run(10000, pc);
@@ -127,30 +121,12 @@ BENCHMARK(BM_PredictorScoring);
 void
 registerCoreThroughputStats(const stats::Group &group)
 {
-    for (const int level : {1, 2, 4, 6}) {
-        CoreParams params;
-        params.numContexts = level;
-        Machine machine(params, MemParams{});
-        SmtCore &core = machine.core(0);
-        const char *names[] = {"EP", "FP", "MG", "GCC", "GO", "WAVE"};
-        std::vector<std::unique_ptr<Job>> jobs;
-        for (int t = 0; t < level; ++t) {
-            jobs.push_back(std::make_unique<Job>(
-                static_cast<std::uint32_t>(t + 1),
-                WorkloadLibrary::instance().get(names[t % 6]),
-                0xb0b0 + static_cast<std::uint64_t>(t), 1, false));
-            ThreadBinding binding;
-            binding.gen = &jobs.back()->generator(0);
-            binding.asid = jobs.back()->asid();
-            core.attachThread(t, binding);
-        }
-        PerfCounters pc;
-        core.run(10000, pc);
+    for (const CoreBenchLevel &level : runCoreBench(10000).levels) {
         const stats::Group entry =
-            group.group("smt" + std::to_string(level));
-        entry.scalar("cycles", "simulated cycles") = pc.cycles;
-        entry.scalar("retired", "instructions retired") = pc.retired;
-        entry.value("ipc", "retired instructions per cycle") = pc.ipc();
+            group.group("smt" + std::to_string(level.contexts));
+        entry.scalar("cycles", "simulated cycles") = level.cycles;
+        entry.scalar("retired", "instructions retired") = level.retired;
+        entry.value("ipc", "retired instructions per cycle") = level.ipc;
     }
 }
 
@@ -161,7 +137,7 @@ main(int argc, char **argv)
 {
     // google-benchmark owns the command line, so every harness output
     // flag is peeled off before Initialize() sees (and rejects) it.
-    // run_all.sh passes --bench-sweep to all bench binaries alike, so
+    // run_all.sh passes --bench to all bench binaries alike, so
     // missing one here breaks the whole reproduction run.
     OutputPaths out = outputPathsFromEnv();
     std::vector<char *> forwarded;
@@ -173,10 +149,8 @@ main(int argc, char **argv)
                 dest = &out.manifest;
             else if (arg == "--trace")
                 dest = &out.trace;
-            else if (arg == "--bench-sweep")
-                dest = &out.benchSweep;
-            else if (arg == "--bench-core")
-                dest = &out.benchCore;
+            else if (arg == "--bench")
+                dest = &out.bench;
             if (dest != nullptr) {
                 *dest = argv[++i];
                 continue;
@@ -186,6 +160,10 @@ main(int argc, char **argv)
     }
     int forwarded_argc = static_cast<int>(forwarded.size());
 
+    // Constructed first: the harness clock starts here, so the bench
+    // report's elapsed time spans the google-benchmark run and the
+    // core loop below.
+    BenchHarness harness("micro_simulator", SimConfig{}, out);
     benchmark::Initialize(&forwarded_argc, forwarded.data());
     if (benchmark::ReportUnrecognizedArguments(forwarded_argc,
                                                forwarded.data()))
@@ -193,7 +171,8 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
-    BenchHarness harness("micro_simulator", SimConfig{}, out);
     registerCoreThroughputStats(harness.group("core_throughput"));
+    if (harness.wantsBench())
+        publishCoreBench(harness.bench("core"), runCoreBench());
     return harness.finish();
 }

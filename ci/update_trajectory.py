@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Append a sweep measurement to the perf trajectory and gate on it.
 
-The trajectory file (``BENCH_trajectory.json``) is a append-only list
+The trajectory file (``BENCH_trajectory.json``) is an append-only list
 of candidates/sec measurements of the fig1 sweep, one entry per CI run
 (plus the seed entries recorded when the hot-path work landed). CI
-restores the previous trajectory, appends the current measurement, and
-fails the build when throughput regressed more than the allowed
-fraction against the best directly comparable prior entry.
+restores the previous trajectory, appends the current measurement
+(read from the run's "sos.bench" report, ``--bench FILE``), and fails
+the build when throughput regressed more than the allowed fraction
+against the most recent comparable prior entry.
 
 Entries are only compared when their configuration key matches: the
 same tool, cycle scale, worker count, snapshot setting and sampling
@@ -16,7 +17,7 @@ scaled-down CI smoke measurements without ever being compared against
 them.
 
 Usage:
-    update_trajectory.py --trajectory FILE --bench-sweep FILE \
+    update_trajectory.py --trajectory FILE --bench FILE \
         --git-rev REV [--cycle-scale N] [--max-regression 0.15] \
         [--context LABEL]
 
@@ -27,6 +28,8 @@ Exit status: 0 on pass (or no comparable history), 1 on regression,
 import argparse
 import json
 import sys
+
+from bench_report import CheckError, load_bench
 
 SCHEMA = "sos.bench-trajectory"
 SCHEMA_VERSION = 1
@@ -49,8 +52,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trajectory", required=True,
                         help="trajectory JSON (created when missing)")
-    parser.add_argument("--bench-sweep", required=True,
-                        help="sos.bench-sweep report of this run")
+    parser.add_argument("--bench", required=True,
+                        help="sos.bench report of this run")
     parser.add_argument("--git-rev", required=True)
     parser.add_argument("--cycle-scale", type=int, default=1,
                         help="SOS_CYCLE_SCALE the sweep ran at")
@@ -62,15 +65,9 @@ def main():
     args = parser.parse_args()
 
     try:
-        with open(args.bench_sweep) as f:
-            sweep = json.load(f)
-    except (OSError, ValueError) as exc:
-        print("trajectory: cannot read bench-sweep report: %s" % exc,
-              file=sys.stderr)
-        return 2
-    if sweep.get("schema") != "sos.bench-sweep":
-        print("trajectory: %s is not a sos.bench-sweep report"
-              % args.bench_sweep, file=sys.stderr)
+        sweep = load_bench(args.bench)
+    except CheckError as exc:
+        print("trajectory: bad bench report: %s" % exc, file=sys.stderr)
         return 2
     timing = sweep["stats"]["timing"]
 

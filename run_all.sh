@@ -4,18 +4,16 @@
 # can call this script directly.
 #
 # Every bench also writes its machine-readable run manifest to
-# results/<bench>.json (via --out) and its wall-clock timing report to
-# results/timing/<bench>.json (via --bench-sweep); the core-loop
-# microbench report lands in results/core/ (via --bench-core) and the
-# fig9 cluster scaling curve in results/cluster/ (via
-# --bench-cluster). When python3 is available the manifests are
-# consolidated into results/manifest.json, the timing reports into
-# results/BENCH_sweep.json, the core reports into
-# results/BENCH_core.json, and the cluster reports into
-# results/BENCH_cluster.json -- skipping (and reporting) any report a
-# failed bench left missing or truncated, so partial runs still
-# produce the consolidated files. Timing stays out of the manifests so
-# those remain bit-comparable across hosts.
+# results/<bench>.json (via --out) and its host-timing report to
+# results/bench/<bench>.json (via --bench; micro_simulator's carries
+# the core-loop microbench, fig9_cluster's the cluster scaling curve).
+# When python3 is available, ci/bench_report.py merge consolidates the
+# manifests into results/manifest.json and the bench reports, with the
+# sampled sweep's speedup and pick-regret, into results/BENCH.json --
+# skipping (and reporting) any report a failed bench left missing or
+# truncated, so partial runs still produce the consolidated files.
+# Timing stays out of the manifests so those remain bit-comparable
+# across hosts.
 #
 # SOS_JOBS controls the sweep worker threads of every bench (and is
 # also used as the ctest parallelism); unset means one worker per
@@ -30,19 +28,13 @@ ctest --test-dir build --output-on-failure -j "$jobs" \
     >test_output.txt 2>&1 || status=$?
 cat test_output.txt
 
-mkdir -p results results/timing results/core results/cluster
+mkdir -p results results/bench
 : >bench_output.txt
 for b in build/bench/*; do
     if [ -f "$b" ] && [ -x "$b" ]; then
         name="$(basename "$b")"
         echo "===== $b =====" >>bench_output.txt
-        # The cluster bench opts into its host-thread scaling curve
-        # (wall-clock per worker count) via --bench-cluster.
-        set -- --out "results/$name.json" \
-            --bench-sweep "results/timing/$name.json"
-        if [ "$name" = "fig9_cluster" ]; then
-            set -- "$@" --bench-cluster "results/cluster/$name.json"
-        fi
+        set -- --out "results/$name.json" --bench "results/bench/$name.json"
         # fig1's decision trace is the training set for the learned
         # WS model (see the sostrain block below).
         if [ "$name" = "fig1_ws_range" ]; then
@@ -56,21 +48,6 @@ for b in build/bench/*; do
     fi
 done
 cat bench_output.txt
-
-# Core-loop host throughput (cycles/sec): one run per invocation,
-# via the micro_simulator harness. A failure here must not block the
-# consolidation below -- partial results still get collected.
-if [ -x build/bench/micro_simulator ]; then
-    echo "===== micro_simulator --bench-core =====" >>bench_output.txt
-    if ! build/bench/micro_simulator \
-            --benchmark_filter='^$' \
-            --bench-core results/core/micro_simulator.json \
-            >>bench_output.txt 2>&1
-    then
-        echo "FAILED: micro_simulator --bench-core" >>bench_output.txt
-        status=1
-    fi
-fi
 
 # Sampled-mode fig1 sweep: the same golden sweep once more with the
 # SMARTS sampler on, so every full run also records the sampled-mode
@@ -88,7 +65,7 @@ if [ -x build/bench/fig1_ws_range ]; then
     echo "===== fig1_ws_range (sampled $sample) =====" >>bench_output.txt
     if ! SOS_SAMPLE="$sample" build/bench/fig1_ws_range \
             --out results/sampled/fig1_ws_range.json \
-            --bench-sweep results/sampled/timing.json \
+            --bench results/sampled/bench.json \
             >>bench_output.txt 2>&1
     then
         echo "FAILED: fig1_ws_range (sampled)" >>bench_output.txt
@@ -124,182 +101,11 @@ if [ -x build/src/tools/sostrain ] \
     fi
 fi
 
-# Consolidate the per-bench manifests (and validate that every one is
-# well-formed JSON) when python3 is around; the simulator itself never
+# Consolidate the per-bench manifests and bench reports (validating
+# every one) when python3 is around; the simulator itself never
 # depends on python.
 if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF' || status=1
-import json
-import os
-import sys
-
-failures = []
-
-
-def load_docs(directory, schema, skip=()):
-    """Load every well-formed JSON doc of one schema from a directory.
-
-    A bench that crashed mid-run leaves a missing or truncated file;
-    those are reported and skipped so one bad bench never takes down
-    the consolidated reports of the others.
-    """
-    docs = {}
-    if not os.path.isdir(directory):
-        return docs
-    for entry in sorted(os.listdir(directory)):
-        if not entry.endswith(".json") or entry in skip:
-            continue
-        # The consolidated outputs live next to their inputs; never
-        # re-ingest them on a second run.
-        if entry.startswith("BENCH_") or entry == "manifest.json":
-            continue
-        path = os.path.join(directory, entry)
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, ValueError) as exc:
-            failures.append("%s: unreadable (%s)" % (path, exc))
-            continue
-        if doc.get("schema") != schema:
-            failures.append(
-                "%s: schema %r, wanted %r"
-                % (path, doc.get("schema"), schema)
-            )
-            continue
-        docs[entry[: -len(".json")]] = doc
-    return docs
-
-
-runs = load_docs("results", "sos.run-manifest")
-with open("results/manifest.json", "w") as f:
-    json.dump(
-        {"schema": "sos.run-set", "schema_version": 1, "runs": runs},
-        f,
-        indent=2,
-        sort_keys=True,
-    )
-    f.write("\n")
-print("results/manifest.json: consolidated %d run manifests" % len(runs))
-
-timing = load_docs("results/timing", "sos.bench-sweep")
-total = sum(
-    doc["stats"]["timing"]["elapsed_seconds"] for doc in timing.values()
-)
-with open("results/BENCH_sweep.json", "w") as f:
-    json.dump(
-        {
-            "schema": "sos.bench-sweep-set",
-            "schema_version": 1,
-            "total_elapsed_seconds": total,
-            "benches": timing,
-        },
-        f,
-        indent=2,
-        sort_keys=True,
-    )
-    f.write("\n")
-print(
-    "results/BENCH_sweep.json: %d bench timings, %.1fs total"
-    % (len(timing), total)
-)
-
-# The sampled-mode report: wall-clock of the sampled fig1 sweep
-# against its full-detail sibling, the manifest's sampling stats
-# (windows, cycle split, error estimates), and the pick-regret of the
-# sampled winner per jobmix scored in full detail.
-sampled_doc = {
-    "schema": "sos.bench-sampled",
-    "schema_version": 1,
-}
-try:
-    with open("results/sampled/fig1_ws_range.json") as f:
-        sampled_manifest = json.load(f)
-    with open("results/sampled/timing.json") as f:
-        sampled_timing = json.load(f)
-except (OSError, ValueError) as exc:
-    sampled_manifest = sampled_timing = None
-    failures.append("results/sampled: unreadable (%s)" % exc)
-if sampled_manifest is not None:
-    sampled_doc["sample"] = sampled_timing.get("sample")
-    sampled_doc["sampling"] = sampled_manifest["stats"].get("sampling")
-    sampled_doc["elapsed_seconds"] = (
-        sampled_timing["stats"]["timing"]["elapsed_seconds"]
-    )
-    full_timing = timing.get("fig1_ws_range")
-    if full_timing is not None:
-        full_elapsed = full_timing["stats"]["timing"]["elapsed_seconds"]
-        sampled_doc["full_elapsed_seconds"] = full_elapsed
-        sampled_doc["speedup"] = (
-            full_elapsed / sampled_doc["elapsed_seconds"]
-            if sampled_doc["elapsed_seconds"] > 0 else 0.0
-        )
-    full_run = runs.get("fig1_ws_range")
-    if full_run is not None:
-        regret = {}
-        fexp = full_run["stats"]["experiments"]
-        sexp = sampled_manifest["stats"]["experiments"]
-        for mix in fexp:
-            fc = [v for k, v in fexp[mix].items()
-                  if k.startswith("candidate")]
-            sc = [v for k, v in sexp[mix].items()
-                  if k.startswith("candidate")]
-            pick = max(sc, key=lambda c: c["ws"])["schedule"]
-            best = max(c["ws"] for c in fc)
-            picked = next(c["ws"] for c in fc if c["schedule"] == pick)
-            regret[mix] = (best - picked) / best if best > 0 else 0.0
-        sampled_doc["pick_regret"] = regret
-        sampled_doc["worst_pick_regret"] = max(
-            regret.values(), default=0.0
-        )
-with open("results/BENCH_sampled.json", "w") as f:
-    json.dump(sampled_doc, f, indent=2, sort_keys=True)
-    f.write("\n")
-print(
-    "results/BENCH_sampled.json: %.2fx speedup, worst pick-regret %.2f%%"
-    % (
-        sampled_doc.get("speedup", 0.0),
-        100.0 * sampled_doc.get("worst_pick_regret", 0.0),
-    )
-)
-
-cluster = load_docs("results/cluster", "sos.bench-cluster")
-with open("results/BENCH_cluster.json", "w") as f:
-    json.dump(
-        {
-            "schema": "sos.bench-cluster-set",
-            "schema_version": 1,
-            "benches": cluster,
-        },
-        f,
-        indent=2,
-        sort_keys=True,
-    )
-    f.write("\n")
-print(
-    "results/BENCH_cluster.json: %d cluster scaling reports"
-    % len(cluster)
-)
-
-core = load_docs("results/core", "sos.bench-core")
-with open("results/BENCH_core.json", "w") as f:
-    json.dump(
-        {
-            "schema": "sos.bench-core-set",
-            "schema_version": 1,
-            "benches": core,
-        },
-        f,
-        indent=2,
-        sort_keys=True,
-    )
-    f.write("\n")
-print("results/BENCH_core.json: %d core microbench reports" % len(core))
-
-if failures:
-    for failure in failures:
-        print("consolidation: %s" % failure, file=sys.stderr)
-    sys.exit(1)
-EOF
+    python3 ci/bench_report.py merge results || status=1
 else
     echo "python3 not found; skipping results/manifest.json" >&2
 fi

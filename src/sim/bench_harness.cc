@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <set>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "sim/core_bench.hh"
 #include "sim/params_io.hh"
 #include "cpu/sampling.hh"
 #include "stats/json.hh"
@@ -44,6 +42,32 @@ publishCacheGeometry(const stats::Group &group,
         static_cast<double>(cache.lineBytes);
     g.value("assoc", "associativity") =
         static_cast<double>(cache.assoc);
+}
+
+/**
+ * Candidate profiling runs registered in @p registry: the number of
+ * distinct "candidate<i>" stat groups, the unit of sweep work the
+ * bench report normalizes throughput by.
+ */
+std::size_t
+candidateCount(const stats::Registry &registry)
+{
+    std::set<std::string> groups;
+    for (const stats::Stat *stat : registry.sorted()) {
+        const std::string &path = stat->path();
+        std::size_t begin = 0;
+        while (begin < path.size()) {
+            std::size_t end = path.find('.', begin);
+            if (end == std::string::npos)
+                end = path.size();
+            if (isCandidateSegment(path, begin, end)) {
+                groups.insert(path.substr(0, end));
+                break;
+            }
+            begin = end + 1;
+        }
+    }
+    return groups.size();
 }
 
 } // namespace
@@ -117,60 +141,29 @@ BenchHarness::BenchHarness(std::string tool, SimConfig config,
     trace_.setPhaseStride(options_.config.traceSample);
 }
 
-double
-BenchHarness::elapsedSeconds() const
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-}
-
-std::size_t
-BenchHarness::candidateCount() const
-{
-    std::set<std::string> groups;
-    for (const stats::Stat *stat : registry_.sorted()) {
-        const std::string &path = stat->path();
-        std::size_t begin = 0;
-        while (begin < path.size()) {
-            std::size_t end = path.find('.', begin);
-            if (end == std::string::npos)
-                end = path.size();
-            if (isCandidateSegment(path, begin, end)) {
-                groups.insert(path.substr(0, end));
-                break;
-            }
-            begin = end + 1;
-        }
-    }
-    return groups.size();
-}
-
 void
-BenchHarness::writeBenchSweep() const
+BenchHarness::writeBench()
 {
-    const double elapsed = elapsedSeconds();
-    const auto candidates =
-        static_cast<std::uint64_t>(candidateCount());
-
-    // The timing registry is deliberately separate from registry_:
-    // wall-clock numbers must never leak into the manifest.
-    stats::Registry timing;
-    const stats::Group group = stats::Group(timing).group("timing");
-    group.value("elapsed_seconds", "wall-clock harness duration") =
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start_)
+            .count();
+    const auto candidates = static_cast<double>(candidateCount(registry_));
+    const stats::Group timing = bench("timing");
+    timing.value("elapsed_seconds", "wall-clock harness duration") =
         elapsed;
-    group.value("candidates", "candidate profiling runs registered") =
-        static_cast<double>(candidates);
-    group.value("candidates_per_sec", "sweep throughput") =
-        elapsed > 0.0 ? static_cast<double>(candidates) / elapsed : 0.0;
+    timing.value("candidates", "candidate profiling runs registered") =
+        candidates;
+    timing.value("candidates_per_sec", "sweep throughput") =
+        elapsed > 0.0 ? candidates / elapsed : 0.0;
 
     std::string document;
     stats::JsonWriter json(&document);
     json.beginObject();
     json.key("schema");
-    json.string("sos.bench-sweep");
+    json.string("sos.bench");
     json.key("schema_version");
-    json.number(1);
+    json.number(2);
     json.key("tool");
     json.string(tool_);
     json.key("jobs");
@@ -181,21 +174,11 @@ BenchHarness::writeBenchSweep() const
     json.key("sample");
     json.string(renderSampleWindows(options_.config.sample));
     json.key("stats");
-    writeJsonTree(timing, json);
+    writeJsonTree(bench_, json);
     json.endObject();
     SOS_ASSERT(json.complete());
     document += '\n';
-
-    const std::string &path = options_.out.benchSweep;
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (file == nullptr)
-        fatal("cannot open bench-sweep output '", path, "'");
-    const std::size_t written =
-        std::fwrite(document.data(), 1, document.size(), file);
-    const bool ok =
-        written == document.size() && std::fclose(file) == 0;
-    if (!ok)
-        fatal("short write to bench-sweep output '", path, "'");
+    stats::writeFileOrFatal(options_.out.bench, document, "bench");
 }
 
 int
@@ -221,15 +204,8 @@ BenchHarness::finish()
     }
     if (!options_.out.trace.empty())
         trace_.writeFile(options_.out.trace);
-    if (!options_.out.benchSweep.empty())
-        writeBenchSweep();
-    if (!options_.out.benchCore.empty()) {
-        // The core-loop microbench runs only on request: the flag is
-        // the opt-in, so every harness binary gains --bench-core
-        // without paying for it otherwise.
-        writeCoreBenchFile(options_.out.benchCore, tool_,
-                           runCoreBench());
-    }
+    if (wantsBench())
+        writeBench();
     return 0;
 }
 

@@ -11,12 +11,16 @@
  * otherwise. One call site per binary keeps every harness's
  * machine-readable output identical in shape.
  *
- * The harness also measures its own wall-clock duration. Timing is
- * host noise, so it lives in a separate "timing" stats registry that
- * never reaches the manifest (manifests must stay bit-comparable
- * across hosts, worker counts and the snapshot escape hatch); it is
- * written to --bench-sweep / SOS_BENCH_SWEEP as a small JSON report
- * with the candidate-sweep throughput.
+ * The harness also measures its own wall-clock duration, from
+ * construction to finish(). Timing is host noise, so it lives in a
+ * separate host-timing registry that never reaches the manifest
+ * (manifests must stay bit-comparable across hosts, worker counts and
+ * the snapshot escape hatch). --bench FILE writes that registry as one
+ * "sos.bench" schema v2 document: top-level tool, jobs, snapshot and
+ * sample, then "stats" with the always-present "timing" section
+ * (elapsed_seconds, candidates, candidates_per_sec) and the sections
+ * harnesses add through bench(name): micro_simulator's "core" and
+ * fig9_cluster's "cluster".
  */
 
 #ifndef SOS_SIM_BENCH_HARNESS_HH
@@ -64,31 +68,33 @@ class BenchHarness
     /** True when --trace / SOS_TRACE asked for decision events. */
     bool wantsTrace() const { return !options_.out.trace.empty(); }
 
-    /** The parsed output destinations (fig9 writes --bench-cluster). */
-    const OutputPaths &outputs() const { return options_.out; }
+    /** True when --bench asked for the host-timing report. */
+    bool wantsBench() const { return !options_.out.bench.empty(); }
 
     /**
-     * Write the manifest, trace and bench-sweep timing report if
-     * their destinations were set. Returns the process exit status
-     * (0), so mains can end with `return harness.finish();`.
+     * Registration handle under one top-level group of the host-timing
+     * registry: wall-clock measurements that belong in the --bench
+     * document and never in the manifest.
+     */
+    stats::Group
+    bench(const std::string &name)
+    {
+        return stats::Group(bench_).group(name);
+    }
+
+    /**
+     * Write the manifest, trace and bench report if their
+     * destinations were set. Returns the process exit status (0), so
+     * mains can end with `return harness.finish();`.
      * Non-const: with sampling enabled it first registers the
      * "sampling" stats group (config, cycle split, error estimates)
      * from the process-wide accumulator.
      */
     int finish();
 
-    /** Wall-clock seconds since the harness was constructed. */
-    double elapsedSeconds() const;
-
-    /**
-     * Candidate profiling runs registered so far: the number of
-     * distinct "candidate<i>" stat groups, the unit of sweep work the
-     * bench-sweep report normalizes throughput by.
-     */
-    std::size_t candidateCount() const;
-
   private:
-    void writeBenchSweep() const;
+    /** Render the host-timing registry as the "sos.bench" document. */
+    void writeBench();
 
     /**
      * Register the "machine.topology" info group describing the
@@ -101,6 +107,7 @@ class BenchHarness
     std::string tool_;
     BenchOptions options_;
     stats::Registry registry_;
+    stats::Registry bench_; ///< host timing; never reaches the manifest
     stats::EventTrace trace_;
     std::chrono::steady_clock::time_point start_ =
         std::chrono::steady_clock::now();

@@ -56,12 +56,6 @@ outputPathsFromEnv()
         out.manifest = path;
     if (const char *path = std::getenv("SOS_TRACE"))
         out.trace = path;
-    if (const char *path = std::getenv("SOS_BENCH_SWEEP"))
-        out.benchSweep = path;
-    if (const char *path = std::getenv("SOS_BENCH_CORE"))
-        out.benchCore = path;
-    if (const char *path = std::getenv("SOS_BENCH_CLUSTER"))
-        out.benchCluster = path;
     return out;
 }
 
@@ -91,18 +85,13 @@ parseBenchArgs(int argc, char **argv)
             options.out.manifest = valueOf("--out");
         else if (arg == "--trace")
             options.out.trace = valueOf("--trace");
-        else if (arg == "--bench-sweep")
-            options.out.benchSweep = valueOf("--bench-sweep");
-        else if (arg == "--bench-core")
-            options.out.benchCore = valueOf("--bench-core");
-        else if (arg == "--bench-cluster")
-            options.out.benchCluster = valueOf("--bench-cluster");
+        else if (arg == "--bench")
+            options.out.bench = valueOf("--bench");
         else
             fatal("unknown argument '", arg,
                   "' (bench harnesses accept --set key=value, "
                   "--jobs N, --machine-config FILE, --model FILE, "
-                  "--out FILE, --trace FILE, --bench-sweep FILE, "
-                  "--bench-core FILE, --bench-cluster FILE)");
+                  "--out FILE, --trace FILE, --bench FILE)");
     }
     return options;
 }

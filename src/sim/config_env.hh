@@ -9,14 +9,11 @@
  *                 fast path), SOS_TRACE_SAMPLE (keep every Nth
  *                 sample-phase trace group), SOS_MACHINE_CONFIG
  *                 (machine description file; see configs/), SOS_OUT
- *                 (manifest path), SOS_TRACE (decision-trace path),
- *                 SOS_BENCH_SWEEP (wall-clock timing report path),
- *                 SOS_BENCH_CORE (core-loop microbench report path),
- *                 SOS_BENCH_CLUSTER (fig9 scaling-curve report path)
+ *                 (manifest path), SOS_TRACE (decision-trace path)
  *   command line  --set key=value (repeated), --jobs N,
  *                 --machine-config FILE, --out FILE.json,
- *                 --trace FILE.jsonl, --bench-sweep FILE.json,
- *                 --bench-core FILE.json, --bench-cluster FILE.json
+ *                 --trace FILE.jsonl, --bench FILE.json (host-timing
+ *                 report; flag only, no environment alias)
  *
  * This module is the one place that parsing lives; reporting.hh is
  * again purely about table formatting.
@@ -46,28 +43,14 @@ struct OutputPaths
     std::string manifest; ///< --out / SOS_OUT; empty = no manifest
     std::string trace;    ///< --trace / SOS_TRACE; empty = no trace
     /**
-     * --bench-sweep / SOS_BENCH_SWEEP; empty = no timing report.
-     * Wall-clock timing lives in its own file (never the manifest):
-     * manifests stay bit-comparable across hosts and worker counts.
+     * --bench; empty = no host-timing report. Wall-clock timing lives
+     * in its own "sos.bench" file (never the manifest): manifests stay
+     * bit-comparable across hosts and worker counts.
      */
-    std::string benchSweep;
-    /**
-     * --bench-core / SOS_BENCH_CORE; empty = skip. When set, the
-     * harness runs the fixed core-loop microbench at exit and writes
-     * its cycles/sec report here (host timing, never the manifest).
-     */
-    std::string benchCore;
-
-    /**
-     * --bench-cluster / SOS_BENCH_CLUSTER; empty = skip. Only the
-     * fig9 cluster bench consumes it: the host-thread scaling curve
-     * (wall-clock per worker count) is written here, never to the
-     * manifest.
-     */
-    std::string benchCluster;
+    std::string bench;
 };
 
-/** Resolve SOS_OUT / SOS_TRACE / SOS_BENCH_SWEEP when no flags given. */
+/** Resolve SOS_OUT / SOS_TRACE when no flags given. */
 OutputPaths outputPathsFromEnv();
 
 /** Everything a bench binary's command line can configure. */
@@ -79,7 +62,8 @@ struct BenchOptions
 
 /**
  * Parse a bench harness command line: repeated --set key=value,
- * --jobs N, --out FILE, --trace FILE, --bench-sweep FILE.
+ * --jobs N, --machine-config FILE, --model FILE, --out FILE,
+ * --trace FILE, --bench FILE.
  * Environment overrides are applied first, so flags win. Unknown
  * arguments are fatal().
  */

@@ -1,14 +1,12 @@
 #include "core_bench.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "common/logging.hh"
 #include "cpu/machine.hh"
 #include "sched/job.hh"
-#include "stats/json.hh"
 #include "trace/workload_library.hh"
 
 namespace sos {
@@ -19,18 +17,36 @@ namespace {
 constexpr std::array<int, CoreBenchResult::numLevels> benchLevels = {
     1, 2, 4, 6};
 
-/** Fixed workload rotation; seeds are fixed too (see runCoreBench). */
+/** Fixed workload rotation; seeds are fixed too (see attachBenchJobs). */
 constexpr std::array<const char *, 6> benchWorkloads = {
     "EP", "FP", "MG", "GCC", "GO", "WAVE"};
 
 } // namespace
+
+std::vector<std::unique_ptr<Job>>
+attachBenchJobs(SmtCore &core, int level)
+{
+    std::vector<std::unique_ptr<Job>> jobs;
+    for (int t = 0; t < level; ++t) {
+        jobs.push_back(std::make_unique<Job>(
+            static_cast<std::uint32_t>(t + 1),
+            WorkloadLibrary::instance().get(
+                benchWorkloads[static_cast<std::size_t>(t) %
+                               benchWorkloads.size()]),
+            0xb0b0 + static_cast<std::uint64_t>(t), 1, false));
+        ThreadBinding binding;
+        binding.gen = &jobs.back()->generator(0);
+        binding.asid = jobs.back()->asid();
+        core.attachThread(t, binding);
+    }
+    return jobs;
+}
 
 CoreBenchResult
 runCoreBench(std::uint64_t cycles_per_level)
 {
     using clock = std::chrono::steady_clock;
     CoreBenchResult result;
-    const auto sweep_start = clock::now();
 
     for (int li = 0; li < CoreBenchResult::numLevels; ++li) {
         const int level = benchLevels[static_cast<std::size_t>(li)];
@@ -38,23 +54,7 @@ runCoreBench(std::uint64_t cycles_per_level)
         params.numContexts = level;
         Machine machine(params, MemParams{});
         SmtCore &core = machine.core(0);
-
-        // The same fixed bindings as the micro_simulator component
-        // benchmark: library workloads with constant seeds, so the
-        // simulated-side numbers are a pure function of the model.
-        std::vector<std::unique_ptr<Job>> jobs;
-        for (int t = 0; t < level; ++t) {
-            jobs.push_back(std::make_unique<Job>(
-                static_cast<std::uint32_t>(t + 1),
-                WorkloadLibrary::instance().get(
-                    benchWorkloads[static_cast<std::size_t>(t) %
-                                   benchWorkloads.size()]),
-                0xb0b0 + static_cast<std::uint64_t>(t), 1, false));
-            ThreadBinding binding;
-            binding.gen = &jobs.back()->generator(0);
-            binding.asid = jobs.back()->asid();
-            core.attachThread(t, binding);
-        }
+        const auto jobs = attachBenchJobs(core, level);
 
         PerfCounters pc;
         const auto start = clock::now();
@@ -76,62 +76,26 @@ runCoreBench(std::uint64_t cycles_per_level)
             elapsed > 0.0 ? static_cast<double>(pc.retired) / elapsed
                           : 0.0;
     }
-
-    result.elapsedSeconds =
-        std::chrono::duration<double>(clock::now() - sweep_start)
-            .count();
     return result;
 }
 
 void
-writeCoreBenchFile(const std::string &path, const std::string &tool,
-                   const CoreBenchResult &result)
+publishCoreBench(const stats::Group &group, const CoreBenchResult &result)
 {
-    std::string document;
-    stats::JsonWriter json(&document);
-    json.beginObject();
-    json.key("schema");
-    json.string("sos.bench-core");
-    json.key("schema_version");
-    json.number(1);
-    json.key("tool");
-    json.string(tool);
-    json.key("elapsed_seconds");
-    json.number(result.elapsedSeconds);
-    json.key("levels");
-    json.beginArray();
     for (const CoreBenchLevel &level : result.levels) {
-        json.beginObject();
-        json.key("contexts");
-        json.number(static_cast<std::int64_t>(level.contexts));
-        json.key("cycles");
-        json.number(static_cast<std::int64_t>(level.cycles));
-        json.key("retired");
-        json.number(static_cast<std::int64_t>(level.retired));
-        json.key("ipc");
-        json.number(level.ipc);
-        json.key("elapsed_seconds");
-        json.number(level.elapsedSeconds);
-        json.key("cycles_per_sec");
-        json.number(level.cyclesPerSec);
-        json.key("retired_per_sec");
-        json.number(level.retiredPerSec);
-        json.endObject();
+        const stats::Group g =
+            group.group("smt" + std::to_string(level.contexts));
+        g.scalar("cycles", "simulated cycles driven") = level.cycles;
+        g.scalar("retired", "instructions retired") = level.retired;
+        g.value("ipc", "simulated IPC") = level.ipc;
+        g.value("elapsed_seconds", "host wall-clock for the level") =
+            level.elapsedSeconds;
+        g.value("cycles_per_sec", "simulated cycles per host second") =
+            level.cyclesPerSec;
+        g.value("retired_per_sec",
+                "retired instructions per host second") =
+            level.retiredPerSec;
     }
-    json.endArray();
-    json.endObject();
-    SOS_ASSERT(json.complete());
-    document += '\n';
-
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (file == nullptr)
-        fatal("cannot open bench-core output '", path, "'");
-    const std::size_t written =
-        std::fwrite(document.data(), 1, document.size(), file);
-    const bool ok =
-        written == document.size() && std::fclose(file) == 0;
-    if (!ok)
-        fatal("short write to bench-core output '", path, "'");
 }
 
 } // namespace sos

@@ -13,8 +13,9 @@
  * (cycles/sec, kilo-instructions/sec) is what the CI perf trajectory
  * tracks: it is pure wall-clock and never enters a run manifest.
  *
- * Requested with --bench-core FILE / SOS_BENCH_CORE; written by
- * BenchHarness::finish() as a "sos.bench-core" schema v1 JSON report.
+ * micro_simulator runs it whenever --bench FILE is given and publishes
+ * the result as the "core" section of its "sos.bench" document
+ * (core.smt<k> per level); the harness never runs it otherwise.
  */
 
 #ifndef SOS_SIM_CORE_BENCH_HH
@@ -22,9 +23,15 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
+#include <memory>
+#include <vector>
+
+#include "sched/job.hh"
+#include "stats/stats.hh"
 
 namespace sos {
+
+class SmtCore;
 
 /** Measured throughput of the core loop at one SMT level. */
 struct CoreBenchLevel
@@ -43,8 +50,16 @@ struct CoreBenchResult
 {
     static constexpr int numLevels = 4;
     std::array<CoreBenchLevel, numLevels> levels{};
-    double elapsedSeconds = 0.0; ///< total harness wall-clock
 };
+
+/**
+ * Bind the microbench's fixed workloads -- library profiles in a fixed
+ * rotation with constant seeds -- to contexts 0..level-1 of @p core,
+ * so the simulated side is a pure function of the model. The returned
+ * jobs own the trace generators and must outlive the run.
+ */
+std::vector<std::unique_ptr<Job>> attachBenchJobs(SmtCore &core,
+                                                  int level);
 
 /**
  * Drive the fixed core-loop workload at every SMT level.
@@ -55,12 +70,13 @@ struct CoreBenchResult
 CoreBenchResult runCoreBench(std::uint64_t cycles_per_level = 300000);
 
 /**
- * Write @p result to @p path as a "sos.bench-core" schema v1 JSON
- * document. @p tool names the producing binary. fatal()s on I/O
- * errors, mirroring the bench-sweep writer.
+ * Register @p result under @p group: one smt<k> group per level
+ * (cycles, retired, ipc, elapsed_seconds, cycles_per_sec,
+ * retired_per_sec). Meant for a host-timing registry, never a
+ * manifest.
  */
-void writeCoreBenchFile(const std::string &path, const std::string &tool,
-                        const CoreBenchResult &result);
+void publishCoreBench(const stats::Group &group,
+                      const CoreBenchResult &result);
 
 } // namespace sos
 

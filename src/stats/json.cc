@@ -182,4 +182,18 @@ JsonWriter::null()
     wroteValue_ = true;
 }
 
+void
+writeFileOrFatal(const std::string &path, const std::string &document,
+                 const std::string &what)
+{
+    std::FILE *file = std::fopen(path.c_str(), "w");
+    if (file == nullptr)
+        fatal("cannot open ", what, " output '", path, "'");
+    const std::size_t written =
+        std::fwrite(document.data(), 1, document.size(), file);
+    const bool ok = written == document.size() && std::fclose(file) == 0;
+    if (!ok)
+        fatal("short write to ", what, " output '", path, "'");
+}
+
 } // namespace sos::stats

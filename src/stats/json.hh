@@ -30,6 +30,16 @@ std::string escapeJson(const std::string &raw);
  */
 std::string formatDouble(double value);
 
+/**
+ * Write @p document to @p path, replacing any existing file. A bad
+ * destination is a user error, so failing to open or fully write the
+ * file is fatal(); @p what names the output ("manifest", "trace",
+ * "bench") in the message.
+ */
+void writeFileOrFatal(const std::string &path,
+                      const std::string &document,
+                      const std::string &what);
+
 /** Streaming JSON writer with automatic comma placement. */
 class JsonWriter
 {

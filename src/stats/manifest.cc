@@ -1,7 +1,5 @@
 #include "manifest.hh"
 
-#include <cstdio>
-
 #include "common/logging.hh"
 #include "stats/json.hh"
 
@@ -52,15 +50,8 @@ void
 writeManifestFile(const std::string &path, const Manifest &manifest,
                   const Registry &registry)
 {
-    const std::string document = renderManifest(manifest, registry);
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (file == nullptr)
-        fatal("cannot open manifest output '", path, "'");
-    const std::size_t written =
-        std::fwrite(document.data(), 1, document.size(), file);
-    const bool ok = written == document.size() && std::fclose(file) == 0;
-    if (!ok)
-        fatal("short write to manifest output '", path, "'");
+    writeFileOrFatal(path, renderManifest(manifest, registry),
+                     "manifest");
 }
 
 } // namespace sos::stats

@@ -1,7 +1,5 @@
 #include "trace.hh"
 
-#include <cstdio>
-
 #include "common/logging.hh"
 #include "stats/json.hh"
 
@@ -132,15 +130,7 @@ EventTrace::render() const
 void
 EventTrace::writeFile(const std::string &path) const
 {
-    const std::string document = render();
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (file == nullptr)
-        fatal("cannot open trace output '", path, "'");
-    const std::size_t written =
-        std::fwrite(document.data(), 1, document.size(), file);
-    const bool ok = written == document.size() && std::fclose(file) == 0;
-    if (!ok)
-        fatal("short write to trace output '", path, "'");
+    writeFileOrFatal(path, render(), "trace");
 }
 
 } // namespace sos::stats
