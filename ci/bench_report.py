@@ -9,15 +9,16 @@ core-loop microbench), fig9_cluster adds "cluster" (workers<w> points
 of its scaling curve).
 
 check BENCH [--manifest RUN] [--against BENCH [--against-manifest RUN]]
-            [--require SECTION ...]
-    Validate one document and apply the CI gates. A "cluster" section
-    needs a 4-worker speedup of 1.5x on hosts with 4 or more cores.
-    With --manifest, a sampled run's manifest must carry its windows
-    and a sane "sampling" group. --against names a full-detail
-    reference run: a sampled run must be 2x faster and, given both
-    manifests, lose at most 5% weighted speedup in every mix
-    (pick-regret); a snapshot run may take at most 1.10x the time of
-    the same sweep with the snapshot fast path off.
+    Validate one document and apply the CI gates. micro_simulator's
+    document must carry "core", fig9_cluster's "cluster". A "cluster"
+    section needs at least 4 nodes and a 4-worker speedup of 1.5x on
+    hosts with 4 or more cores. With --manifest, a sampled run's
+    manifest must carry its windows and a sane "sampling" group.
+    --against names a reference run: a sampled run must be 2x faster
+    than a full-detail one and, with both manifests (required), lose
+    at most 5% weighted speedup in every mix (pick-regret); a snapshot
+    run may take at most 1.10x the time of the same sweep with the
+    snapshot fast path off.
 
 merge RESULTS
     Consolidate a run_all.sh results directory: RESULTS/*.json run
@@ -39,6 +40,8 @@ SCHEMA = "sos.bench"
 SCHEMA_VERSION = 2
 CORE_LEVELS = (1, 2, 4, 6)
 CLUSTER_WORKERS = (1, 2, 4)
+# The stats sections a tool writes whenever it is given --bench.
+TOOL_SECTIONS = {"micro_simulator": ("core",), "fig9_cluster": ("cluster",)}
 
 SNAPSHOT_MAX_RATIO = 1.10
 SAMPLED_MIN_SPEEDUP = 2.0
@@ -82,6 +85,9 @@ def load_bench(path):
             "%s: schema_version %r" % (path, doc.get("schema_version")))
     for key in ("tool", "jobs", "snapshot", "sample", "stats"):
         require(key in doc, "%s: no %r" % (path, key))
+    for section in TOOL_SECTIONS.get(doc["tool"], ()):
+        require(section in doc["stats"],
+                "%s: %s wrote no %r section" % (path, doc["tool"], section))
     timing = doc["stats"].get("timing", {})
     for key in ("elapsed_seconds", "candidates", "candidates_per_sec"):
         require(timing.get(key, -1) >= 0, "%s: bad timing.%s" % (path, key))
@@ -96,6 +102,10 @@ def load_bench(path):
                         "%s: bad core.smt%d.%s" % (path, level, key))
     cluster = doc["stats"].get("cluster")
     if cluster is not None:
+        require(cluster.get("nodes", 0) > 0, "%s: bad cluster.nodes" % path)
+        points = sorted(k for k in cluster if k.startswith("workers"))
+        require(points == sorted("workers%d" % w for w in CLUSTER_WORKERS),
+                "%s: cluster points %r" % (path, points))
         for w in CLUSTER_WORKERS:
             require(cluster.get("workers%d" % w, {}).get("speedup", 0) > 0,
                     "%s: bad cluster.workers%d" % (path, w))
@@ -148,9 +158,13 @@ def check_sampling(doc, run):
 
 def check_cluster(cluster):
     points = [cluster["workers%d" % w] for w in CLUSTER_WORKERS]
-    print("scaling: " + ", ".join(
+    print("scaling, %d nodes: " % cluster["nodes"] + ", ".join(
         "%dw %.2fs (%.2fx)" % (w, p["elapsed_seconds"], p["speedup"])
         for w, p in zip(CLUSTER_WORKERS, points)))
+    # The widest point only measures scaling with a node per worker.
+    require(cluster["nodes"] >= CLUSTER_WORKERS[-1],
+            "%d cluster nodes < %d workers"
+            % (cluster["nodes"], CLUSTER_WORKERS[-1]))
     # Wall-clock scaling needs real cores.
     if len(os.sched_getaffinity(0)) < CLUSTER_MIN_CORES:
         print("fewer than %d cores; scaling gate skipped"
@@ -169,13 +183,13 @@ def check_against(doc, ref, run, ref_run):
               % (t, t_ref, t_ref / t if t > 0 else 0.0))
         require(t * SAMPLED_MIN_SPEEDUP <= t_ref,
                 "sampled run not %.0fx faster" % SAMPLED_MIN_SPEEDUP)
-        if run is not None and ref_run is not None:
-            regret = pick_regret(ref_run, run)
-            worst = max(regret, key=regret.get)
-            print("worst pick-regret %.2f%% (%s)"
-                  % (100 * regret[worst], worst))
-            require(regret[worst] <= MAX_PICK_REGRET,
-                    "pick-regret %.2f%% in %s" % (100 * regret[worst], worst))
+        require(run is not None and ref_run is not None,
+                "sampled vs full needs --manifest and --against-manifest")
+        regret = pick_regret(ref_run, run)
+        worst = max(regret, key=regret.get)
+        print("worst pick-regret %.2f%% (%s)" % (100 * regret[worst], worst))
+        require(regret[worst] <= MAX_PICK_REGRET,
+                "pick-regret %.2f%% in %s" % (100 * regret[worst], worst))
     else:
         require(doc["snapshot"] and not ref["snapshot"],
                 "no gate compares these runs: need sampled vs full, "
@@ -191,8 +205,6 @@ def check_against(doc, ref, run, ref_run):
 
 def cmd_check(args):
     doc = load_bench(args.bench)
-    for section in args.require:
-        require(section in doc["stats"], "no %r section" % section)
     timing = doc["stats"]["timing"]
     print("%s: %s, %.2fs, %d candidates"
           % (args.bench, doc["tool"], timing["elapsed_seconds"],
@@ -300,9 +312,6 @@ def main():
     check.add_argument("--against", help="sos.bench of a reference run")
     check.add_argument("--against-manifest",
                        help="run manifest of the reference run")
-    check.add_argument("--require", action="append", default=[],
-                       metavar="SECTION",
-                       help="stats section that must be present")
     check.set_defaults(func=cmd_check)
     merge = sub.add_parser("merge", help="consolidate a results directory")
     merge.add_argument("results", help="run_all.sh results directory")
