@@ -51,8 +51,8 @@ pairWs(const ExperimentSpec &spec, const SimConfig &config, int a,
 
     const MachineSchedule schedule(Schedule::fromPartition({{a, b}}));
     const std::uint64_t slices = 10;
-    engine.runSchedule(mix, schedule, 2); // warm
-    const auto run = engine.runSchedule(mix, schedule, slices);
+    engine.runSchedule(mix, schedule, {2}); // warm
+    const auto run = engine.runSchedule(mix, schedule, {slices}).front();
     return weightedSpeedup(mix, run.jobRetired, run.cycles);
 }
 

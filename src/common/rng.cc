@@ -16,6 +16,18 @@ Rng::exponential(double mean)
 }
 
 std::uint64_t
+Rng::probabilityThreshold(double p, int bits)
+{
+    SOS_ASSERT(bits > 0 && bits <= 53);
+    const double scale = std::ldexp(1.0, bits);
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return static_cast<std::uint64_t>(scale);
+    return static_cast<std::uint64_t>(std::ceil(p * scale));
+}
+
+std::uint64_t
 Rng::geometric(double mean)
 {
     SOS_ASSERT(mean >= 1.0);

@@ -105,6 +105,16 @@ class Rng
     /** Bernoulli trial with probability p of returning true. */
     bool chance(double p) { return uniform() < p; }
 
+    /**
+     * The integer form of `k * 2^-bits < p` for a @p bits-bit draw k
+     * (bits <= 53): it holds exactly when k is below the returned
+     * threshold, ceil(p * 2^bits) clamped to [0, 2^bits] (scaling by
+     * a power of two is exact). So `(next() >> 11) <
+     * probabilityThreshold(p)` draws what chance(p) draws, with the
+     * floating-point work done once. NaN, like any p <= 0, gives 0.
+     */
+    static std::uint64_t probabilityThreshold(double p, int bits = 53);
+
     /** Exponentially distributed value with the given mean. */
     double exponential(double mean);
 

@@ -19,6 +19,18 @@ add(std::atomic<std::uint64_t> &counter, std::uint64_t v)
 
 } // namespace
 
+SamplingTally &
+SamplingTally::operator+=(const SamplingTally &other)
+{
+    periods += other.periods;
+    fastForwardCycles += other.fastForwardCycles;
+    detailedCycles += other.detailedCycles;
+    measureWindows += other.measureWindows;
+    windowRetired += other.windowRetired;
+    windowRetiredSq += other.windowRetiredSq;
+    return *this;
+}
+
 void
 SamplingStats::reset()
 {
@@ -41,6 +53,18 @@ void
 resetSamplingStats()
 {
     samplingStats().reset();
+}
+
+void
+recordSampling(const SamplingTally &tally)
+{
+    SamplingStats &s = samplingStats();
+    add(s.periods, tally.periods);
+    add(s.fastForwardCycles, tally.fastForwardCycles);
+    add(s.detailedCycles, tally.detailedCycles);
+    add(s.measureWindows, tally.measureWindows);
+    add(s.windowRetired, tally.windowRetired);
+    add(s.windowRetiredSq, tally.windowRetiredSq);
 }
 
 void
@@ -100,7 +124,8 @@ publishSamplingStats(const stats::Group &group,
 }
 
 void
-SamplingController::run(std::uint64_t cycles, PerfCounters &counters)
+SamplingController::run(std::uint64_t cycles, PerfCounters &counters,
+                        SamplingTally &tally)
 {
     if (!sample_.enabled()) {
         core_.run(cycles, counters);
@@ -133,11 +158,10 @@ SamplingController::run(std::uint64_t cycles, PerfCounters &counters)
             rates[slot] = static_cast<double>(mc.slotRetired[slot]) /
                           static_cast<double>(m);
         }
-        if (recording_ && m == sample_.measure) {
-            SamplingStats &s = samplingStats();
-            add(s.measureWindows, 1);
-            add(s.windowRetired, mc.retired);
-            add(s.windowRetiredSq, mc.retired * mc.retired);
+        if (m == sample_.measure) {
+            ++tally.measureWindows;
+            tally.windowRetired += mc.retired;
+            tally.windowRetiredSq += mc.retired * mc.retired;
         }
         d += mc;
         if (remaining == 0)
@@ -148,8 +172,7 @@ SamplingController::run(std::uint64_t cycles, PerfCounters &counters)
         fx_.run(u, rates, d);
         remaining -= u;
         fast_total += u;
-        if (recording_)
-            add(samplingStats().periods, 1);
+        ++tally.periods;
     }
 
     if (fast_total > 0 && detailed_total > 0) {
@@ -168,11 +191,8 @@ SamplingController::run(std::uint64_t cycles, PerfCounters &counters)
         scale(d.confFpUnits);
         scale(d.confLsPorts);
     }
-    if (recording_) {
-        SamplingStats &s = samplingStats();
-        add(s.detailedCycles, detailed_total);
-        add(s.fastForwardCycles, fast_total);
-    }
+    tally.detailedCycles += detailed_total;
+    tally.fastForwardCycles += fast_total;
     counters += d;
 }
 

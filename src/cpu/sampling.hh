@@ -36,12 +36,34 @@ class Group;
 } // namespace stats
 
 /**
+ * What sampled execution did over some span of one run: the fields
+ * of SamplingStats as plain integers. A controller adds each interval
+ * into the tally its caller passes, and run results carry it, so a
+ * run measured up to several lengths holds the exact tally of each
+ * length. Whoever reads a result decides whether its tally counts:
+ * warm-up intervals are dropped, measured ones recorded.
+ */
+struct SamplingTally
+{
+    std::uint64_t periods = 0; ///< fast-forward windows run
+    std::uint64_t fastForwardCycles = 0;
+    std::uint64_t detailedCycles = 0;
+    /** Full-length measurement windows (truncated tails excluded). */
+    std::uint64_t measureWindows = 0;
+    /** Sum and sum of squares of per-window retired uop counts. */
+    std::uint64_t windowRetired = 0;
+    std::uint64_t windowRetiredSq = 0;
+
+    SamplingTally &operator+=(const SamplingTally &other);
+    bool operator==(const SamplingTally &) const = default;
+};
+
+/**
  * Process-wide sampled-mode bookkeeping, the raw material of the
- * manifest's "sampling" stats group. Counters are integers
- * accumulated with relaxed atomics, so totals are independent of
- * worker count and scheduling order (the determinism contract); warm
- * runs are excluded by the callers (recording off), which keeps the
- * totals identical across the snapshot fast path too.
+ * manifest's "sampling" stats group: the sum of every recorded
+ * SamplingTally. Counters are integers accumulated with relaxed
+ * atomics, so totals are independent of worker count and scheduling
+ * order (the determinism contract).
  */
 struct SamplingStats
 {
@@ -62,6 +84,9 @@ SamplingStats &samplingStats();
 
 /** Zero the accumulator (between in-process experiments/tests). */
 void resetSamplingStats();
+
+/** Add @p tally to the process-wide accumulator. */
+void recordSampling(const SamplingTally &tally);
 
 /**
  * Register the sampled-mode stats group under @p group: the
@@ -86,17 +111,13 @@ class SamplingController
     /**
      * Run @p cycles simulated cycles, accumulating counters exactly
      * like SmtCore::run would (cycles, slotRetired and memory deltas
-     * included). With sampling disabled this IS SmtCore::run; enabled,
-     * conflict counters are extrapolated as documented above.
+     * included). With sampling disabled this IS SmtCore::run and
+     * @p tally is untouched; enabled, conflict counters are
+     * extrapolated as documented above and the interval's windows are
+     * added to @p tally.
      */
-    void run(std::uint64_t cycles, PerfCounters &counters);
-
-    /**
-     * Record into the global SamplingStats (default on). Callers turn
-     * it off for warm-up intervals so the totals stay independent of
-     * how warm state is shared (snapshot forks run the warmup once).
-     */
-    void setRecording(bool recording) { recording_ = recording; }
+    void run(std::uint64_t cycles, PerfCounters &counters,
+             SamplingTally &tally);
 
     /** Swap the window configuration (engines wire it post-build). */
     void setSample(const SampleWindows &sample) { sample_ = sample; }
@@ -107,7 +128,6 @@ class SamplingController
     SmtCore &core_;
     FunctionalExecutor fx_;
     SampleWindows sample_;
-    bool recording_ = true;
 };
 
 } // namespace sos

@@ -188,14 +188,15 @@ Calibrator::measureOne(const SoloKey &key) const
     }
 
     // References are measured at the experiment's fidelity (see
-    // setSampling), but never recorded into the run's sampling stats:
-    // a reference is cached machinery, not part of any one run.
+    // setSampling), but their tally is never recorded into the run's
+    // sampling stats: a reference is cached machinery, not part of
+    // any one run.
     SamplingController sampler(core, sample_);
-    sampler.setRecording(false);
+    SamplingTally unrecorded;
     PerfCounters warmup;
-    sampler.run(warmupCycles_, warmup);
+    sampler.run(warmupCycles_, warmup, unrecorded);
     PerfCounters measured;
-    sampler.run(measureCycles_, measured);
+    sampler.run(measureCycles_, measured, unrecorded);
 
     const double ipc = measured.ipc();
     SOS_ASSERT(ipc > 0.0, "calibration produced zero IPC for ",

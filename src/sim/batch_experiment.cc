@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "cpu/sampling.hh"
 #include "metrics/calibrator.hh"
 #include "model/model.hh"
 #include "sos/model_screen.hh"
@@ -191,16 +192,6 @@ BatchExperiment::sweep(const std::vector<MachineSchedule> &schedules) const
     return recipe;
 }
 
-std::vector<ParallelScheduleRunner::ScheduleRun>
-BatchExperiment::runCandidates(
-    const std::vector<MachineSchedule> &schedules,
-    const std::function<std::uint64_t(std::size_t)> &timeslices)
-{
-    ParallelScheduleRunner::SweepSpec recipe = sweep(schedules);
-    recipe.snapshots = &warmed_;
-    return runner_.runAll(recipe, schedules, timeslices);
-}
-
 std::vector<model::FeatureVector>
 BatchExperiment::candidateFeatures() const
 {
@@ -223,8 +214,9 @@ BatchExperiment::candidateFeatures() const
     return features;
 }
 
-void
-BatchExperiment::runScreenedSamplePhase(std::uint64_t periods)
+std::vector<std::size_t>
+BatchExperiment::screenCandidates(
+    std::vector<ScheduleProfile> &synthetic) const
 {
     std::shared_ptr<const model::WsModel> ws_model;
     try {
@@ -242,30 +234,19 @@ BatchExperiment::runScreenedSamplePhase(std::uint64_t periods)
         uncertain[i] = ws_model->uncertainty(features[i]) >
                        ws_model->uncertaintyThreshold();
     }
-    const std::vector<std::size_t> shortlist = samplekShortlist(
-        predicted, std::move(uncertain), config_.samplek);
-    std::vector<MachineSchedule> shortlisted;
-    for (std::size_t i : shortlist)
-        shortlisted.push_back(schedules_[i]);
 
     // Synthetic profiles for the screened-out candidates: the model's
     // prediction stands in for the sample-phase WS, and no counters
     // exist (predictors never score these; see
     // SosKernel::predictedIndex).
-    std::vector<ScheduleProfile> synthetic(schedules_.size());
+    synthetic.assign(schedules_.size(), ScheduleProfile{});
     for (std::size_t i = 0; i < schedules_.size(); ++i) {
         synthetic[i].label = schedules_[i].label();
         synthetic[i].sampleWs = predicted[i];
         synthetic[i].detailed = false;
     }
-
-    kernel_.runSamplePhaseScreened(
-        runCandidates(shortlisted,
-                      [&](std::size_t i) {
-                          return shortlisted[i].periodTimeslices() *
-                                 periods;
-                      }),
-        shortlist, std::move(synthetic));
+    return samplekShortlist(predicted, std::move(uncertain),
+                            config_.samplek);
 }
 
 void
@@ -276,36 +257,64 @@ BatchExperiment::runSamplePhase()
 
     const auto periods =
         static_cast<std::uint64_t>(std::max(1, config_.samplePeriods));
+    const std::uint64_t symbios = symbiosTimeslices();
 
-    if (spec_.numCores == 1 && config_.samplek > 0 &&
-        !config_.modelPath.empty()) {
-        runScreenedSamplePhase(periods);
-        return;
+    // The candidates the sample phase profiles: every one, or the
+    // samplek shortlist (ascending) with synthetic profiles for the
+    // rest.
+    const bool screened = spec_.numCores == 1 && config_.samplek > 0 &&
+                          !config_.modelPath.empty();
+    std::vector<ScheduleProfile> synthetic;
+    std::vector<bool> sampled(schedules_.size(), !screened);
+    std::vector<std::size_t> shortlist;
+    if (screened) {
+        shortlist = screenCandidates(synthetic);
+        for (std::size_t i : shortlist)
+            sampled[i] = true;
     }
 
+    // One pass per candidate: a sampled candidate is read at its
+    // sample length and at the symbios length, a screened-out one at
+    // the symbios length only. Both phases start from the same warm
+    // state at timeslice 0, so each length is an exact prefix of the
+    // longer run (MachineEngine::runSchedule).
+    auto runs =
+        runner_.runAll(sweep(schedules_), schedules_, [&](std::size_t i) {
+            std::vector<std::uint64_t> lengths;
+            if (sampled[i])
+                lengths.push_back(schedules_[i].periodTimeslices() *
+                                  periods);
+            lengths.push_back(symbios);
+            return lengths;
+        });
+
+    std::vector<ParallelScheduleRunner::ScheduleRun> sample_runs;
     std::vector<std::string> labels;
-    for (const MachineSchedule &schedule : schedules_)
-        labels.push_back(schedule.label());
-    kernel_.runSamplePhase(
-        runCandidates(schedules_,
-                      [&](std::size_t i) {
-                          return schedules_[i].periodTimeslices() *
-                                 periods;
-                      }),
-        labels);
+    symbiosRuns_.clear();
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        if (sampled[i]) {
+            sample_runs.push_back(std::move(runs[i].front()));
+            labels.push_back(schedules_[i].label());
+        }
+        symbiosRuns_.push_back(std::move(runs[i].back()));
+    }
+    if (screened) {
+        kernel_.runSamplePhaseScreened(sample_runs, shortlist,
+                                       std::move(synthetic));
+    } else {
+        kernel_.runSamplePhase(sample_runs, labels);
+    }
 }
 
 void
-BatchExperiment::runSymbiosValidation(std::uint64_t symbios_cycles)
+BatchExperiment::runSymbiosValidation()
 {
-    const std::uint64_t timeslices = symbiosTimeslices(symbios_cycles);
-    kernel_.runSymbiosValidation(runCandidates(
-        schedules_, [timeslices](std::size_t) { return timeslices; }));
-    // The last phase that forks the warm state; a finished experiment
-    // (harnesses keep them for their stats dumps) holds no snapshot.
-    warmed_.clear();
+    // The sample phase already ran every candidate to the symbios
+    // length; this phase only reads those runs.
+    kernel_.runSymbiosValidation(symbiosRuns_);
+    symbiosRuns_ = {};
     if (spec_.numCores > 1)
-        replayBest(timeslices);
+        replayBest(symbiosTimeslices());
 }
 
 void
@@ -322,10 +331,9 @@ BatchExperiment::replayBest(std::uint64_t timeslices)
     MachineEngine engine(*statsMachine_, timesliceCycles(),
                          config_.sample);
     const MachineSchedule warm = warmupFor(best.allocation());
-    engine.setSampleRecording(false);
-    engine.runSchedule(mix, warm, warm.periodTimeslices());
-    engine.setSampleRecording(true);
-    bestRun_ = engine.runSchedule(mix, best, timeslices);
+    engine.runSchedule(mix, warm, {warm.periodTimeslices()});
+    bestRun_ = std::move(engine.runSchedule(mix, best, {timeslices}).front());
+    recordSampling(bestRun_.sampling);
     engine.evictAll();
 }
 
@@ -356,15 +364,16 @@ BatchExperiment::evaluatePolicy(const std::string &name,
     const std::vector<MachineSchedule> schedules =
         space_.schedulesForAllocation(result.allocation);
     const std::uint64_t timeslices = symbiosTimeslices(symbios_cycles);
-    const std::vector<ParallelScheduleRunner::ScheduleRun> runs =
-        runner_.runAll(sweep(schedules), schedules,
-                       [timeslices](std::size_t) { return timeslices; });
+    const auto runs = runner_.runAll(
+        sweep(schedules), schedules,
+        [timeslices](std::size_t) { return std::vector{timeslices}; });
 
     double total = 0.0;
     double best = 0.0;
-    for (const ParallelScheduleRunner::ScheduleRun &run : runs) {
-        total += run.ws;
-        best = std::max(best, run.ws);
+    for (const auto &run : runs) {
+        total += run.front().ws;
+        best = std::max(best, run.front().ws);
+        recordSampling(run.front().run.sampling);
     }
     result.schedulesRun = static_cast<int>(runs.size());
     result.bestWs = best;

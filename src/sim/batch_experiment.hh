@@ -33,7 +33,6 @@
 #define SOS_SIM_BATCH_EXPERIMENT_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,20 +94,23 @@ class BatchExperiment
 
     /**
      * Sample phase: draw the candidate schedules and profile each for
-     * one full period of timeslices.
+     * samplePeriods full periods of timeslices. Each candidate runs
+     * once, on to the symbios duration, and the symbios-length result
+     * is kept for runSymbiosValidation(): both phases start from the
+     * same warm state, so the sample profile is an exact prefix of
+     * the symbios run.
      */
     void runSamplePhase();
 
     /**
-     * Symbios validation: run every sampled schedule for the symbios
-     * duration and record its measured weighted speedup. Requires a
-     * completed sample phase. On a CMP it also replays the best-WS
-     * candidate on a persistent stats machine so publishStats() can
-     * expose live per-core cache counters.
-     *
-     * @param symbios_cycles Override; 0 uses the config default.
+     * Symbios validation: record every sampled schedule's measured
+     * weighted speedup over the symbios duration, from the runs the
+     * sample phase kept. Requires a completed sample phase. On a CMP
+     * it also replays the best-WS candidate on a persistent stats
+     * machine so publishStats() can expose live per-core cache
+     * counters.
      */
-    void runSymbiosValidation(std::uint64_t symbios_cycles = 0);
+    void runSymbiosValidation();
 
     /**
      * Evaluate a thread-to-core policy: let it pick an allocation
@@ -243,7 +245,8 @@ class BatchExperiment
     std::uint64_t timesliceCycles() const;
 
     /** Symbios-phase timeslices for a @p symbios_cycles override. */
-    std::uint64_t symbiosTimeslices(std::uint64_t symbios_cycles) const;
+    std::uint64_t
+    symbiosTimeslices(std::uint64_t symbios_cycles = 0) const;
 
     /** Rebuild the calibrated mix a private task runs on. */
     JobMix freshMix() const;
@@ -257,21 +260,14 @@ class BatchExperiment
     MachineSchedule warmupFor(const Partition &allocation) const;
 
     /**
-     * Run @p schedules for timeslices(i) quanta each on
-     * sweep(schedules), forking the warm state an earlier phase kept
-     * in warmed_.
-     */
-    std::vector<ParallelScheduleRunner::ScheduleRun> runCandidates(
-        const std::vector<MachineSchedule> &schedules,
-        const std::function<std::uint64_t(std::size_t)> &timeslices);
-
-    /**
      * The samplek screen: score every candidate with the model named
-     * by config_.modelPath, detail-simulate only the top-K plus the
-     * high-uncertainty ones, and fill the rest with synthetic
-     * profiles.
+     * by config_.modelPath and return, ascending, the ones the sample
+     * phase detail-simulates (the top-K plus the high-uncertainty
+     * ones). @p synthetic gets one model-predicted profile per
+     * candidate, for the rest.
      */
-    void runScreenedSamplePhase(std::uint64_t periods);
+    std::vector<std::size_t>
+    screenCandidates(std::vector<ScheduleProfile> &synthetic) const;
 
     /**
      * Replay the measured best candidate for @p timeslices on a
@@ -286,8 +282,6 @@ class BatchExperiment
     MachineScheduleSpace space_;
     JobMix mix_; ///< calibrated prototype; tasks clone its soloIpc
     ParallelScheduleRunner runner_;
-    /** Warmed once by the sample phase, forked again by the symbios. */
-    WarmSnapshots warmed_;
 
     /** @name Heterogeneity context for allocation policies @{ */
     std::vector<int> coreClasses_; ///< empty when homogeneous
@@ -296,6 +290,9 @@ class BatchExperiment
 
     std::vector<MachineSchedule> schedules_;
     SosKernel kernel_; ///< owns profiles, symbios WS, phase cycles
+
+    /** Symbios-length run per candidate, kept by the sample phase. */
+    std::vector<ParallelScheduleRunner::ScheduleRun> symbiosRuns_;
 
     std::vector<PolicyResult> policyResults_;
 

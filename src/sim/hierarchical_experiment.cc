@@ -113,24 +113,27 @@ HierarchicalExperiment::run(std::uint64_t symbios_cycles)
                          candidate.schedule.label());
     }
 
-    // Sample phase: a few periods per candidate (see samplePeriods).
+    // One pass per candidate, read at two lengths: the sample phase
+    // (a few periods, see samplePeriods) and the symbios validation
+    // (what the candidate would have delivered). A run only sums
+    // per-slice results, so each length is an exact prefix.
     const auto periods =
         static_cast<std::uint64_t>(std::max(1, config_.samplePeriods));
-    kernel_.runSamplePhase(
-        runner_.runAll(recipe, schedules,
-                       [&](std::size_t i) {
-                           return schedules[i].periodTimeslices() *
-                                  periods;
-                       }),
-        labels);
-
-    // Symbios validation: what each candidate would have delivered.
     const std::uint64_t timeslice = config_.timesliceCycles();
-    kernel_.runSymbiosValidation(
-        runner_.runAll(recipe, schedules, [&](std::size_t i) {
-            return std::max<std::uint64_t>(
-                schedules[i].periodTimeslices(), symbios / timeslice);
-        }));
+    auto runs = runner_.runAll(recipe, schedules, [&](std::size_t i) {
+        const std::uint64_t period = schedules[i].periodTimeslices();
+        return std::vector<std::uint64_t>{
+            period * periods,
+            std::max<std::uint64_t>(period, symbios / timeslice)};
+    });
+    std::vector<ParallelScheduleRunner::ScheduleRun> sample_runs;
+    std::vector<ParallelScheduleRunner::ScheduleRun> symbios_runs;
+    for (auto &run : runs) {
+        sample_runs.push_back(std::move(run[0]));
+        symbios_runs.push_back(std::move(run[1]));
+    }
+    kernel_.runSamplePhase(sample_runs, labels);
+    kernel_.runSymbiosValidation(symbios_runs);
 
     // Copy the kernel's results back onto the candidate structs the
     // public API (and Figure 4 reporting) exposes.

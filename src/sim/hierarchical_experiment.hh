@@ -98,9 +98,9 @@ class HierarchicalExperiment
     double improvementOverWorstPct() const;
 
     /**
-     * The recipe both phases run the candidates with (each lifted to
-     * a 1-core MachineSchedule): candidate i's mix realizes its
-     * allocation plan; no warm-up.
+     * The recipe of the one sweep both phases read (each candidate
+     * lifted to a 1-core MachineSchedule): candidate i's mix realizes
+     * its allocation plan; no warm-up.
      */
     ParallelScheduleRunner::SweepSpec sweep() const;
 

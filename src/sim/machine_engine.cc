@@ -1,5 +1,8 @@
 #include "machine_engine.hh"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/logging.hh"
 
 namespace sos {
@@ -41,26 +44,45 @@ MachineEngine::runSlice(const std::vector<std::vector<ThreadRef>> &units)
         slice.cores.push_back(
             engines_[k].runTimeslice(k < units.size() ? units[k] : idle));
         slice.machine += slice.cores.back().counters;
+        slice.sampling += slice.cores.back().sampling;
     }
     slice.machine.cycles = timeslice_;
     return slice;
 }
 
-MachineEngine::MachineRunResult
+std::vector<MachineEngine::MachineRunResult>
 MachineEngine::runSchedule(JobMix &mix, const MachineSchedule &schedule,
-                           std::uint64_t timeslices)
+                           const std::vector<std::uint64_t> &checkpoints)
 {
     SOS_ASSERT(schedule.valid());
     SOS_ASSERT(schedule.numCores() == machine_.numCores(),
                "schedule core count must match the machine");
+    SOS_ASSERT(!checkpoints.empty(), "a run needs a length");
+
+    // Checkpoint positions by ascending length: the loop below copies
+    // its accumulators out as it passes each one.
+    std::vector<std::size_t> order(checkpoints.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return checkpoints[a] < checkpoints[b];
+                     });
 
     const auto cores = static_cast<std::size_t>(machine_.numCores());
     MachineRunResult result;
     result.perCore.resize(cores);
     result.jobRetired.assign(static_cast<std::size_t>(mix.numJobs()), 0);
+    result.sliceIpc.reserve(checkpoints[order.back()]);
+    result.sliceMixImbalance.reserve(checkpoints[order.back()]);
 
+    std::vector<MachineRunResult> results(checkpoints.size());
+    auto next = order.begin();
     std::vector<std::vector<ThreadRef>> units(cores);
-    for (std::uint64_t t = 0; t < timeslices; ++t) {
+    for (std::uint64_t t = 0;; ++t) {
+        while (next != order.end() && checkpoints[*next] == t)
+            results[*next++] = result;
+        if (next == order.end())
+            break;
         for (std::size_t k = 0; k < cores; ++k) {
             units[k].clear();
             for (int unit_index :
@@ -82,8 +104,9 @@ MachineEngine::runSchedule(JobMix &mix, const MachineSchedule &schedule,
         result.sliceIpc.push_back(slice.machine.ipc());
         result.sliceMixImbalance.push_back(slice.machine.mixImbalance());
         result.cycles += timeslice_;
+        result.sampling += slice.sampling;
     }
-    return result;
+    return results;
 }
 
 } // namespace sos

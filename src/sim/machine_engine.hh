@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "cpu/machine.hh"
+#include "cpu/sampling.hh"
 #include "sched/jobmix.hh"
 #include "sched/machine_schedule.hh"
 #include "sim/timeslice_engine.hh"
@@ -55,6 +56,13 @@ class MachineEngine
 
         /** Machine cycles elapsed (timeslices x quantum, per core). */
         std::uint64_t cycles = 0;
+
+        /**
+         * Sampled-mode windows summed over every core and timeslice;
+         * the phase that reads the result records it (see
+         * recordSampling).
+         */
+        SamplingTally sampling;
     };
 
     /**
@@ -66,14 +74,6 @@ class MachineEngine
 
     std::uint64_t timesliceCycles() const { return timeslice_; }
 
-    /** Toggle sampling-stats recording on every core's engine. */
-    void
-    setSampleRecording(bool recording)
-    {
-        for (TimesliceEngine &engine : engines_)
-            engine.setSampleRecording(recording);
-    }
-
     /** What one machine timeslice measured. */
     struct SliceResult
     {
@@ -83,6 +83,9 @@ class MachineEngine
          * cycle count is not the interval length.
          */
         PerfCounters machine;
+
+        /** Sampled-mode windows summed over the cores. */
+        SamplingTally sampling;
 
         /** Each core's own timeslice result, indexed by core. */
         std::vector<TimesliceEngine::SliceResult> cores;
@@ -97,16 +100,20 @@ class MachineEngine
     SliceResult runSlice(const std::vector<std::vector<ThreadRef>> &units);
 
     /**
-     * Run @p schedule for @p timeslices quanta: every timeslice, core
-     * k runs tuple t of its per-core schedule. The schedule's
-     * allocation must index into @p mix. Jobs accumulate progress as
-     * under TimesliceEngine (retired instructions and resident
-     * cycles), so a warmup run followed by a measured run charges the
-     * measured interval only with its own work.
+     * Run @p schedule once, for the longest of @p checkpoints quanta:
+     * every timeslice, core k runs tuple t of its per-core schedule.
+     * Result c is the run's accumulators after checkpoints[c]
+     * timeslices, which is exactly what a separate run of that length
+     * from the same state would measure: a run only sums per-slice
+     * results. Checkpoints may come in any order and repeat. The
+     * schedule's allocation must index into @p mix. Jobs accumulate
+     * progress as under TimesliceEngine (retired instructions and
+     * resident cycles), so a warmup run followed by a measured run
+     * charges the measured interval only with its own work.
      */
-    MachineRunResult runSchedule(JobMix &mix,
-                                 const MachineSchedule &schedule,
-                                 std::uint64_t timeslices);
+    std::vector<MachineRunResult>
+    runSchedule(JobMix &mix, const MachineSchedule &schedule,
+                const std::vector<std::uint64_t> &checkpoints);
 
     /** Detach every unit from every core. */
     void evictAll();

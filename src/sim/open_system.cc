@@ -10,6 +10,7 @@
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "cpu/machine.hh"
+#include "cpu/sampling.hh"
 #include "metrics/calibrator.hh"
 #include "metrics/weighted_speedup.hh"
 #include "sim/experiment_defs.hh"
@@ -103,12 +104,12 @@ measuredCapacity(const SimConfig &sim, int level)
             units[0].push_back(ThreadRef{jobs[j].get(), 0});
         }
         for (std::uint64_t s = 0; s < warm_slices; ++s)
-            engine.runSlice(units);
+            recordSampling(engine.runSlice(units).sampling);
         std::vector<std::uint64_t> before;
         for (std::size_t j : members)
             before.push_back(jobs[j]->retired());
         for (std::uint64_t s = 0; s < measure_slices; ++s)
-            engine.runSlice(units);
+            recordSampling(engine.runSlice(units).sampling);
         std::vector<JobProgress> progress;
         for (std::size_t m = 0; m < members.size(); ++m)
             progress.push_back(JobProgress{

@@ -11,25 +11,28 @@ namespace sos {
 
 namespace {
 
-/** Run one warm-up period, kept out of the sampling stats. */
+/** Run one warm-up period; its sampling tally is dropped. */
 void
 warmUp(MachineEngine &engine, JobMix &mix, const MachineSchedule &warm)
 {
-    engine.setSampleRecording(false);
-    engine.runSchedule(mix, warm, warm.periodTimeslices());
-    engine.setSampleRecording(true);
+    engine.runSchedule(mix, warm, {warm.periodTimeslices()});
 }
 
-/** The measured interval of one candidate on a warmed engine. */
-ParallelScheduleRunner::ScheduleRun
+/** The measured intervals of one candidate on a warmed engine. */
+std::vector<ParallelScheduleRunner::ScheduleRun>
 measure(MachineEngine &engine, JobMix &mix,
-        const MachineSchedule &schedule, std::uint64_t timeslices)
+        const MachineSchedule &schedule,
+        const std::vector<std::uint64_t> &checkpoints)
 {
-    ParallelScheduleRunner::ScheduleRun result;
-    result.run = engine.runSchedule(mix, schedule, timeslices);
-    result.ws = weightedSpeedup(mix, result.run.jobRetired,
-                                result.run.cycles);
-    return result;
+    std::vector<ParallelScheduleRunner::ScheduleRun> results;
+    results.reserve(checkpoints.size());
+    for (MachineEngine::MachineRunResult &run :
+         engine.runSchedule(mix, schedule, checkpoints)) {
+        const double ws =
+            weightedSpeedup(mix, run.jobRetired, run.cycles);
+        results.push_back({std::move(run), ws});
+    }
+    return results;
 }
 
 } // namespace
@@ -45,16 +48,18 @@ ParallelScheduleRunner::ParallelScheduleRunner(ThreadPool &pool)
 {
 }
 
-std::vector<ParallelScheduleRunner::ScheduleRun>
+std::vector<std::vector<ParallelScheduleRunner::ScheduleRun>>
 ParallelScheduleRunner::runAll(
     const SweepSpec &sweep, const std::vector<MachineSchedule> &schedules,
-    const std::function<std::uint64_t(std::size_t)> &timeslices) const
+    const std::function<std::vector<std::uint64_t>(std::size_t)>
+        &checkpoints) const
 {
     SOS_ASSERT(sweep.makeMix, "sweep needs a mix factory");
     SOS_ASSERT(sweep.timesliceCycles > 0);
+    using Runs = std::vector<ScheduleRun>;
 
     if (!sweep.useSnapshot || !sweep.warmup) {
-        return map<ScheduleRun>(schedules.size(), [&](std::size_t i) {
+        return map<Runs>(schedules.size(), [&](std::size_t i) {
             JobMix mix = sweep.makeMix(i);
             // A private machine per task keeps sweep results a pure
             // function of the task index (DESIGN.md determinism
@@ -64,17 +69,16 @@ ParallelScheduleRunner::runAll(
                                  sweep.sample);
             if (sweep.warmup)
                 warmUp(engine, mix, sweep.warmup(i));
-            return measure(engine, mix, schedules[i], timeslices(i));
+            return measure(engine, mix, schedules[i], checkpoints(i));
         });
     }
 
     // Shared-warmup fast path. Every task of a group warms the same
     // mix on an identical machine with the same warm-up schedule, so
     // its post-warmup state IS the group's snapshot (DESIGN.md §5c).
-    // Take each group's snapshot from the experiment's store when an
-    // earlier sweep warmed the same recipe, warm the rest -- in
-    // parallel, the groups are independent -- then run each
-    // candidate's measured interval on a private fork.
+    // Warm each group once -- in parallel, the groups are independent
+    // -- then run each candidate's measured interval on a private
+    // fork.
     std::vector<MachineSchedule> warmups;
     std::vector<std::size_t> leader;
     std::vector<std::size_t> group_of(schedules.size());
@@ -90,25 +94,9 @@ ParallelScheduleRunner::runAll(
         group_of[i] = it->second;
     }
 
-    std::vector<std::shared_ptr<const MachineSnapshot>> snapshots(
-        warmups.size());
-    std::vector<WarmSnapshots::Recipe> recipes(warmups.size());
-    std::vector<std::size_t> cold;
-    for (std::size_t g = 0; g < warmups.size(); ++g) {
-        if (sweep.snapshots != nullptr) {
-            recipes[g] = WarmSnapshots::recipe(
-                sweep.makeMix(leader[g]), sweep.machine,
-                sweep.timesliceCycles, warmups[g].label(), sweep.sample);
-            snapshots[g] = sweep.snapshots->find(recipes[g]);
-        }
-        if (snapshots[g] == nullptr)
-            cold.push_back(g);
-    }
-
-    const auto warmed =
+    const auto snapshots =
         map<std::shared_ptr<const MachineSnapshot>>(
-            cold.size(), [&](std::size_t c) {
-                const std::size_t g = cold[c];
+            warmups.size(), [&](std::size_t g) {
                 JobMix mix = sweep.makeMix(leader[g]);
                 Machine machine(sweep.machine);
                 MachineEngine engine(machine, sweep.timesliceCycles,
@@ -117,18 +105,13 @@ ParallelScheduleRunner::runAll(
                 return std::make_shared<const MachineSnapshot>(
                     machine, mix, engine);
             });
-    for (std::size_t c = 0; c < cold.size(); ++c) {
-        snapshots[cold[c]] = warmed[c];
-        if (sweep.snapshots != nullptr)
-            sweep.snapshots->add(std::move(recipes[cold[c]]), warmed[c]);
-    }
 
-    return map<ScheduleRun>(schedules.size(), [&](std::size_t i) {
+    return map<Runs>(schedules.size(), [&](std::size_t i) {
         MachineSnapshot::Fork fork(*snapshots[group_of[i]]);
         MachineEngine engine(fork.machine(), sweep.timesliceCycles,
                              sweep.sample);
         fork.adopt(engine);
-        return measure(engine, fork.mix(), schedules[i], timeslices(i));
+        return measure(engine, fork.mix(), schedules[i], checkpoints(i));
     });
 }
 

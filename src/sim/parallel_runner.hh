@@ -44,7 +44,7 @@ namespace sos {
 class ParallelScheduleRunner
 {
   public:
-    /** Everything one profiling task measures. */
+    /** Everything one profiling task measures up to one length. */
     struct ScheduleRun
     {
         MachineEngine::MachineRunResult run;
@@ -89,21 +89,11 @@ class ParallelScheduleRunner
         /**
          * Sampled-simulation windows applied to every task's engine
          * (and the warm-up engines). Disabled by default; see
-         * cpu/sampling.hh. Warm-up runs never record sampling stats,
-         * so the manifest's sampling group stays identical across the
+         * cpu/sampling.hh. A warm-up's sampling tally is dropped, so
+         * the manifest's sampling group stays identical across the
          * snapshot fast path and the per-task warm-up.
          */
         SampleWindows sample;
-
-        /**
-         * Where the snapshot path keeps its warm states across
-         * sweeps, or null to warm every sweep afresh. Owned by the
-         * experiment: each group looks its whole recipe up here first
-         * and only the groups not found are warmed (and then added),
-         * so a symbios phase forks the snapshot its sample phase
-         * warmed. See WarmSnapshots (sim/snapshot.hh).
-         */
-        WarmSnapshots *snapshots = nullptr;
     };
 
     /**
@@ -121,15 +111,18 @@ class ParallelScheduleRunner
     ThreadPool &pool() const { return *pool_; }
 
     /**
-     * Profile schedules[i] for timeslices(i) quanta each on private
-     * state built from @p sweep. Results are indexed like
-     * @p schedules.
+     * Profile schedules[i] on private state built from @p sweep, in
+     * one pass per candidate to the longest of checkpoints(i):
+     * results[i][c] is candidate i measured over checkpoints(i)[c]
+     * quanta, bit-identical to a separate run of that length (see
+     * MachineEngine::runSchedule). A caller that needs one length
+     * passes {n}.
      */
-    std::vector<ScheduleRun>
+    std::vector<std::vector<ScheduleRun>>
     runAll(const SweepSpec &sweep,
            const std::vector<MachineSchedule> &schedules,
-           const std::function<std::uint64_t(std::size_t)> &timeslices)
-        const;
+           const std::function<std::vector<std::uint64_t>(std::size_t)>
+               &checkpoints) const;
 
     /**
      * Generic deterministic fan-out: evaluate task(0..n-1) on the

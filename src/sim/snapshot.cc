@@ -52,42 +52,4 @@ MachineSnapshot::Fork::adopt(MachineEngine &engine)
     }
 }
 
-WarmSnapshots::Recipe
-WarmSnapshots::recipe(const JobMix &mix, const MachineParams &machine,
-                      std::uint64_t timeslice_cycles,
-                      const std::string &warmup_label,
-                      const SampleWindows &sample)
-{
-    Recipe recipe;
-    recipe.mixSeed = mix.seed();
-    for (int j = 0; j < mix.numJobs(); ++j) {
-        const Job &job = mix.job(j);
-        recipe.jobs.emplace_back(job.name(), job.numThreads(),
-                                 job.adaptive(), job.soloIpc);
-    }
-    recipe.machine = machine;
-    recipe.timesliceCycles = timeslice_cycles;
-    recipe.warmup = warmup_label;
-    recipe.sample = sample;
-    return recipe;
-}
-
-std::shared_ptr<const MachineSnapshot>
-WarmSnapshots::find(const Recipe &recipe) const
-{
-    for (const auto &[key, snapshot] : entries_) {
-        if (key == recipe)
-            return snapshot;
-    }
-    return nullptr;
-}
-
-void
-WarmSnapshots::add(Recipe recipe,
-                   std::shared_ptr<const MachineSnapshot> snapshot)
-{
-    SOS_ASSERT(snapshot != nullptr);
-    entries_.emplace_back(std::move(recipe), std::move(snapshot));
-}
-
 } // namespace sos

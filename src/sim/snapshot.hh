@@ -24,14 +24,9 @@
 #define SOS_SIM_SNAPSHOT_HH
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "cpu/machine.hh"
-#include "cpu/sample_windows.hh"
 #include "sched/jobmix.hh"
 #include "sim/machine_engine.hh"
 #include "sim/timeslice_engine.hh"
@@ -88,64 +83,6 @@ class MachineSnapshot
     Machine machine_;
     JobMix mix_;
     std::vector<ResidentUnit> resident_;
-};
-
-/**
- * Warmed snapshots one experiment keeps across its sweeps.
- *
- * An experiment's sample and symbios phases warm the same mix on the
- * same machine with the same warm-up, so the later phase can fork the
- * earlier phase's snapshot instead of warming it again. Entries are
- * keyed by the whole warm-up recipe -- the mix, the machine, the
- * engine quantum, the warm-up schedule's label and the sampling
- * windows -- never by the warm-up label alone, which sweeps that
- * build per-index mixes would alias. The mix enters the key as its
- * seed plus every job's workload, thread count, adaptivity and solo
- * IPC, so it must be freshly built (nothing run on it yet).
- *
- * Not thread-safe: ParallelScheduleRunner::runAll reads and fills it
- * on its calling thread only.
- */
-class WarmSnapshots
-{
-  public:
-    /** Everything a warmed snapshot is a function of. */
-    struct Recipe
-    {
-        std::uint64_t mixSeed = 0;
-        /** Per job: workload, threads, adaptive, solo IPC. */
-        std::vector<std::tuple<std::string, int, bool, double>> jobs;
-        MachineParams machine;
-        std::uint64_t timesliceCycles = 0;
-        std::string warmup; ///< label of the warm-up schedule
-        SampleWindows sample;
-
-        bool operator==(const Recipe &) const = default;
-    };
-
-    /** The recipe of warming a fresh @p mix on the given setup. */
-    static Recipe recipe(const JobMix &mix, const MachineParams &machine,
-                         std::uint64_t timeslice_cycles,
-                         const std::string &warmup_label,
-                         const SampleWindows &sample);
-
-    /** The snapshot warmed for @p recipe, or null. */
-    std::shared_ptr<const MachineSnapshot>
-    find(const Recipe &recipe) const;
-
-    /** Keep @p snapshot as the warm state of @p recipe. */
-    void add(Recipe recipe,
-             std::shared_ptr<const MachineSnapshot> snapshot);
-
-    std::size_t size() const { return entries_.size(); }
-
-    /** Drop every snapshot (an experiment done with its sweeps). */
-    void clear() { entries_.clear(); }
-
-  private:
-    std::vector<
-        std::pair<Recipe, std::shared_ptr<const MachineSnapshot>>>
-        entries_;
 };
 
 } // namespace sos

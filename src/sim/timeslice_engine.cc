@@ -138,7 +138,7 @@ TimesliceEngine::runTimeslice(const std::vector<ThreadRef> &units)
     }
 
     SliceResult result;
-    sampler_.run(timeslice_, result.counters);
+    sampler_.run(timeslice_, result.counters, result.sampling);
 
     result.unitRetired.resize(units.size(), 0);
     for (std::size_t u = 0; u < units.size(); ++u) {

@@ -35,6 +35,8 @@ class TimesliceEngine
         PerfCounters counters;
         /** Retired instructions per unit, ordered as the input set. */
         std::vector<std::uint64_t> unitRetired;
+        /** Sampled-mode windows of the quantum (zero at full detail). */
+        SamplingTally sampling;
     };
 
     TimesliceEngine(SmtCore &core, std::uint64_t timeslice_cycles);
@@ -76,12 +78,6 @@ class TimesliceEngine
     void setSampling(const SampleWindows &sample)
     {
         sampler_.setSample(sample);
-    }
-
-    /** See SamplingController::setRecording (off for warm-up runs). */
-    void setSampleRecording(bool recording)
-    {
-        sampler_.setRecording(recording);
     }
 
   private:

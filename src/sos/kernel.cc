@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/logging.hh"
+#include "cpu/sampling.hh"
 #include "stats/stats.hh"
 #include "stats/trace.hh"
 
@@ -55,6 +56,7 @@ SosKernel::sampleProfile(const Run &run, std::string label)
     profile.sampleWs = run.ws;
     profile.detailed = true;
     sampleCycles_ += run.run.cycles;
+    recordSampling(run.run.sampling);
     return profile;
 }
 
@@ -107,8 +109,10 @@ SosKernel::runSymbiosValidation(const std::vector<Run> &runs)
                "symbios runs must cover every candidate");
     advance(phase_, Phase::Symbios);
 
-    for (const Run &run : runs)
+    for (const Run &run : runs) {
         symbiosWs_.push_back(run.ws);
+        recordSampling(run.run.sampling);
+    }
 
     advance(phase_, Phase::Done);
 }

@@ -82,7 +82,9 @@ class SosKernel
     /**
      * SAMPLE: record one ScheduleProfile per candidate run (profiled
      * from equal footing, index-ordered) plus the cycles spent.
-     * @p labels names each candidate.
+     * @p labels names each candidate. Every phase records the
+     * sampling tally of each run it reads (recordSampling), so a run
+     * read by both phases counts once per phase.
      */
     void runSamplePhase(const std::vector<Run> &runs,
                         const std::vector<std::string> &labels);

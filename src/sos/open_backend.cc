@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "cpu/sampling.hh"
 #include "metrics/weighted_speedup.hh"
 
 namespace sos {
@@ -132,7 +133,10 @@ EngineBackend::runLiveSlice(const std::vector<Job *> &pool,
                             const std::vector<std::vector<int>>
                                 &core_tuples)
 {
-    return live_.engine->runSlice(unitsOf(pool, core_tuples)).machine;
+    const MachineEngine::SliceResult slice =
+        live_.engine->runSlice(unitsOf(pool, core_tuples));
+    recordSampling(slice.sampling);
+    return slice.machine;
 }
 
 EngineBackend::State
@@ -190,16 +194,14 @@ EngineBackend::profileCandidates(
             ScheduleProfile profile;
             profile.label = candidates[i].label;
             for (std::uint64_t s = 0; s < window; ++s) {
-                const PerfCounters slice =
-                    fork.engine
-                        ->runSlice(unitsOf(
-                            fork_pool,
-                            candidates[i].tuplesAt(offset + s)))
-                        .machine;
-                profile.counters += slice;
-                profile.sliceIpc.push_back(slice.ipc());
+                const MachineEngine::SliceResult slice =
+                    fork.engine->runSlice(unitsOf(
+                        fork_pool, candidates[i].tuplesAt(offset + s)));
+                recordSampling(slice.sampling);
+                profile.counters += slice.machine;
+                profile.sliceIpc.push_back(slice.machine.ipc());
                 profile.sliceMixImbalance.push_back(
-                    slice.mixImbalance());
+                    slice.machine.mixImbalance());
             }
 
             std::vector<JobProgress> progress;

@@ -7,6 +7,13 @@
 
 namespace sos {
 
+namespace {
+
+/** Rng::probabilityThreshold(0.5). */
+constexpr std::uint64_t halfThreshold = std::uint64_t{1} << 52;
+
+} // namespace
+
 TraceGenerator::TraceGenerator(const WorkloadProfile &profile,
                                std::uint64_t code_seed,
                                std::uint64_t data_seed)
@@ -29,6 +36,32 @@ TraceGenerator::TraceGenerator(const WorkloadProfile &profile,
     wsBytes_ = std::max<std::uint64_t>(profile.workingSetBytes, 64);
     for (std::size_t s = 0; s < streamPos_.size(); ++s)
         streamPos_[s] = wsBytes_ / streamPos_.size() * s;
+
+    hotBytes_ = std::max<std::uint64_t>(profile.hotBytes, 64);
+    codeBytes_ = std::max<std::uint64_t>(profile.codeBytes, blockBytes);
+    numBlocks_ = codeBytes_ / blockBytes;
+    // Running sums in class order: each threshold must see the same
+    // rounded double as a chain of `u < (acc += f)` compares would.
+    double acc = 0.0;
+    const double fractions[] = {profile.fracFpAdd,   profile.fracFpMult,
+                                profile.fracFpDiv,   profile.fracIntMult,
+                                profile.fracLoad,    profile.fracStore};
+    for (std::size_t c = 0; c < classThreshold_.size(); ++c) {
+        acc += fractions[c];
+        classThreshold_[c] = Rng::probabilityThreshold(acc);
+    }
+    predictableThreshold_ =
+        Rng::probabilityThreshold(profile.branchPredictability);
+    takenThreshold_ = Rng::probabilityThreshold(profile.branchTakenRate);
+    biasThreshold_ = static_cast<std::uint32_t>(
+        Rng::probabilityThreshold(profile.branchTakenRate, 16));
+    streamThreshold_ = Rng::probabilityThreshold(profile.streamFraction);
+    hotThreshold_ = Rng::probabilityThreshold(profile.streamFraction +
+                                              profile.hotFraction);
+    chaseThreshold_ = Rng::probabilityThreshold(profile.chaseFraction);
+    fpLoadThreshold_ = Rng::probabilityThreshold(
+        std::min(1.0, profile.fpFraction() * 1.5));
+    hasFp_ = profile.fpFraction() > 0.0;
 }
 
 void
@@ -107,11 +140,10 @@ std::uint64_t
 TraceGenerator::dataAddress(bool &serialized)
 {
     serialized = false;
-    const WorkloadProfile &p = *profile_;
     const std::uint64_t ws = wsBytes_;
-    const double u = rng_.uniform();
+    const std::uint64_t u = rng_.next() >> 11;
     std::uint64_t addr;
-    if (u < p.streamFraction) {
+    if (u < streamThreshold_) {
         // Unit-stride walk; four interleaved streams model the several
         // concurrent array traversals of a loop nest. The pointers
         // stay below ws, so the wrap is a conditional subtract rather
@@ -122,12 +154,11 @@ TraceGenerator::dataAddress(bool &serialized)
             pos -= ws;
         streamPos_[s] = pos;
         addr = pos;
-    } else if (u < p.streamFraction + p.hotFraction) {
-        const std::uint64_t hot = std::max<std::uint64_t>(p.hotBytes, 64);
-        addr = ws + rng_.below(hot); // hot region sits above the arrays
+    } else if (u < hotThreshold_) {
+        addr = ws + rng_.below(hotBytes_); // hot region sits above the arrays
     } else {
         addr = rng_.below(ws);
-        serialized = rng_.chance(p.chaseFraction);
+        serialized = (rng_.next() >> 11) < chaseThreshold_;
     }
     return addr & ~std::uint64_t{7};
 }
@@ -138,17 +169,12 @@ TraceGenerator::advancePc(const UOp &op)
     if (op.cls == OpClass::Branch && op.taken) {
         // Deterministic target per branch PC: the synthetic CFG is a
         // fixed graph, so the BTB and icache see stable code.
-        const std::uint64_t code =
-            std::max<std::uint64_t>(profile_->codeBytes, blockBytes);
-        const std::uint64_t num_blocks = code / blockBytes;
         const std::uint64_t target_block =
-            mix64(op.pc ^ seed_ ^ 0x5ca1ab1eULL) % num_blocks;
+            mix64(op.pc ^ seed_ ^ 0x5ca1ab1eULL) % numBlocks_;
         pc_ = 0x1000 + target_block * blockBytes;
     } else {
         pc_ += 4;
-        const std::uint64_t code =
-            std::max<std::uint64_t>(profile_->codeBytes, blockBytes);
-        if (pc_ >= 0x1000 + code)
+        if (pc_ >= 0x1000 + codeBytes_)
             pc_ = 0x1000;
     }
 }
@@ -156,14 +182,13 @@ TraceGenerator::advancePc(const UOp &op)
 UOp
 TraceGenerator::next()
 {
-    const WorkloadProfile &p = *profile_;
     UOp op;
     op.pc = pc_;
 
     // Barriers fire on a fixed instruction period so sibling threads
     // of a parallel job reach them in lockstep amounts of work.
     if (toSync_ != 0 && --toSync_ == 0) {
-        toSync_ = p.syncInterval;
+        toSync_ = profile_->syncInterval;
         op.cls = OpClass::Barrier;
         ++count_;
         advancePc(op);
@@ -175,17 +200,16 @@ TraceGenerator::next()
         op.cls = OpClass::Branch;
         op.srcA = pickSrc(false);
         ++branchCount_;
-        if (rng_.chance(p.branchPredictability)) {
+        if ((rng_.next() >> 11) < predictableThreshold_) {
             // Predictable instances follow a fixed per-PC bias (the
             // strongly-biased loop and guard branches of real code,
             // which saturating counters learn perfectly); the biases
             // themselves are distributed to honour branchTakenRate.
             const std::uint64_t bias_hash =
                 mix64(op.pc ^ seed_ ^ 0xb1a5b1a5ULL);
-            op.taken = static_cast<double>(bias_hash & 0xffff) <
-                       65536.0 * p.branchTakenRate;
+            op.taken = (bias_hash & 0xffff) < biasThreshold_;
         } else {
-            op.taken = rng_.chance(p.branchTakenRate);
+            op.taken = (rng_.next() >> 11) < takenThreshold_;
         }
         ++count_;
         advancePc(op);
@@ -194,19 +218,18 @@ TraceGenerator::next()
     }
     --bbRemaining_;
 
-    const double u = rng_.uniform();
-    double acc = p.fracFpAdd;
-    if (u < acc) {
+    const std::uint64_t u = rng_.next() >> 11;
+    if (u < classThreshold_[0]) {
         op.cls = OpClass::FpAdd;
-    } else if (u < (acc += p.fracFpMult)) {
+    } else if (u < classThreshold_[1]) {
         op.cls = OpClass::FpMult;
-    } else if (u < (acc += p.fracFpDiv)) {
+    } else if (u < classThreshold_[2]) {
         op.cls = OpClass::FpDiv;
-    } else if (u < (acc += p.fracIntMult)) {
+    } else if (u < classThreshold_[3]) {
         op.cls = OpClass::IntMult;
-    } else if (u < (acc += p.fracLoad)) {
+    } else if (u < classThreshold_[4]) {
         op.cls = OpClass::Load;
-    } else if (u < (acc += p.fracStore)) {
+    } else if (u < classThreshold_[5]) {
         op.cls = OpClass::Store;
     } else {
         op.cls = OpClass::IntAlu;
@@ -236,8 +259,7 @@ TraceGenerator::next()
             op.dst = chaseReg;
         } else {
             op.srcA = pickSrc(false); // address register
-            const bool fp_dest =
-                rng_.chance(std::min(1.0, p.fpFraction() * 1.5));
+            const bool fp_dest = (rng_.next() >> 11) < fpLoadThreshold_;
             op.dst = allocDst(fp_dest);
         }
         break;
@@ -246,7 +268,7 @@ TraceGenerator::next()
         bool serialized = false;
         op.addr = dataAddress(serialized);
         op.srcA = pickSrc(false); // address register
-        op.srcB = pickSrc(p.fpFraction() > 0.0 && rng_.chance(0.5));
+        op.srcB = pickSrc(hasFp_ && (rng_.next() >> 11) < halfThreshold);
         break;
       }
       default:

@@ -92,8 +92,31 @@ class TraceGenerator
      */
     std::uint64_t toSync_ = 0;
 
-    /** Cached max(workingSetBytes, 64): hoisted off the per-op path. */
-    std::uint64_t wsBytes_ = 64;
+    /**
+     * @name Per-profile constants, hoisted off the per-op path
+     * Probabilities are integer thresholds on the 53-bit draw
+     * `rng_.next() >> 11` (Rng::probabilityThreshold): the draw is
+     * below the threshold of p exactly when `uniform() < p` holds, so
+     * the stream is the one floating-point compares would draw.
+     * @{
+     */
+    std::uint64_t wsBytes_ = 64;   ///< max(workingSetBytes, 64)
+    std::uint64_t hotBytes_ = 64;  ///< max(hotBytes, 64)
+    std::uint64_t codeBytes_ = 64; ///< max(codeBytes, blockBytes)
+    std::uint64_t numBlocks_ = 1;  ///< codeBytes_ / blockBytes
+    /** Cumulative op-class fractions, FpAdd through Store. */
+    std::array<std::uint64_t, 6> classThreshold_{};
+    std::uint64_t predictableThreshold_ = 0; ///< branchPredictability
+    std::uint64_t takenThreshold_ = 0;       ///< branchTakenRate
+    /** The per-PC bias compare: 16-bit hash < 65536 * takenRate. */
+    std::uint32_t biasThreshold_ = 0;
+    std::uint64_t streamThreshold_ = 0; ///< streamFraction
+    std::uint64_t hotThreshold_ = 0;    ///< streamFraction + hotFraction
+    std::uint64_t chaseThreshold_ = 0;  ///< chaseFraction
+    /** min(1, 1.5 * fpFraction): FP destination of a load. */
+    std::uint64_t fpLoadThreshold_ = 0;
+    bool hasFp_ = false; ///< fpFraction() > 0: stores may read FP
+    /** @} */
 
     /** Ring of recently produced register ids, per class. */
     std::array<std::uint8_t, 32> intRing_{};

@@ -81,8 +81,12 @@ checkedRuns(const ParallelScheduleRunner::SweepSpec &sweep,
             const std::vector<MachineSchedule> &schedules,
             const TimeslicesFn &timeslices, int cores)
 {
-    const std::vector<Run> runs =
-        ParallelScheduleRunner().runAll(sweep, schedules, timeslices);
+    std::vector<Run> runs;
+    for (std::vector<Run> &run : ParallelScheduleRunner().runAll(
+             sweep, schedules, [&](std::size_t i) {
+                 return std::vector{timeslices(i)};
+             }))
+        runs.push_back(std::move(run.front()));
     EXPECT_EQ(runs.size(), schedules.size());
     for (std::size_t i = 0; i < runs.size(); ++i) {
         SCOPED_TRACE("candidate " + std::to_string(i));

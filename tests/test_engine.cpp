@@ -121,8 +121,9 @@ runOneCore(JobMix &mix, const Schedule &schedule,
     params.numContexts = 2;
     Machine machine(params, MemParams{});
     MachineEngine engine(machine, 10000);
-    return engine.runSchedule(mix, MachineSchedule(schedule),
-                              timeslices);
+    return engine
+        .runSchedule(mix, MachineSchedule(schedule), {timeslices})
+        .front();
 }
 
 TEST_F(EngineTest, RunScheduleIsFairAcrossJobs)

@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -227,92 +228,77 @@ TEST(RunExperiments, OverlappedMatchesSerialLoop)
     }
 }
 
-/** Jsb(4,2,2)'s whole space as 1-core machine schedules. */
-std::vector<MachineSchedule>
-jsb422Schedules(const BatchExperiment &exp)
-{
-    Rng rng(7);
-    return exp.space().sample(10, rng);
-}
-
-/** Bit-for-bit equality of two sweeps' runs. */
+/** Field-for-field equality of two runs of one candidate. */
 void
-expectRunsIdentical(const std::vector<ParallelScheduleRunner::ScheduleRun> &a,
-                    const std::vector<ParallelScheduleRunner::ScheduleRun> &b)
+expectRunIdentical(const ParallelScheduleRunner::ScheduleRun &a,
+                   const ParallelScheduleRunner::ScheduleRun &b)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        expectCountersIdentical(a[i].run.total, b[i].run.total);
-        EXPECT_EQ(a[i].run.jobRetired, b[i].run.jobRetired);
-        EXPECT_EQ(a[i].ws, b[i].ws);
-    }
+    expectCountersIdentical(a.run.total, b.run.total);
+    ASSERT_EQ(a.run.perCore.size(), b.run.perCore.size());
+    for (std::size_t k = 0; k < a.run.perCore.size(); ++k)
+        expectCountersIdentical(a.run.perCore[k], b.run.perCore[k]);
+    EXPECT_EQ(a.run.jobRetired, b.run.jobRetired);
+    EXPECT_EQ(a.run.sliceIpc, b.run.sliceIpc);
+    EXPECT_EQ(a.run.sliceMixImbalance, b.run.sliceMixImbalance);
+    EXPECT_EQ(a.run.cycles, b.run.cycles);
+    EXPECT_EQ(a.run.sampling, b.run.sampling);
+    EXPECT_EQ(a.ws, b.ws);
 }
 
-TEST(ParallelRunner, WarmStoreForksOneSnapshotAcrossSweeps)
+TEST(ParallelRunner, CheckpointsEqualSeparateRuns)
 {
-    const BatchExperiment exp(experimentByLabel("Jsb(4,2,2)"),
-                              makeFastConfig());
-    const std::vector<MachineSchedule> schedules = jsb422Schedules(exp);
-    const auto timeslices = [&](std::size_t i) {
-        return schedules[i].periodTimeslices();
+    // One pass read at two lengths must measure exactly what two
+    // separate runs of those lengths measure, whichever length comes
+    // first, on one core and on a CMP, at both fidelity levels and on
+    // both warm-up paths.
+    const ExperimentSpec cmp{
+        .label = "Jm(4,2,2,2)",
+        .entries = {{"FP"}, {"MG"}, {"GCC"}, {"IS"}},
+        .numCores = 2,
     };
     const ParallelScheduleRunner runner(4);
-    const auto fresh = runner.runAll(exp.sweep(schedules), schedules, timeslices);
-
-    WarmSnapshots store;
-    ParallelScheduleRunner::SweepSpec recipe = exp.sweep(schedules);
-    recipe.snapshots = &store;
-    expectRunsIdentical(fresh,
-                        runner.runAll(recipe, schedules, timeslices));
-    // One warm-up schedule, one mix: a single warmed snapshot...
-    ASSERT_EQ(store.size(), 1u);
-    JobMix mix = exp.sweep(schedules).makeMix(0);
-    const WarmSnapshots::Recipe key = WarmSnapshots::recipe(
-        mix, recipe.machine, recipe.timesliceCycles,
-        recipe.warmup(0).label(), recipe.sample);
-    const auto warmed = store.find(key);
-    ASSERT_NE(warmed, nullptr);
-
-    // ...that the next sweep forks instead of warming again.
-    expectRunsIdentical(fresh,
-                        runner.runAll(recipe, schedules, timeslices));
-    EXPECT_EQ(store.size(), 1u);
-    EXPECT_EQ(store.find(key), warmed);
-}
-
-TEST(ParallelRunner, WarmStoreKeysOnTheWholeRecipe)
-{
-    const BatchExperiment exp(experimentByLabel("Jsb(4,2,2)"),
-                              makeFastConfig());
-    const std::vector<MachineSchedule> schedules = jsb422Schedules(exp);
-    const auto timeslices = [&](std::size_t i) {
-        return schedules[i].periodTimeslices();
-    };
-    const ParallelScheduleRunner runner(4);
-
-    // The same warm-up label over a different mix (another seed) and
-    // over different sampling windows: neither may fork the first
-    // sweep's snapshot.
-    ParallelScheduleRunner::SweepSpec reseeded = exp.sweep(schedules);
-    reseeded.makeMix = [&exp, &schedules](std::size_t) {
-        JobMix mix = exp.spec().makeMix(0x5eed);
-        JobMix calibrated = exp.sweep(schedules).makeMix(0);
-        for (int j = 0; j < mix.numJobs(); ++j)
-            mix.job(j).soloIpc = calibrated.job(j).soloIpc;
-        return mix;
-    };
-    ParallelScheduleRunner::SweepSpec sampled = exp.sweep(schedules);
-    sampled.sample = parseSampleWindows("2250:62:188");
-
-    WarmSnapshots store;
-    for (ParallelScheduleRunner::SweepSpec variant :
-         {exp.sweep(schedules), reseeded, sampled}) {
-        const auto fresh = runner.runAll(variant, schedules, timeslices);
-        variant.snapshots = &store;
-        expectRunsIdentical(fresh,
-                            runner.runAll(variant, schedules, timeslices));
+    for (const ExperimentSpec &spec :
+         {experimentByLabel("Jsb(4,2,2)"), cmp}) {
+        for (const char *variant :
+             {"sample=off", "sample=7000:1000:2000", "snapshot=off"}) {
+            SCOPED_TRACE(spec.label + " " + variant);
+            SimConfig config = makeFastConfig();
+            applyOverride(config, variant);
+            const BatchExperiment exp(spec, config);
+            Rng rng(7);
+            const std::vector<MachineSchedule> schedules =
+                exp.space().sample(4, rng);
+            const ParallelScheduleRunner::SweepSpec sweep =
+                exp.sweep(schedules);
+            const auto only = [&](std::uint64_t length) {
+                return runner.runAll(sweep, schedules, [&](std::size_t) {
+                    return std::vector{length};
+                });
+            };
+            for (const auto &[first, second] :
+                 {std::pair<std::uint64_t, std::uint64_t>{3, 7},
+                  {7, 3},
+                  {4, 4}}) {
+                const auto fused =
+                    runner.runAll(sweep, schedules, [&](std::size_t) {
+                        return std::vector{first, second};
+                    });
+                const auto a = only(first);
+                const auto b = only(second);
+                ASSERT_EQ(fused.size(), schedules.size());
+                for (std::size_t i = 0; i < fused.size(); ++i) {
+                    ASSERT_EQ(fused[i].size(), 2u);
+                    expectRunIdentical(fused[i][0], a[i][0]);
+                    expectRunIdentical(fused[i][1], b[i][0]);
+                    EXPECT_EQ(fused[i][0].run.cycles,
+                              first * sweep.timesliceCycles);
+                }
+                // The sampled variant exercises a non-empty tally.
+                EXPECT_EQ(fused[0][0].run.sampling.periods > 0,
+                          config.sample.enabled());
+            }
+        }
     }
-    EXPECT_EQ(store.size(), 3u);
 }
 
 TEST(ParallelRunner, MapPreservesIndexOrder)

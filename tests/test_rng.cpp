@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -165,6 +166,39 @@ TEST(Mix64, DeterministicAndSpreads)
     for (std::uint64_t i = 0; i < 1000; ++i)
         outputs.insert(mix64(i));
     EXPECT_EQ(outputs.size(), 1000u);
+}
+
+TEST(Rng, ProbabilityThresholdIsTheExactBoundary)
+{
+    // The threshold t is the first draw the floating-point compare
+    // rejects: draw t - 1 passes `k * 2^-bits < p`, draw t fails.
+    for (const int bits : {53, 16}) {
+        const double scale = std::ldexp(1.0, bits);
+        const std::uint64_t all = std::uint64_t{1} << bits;
+        for (const double p :
+             {0.3, 1.0 / 3.0, 0.1 + 0.2, 0.5, 0.6, 1e-300, 0x1.0p-60,
+              1.0 - 0x1.0p-53, 0x1.0p-20}) {
+            const std::uint64_t t = Rng::probabilityThreshold(p, bits);
+            ASSERT_GT(t, 0u) << p;
+            EXPECT_TRUE(static_cast<double>(t - 1) / scale < p)
+                << p << " at " << bits << " bits";
+            if (t < all) {
+                EXPECT_FALSE(static_cast<double>(t) / scale < p)
+                    << p << " at " << bits << " bits";
+            }
+        }
+        EXPECT_EQ(Rng::probabilityThreshold(0.0, bits), 0u);
+        EXPECT_EQ(Rng::probabilityThreshold(-0.5, bits), 0u);
+        EXPECT_EQ(Rng::probabilityThreshold(std::nan(""), bits), 0u);
+        EXPECT_EQ(Rng::probabilityThreshold(1.0, bits), all);
+        EXPECT_EQ(Rng::probabilityThreshold(2.5, bits), all);
+    }
+    // chance(p) and the threshold compare draw the same outcomes.
+    Rng a(99);
+    Rng b(99);
+    const std::uint64_t t = Rng::probabilityThreshold(0.37);
+    for (int i = 0; i < 10000; ++i)
+        ASSERT_EQ(a.chance(0.37), (b.next() >> 11) < t);
 }
 
 } // namespace

@@ -122,7 +122,9 @@ TEST(Sampling, DisabledControllerIsFullDetail)
         core.attachThread(1, bindingOf(*j2));
         if (use_controller) {
             SamplingController sampler(core, SampleWindows{});
-            sampler.run(30000, via);
+            SamplingTally tally;
+            sampler.run(30000, via, tally);
+            EXPECT_EQ(tally, SamplingTally{});
         } else {
             core.run(30000, direct);
         }
@@ -173,7 +175,8 @@ TEST(Sampling, SampledRunAdvancesCycleAndRetires)
     resetSamplingStats();
     SamplingController sampler(core, parseSampleWindows("7000:1000:2000"));
     PerfCounters pc;
-    sampler.run(20000, pc);
+    SamplingTally tally;
+    sampler.run(20000, pc, tally);
     EXPECT_EQ(pc.cycles, 20000u);
     EXPECT_EQ(core.now(), 20000u);
     EXPECT_GT(pc.retired, 0u);
@@ -182,7 +185,14 @@ TEST(Sampling, SampledRunAdvancesCycleAndRetires)
     // scaling by total/detailed).
     EXPECT_LE(pc.confRob, pc.cycles);
     EXPECT_LE(pc.confIntQueue, pc.cycles);
+    // The interval's windows land in the caller's tally; the
+    // process-wide stats see them only once recorded.
+    EXPECT_EQ(samplingStats().periods.load(), 0u);
+    recordSampling(tally);
     const SamplingStats &stats = samplingStats();
+    EXPECT_EQ(stats.periods.load(), tally.periods);
+    EXPECT_EQ(stats.measureWindows.load(), tally.measureWindows);
+    EXPECT_EQ(stats.windowRetiredSq.load(), tally.windowRetiredSq);
     EXPECT_GT(stats.periods.load(), 0u);
     EXPECT_GT(stats.fastForwardCycles.load(), 0u);
     EXPECT_GT(stats.detailedCycles.load(), 0u);

@@ -33,7 +33,7 @@ TEST(Snapshot, SingleCoreForkMatchesOriginal)
     MachineEngine engine(machine, config.timesliceCycles());
     const MachineSchedule warm(
         Schedule::fromRotation({0, 1, 2, 3}, spec.level, spec.swap));
-    engine.runSchedule(mix, warm, warm.periodTimeslices());
+    engine.runSchedule(mix, warm, {warm.periodTimeslices()});
 
     const MachineSnapshot snapshot(machine, mix, engine);
 
@@ -42,14 +42,14 @@ TEST(Snapshot, SingleCoreForkMatchesOriginal)
     const MachineSchedule measured(
         Schedule::fromRotation({3, 1, 0, 2}, spec.level, spec.swap));
     const MachineEngine::MachineRunResult original =
-        engine.runSchedule(mix, measured, 6);
+        engine.runSchedule(mix, measured, {6}).front();
 
     MachineSnapshot::Fork fork(snapshot);
     MachineEngine forked_engine(fork.machine(),
                                 config.timesliceCycles());
     fork.adopt(forked_engine);
     const MachineEngine::MachineRunResult forked =
-        forked_engine.runSchedule(fork.mix(), measured, 6);
+        forked_engine.runSchedule(fork.mix(), measured, {6}).front();
 
     EXPECT_EQ(forked.total, original.total);
     EXPECT_EQ(forked.jobRetired, original.jobRetired);
@@ -79,19 +79,20 @@ TEST(Snapshot, MachineForkMatchesOriginal)
                     spec.numCores);
     MachineEngine engine(machine, config.timesliceCycles());
     engine.runSchedule(mix, schedules[0],
-                       schedules[0].periodTimeslices());
+                       {schedules[0].periodTimeslices()});
 
     const MachineSnapshot snapshot(machine, mix, engine);
 
     const MachineEngine::MachineRunResult original =
-        engine.runSchedule(mix, schedules[1], 6);
+        engine.runSchedule(mix, schedules[1], {6}).front();
 
     MachineSnapshot::Fork fork(snapshot);
     MachineEngine forked_engine(fork.machine(),
                                 config.timesliceCycles());
     fork.adopt(forked_engine);
     const MachineEngine::MachineRunResult forked =
-        forked_engine.runSchedule(fork.mix(), schedules[1], 6);
+        forked_engine.runSchedule(fork.mix(), schedules[1], {6})
+            .front();
 
     EXPECT_EQ(forked.total, original.total);
     EXPECT_EQ(forked.perCore, original.perCore);
@@ -112,7 +113,7 @@ TEST(Snapshot, RepeatedForksAreIndependent)
     MachineEngine engine(machine, config.timesliceCycles());
     const MachineSchedule warm(
         Schedule::fromRotation({0, 1, 2, 3}, spec.level, spec.swap));
-    engine.runSchedule(mix, warm, warm.periodTimeslices());
+    engine.runSchedule(mix, warm, {warm.periodTimeslices()});
     const MachineSnapshot snapshot(machine, mix, engine);
 
     const MachineSchedule measured(
@@ -122,7 +123,8 @@ TEST(Snapshot, RepeatedForksAreIndependent)
         MachineEngine forked_engine(fork.machine(),
                                     config.timesliceCycles());
         fork.adopt(forked_engine);
-        return forked_engine.runSchedule(fork.mix(), measured, 4);
+        return forked_engine.runSchedule(fork.mix(), measured, {4})
+            .front();
     };
     // Running one fork must not perturb the snapshot: a second fork
     // reproduces the first bit-for-bit.
