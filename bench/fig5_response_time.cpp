@@ -11,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "common/stats_util.hh"
@@ -25,12 +24,11 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("fig5_response_time", argc, argv);
-    SimConfig &config = harness.config();
     // Open-system runs are long; default to a coarser scale than the
-    // throughput benches unless the user chose one explicitly.
-    if (std::getenv("SOS_CYCLE_SCALE") == nullptr)
-        config.cycleScale = 200;
+    // throughput benches (SOS_CYCLE_SCALE and --set still override it).
+    BenchHarness harness("fig5_response_time", argc, argv,
+                         /*cycle_scale=*/200);
+    SimConfig &config = harness.config();
     const int traces = 3;
     const std::vector<int> levels = {2, 3, 4, 6};
 

@@ -7,7 +7,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "common/stats_util.hh"
@@ -21,10 +20,9 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("fig6_lambda_sweep", argc, argv);
+    BenchHarness harness("fig6_lambda_sweep", argc, argv,
+                         /*cycle_scale=*/200);
     SimConfig &config = harness.config();
-    if (std::getenv("SOS_CYCLE_SCALE") == nullptr)
-        config.cycleScale = 200;
     const int level = 3;
     const int traces = 3;
 

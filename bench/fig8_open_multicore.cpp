@@ -18,7 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -34,12 +33,11 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("fig8_open_multicore", argc, argv);
-    SimConfig &config = harness.config();
     // Open-system runs are long; default to a coarser scale than the
-    // throughput benches unless the user chose one explicitly.
-    if (std::getenv("SOS_CYCLE_SCALE") == nullptr)
-        config.cycleScale = 200;
+    // throughput benches (SOS_CYCLE_SCALE and --set still override it).
+    BenchHarness harness("fig8_open_multicore", argc, argv,
+                         /*cycle_scale=*/200);
+    SimConfig &config = harness.config();
     const int level = 2;
     const int traces = 2;
     const std::vector<int> core_counts = {2, 4};

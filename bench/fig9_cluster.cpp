@@ -76,12 +76,11 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("fig9_cluster", argc, argv);
-    SimConfig &config = harness.config();
     // Cluster runs replay whole open systems per node; default to a
     // coarser scale than even the fig8 open-system bench.
-    if (std::getenv("SOS_CYCLE_SCALE") == nullptr)
-        config.cycleScale = 1000;
+    BenchHarness harness("fig9_cluster", argc, argv,
+                         /*cycle_scale=*/1000);
+    SimConfig &config = harness.config();
 
     const int jobs =
         static_cast<int>(envU64("SOS_CLUSTER_JOBS", 400));

@@ -119,9 +119,6 @@ class SamplingController
     void run(std::uint64_t cycles, PerfCounters &counters,
              SamplingTally &tally);
 
-    /** Swap the window configuration (engines wire it post-build). */
-    void setSample(const SampleWindows &sample) { sample_ = sample; }
-
     const SampleWindows &sample() const { return sample_; }
 
   private:

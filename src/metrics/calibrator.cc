@@ -178,14 +178,8 @@ Calibrator::measureOne(const SoloKey &key) const
             /*adaptive=*/false);
     Machine machine(coreParams_, memParams_);
     SmtCore &core = machine.core(0);
-    for (int t = 0; t < key.threads; ++t) {
-        ThreadBinding binding;
-        binding.gen = &job.generator(t);
-        binding.sync = job.syncDomain();
-        binding.syncIndex = t;
-        binding.asid = job.asid();
-        core.attachThread(t, binding);
-    }
+    for (int t = 0; t < key.threads; ++t)
+        core.attachThread(t, job.binding(t));
 
     // References are measured at the experiment's fidelity (see
     // setSampling), but their tally is never recorded into the run's

@@ -55,6 +55,17 @@ Job::generator(int thread)
     return *threads_[static_cast<std::size_t>(thread)];
 }
 
+ThreadBinding
+Job::binding(int thread)
+{
+    ThreadBinding bind;
+    bind.gen = &generator(thread);
+    bind.sync = syncDomain();
+    bind.syncIndex = thread;
+    bind.asid = asid();
+    return bind;
+}
+
 void
 Job::setThreadCount(int num_threads)
 {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cpu/sync_domain.hh"
+#include "cpu/thread_binding.hh"
 #include "trace/trace_generator.hh"
 #include "trace/workload_profile.hh"
 
@@ -63,6 +64,9 @@ class Job
 
     /** Barrier domain; nullptr when the job never synchronizes. */
     SyncDomain *syncDomain() { return sync_.get(); }
+
+    /** What a hardware context borrows to run thread @p thread. */
+    ThreadBinding binding(int thread);
 
     /**
      * Re-spawn the job with a different thread count (adaptive jobs

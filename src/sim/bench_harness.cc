@@ -126,8 +126,10 @@ BenchHarness::publishMachineTopology()
     }
 }
 
-BenchHarness::BenchHarness(std::string tool, int argc, char **argv)
-    : tool_(std::move(tool)), options_(parseBenchArgs(argc, argv))
+BenchHarness::BenchHarness(std::string tool, int argc, char **argv,
+                           std::uint64_t cycle_scale)
+    : tool_(std::move(tool)),
+      options_(parseBenchArgs(argc, argv, cycle_scale))
 {
     trace_.setPhaseStride(options_.config.traceSample);
 }

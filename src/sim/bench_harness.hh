@@ -27,6 +27,7 @@
 #define SOS_SIM_BENCH_HARNESS_HH
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 
 #include "sim/config_env.hh"
@@ -40,8 +41,12 @@ namespace sos {
 class BenchHarness
 {
   public:
-    /** Bench-main entry: parses the standard command line. */
-    BenchHarness(std::string tool, int argc, char **argv);
+    /**
+     * Bench-main entry: parses the standard command line (see
+     * parseBenchArgs) over the bench's default @p cycle_scale.
+     */
+    BenchHarness(std::string tool, int argc, char **argv,
+                 std::uint64_t cycle_scale = makeBenchConfig().cycleScale);
 
     /** CLI entry (sossim): configuration and outputs already parsed. */
     BenchHarness(std::string tool, SimConfig config, OutputPaths out);

@@ -10,9 +10,10 @@
 namespace sos {
 
 SimConfig
-benchConfigFromEnv()
+benchConfigFromEnv(std::uint64_t cycle_scale)
 {
     SimConfig config = makeBenchConfig();
+    config.cycleScale = cycle_scale;
     if (const char *scale = std::getenv("SOS_CYCLE_SCALE")) {
         const int value = parseKnobInt("SOS_CYCLE_SCALE", scale);
         if (value <= 0)
@@ -60,10 +61,10 @@ outputPathsFromEnv()
 }
 
 BenchOptions
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv, std::uint64_t cycle_scale)
 {
     BenchOptions options;
-    options.config = benchConfigFromEnv();
+    options.config = benchConfigFromEnv(cycle_scale);
     options.out = outputPathsFromEnv();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];

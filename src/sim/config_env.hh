@@ -22,6 +22,7 @@
 #ifndef SOS_SIM_CONFIG_ENV_HH
 #define SOS_SIM_CONFIG_ENV_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,9 +34,11 @@ namespace sos {
 /**
  * Read the standard environment overrides used by every bench binary:
  * SOS_CYCLE_SCALE (cycle scale divisor), SOS_SEED, and SOS_JOBS
- * (sweep worker threads).
+ * (sweep worker threads). @p cycle_scale is the bench's own default,
+ * which SOS_CYCLE_SCALE overrides.
  */
-SimConfig benchConfigFromEnv();
+SimConfig
+benchConfigFromEnv(std::uint64_t cycle_scale = makeBenchConfig().cycleScale);
 
 /** The run-output destinations, from flags or environment. */
 struct OutputPaths
@@ -64,10 +67,13 @@ struct BenchOptions
  * Parse a bench harness command line: repeated --set key=value,
  * --jobs N, --machine-config FILE, --model FILE, --out FILE,
  * --trace FILE, --bench FILE.
- * Environment overrides are applied first, so flags win. Unknown
- * arguments are fatal().
+ * The bench's default @p cycle_scale applies first, then the
+ * environment overrides, then the flags, so the last one set wins.
+ * Unknown arguments are fatal().
  */
-BenchOptions parseBenchArgs(int argc, char **argv);
+BenchOptions
+parseBenchArgs(int argc, char **argv,
+               std::uint64_t cycle_scale = makeBenchConfig().cycleScale);
 
 } // namespace sos
 

@@ -34,10 +34,7 @@ attachBenchJobs(SmtCore &core, int level)
                 benchWorkloads[static_cast<std::size_t>(t) %
                                benchWorkloads.size()]),
             0xb0b0 + static_cast<std::uint64_t>(t), 1, false));
-        ThreadBinding binding;
-        binding.gen = &jobs.back()->generator(0);
-        binding.asid = jobs.back()->asid();
-        core.attachThread(t, binding);
+        core.attachThread(t, jobs.back()->binding(0));
     }
     return jobs;
 }

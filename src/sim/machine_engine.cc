@@ -13,25 +13,150 @@ MachineEngine::MachineEngine(Machine &machine,
     : machine_(machine), timeslice_(timeslice_cycles)
 {
     SOS_ASSERT(timeslice_cycles > 0);
-    engines_.reserve(static_cast<std::size_t>(machine.numCores()));
-    for (int k = 0; k < machine.numCores(); ++k) {
-        engines_.emplace_back(machine.core(k), timeslice_cycles);
-        engines_.back().setSampling(sample);
-    }
+    cores_.reserve(static_cast<std::size_t>(machine.numCores()));
+    for (int k = 0; k < machine.numCores(); ++k)
+        cores_.emplace_back(machine.core(k), sample);
 }
 
 void
 MachineEngine::evictAll()
 {
-    for (TimesliceEngine &engine : engines_)
-        engine.evictAll();
+    for (Core &core : cores_) {
+        for (int slot = 0; slot < core.smt->params().numContexts; ++slot) {
+            ThreadRef &unit = core.slots[static_cast<std::size_t>(slot)];
+            if (unit.job != nullptr) {
+                core.smt->detachThread(slot);
+                unit = ThreadRef{};
+            }
+        }
+    }
 }
 
 void
 MachineEngine::evictJob(const Job *job)
 {
-    for (TimesliceEngine &engine : engines_)
-        engine.evictJob(job);
+    for (Core &core : cores_) {
+        for (int slot = 0; slot < core.smt->params().numContexts; ++slot) {
+            ThreadRef &unit = core.slots[static_cast<std::size_t>(slot)];
+            if (unit.job != nullptr && unit.job == job) {
+                core.smt->detachThread(slot);
+                unit = ThreadRef{};
+            }
+        }
+    }
+}
+
+std::vector<MachineEngine::Resident>
+MachineEngine::residents() const
+{
+    std::vector<Resident> out;
+    for (std::size_t k = 0; k < cores_.size(); ++k) {
+        const Core &core = cores_[k];
+        for (int slot = 0; slot < core.smt->params().numContexts; ++slot) {
+            const ThreadRef &unit =
+                core.slots[static_cast<std::size_t>(slot)];
+            if (unit.job != nullptr)
+                out.push_back(Resident{static_cast<int>(k), slot, unit});
+        }
+    }
+    return out;
+}
+
+void
+MachineEngine::adopt(const std::vector<Resident> &residents)
+{
+    for (const Core &core : cores_) {
+        for (const ThreadRef &unit : core.slots)
+            SOS_ASSERT(unit.job == nullptr, "adopt needs a fresh engine");
+    }
+    for (const Resident &resident : residents) {
+        Core &core = cores_.at(static_cast<std::size_t>(resident.core));
+        SOS_ASSERT(core.smt->slotActive(resident.slot),
+                   "adopted slot carries no pipeline state");
+        core.smt->rebindThread(
+            resident.slot,
+            resident.unit.job->binding(resident.unit.thread));
+        core.slots[static_cast<std::size_t>(resident.slot)] =
+            resident.unit;
+    }
+}
+
+void
+MachineEngine::runCore(Core &core, const std::vector<ThreadRef> &units,
+                       PerfCounters &counters,
+                       std::vector<std::uint64_t> &unit_retired,
+                       SamplingTally &tally)
+{
+    const int num_slots = core.smt->params().numContexts;
+    SOS_ASSERT(static_cast<int>(units.size()) <= num_slots,
+               "more units than hardware contexts");
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        for (std::size_t j = i + 1; j < units.size(); ++j) {
+            SOS_ASSERT(!(units[i] == units[j]),
+                       "a unit cannot occupy two contexts");
+        }
+    }
+
+    // Swap out units that are leaving.
+    for (int slot = 0; slot < num_slots; ++slot) {
+        ThreadRef &resident = core.slots[static_cast<std::size_t>(slot)];
+        if (resident.job == nullptr)
+            continue;
+        const bool staying = std::find(units.begin(), units.end(),
+                                       resident) != units.end();
+        if (!staying) {
+            core.smt->detachThread(slot);
+            resident = ThreadRef{};
+        }
+    }
+
+    // Swap in units that are entering; record each unit's slot.
+    std::vector<int> &unit_slot = unitSlotScratch_;
+    unit_slot.assign(units.size(), -1);
+    for (std::size_t u = 0; u < units.size(); ++u) {
+        for (int slot = 0; slot < num_slots; ++slot) {
+            if (core.slots[static_cast<std::size_t>(slot)] == units[u]) {
+                unit_slot[u] = slot;
+                break;
+            }
+        }
+    }
+    for (std::size_t u = 0; u < units.size(); ++u) {
+        if (unit_slot[u] >= 0)
+            continue;
+        int free_slot = -1;
+        for (int slot = 0; slot < num_slots; ++slot) {
+            if (core.slots[static_cast<std::size_t>(slot)].job == nullptr) {
+                free_slot = slot;
+                break;
+            }
+        }
+        SOS_ASSERT(free_slot >= 0, "no free context for incoming unit");
+        const ThreadRef &unit = units[u];
+        core.smt->attachThread(free_slot, unit.job->binding(unit.thread));
+        core.slots[static_cast<std::size_t>(free_slot)] = unit;
+        unit_slot[u] = free_slot;
+    }
+
+    core.sampler.run(timeslice_, counters, tally);
+
+    unit_retired.resize(units.size(), 0);
+    for (std::size_t u = 0; u < units.size(); ++u) {
+        const auto slot = static_cast<std::size_t>(unit_slot[u]);
+        const std::uint64_t retired = counters.slotRetired[slot];
+        unit_retired[u] = retired;
+        units[u].job->addRetired(retired);
+    }
+    // Credit residency once per distinct job in the running set.
+    for (std::size_t u = 0; u < units.size(); ++u) {
+        bool first = true;
+        for (std::size_t v = 0; v < u; ++v) {
+            if (units[v].job == units[u].job)
+                first = false;
+        }
+        if (first)
+            units[u].job->addResidentCycles(timeslice_);
+    }
 }
 
 MachineEngine::SliceResult
@@ -39,12 +164,12 @@ MachineEngine::runSlice(const std::vector<std::vector<ThreadRef>> &units)
 {
     static const std::vector<ThreadRef> idle;
     SliceResult slice;
-    slice.cores.reserve(engines_.size());
-    for (std::size_t k = 0; k < engines_.size(); ++k) {
-        slice.cores.push_back(
-            engines_[k].runTimeslice(k < units.size() ? units[k] : idle));
-        slice.machine += slice.cores.back().counters;
-        slice.sampling += slice.cores.back().sampling;
+    slice.perCore.resize(cores_.size());
+    slice.unitRetired.resize(cores_.size());
+    for (std::size_t k = 0; k < cores_.size(); ++k) {
+        runCore(cores_[k], k < units.size() ? units[k] : idle,
+                slice.perCore[k], slice.unitRetired[k], slice.sampling);
+        slice.machine += slice.perCore[k];
     }
     slice.machine.cycles = timeslice_;
     return slice;
@@ -91,14 +216,13 @@ MachineEngine::runSchedule(JobMix &mix, const MachineSchedule &schedule,
         }
         const SliceResult slice = runSlice(units);
         for (std::size_t k = 0; k < cores; ++k) {
-            const TimesliceEngine::SliceResult &core = slice.cores[k];
-            result.total += core.counters;
-            result.perCore[k] += core.counters;
+            result.total += slice.perCore[k];
+            result.perCore[k] += slice.perCore[k];
             for (std::size_t u = 0; u < units[k].size(); ++u) {
                 // Job ids are 1-based insertion order within the mix.
                 const auto job_index =
                     static_cast<std::size_t>(units[k][u].job->id() - 1);
-                result.jobRetired[job_index] += core.unitRetired[u];
+                result.jobRetired[job_index] += slice.unitRetired[k][u];
             }
         }
         result.sliceIpc.push_back(slice.machine.ipc());

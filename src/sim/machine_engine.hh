@@ -1,16 +1,22 @@
 /**
  * @file
- * Timeslice driver for a whole Machine.
+ * The timeslice engine: binds scheduler decisions to a whole Machine.
  *
- * A MachineEngine owns one TimesliceEngine per core of a Machine and
- * advances them in lock-step: within every timeslice the cores are
- * stepped sequentially in core-index order (the determinism contract
- * Machine documents), each running its own coschedule tuple -- from a
- * MachineSchedule for closed sweeps, or one open-system slice at a
- * time through runSlice(). Cores therefore interleave on the shared L2 at
- * timeslice granularity -- coarse, but deterministic and faithful to
- * the paper's OS-level view, where the scheduler only observes
- * counters at quantum boundaries anyway.
+ * Each timeslice the jobscheduler names, per core, the thread units
+ * to run. For every core the engine diffs that set against the
+ * resident one, so units staying resident keep their hardware context
+ * and pipeline state (the "warmstart" effect of Section 8 -- under
+ * partial swap only the replaced job cold-starts), swaps the rest,
+ * runs the core for the quantum and credits retired instructions to
+ * jobs. Closed sweeps feed it a MachineSchedule; the open system feeds
+ * it one slice at a time through runSlice().
+ *
+ * Within every timeslice the cores are stepped sequentially in
+ * core-index order (the determinism contract Machine documents), so
+ * cores interleave on the shared L2 at timeslice granularity --
+ * coarse, but deterministic and faithful to the paper's OS-level
+ * view, where the scheduler only observes counters at quantum
+ * boundaries anyway.
  *
  * Wall-clock time is per-core time: all cores run the same quantum
  * concurrently, so a run of T timeslices costs T * quantum machine
@@ -21,18 +27,19 @@
 #ifndef SOS_SIM_MACHINE_ENGINE_HH
 #define SOS_SIM_MACHINE_ENGINE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "cpu/machine.hh"
 #include "cpu/sampling.hh"
+#include "sched/job.hh"
 #include "sched/jobmix.hh"
 #include "sched/machine_schedule.hh"
-#include "sim/timeslice_engine.hh"
 
 namespace sos {
 
-/** Runs machine schedules on a borrowed Machine. */
+/** Runs timeslices and machine schedules on a borrowed Machine. */
 class MachineEngine
 {
   public:
@@ -87,15 +94,26 @@ class MachineEngine
         /** Sampled-mode windows summed over the cores. */
         SamplingTally sampling;
 
-        /** Each core's own timeslice result, indexed by core. */
-        std::vector<TimesliceEngine::SliceResult> cores;
+        /** Each core's counters over the quantum, indexed by core. */
+        std::vector<PerfCounters> perCore;
+
+        /**
+         * Retired instructions per unit, indexed by core and then
+         * ordered as that core's input units.
+         */
+        std::vector<std::vector<std::uint64_t>> unitRetired;
     };
 
     /**
      * Run one timeslice: core k runs @p units[k]. Cores step in
      * core-index order, the documented determinism contract for
-     * sharing the L2. A core with no units (or past the end of
-     * @p units) still runs the quantum and evicts its residents.
+     * sharing the L2. On each core, units that are leaving are
+     * detached first; then each entering unit, in input order, takes
+     * the lowest free context. Units already resident keep their
+     * context. A core with no units (or past the end of @p units)
+     * still runs the quantum and evicts its residents. Jobs are
+     * credited with their units' retired instructions, and with the
+     * quantum as resident cycles once per distinct job.
      */
     SliceResult runSlice(const std::vector<std::vector<ThreadRef>> &units);
 
@@ -107,9 +125,9 @@ class MachineEngine
      * from the same state would measure: a run only sums per-slice
      * results. Checkpoints may come in any order and repeat. The
      * schedule's allocation must index into @p mix. Jobs accumulate
-     * progress as under TimesliceEngine (retired instructions and
-     * resident cycles), so a warmup run followed by a measured run
-     * charges the measured interval only with its own work.
+     * progress as under runSlice (retired instructions and resident
+     * cycles), so a warmup run followed by a measured run charges the
+     * measured interval only with its own work.
      */
     std::vector<MachineRunResult>
     runSchedule(JobMix &mix, const MachineSchedule &schedule,
@@ -121,25 +139,61 @@ class MachineEngine
     /** Detach any resident threads of one job from every core. */
     void evictJob(const Job *job);
 
-    /** Core @p k's timeslice engine (snapshot capture/adoption). */
-    TimesliceEngine &
-    coreEngine(int k)
+    /** One occupied hardware context: the warm-state fork currency. */
+    struct Resident
     {
-        return engines_.at(static_cast<std::size_t>(k));
-    }
-    const TimesliceEngine &
-    coreEngine(int k) const
-    {
-        return engines_.at(static_cast<std::size_t>(k));
-    }
+        int core = 0;
+        int slot = 0;
+        ThreadRef unit;
+    };
 
-    int numCores() const { return static_cast<int>(engines_.size()); }
+    /** Every occupied context, by core and then slot. */
+    std::vector<Resident> residents() const;
+
+    /**
+     * Seed a fresh engine over a copied Machine with the resident set
+     * of the engine it was copied from: the cores already carry the
+     * (copied) pipeline state of every unit, so each slot is marked
+     * occupied and its context rebound to the unit's own job --
+     * nothing is squashed or re-attached. The engine must have no
+     * occupied slots, and every adopted slot must be active on its
+     * core. Callers translate each unit's job into the copy first.
+     */
+    void adopt(const std::vector<Resident> &residents);
+
+    int numCores() const { return static_cast<int>(cores_.size()); }
 
   private:
+    /** One core's context-slot table and fidelity controller. */
+    struct Core
+    {
+        Core(SmtCore &smt, const SampleWindows &sample)
+            : smt(&smt), sampler(smt, sample)
+        {
+        }
+
+        SmtCore *smt;
+        SamplingController sampler;
+        /** The unit each context holds; a null job marks it free. */
+        std::array<ThreadRef, MaxContexts> slots{};
+    };
+
+    /**
+     * Run core @p core for one quantum with @p units resident, adding
+     * into @p counters, @p unit_retired (one entry per unit) and
+     * @p tally.
+     */
+    void runCore(Core &core, const std::vector<ThreadRef> &units,
+                 PerfCounters &counters,
+                 std::vector<std::uint64_t> &unit_retired,
+                 SamplingTally &tally);
+
     Machine &machine_;
     std::uint64_t timeslice_;
-    std::vector<TimesliceEngine> engines_;
+    std::vector<Core> cores_;
 
+    /** Per-core scratch: each unit's context (hoisted allocation). */
+    std::vector<int> unitSlotScratch_;
 };
 
 } // namespace sos

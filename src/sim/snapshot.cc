@@ -4,6 +4,24 @@
 
 namespace sos {
 
+namespace {
+
+/**
+ * @p residents with every unit's job replaced by its counterpart in
+ * @p mix. Job ids are 1-based insertion order within a mix, so a unit
+ * translates across mix copies by (job index, thread).
+ */
+std::vector<MachineEngine::Resident>
+translate(std::vector<MachineEngine::Resident> residents, JobMix &mix)
+{
+    for (MachineEngine::Resident &resident : residents)
+        resident.unit.job =
+            &mix.job(static_cast<int>(resident.unit.job->id()) - 1);
+    return residents;
+}
+
+} // namespace
+
 MachineSnapshot::MachineSnapshot(const Machine &machine,
                                  const JobMix &mix,
                                  const MachineEngine &engine)
@@ -11,23 +29,13 @@ MachineSnapshot::MachineSnapshot(const Machine &machine,
 {
     SOS_ASSERT(engine.numCores() == machine.numCores(),
                "engine and machine disagree on core count");
-    for (int k = 0; k < engine.numCores(); ++k)
-        capture(mix, engine.coreEngine(k), k);
-}
-
-void
-MachineSnapshot::capture(const JobMix &mix,
-                         const TimesliceEngine &engine, int core)
-{
-    for (const auto &[slot, unit] : engine.residentUnits()) {
-        // Job ids are 1-based insertion order within the mix, so a
-        // unit translates across mix copies by (job index, thread).
-        const int job_index = static_cast<int>(unit.job->id()) - 1;
-        SOS_ASSERT(&mix.job(job_index) == unit.job,
+    std::vector<MachineEngine::Resident> residents = engine.residents();
+    for (const MachineEngine::Resident &resident : residents) {
+        SOS_ASSERT(&mix.job(static_cast<int>(resident.unit.job->id()) -
+                            1) == resident.unit.job,
                    "resident unit's job is not owned by the mix");
-        resident_.push_back(
-            ResidentUnit{core, slot, job_index, unit.thread});
     }
+    resident_ = translate(std::move(residents), mix_);
 }
 
 MachineSnapshot::Fork::Fork(const MachineSnapshot &snapshot)
@@ -39,17 +47,7 @@ MachineSnapshot::Fork::Fork(const MachineSnapshot &snapshot)
 void
 MachineSnapshot::Fork::adopt(MachineEngine &engine)
 {
-    for (int k = 0; k < engine.numCores(); ++k) {
-        std::vector<std::pair<int, ThreadRef>> resident;
-        for (const ResidentUnit &unit : snapshot_->resident_) {
-            if (unit.core != k)
-                continue;
-            Job &job = mix_.job(unit.jobIndex);
-            resident.emplace_back(unit.slot,
-                                  ThreadRef{&job, unit.thread});
-        }
-        engine.coreEngine(k).adoptResident(resident);
-    }
+    engine.adopt(translate(snapshot_->resident_, mix_));
 }
 
 } // namespace sos

@@ -7,8 +7,8 @@
  * MachineSnapshot captures the complete post-warmup state once --
  * machine (cores, caches, predictor, cycle counts), jobmix
  * (generators mid-stream, sync domains, progress accounting) and the
- * engine's resident table -- and every candidate then runs on a
- * private Fork of it.
+ * engine's residents() -- and every candidate then runs on a private
+ * Fork of it.
  *
  * Determinism contract (DESIGN.md §5c): forking is semantics
  * preserving.  All simulator state is value-copied, and the only
@@ -29,7 +29,6 @@
 #include "cpu/machine.hh"
 #include "sched/jobmix.hh"
 #include "sim/machine_engine.hh"
-#include "sim/timeslice_engine.hh"
 
 namespace sos {
 
@@ -43,6 +42,10 @@ class MachineSnapshot
      */
     MachineSnapshot(const Machine &machine, const JobMix &mix,
                     const MachineEngine &engine);
+
+    /** The residents point into mix_, so a snapshot stays put. */
+    MachineSnapshot(const MachineSnapshot &) = delete;
+    MachineSnapshot &operator=(const MachineSnapshot &) = delete;
 
     /** A private, runnable copy of the captured state. */
     class Fork
@@ -68,21 +71,10 @@ class MachineSnapshot
     };
 
   private:
-    /** One resident hardware context at capture time. */
-    struct ResidentUnit
-    {
-        int core = 0;
-        int slot = 0;
-        int jobIndex = 0; ///< position in the mix (id() - 1)
-        int thread = 0;
-    };
-
-    void capture(const JobMix &mix, const TimesliceEngine &engine,
-                 int core);
-
     Machine machine_;
     JobMix mix_;
-    std::vector<ResidentUnit> resident_;
+    /** The engine's residents, translated onto mix_ by job index. */
+    std::vector<MachineEngine::Resident> resident_;
 };
 
 } // namespace sos

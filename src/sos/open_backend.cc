@@ -149,26 +149,18 @@ EngineBackend::forkLive(const std::vector<Job *> &pool) const
     fork.jobs.reserve(pool.size());
     for (const Job *job : pool)
         fork.jobs.push_back(std::make_unique<Job>(*job));
-    for (int k = 0; k < numCores_; ++k) {
-        std::vector<std::pair<int, ThreadRef>> resident;
-        for (const auto &[slot, unit] :
-             live_.engine->coreEngine(k).residentUnits()) {
-            // Rebind the resident context onto the fork's job copy.
-            std::size_t position = pool.size();
-            for (std::size_t p = 0; p < pool.size(); ++p) {
-                if (pool[p] == unit.job) {
-                    position = p;
-                    break;
-                }
-            }
-            SOS_ASSERT(position < pool.size(),
-                       "resident job missing from the pool snapshot");
-            resident.emplace_back(
-                slot, ThreadRef{fork.jobs[position].get(),
-                                unit.thread});
-        }
-        fork.engine->coreEngine(k).adoptResident(resident);
+    // Rebind each resident context onto the fork's copy of its job.
+    std::vector<MachineEngine::Resident> residents =
+        live_.engine->residents();
+    for (MachineEngine::Resident &resident : residents) {
+        const auto position = static_cast<std::size_t>(
+            std::find(pool.begin(), pool.end(), resident.unit.job) -
+            pool.begin());
+        SOS_ASSERT(position < pool.size(),
+                   "resident job missing from the pool snapshot");
+        resident.unit.job = fork.jobs[position].get();
     }
+    fork.engine->adopt(residents);
     return fork;
 }
 

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,12 +25,14 @@ namespace sos {
 namespace {
 
 BenchOptions
-parse(std::vector<std::string> args)
+parse(std::vector<std::string> args,
+      std::uint64_t cycle_scale = makeBenchConfig().cycleScale)
 {
     std::vector<char *> argv;
     for (std::string &arg : args)
         argv.push_back(arg.data());
-    return parseBenchArgs(static_cast<int>(argv.size()), argv.data());
+    return parseBenchArgs(static_cast<int>(argv.size()), argv.data(),
+                          cycle_scale);
 }
 
 std::string
@@ -70,6 +74,32 @@ TEST(BenchReport, BenchFlagSetsPath)
     EXPECT_EQ(options.out.bench, "out.json");
     EXPECT_TRUE(options.out.manifest.empty());
     EXPECT_TRUE(options.out.trace.empty());
+}
+
+TEST(BenchReport, CycleScaleDefaultYieldsToEnvironmentAndFlags)
+{
+    // A bench's own default scale < SOS_CYCLE_SCALE < --set.
+    const char *prior = std::getenv("SOS_CYCLE_SCALE");
+    const std::optional<std::string> saved =
+        prior != nullptr ? std::optional<std::string>(prior)
+                         : std::nullopt;
+
+    ::unsetenv("SOS_CYCLE_SCALE");
+    EXPECT_EQ(parse({"bench"}, 200).config.cycleScale, 200u);
+    EXPECT_EQ(parse({"bench"}).config.cycleScale,
+              makeBenchConfig().cycleScale);
+    ::setenv("SOS_CYCLE_SCALE", "750", 1);
+    EXPECT_EQ(parse({"bench"}, 200).config.cycleScale, 750u);
+    EXPECT_EQ(parse({"bench", "--set", "cycleScale=20000"}, 200)
+                  .config.cycleScale,
+              20000u);
+    ::unsetenv("SOS_CYCLE_SCALE");
+    EXPECT_EQ(parse({"bench", "--set", "cycleScale=20000"}, 200)
+                  .config.cycleScale,
+              20000u);
+
+    if (saved)
+        ::setenv("SOS_CYCLE_SCALE", saved->c_str(), 1);
 }
 
 TEST(BenchReportDeathTest, RetiredFlagsAreUnknown)

@@ -1,22 +1,27 @@
-/** @file Unit tests for the timeslice engine. */
+/** @file Unit tests for the timeslice engine (MachineEngine). */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "cpu/machine.hh"
 #include "sched/jobmix.hh"
 #include "sched/schedule.hh"
 #include "sim/machine_engine.hh"
-#include "sim/timeslice_engine.hh"
+#include "sim/params_io.hh"
 
 namespace sos {
 namespace {
 
+/** One SMT-2 core driven by a MachineEngine with a 10000-cycle quantum. */
 class EngineTest : public ::testing::Test
 {
   protected:
     EngineTest()
         : machine_(params(), MemParams{}), core_(machine_.core(0)),
-          engine_(core_, 10000)
+          engine_(machine_, 10000)
     {
     }
 
@@ -28,9 +33,16 @@ class EngineTest : public ::testing::Test
         return p;
     }
 
+    /** Run one timeslice on the only core. */
+    MachineEngine::SliceResult
+    run(const std::vector<ThreadRef> &units)
+    {
+        return engine_.runSlice({units});
+    }
+
     Machine machine_;
     SmtCore &core_;
-    TimesliceEngine engine_;
+    MachineEngine engine_;
 };
 
 TEST_F(EngineTest, RunTimesliceCreditsJobs)
@@ -38,35 +50,40 @@ TEST_F(EngineTest, RunTimesliceCreditsJobs)
     JobMix mix(1);
     mix.addJob("EP");
     mix.addJob("FP");
-    const auto result =
-        engine_.runTimeslice({mix.unit(0), mix.unit(1)});
-    EXPECT_EQ(result.counters.cycles, 10000u);
-    ASSERT_EQ(result.unitRetired.size(), 2u);
-    EXPECT_GT(result.unitRetired[0], 0u);
-    EXPECT_GT(result.unitRetired[1], 0u);
-    EXPECT_EQ(mix.job(0).retired(), result.unitRetired[0]);
-    EXPECT_EQ(mix.job(1).retired(), result.unitRetired[1]);
+    const auto result = run({mix.unit(0), mix.unit(1)});
+    EXPECT_EQ(result.machine.cycles, 10000u);
+    ASSERT_EQ(result.perCore.size(), 1u);
+    EXPECT_EQ(result.perCore[0].cycles, 10000u);
+    ASSERT_EQ(result.unitRetired.size(), 1u);
+    ASSERT_EQ(result.unitRetired[0].size(), 2u);
+    EXPECT_GT(result.unitRetired[0][0], 0u);
+    EXPECT_GT(result.unitRetired[0][1], 0u);
+    EXPECT_EQ(mix.job(0).retired(), result.unitRetired[0][0]);
+    EXPECT_EQ(mix.job(1).retired(), result.unitRetired[0][1]);
     EXPECT_EQ(mix.job(0).residentCycles(), 10000u);
 }
 
 TEST_F(EngineTest, ResidentUnitsKeepTheirSlots)
 {
     // Partial swap: the staying unit must not be detached (its
-    // pipeline state carries over -- the warmstart effect).
+    // pipeline state carries over -- the warmstart effect), and the
+    // entering unit takes the context the leaving one freed.
     JobMix mix(2);
     mix.addJob("EP");
     mix.addJob("FP");
     mix.addJob("MG");
 
-    engine_.runTimeslice({mix.unit(0), mix.unit(1)});
+    run({mix.unit(1), mix.unit(0)});
     const std::uint64_t before = core_.now();
-    const int inflight_before = core_.inFlightCount();
-    engine_.runTimeslice({mix.unit(0), mix.unit(2)});
+    run({mix.unit(0), mix.unit(2)});
     EXPECT_EQ(core_.now(), before + 10000);
-    // If unit 0 had been detached its in-flight work would restart
-    // from zero with unit 2's too; staying resident keeps the pipe
-    // at least partially full across the boundary.
-    (void)inflight_before;
+
+    const auto residents = engine_.residents();
+    ASSERT_EQ(residents.size(), 2u);
+    EXPECT_EQ(residents[0].slot, 0);
+    EXPECT_EQ(residents[0].unit, mix.unit(2));
+    EXPECT_EQ(residents[1].slot, 1);
+    EXPECT_EQ(residents[1].unit, mix.unit(0));
     EXPECT_GT(mix.job(0).retired(), 0u);
     EXPECT_GT(mix.job(2).retired(), 0u);
 }
@@ -75,8 +92,7 @@ TEST_F(EngineTest, RejectsDuplicateUnits)
 {
     JobMix mix(3);
     mix.addJob("EP");
-    EXPECT_DEATH(engine_.runTimeslice({mix.unit(0), mix.unit(0)}),
-                 "two contexts");
+    EXPECT_DEATH(run({mix.unit(0), mix.unit(0)}), "two contexts");
 }
 
 TEST_F(EngineTest, RejectsOversizedRunningSet)
@@ -85,9 +101,8 @@ TEST_F(EngineTest, RejectsOversizedRunningSet)
     mix.addJob("EP");
     mix.addJob("FP");
     mix.addJob("MG");
-    EXPECT_DEATH(
-        engine_.runTimeslice({mix.unit(0), mix.unit(1), mix.unit(2)}),
-        "more units");
+    EXPECT_DEATH(run({mix.unit(0), mix.unit(1), mix.unit(2)}),
+                 "more units");
 }
 
 TEST_F(EngineTest, EvictAllFreesSlots)
@@ -95,11 +110,12 @@ TEST_F(EngineTest, EvictAllFreesSlots)
     JobMix mix(5);
     mix.addJob("EP");
     mix.addJob("FP");
-    engine_.runTimeslice({mix.unit(0), mix.unit(1)});
+    run({mix.unit(0), mix.unit(1)});
     engine_.evictAll();
     EXPECT_EQ(core_.inFlightCount(), 0);
     EXPECT_FALSE(core_.slotActive(0));
     EXPECT_FALSE(core_.slotActive(1));
+    EXPECT_TRUE(engine_.residents().empty());
 }
 
 TEST_F(EngineTest, EvictJobIsSelective)
@@ -107,9 +123,12 @@ TEST_F(EngineTest, EvictJobIsSelective)
     JobMix mix(6);
     mix.addJob("EP");
     mix.addJob("FP");
-    engine_.runTimeslice({mix.unit(0), mix.unit(1)});
+    run({mix.unit(0), mix.unit(1)});
     engine_.evictJob(mix.unit(0).job);
     EXPECT_TRUE(core_.slotActive(0) != core_.slotActive(1));
+    const auto residents = engine_.residents();
+    ASSERT_EQ(residents.size(), 1u);
+    EXPECT_EQ(residents[0].unit, mix.unit(1));
 }
 
 /** Run @p schedule on a fresh 1-core MachineEngine like the fixture's. */
@@ -163,18 +182,34 @@ TEST_F(EngineTest, RunScheduleAggregatesCounters)
     EXPECT_EQ(sum, result.total.retired);
 }
 
+/** A 2-core machine of SMT-2 cores. */
+MachineParams
+twoCores()
+{
+    MachineParams params;
+    params.numCores = 2;
+    params.core.numContexts = 2;
+    return params;
+}
+
+/** The residents of core @p k. */
+std::vector<MachineEngine::Resident>
+residentsOf(const MachineEngine &engine, int k)
+{
+    std::vector<MachineEngine::Resident> out = engine.residents();
+    std::erase_if(out, [k](const MachineEngine::Resident &resident) {
+        return resident.core != k;
+    });
+    return out;
+}
+
 TEST(MachineEngineSlice, RunsEveryCoreForOneQuantum)
 {
     // One open-system step on a 2-core machine: machine counters sum
     // the cores' but span one quantum, and a core given no units (here
     // core 1, past the end of the list) idles with its residents
     // evicted.
-    CoreParams params;
-    params.numContexts = 2;
-    MachineParams machine_params;
-    machine_params.numCores = 2;
-    machine_params.core = params;
-    Machine machine(machine_params);
+    Machine machine(twoCores());
     MachineEngine engine(machine, 10000);
     JobMix mix(11);
     mix.addJob("EP");
@@ -183,42 +218,129 @@ TEST(MachineEngineSlice, RunsEveryCoreForOneQuantum)
 
     const MachineEngine::SliceResult both =
         engine.runSlice({{mix.unit(0)}, {mix.unit(1), mix.unit(2)}});
-    ASSERT_EQ(both.cores.size(), 2u);
+    ASSERT_EQ(both.perCore.size(), 2u);
     EXPECT_EQ(both.machine.cycles, 10000u);
-    EXPECT_EQ(both.machine.retired, both.cores[0].counters.retired +
-                                        both.cores[1].counters.retired);
-    EXPECT_GT(both.cores[1].counters.retired, 0u);
-    EXPECT_EQ(engine.coreEngine(1).residentUnits().size(), 2u);
+    EXPECT_EQ(both.machine.retired,
+              both.perCore[0].retired + both.perCore[1].retired);
+    EXPECT_GT(both.perCore[1].retired, 0u);
+    EXPECT_EQ(residentsOf(engine, 1).size(), 2u);
 
     const MachineEngine::SliceResult first =
         engine.runSlice({{mix.unit(0)}});
     EXPECT_EQ(first.machine.cycles, 10000u);
-    EXPECT_EQ(first.cores[1].counters.retired, 0u);
-    EXPECT_TRUE(engine.coreEngine(1).residentUnits().empty());
+    EXPECT_EQ(first.perCore[1].retired, 0u);
+    EXPECT_TRUE(first.unitRetired[1].empty());
+    EXPECT_TRUE(residentsOf(engine, 1).empty());
 
     // evictJob detaches a job from whichever core holds it.
     engine.evictJob(&mix.job(0));
-    EXPECT_TRUE(engine.coreEngine(0).residentUnits().empty());
-}
-
-TEST_F(EngineTest, SetTimesliceTakesEffect)
-{
-    JobMix mix(9);
-    mix.addJob("EP");
-    engine_.setTimesliceCycles(5000);
-    const auto result = engine_.runTimeslice({mix.unit(0)});
-    EXPECT_EQ(result.counters.cycles, 5000u);
+    EXPECT_TRUE(residentsOf(engine, 0).empty());
 }
 
 TEST_F(EngineTest, ParallelJobThreadsCanShareTimeslice)
 {
     JobMix mix(10);
     mix.addParallelJob("ARRAY", 2);
-    const auto result =
-        engine_.runTimeslice({mix.unit(0), mix.unit(1)});
-    EXPECT_GT(result.counters.retired, 1000u);
+    const auto result = run({mix.unit(0), mix.unit(1)});
+    EXPECT_GT(result.machine.retired, 1000u);
     // Residency is credited once per job, not per thread.
     EXPECT_EQ(mix.job(0).residentCycles(), 10000u);
+}
+
+/**
+ * The open system's fork: copy the Machine and the pool's jobs, adopt
+ * the live residents remapped by pool position, and the fork's window
+ * equals the live engine continuing, field for field.
+ */
+void
+expectForkContinuesLiveRun(const SampleWindows &sample)
+{
+    Machine live_machine(twoCores());
+    MachineEngine live(live_machine, 10000, sample);
+    JobMix mix(12);
+    mix.addParallelJob("ARRAY", 2);
+    mix.addJob("EP");
+    mix.addJob("FP");
+    mix.addJob("MG");
+    mix.addJob("GCC");
+    std::vector<Job *> pool;
+    for (int j = 0; j < mix.numJobs(); ++j)
+        pool.push_back(&mix.job(j));
+
+    // Units of per-core (pool index, thread) pairs over @p jobs.
+    using Pick = std::vector<std::vector<std::pair<int, int>>>;
+    const auto unitsOf = [](const std::vector<Job *> &jobs,
+                            const Pick &pick) {
+        std::vector<std::vector<ThreadRef>> units(pick.size());
+        for (std::size_t k = 0; k < pick.size(); ++k)
+            for (const auto &[index, thread] : pick[k])
+                units[k].push_back(ThreadRef{
+                    jobs[static_cast<std::size_t>(index)], thread});
+        return units;
+    };
+
+    // Warm up, with a partial swap so core 0's residents are out of
+    // input order: ARRAY thread 1 stays in slot 1, MG takes slot 0.
+    live.runSlice(unitsOf(pool, {{{0, 0}, {0, 1}}, {{1, 0}, {2, 0}}}));
+    live.runSlice(unitsOf(pool, {{{0, 1}, {3, 0}}, {{2, 0}, {1, 0}}}));
+    const auto residents = live.residents();
+    ASSERT_EQ(residents.size(), 4u);
+    EXPECT_EQ(residents[0].unit, (ThreadRef{pool[3], 0}));
+    EXPECT_EQ(residents[1].unit, (ThreadRef{pool[0], 1}));
+
+    // Fork the way EngineBackend::forkLive does.
+    Machine fork_machine(live_machine);
+    MachineEngine fork(fork_machine, 10000, sample);
+    std::vector<std::unique_ptr<Job>> fork_jobs;
+    std::vector<Job *> fork_pool;
+    for (const Job *job : pool) {
+        fork_jobs.push_back(std::make_unique<Job>(*job));
+        fork_pool.push_back(fork_jobs.back().get());
+    }
+    std::vector<MachineEngine::Resident> remapped = residents;
+    for (MachineEngine::Resident &resident : remapped) {
+        const auto position = static_cast<std::size_t>(
+            std::find(pool.begin(), pool.end(), resident.unit.job) -
+            pool.begin());
+        resident.unit.job = fork_pool.at(position);
+    }
+    fork.adopt(remapped);
+
+    // A window with staying, leaving and entering units, the parallel
+    // job's threads split across the cores, and a core left idle.
+    const std::vector<Pick> window = {
+        {{{0, 1}, {3, 0}}, {{1, 0}, {2, 0}}},
+        {{{3, 0}, {0, 0}}, {{2, 0}, {4, 0}}},
+        {{{0, 0}, {0, 1}}, {{4, 0}}},
+        {{{4, 0}, {1, 0}}},
+    };
+    for (const Pick &pick : window) {
+        const MachineEngine::SliceResult expected =
+            live.runSlice(unitsOf(pool, pick));
+        const MachineEngine::SliceResult forked =
+            fork.runSlice(unitsOf(fork_pool, pick));
+        EXPECT_EQ(forked.machine, expected.machine);
+        EXPECT_EQ(forked.perCore, expected.perCore);
+        EXPECT_EQ(forked.unitRetired, expected.unitRetired);
+        EXPECT_EQ(forked.sampling, expected.sampling);
+        EXPECT_GT(forked.machine.retired, 0u);
+    }
+    for (std::size_t j = 0; j < pool.size(); ++j) {
+        EXPECT_EQ(fork_pool[j]->retired(), pool[j]->retired()) << j;
+        EXPECT_EQ(fork_pool[j]->residentCycles(),
+                  pool[j]->residentCycles())
+            << j;
+    }
+}
+
+TEST(MachineEngineFork, AdoptedResidentsContinueTheLiveRun)
+{
+    expectForkContinuesLiveRun(SampleWindows{});
+}
+
+TEST(MachineEngineFork, AdoptedResidentsContinueTheLiveSampledRun)
+{
+    expectForkContinuesLiveRun(parseSampleWindows("5000:1000:2000"));
 }
 
 } // namespace
