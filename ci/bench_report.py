@@ -2,7 +2,7 @@
 """Check and merge the "sos.bench" host-timing reports.
 
 Each bench binary given --bench FILE writes one "sos.bench" (schema
-version 2) document: top-level tool, jobs, snapshot and sample, and a
+version 3) document: top-level tool, jobs and sample, and a
 "stats" tree that always holds "timing" (elapsed_seconds, candidates,
 candidates_per_sec). micro_simulator adds "core" (smt<k> levels of the
 core-loop microbench), fig9_cluster adds "cluster" (workers<w> points
@@ -14,11 +14,9 @@ check BENCH [--manifest RUN] [--against BENCH [--against-manifest RUN]]
     section needs at least 4 nodes and a 4-worker speedup of 1.5x on
     hosts with 4 or more cores. With --manifest, a sampled run's
     manifest must carry its windows and a sane "sampling" group.
-    --against names a reference run: a sampled run must be 2x faster
-    than a full-detail one and, with both manifests (required), lose
-    at most 5% weighted speedup in every mix (pick-regret); a snapshot
-    run may take at most 1.10x the time of the same sweep with the
-    snapshot fast path off.
+    --against names a full-detail reference run: a sampled run must be
+    2x faster than it and, with both manifests (required), lose at
+    most 5% weighted speedup in every mix (pick-regret).
 
 merge RESULTS
     Consolidate a run_all.sh results directory: RESULTS/*.json run
@@ -37,13 +35,12 @@ import os
 import sys
 
 SCHEMA = "sos.bench"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 CORE_LEVELS = (1, 2, 4, 6)
 CLUSTER_WORKERS = (1, 2, 4)
 # The stats sections a tool writes whenever it is given --bench.
 TOOL_SECTIONS = {"micro_simulator": ("core",), "fig9_cluster": ("cluster",)}
 
-SNAPSHOT_MAX_RATIO = 1.10
 SAMPLED_MIN_SPEEDUP = 2.0
 MAX_PICK_REGRET = 0.05
 CLUSTER_MIN_SPEEDUP = 1.5
@@ -83,7 +80,7 @@ def load_bench(path):
     doc = load(path, SCHEMA)
     require(doc.get("schema_version") == SCHEMA_VERSION,
             "%s: schema_version %r" % (path, doc.get("schema_version")))
-    for key in ("tool", "jobs", "snapshot", "sample", "stats"):
+    for key in ("tool", "jobs", "sample", "stats"):
         require(key in doc, "%s: no %r" % (path, key))
     for section in TOOL_SECTIONS.get(doc["tool"], ()):
         require(section in doc["stats"],
@@ -177,30 +174,20 @@ def check_cluster(cluster):
 
 
 def check_against(doc, ref, run, ref_run):
+    require(doc["sample"] != "off" and ref["sample"] == "off",
+            "no gate compares these runs: need sampled vs full")
     t, t_ref = elapsed(doc), elapsed(ref)
-    if doc["sample"] != "off" and ref["sample"] == "off":
-        print("sampled %.1fs vs full %.1fs: %.2fx"
-              % (t, t_ref, t_ref / t if t > 0 else 0.0))
-        require(t * SAMPLED_MIN_SPEEDUP <= t_ref,
-                "sampled run not %.0fx faster" % SAMPLED_MIN_SPEEDUP)
-        require(run is not None and ref_run is not None,
-                "sampled vs full needs --manifest and --against-manifest")
-        regret = pick_regret(ref_run, run)
-        worst = max(regret, key=regret.get)
-        print("worst pick-regret %.2f%% (%s)" % (100 * regret[worst], worst))
-        require(regret[worst] <= MAX_PICK_REGRET,
-                "pick-regret %.2f%% in %s" % (100 * regret[worst], worst))
-    else:
-        require(doc["snapshot"] and not ref["snapshot"],
-                "no gate compares these runs: need sampled vs full, "
-                "or snapshot vs legacy")
-        # Sharing warm-ups must never cost wall-clock time; the slack
-        # absorbs measurement noise on symbios-heavy benches.
-        print("legacy %.1fs, snapshot %.1fs (%.2fx)"
-              % (t_ref, t, t_ref / t if t > 0 else 0.0))
-        require(t <= SNAPSHOT_MAX_RATIO * t_ref,
-                "snapshot run over %.2fx the legacy time"
-                % SNAPSHOT_MAX_RATIO)
+    print("sampled %.1fs vs full %.1fs: %.2fx"
+          % (t, t_ref, t_ref / t if t > 0 else 0.0))
+    require(t * SAMPLED_MIN_SPEEDUP <= t_ref,
+            "sampled run not %.0fx faster" % SAMPLED_MIN_SPEEDUP)
+    require(run is not None and ref_run is not None,
+            "sampled vs full needs --manifest and --against-manifest")
+    regret = pick_regret(ref_run, run)
+    worst = max(regret, key=regret.get)
+    print("worst pick-regret %.2f%% (%s)" % (100 * regret[worst], worst))
+    require(regret[worst] <= MAX_PICK_REGRET,
+            "pick-regret %.2f%% in %s" % (100 * regret[worst], worst))
 
 
 def cmd_check(args):

@@ -10,11 +10,12 @@ the build when throughput regressed more than the allowed fraction
 against the most recent comparable prior entry.
 
 Entries are only compared when their configuration key matches: the
-same tool, cycle scale, worker count, snapshot setting and sampling
-windows (full-detail and sampled sweeps have different cost). A full-
-scale measurement from a developer box therefore coexists with the
-scaled-down CI smoke measurements without ever being compared against
-them.
+same tool, cycle scale, worker count and sampling windows (full-detail
+and sampled sweeps have different cost). Older entries also record a
+"snapshot" setting, always true in the history; the key ignores it, so
+they keep matching. A full-scale measurement from a developer box
+therefore coexists with the scaled-down CI smoke measurements without
+ever being compared against them.
 
 Usage:
     update_trajectory.py --trajectory FILE --bench FILE \
@@ -43,7 +44,6 @@ def config_key(entry):
         entry.get("tool"),
         entry.get("cycle_scale"),
         entry.get("jobs"),
-        entry.get("snapshot"),
         entry.get("sampled", "off"),
     )
 
@@ -92,7 +92,6 @@ def main():
         "tool": sweep.get("tool"),
         "cycle_scale": args.cycle_scale,
         "jobs": sweep.get("jobs"),
-        "snapshot": sweep.get("snapshot"),
         "sampled": sweep.get("sample", "off"),
         "candidates": timing["candidates"],
         "candidates_per_sec": timing["candidates_per_sec"],

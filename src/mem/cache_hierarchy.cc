@@ -1,5 +1,7 @@
 #include "cache_hierarchy.hh"
 
+#include <bit>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -37,6 +39,13 @@ validateCacheParams(const CacheParams &params)
             std::to_string(params.assoc) + " lines=" +
             std::to_string(lines));
     }
+    // Cache indexes line offsets and sets by bit masks.
+    if (!std::has_single_bit(params.lineBytes) ||
+        !std::has_single_bit(lines / params.assoc)) {
+        bad("lineBytes and the set count must be powers of 2, got "
+            "lineBytes=" + std::to_string(params.lineBytes) + " sets=" +
+            std::to_string(lines / params.assoc));
+    }
 }
 
 } // namespace
@@ -59,6 +68,18 @@ validateMemParams(const MemParams &params)
     };
     requirePositive(params.l2HitLatency, "l2HitLatency");
     requirePositive(params.memLatency, "memLatency");
+    const auto requireIn = [](int value, int lo, int hi, const char *field) {
+        if (value < lo || value > hi) {
+            throw std::invalid_argument(
+                "MemParams: prefetch." + std::string(field) + " must be in [" +
+                std::to_string(lo) + ", " + std::to_string(hi) + "], got " +
+                std::to_string(value));
+        }
+    };
+    requireIn(params.prefetch.tableBits, 4, 20, "tableBits");
+    requireIn(params.prefetch.degree, 1, 8, "degree");
+    requireIn(params.prefetch.confidenceThreshold, 1,
+              std::numeric_limits<int>::max(), "confidenceThreshold");
 }
 
 SharedL2::SharedL2(const MemParams &params, int num_cores)

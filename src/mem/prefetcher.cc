@@ -1,6 +1,5 @@
 #include "prefetcher.hh"
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 
 namespace sos {
@@ -8,9 +7,6 @@ namespace sos {
 StridePrefetcher::StridePrefetcher(const PrefetcherParams &params)
     : params_(params)
 {
-    SOS_ASSERT(params.tableBits >= 4 && params.tableBits <= 20);
-    SOS_ASSERT(params.degree >= 1 && params.degree <= 8);
-    SOS_ASSERT(params.confidenceThreshold >= 1);
     table_.resize(std::size_t{1} << params.tableBits);
     mask_ = table_.size() - 1;
 }

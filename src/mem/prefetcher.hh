@@ -39,6 +39,7 @@ struct PrefetcherParams
 class StridePrefetcher
 {
   public:
+    /** @p params must pass validateMemParams (cache_hierarchy.hh). */
     explicit StridePrefetcher(const PrefetcherParams &params);
 
     /**

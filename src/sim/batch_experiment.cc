@@ -187,7 +187,6 @@ BatchExperiment::sweep(const std::vector<MachineSchedule> &schedules) const
     recipe.warmup = [this, &schedules](std::size_t i) {
         return warmupFor(schedules[i].allocation());
     };
-    recipe.useSnapshot = config_.snapshot;
     recipe.sample = config_.sample;
     return recipe;
 }

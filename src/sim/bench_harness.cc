@@ -165,14 +165,12 @@ BenchHarness::writeBench()
     json.key("schema");
     json.string("sos.bench");
     json.key("schema_version");
-    json.number(2);
+    json.number(3);
     json.key("tool");
     json.string(tool_);
     json.key("jobs");
     json.number(static_cast<std::int64_t>(
         resolveJobs(options_.config.jobs)));
-    json.key("snapshot");
-    json.boolean(options_.config.snapshot);
     json.key("sample");
     json.string(renderSampleWindows(options_.config.sample));
     json.key("stats");
@@ -194,7 +192,7 @@ BenchHarness::finish()
     // The configured-machine description: emitted only for machines
     // loaded from a heterogeneous config file, so default manifests
     // stay byte-identical to the pre-config goldens. Pure function of
-    // the parsed config -- identical across SOS_JOBS / SOS_SNAPSHOT.
+    // the parsed config -- identical across SOS_JOBS.
     publishMachineTopology();
     if (!options_.out.manifest.empty()) {
         stats::Manifest manifest;

@@ -14,10 +14,10 @@
  * The harness also measures its own wall-clock duration, from
  * construction to finish(). Timing is host noise, so it lives in a
  * separate host-timing registry that never reaches the manifest
- * (manifests must stay bit-comparable across hosts, worker counts and
- * the snapshot escape hatch). --bench FILE writes that registry as one
- * "sos.bench" schema v2 document: top-level tool, jobs, snapshot and
- * sample, then "stats" with the always-present "timing" section
+ * (manifests must stay bit-comparable across hosts and worker counts).
+ * --bench FILE writes that registry as one "sos.bench" schema v3
+ * document: top-level tool, jobs and sample, then "stats" with the
+ * always-present "timing" section
  * (elapsed_seconds, candidates, candidates_per_sec) and the sections
  * harnesses add through bench(name): micro_simulator's "core" and
  * fig9_cluster's "cluster".

@@ -14,30 +14,14 @@ benchConfigFromEnv(std::uint64_t cycle_scale)
 {
     SimConfig config = makeBenchConfig();
     config.cycleScale = cycle_scale;
-    if (const char *scale = std::getenv("SOS_CYCLE_SCALE")) {
-        const int value = parseKnobInt("SOS_CYCLE_SCALE", scale);
-        if (value <= 0)
-            fatal("SOS_CYCLE_SCALE must be a positive integer");
-        config.cycleScale = static_cast<std::uint64_t>(value);
+    // Every knob with an environment alias (SOS_CYCLE_SCALE, SOS_SEED,
+    // SOS_SAMPLE, SOS_TRACE_SAMPLE, SOS_MODEL), through its own parser.
+    for (const ParamInfo &param : configurableParams()) {
+        if (param.env.empty())
+            continue;
+        if (const char *value = std::getenv(param.env.c_str()))
+            applyEnvValue(config, param, value);
     }
-    if (const char *seed = std::getenv("SOS_SEED"))
-        config.seed = parseKnobU64("SOS_SEED", seed);
-    // Warm-state sharing for sweeps; semantics-preserving, so this is
-    // an escape hatch rather than a tuning knob.
-    if (const char *snapshot = std::getenv("SOS_SNAPSHOT"))
-        applyOverride(config, std::string("snapshot=") + snapshot);
-    // Sampled-simulation windows (U:W:M or 'off'); validated up front
-    // so a typo dies here rather than deep inside a sweep.
-    if (const char *sample = std::getenv("SOS_SAMPLE"))
-        applyOverride(config, std::string("sample=") + sample);
-    // Decision-trace sampling stride; observability only, never in
-    // configPairs (long cluster runs keep traces bounded with it).
-    if (const char *stride = std::getenv("SOS_TRACE_SAMPLE"))
-        applyOverride(config, std::string("traceSample=") + stride);
-    // Trained WS model for the learned predictor/dispatcher and the
-    // samplek screen (a file written by sostrain).
-    if (const char *model = std::getenv("SOS_MODEL"))
-        config.modelPath = model;
     // Machine description file: core count, per-core params, shared
     // L2 geometry. Parsed (and validated) before any --set flag so
     // explicit CLI overrides still win over the file's defaults.
@@ -94,6 +78,7 @@ parseBenchArgs(int argc, char **argv, std::uint64_t cycle_scale)
                   "--jobs N, --machine-config FILE, --model FILE, "
                   "--out FILE, --trace FILE, --bench FILE)");
     }
+    validateConfig(options.config);
     return options;
 }
 

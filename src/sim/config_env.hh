@@ -4,17 +4,16 @@
  *
  * Every bench harness and the sossim CLI accept the same overrides:
  *
- *   environment   SOS_CYCLE_SCALE, SOS_SEED, SOS_JOBS (worker
- *                 threads), SOS_SNAPSHOT (0 disables the snapshot
- *                 fast path), SOS_TRACE_SAMPLE (keep every Nth
- *                 sample-phase trace group), SOS_MACHINE_CONFIG
- *                 (machine description file; see configs/), SOS_OUT
- *                 (manifest path), SOS_TRACE (decision-trace path)
+ *   environment   the knob aliases of the params_io table, SOS_JOBS
+ *                 (worker threads), SOS_MACHINE_CONFIG (see
+ *                 configs/), SOS_OUT (manifest), SOS_TRACE (trace)
  *   command line  --set key=value (repeated), --jobs N,
  *                 --machine-config FILE, --out FILE.json,
  *                 --trace FILE.jsonl, --bench FILE.json (host-timing
  *                 report; flag only, no environment alias)
  *
+ * Precedence: bench default < environment < machine file < flags;
+ * then the core and memory parameters are validated once.
  * This module is the one place that parsing lives; reporting.hh is
  * again purely about table formatting.
  */
@@ -33,9 +32,9 @@ namespace sos {
 
 /**
  * Read the standard environment overrides used by every bench binary:
- * SOS_CYCLE_SCALE (cycle scale divisor), SOS_SEED, and SOS_JOBS
- * (sweep worker threads). @p cycle_scale is the bench's own default,
- * which SOS_CYCLE_SCALE overrides.
+ * each knob's alias from the params_io table, SOS_MACHINE_CONFIG and
+ * SOS_JOBS (sweep worker threads). @p cycle_scale is the bench's own
+ * default, which SOS_CYCLE_SCALE overrides.
  */
 SimConfig
 benchConfigFromEnv(std::uint64_t cycle_scale = makeBenchConfig().cycleScale);
@@ -68,8 +67,8 @@ struct BenchOptions
  * --jobs N, --machine-config FILE, --model FILE, --out FILE,
  * --trace FILE, --bench FILE.
  * The bench's default @p cycle_scale applies first, then the
- * environment overrides, then the flags, so the last one set wins.
- * Unknown arguments are fatal().
+ * environment overrides, then the flags, so the last one set wins;
+ * then validateConfig(). Unknown arguments are fatal().
  */
 BenchOptions
 parseBenchArgs(int argc, char **argv,

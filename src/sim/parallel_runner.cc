@@ -11,13 +11,6 @@ namespace sos {
 
 namespace {
 
-/** Run one warm-up period; its sampling tally is dropped. */
-void
-warmUp(MachineEngine &engine, JobMix &mix, const MachineSchedule &warm)
-{
-    engine.runSchedule(mix, warm, {warm.periodTimeslices()});
-}
-
 /** The measured intervals of one candidate on a warmed engine. */
 std::vector<ParallelScheduleRunner::ScheduleRun>
 measure(MachineEngine &engine, JobMix &mix,
@@ -58,7 +51,7 @@ ParallelScheduleRunner::runAll(
     SOS_ASSERT(sweep.timesliceCycles > 0);
     using Runs = std::vector<ScheduleRun>;
 
-    if (!sweep.useSnapshot || !sweep.warmup) {
+    if (!sweep.warmup) {
         return map<Runs>(schedules.size(), [&](std::size_t i) {
             JobMix mix = sweep.makeMix(i);
             // A private machine per task keeps sweep results a pure
@@ -67,18 +60,15 @@ ParallelScheduleRunner::runAll(
             Machine machine(sweep.machine);
             MachineEngine engine(machine, sweep.timesliceCycles,
                                  sweep.sample);
-            if (sweep.warmup)
-                warmUp(engine, mix, sweep.warmup(i));
             return measure(engine, mix, schedules[i], checkpoints(i));
         });
     }
 
-    // Shared-warmup fast path. Every task of a group warms the same
-    // mix on an identical machine with the same warm-up schedule, so
-    // its post-warmup state IS the group's snapshot (DESIGN.md §5c).
-    // Warm each group once -- in parallel, the groups are independent
-    // -- then run each candidate's measured interval on a private
-    // fork.
+    // Every task of a group warms the same mix on an identical machine
+    // with the same warm-up schedule, so its post-warmup state IS the
+    // group's snapshot (DESIGN.md §5c). Warm each group once -- in
+    // parallel, the groups are independent -- then run each
+    // candidate's measured interval on a private fork.
     std::vector<MachineSchedule> warmups;
     std::vector<std::size_t> leader;
     std::vector<std::size_t> group_of(schedules.size());
@@ -101,7 +91,9 @@ ParallelScheduleRunner::runAll(
                 Machine machine(sweep.machine);
                 MachineEngine engine(machine, sweep.timesliceCycles,
                                      sweep.sample);
-                warmUp(engine, mix, warmups[g]);
+                // One warm-up period; its sampling tally is dropped.
+                engine.runSchedule(mix, warmups[g],
+                                   {warmups[g].periodTimeslices()});
                 return std::make_shared<const MachineSnapshot>(
                     machine, mix, engine);
             });

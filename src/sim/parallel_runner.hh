@@ -3,10 +3,10 @@
  * Deterministic parallel schedule sweeps.
  *
  * Profiling a candidate is a pure function of (jobmix recipe, machine
- * configuration, warm-up, schedule): the runner rebuilds a private
- * Machine + MachineEngine + JobMix per task, so every candidate starts
- * from bit-identical machine state and tasks fan out across worker
- * threads with no shared mutable state at all. Every closed-system
+ * configuration, warm-up, schedule): each task measures on a private
+ * fork of its warm-up group's snapshot (with no warm-up, on a fresh
+ * Machine + MachineEngine + JobMix), so every candidate starts from
+ * bit-identical machine state and no mutable state is shared. Every closed-system
  * experiment runs its candidates here: the paper's single SMT core is
  * the 1-core case (hierarchical lifts its Schedules into 1-core
  * MachineSchedules), a CMP the C-core case.
@@ -18,9 +18,9 @@
  *  - each task's workload generators derive their own RNG streams
  *    from the mix seed (per-schedule streams, no stream is shared or
  *    advanced across tasks);
- *  - every candidate is charged its warm-up, so candidates are
- *    compared from equal machine state (the serial seed code instead
- *    leaked cache/predictor state from one candidate into the next).
+ *  - every candidate measures from the state its own warm-up would
+ *    reach (tests/test_snapshot.cpp), so candidates are compared
+ *    from equal machine state.
  */
 
 #ifndef SOS_SIM_PARALLEL_RUNNER_HH
@@ -57,7 +57,7 @@ class ParallelScheduleRunner
         /**
          * Build the (calibrated) jobmix for one task. Candidates that
          * share a warm-up schedule must get identical mixes: the
-         * snapshot path warms the first one and forks the rest.
+         * runner warms the first one and forks the rest.
          */
         std::function<JobMix(std::size_t index)> makeMix;
 
@@ -69,29 +69,21 @@ class ParallelScheduleRunner
 
         /**
          * Warm-up schedule of candidate @p index, run for one period
-         * before measuring. Unset disables warm-up for every
-         * candidate.
+         * before measuring. Candidates are grouped by their exact
+         * warm-up schedule (its per-core label -- never the
+         * core-permutation-invariant key, which would fork a snapshot
+         * with the groups on the wrong cores); one snapshot is warmed
+         * per group and every candidate measures on a private fork
+         * (see sim/snapshot.hh). Unset: every candidate starts from a
+         * fresh machine.
          */
         std::function<MachineSchedule(std::size_t index)> warmup;
 
         /**
-         * Share warm-ups across candidates: candidates are grouped by
-         * their exact warm-up schedule (its per-core label -- never
-         * the core-permutation-invariant key, which would fork a
-         * snapshot with the groups on the wrong cores), one snapshot
-         * is warmed per group and every candidate measures on a
-         * private fork (see sim/snapshot.hh). Bit-identical to
-         * per-task warm-up; SimConfig::snapshot / SOS_SNAPSHOT=0
-         * forces the per-task path.
-         */
-        bool useSnapshot = true;
-
-        /**
          * Sampled-simulation windows applied to every task's engine
          * (and the warm-up engines). Disabled by default; see
-         * cpu/sampling.hh. A warm-up's sampling tally is dropped, so
-         * the manifest's sampling group stays identical across the
-         * snapshot fast path and the per-task warm-up.
+         * cpu/sampling.hh. A warm-up's sampling tally is dropped: the
+         * manifest's sampling group counts measured intervals only.
          */
         SampleWindows sample;
     };

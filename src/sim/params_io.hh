@@ -6,6 +6,10 @@
  * simulated machine or the experiment harness without recompiling,
  * e.g. `core.intQueueSize=32` or `mem.prefetch.enabled=1`. Unknown
  * keys and malformed values are user errors and fatal().
+ * One table (params_io.cc) declares each knob once: key, type,
+ * description, range, environment alias and manifest policy. Parsing,
+ * `sossim params`, the environment channel and configPairs() all loop
+ * over it.
  */
 
 #ifndef SOS_SIM_PARAMS_IO_HH
@@ -24,6 +28,7 @@ namespace sos {
 struct ParamInfo
 {
     std::string key;
+    std::string env;          ///< environment alias; empty = none
     std::string currentValue; ///< rendered from a default SimConfig
     std::string description;
 };
@@ -43,6 +48,17 @@ void applyOverride(SimConfig &config, const std::string &assignment);
 bool tryApplyOverride(SimConfig &config, const std::string &key,
                       const std::string &value, std::string &error);
 
+/** Apply @p param's environment alias value; errors name the alias. */
+void applyEnvValue(SimConfig &config, const ParamInfo &param,
+                   const std::string &value);
+
+/**
+ * fatal() with validateCoreParams'/validateMemParams' message unless
+ * config.core and config.mem describe a buildable machine; called once
+ * every channel has applied, before any simulation.
+ */
+void validateConfig(const SimConfig &config);
+
 /** Apply several assignments in order. */
 void applyOverrides(SimConfig &config,
                     const std::vector<std::string> &assignments);
@@ -51,11 +67,9 @@ void applyOverrides(SimConfig &config,
 std::string renderConfig(const SimConfig &config);
 
 /**
- * The full configuration as ordered key/value pairs (the "config"
- * section of a run manifest; same keys as `sossim params`). The
- * `sample` key appears only when sampling is enabled: a disabled
- * sampled mode is byte-for-byte the full-detail simulator, so golden
- * manifests recorded before the knob existed stay valid.
+ * The configuration as ordered key/value pairs (the "config" section
+ * of a run manifest): the keys of `sossim params`, each under its
+ * row's manifest policy.
  */
 std::vector<std::pair<std::string, std::string>>
 configPairs(const SimConfig &config);

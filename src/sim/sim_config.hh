@@ -10,6 +10,10 @@
  * job length to quantum -- are preserved, which is what the
  * sample/symbios machinery depends on. Reports print both scaled and
  * paper-equivalent cycle counts.
+ *
+ * Each field users set also has a row in the knob table
+ * (sim/params_io.cc) declaring its key, range, environment alias and
+ * manifest policy.
  */
 
 #ifndef SOS_SIM_SIM_CONFIG_HH
@@ -58,20 +62,9 @@ struct SimConfig
     /**
      * Worker threads for parallel schedule sweeps. 0 means auto: the
      * SOS_JOBS environment variable when set, else the hardware
-     * concurrency. Results are bit-identical for every value (the
-     * determinism contract of ParallelScheduleRunner).
+     * concurrency. Results are bit-identical for every value.
      */
     int jobs = 0;
-
-    /**
-     * Share candidate warmups through snapshot forks (see
-     * sim/snapshot.hh). Semantics-preserving: results and manifests
-     * are bit-identical either way (test-asserted), so this knob --
-     * like jobs -- is host execution strategy, not simulation
-     * configuration. SOS_SNAPSHOT=0 forces the legacy
-     * warmup-per-candidate path.
-     */
-    bool snapshot = true;
 
     /**
      * Schedule periods run while profiling one candidate. The paper
@@ -105,10 +98,8 @@ struct SimConfig
      * @name Machine topology (--machine-config / SOS_MACHINE_CONFIG)
      *
      * A parsed machine config can force the core count and give every
-     * core its own parameters.  All four fields stay at their empty
-     * defaults when no config file is loaded, and none of them enters
-     * configPairs(): the homogeneous default path must keep producing
-     * byte-identical manifests to pre-config builds, and a
+     * core its own parameters.  All four fields stay empty when no
+     * config file is loaded; they have no knob row, and a
      * heterogeneous run documents itself through the machine.topology
      * manifest group instead.
      * @{
@@ -139,23 +130,17 @@ struct SimConfig
     /** @} */
 
     /**
-     * Keep every Nth sample-phase decision group in the JSONL trace
-     * (SOS_TRACE_SAMPLE / --set traceSample=N). 1 records every
-     * decision; cluster runs at 10^5-10^6 jobs raise it to keep the
-     * trace bounded. Pure observability -- simulation results and
-     * manifests are identical for every stride -- so, like jobs and
-     * snapshot, it never enters configPairs().
+     * Keep every Nth sample-phase decision group in the JSONL trace.
+     * 1 records every decision; cluster runs at 10^5-10^6 jobs raise
+     * it to keep the trace bounded. Pure observability.
      */
     std::uint64_t traceSample = 1;
 
     /**
-     * Sampled-simulation windows (SOS_SAMPLE / --set sample=U:W:M).
-     * Disabled by default: the full-detail path is bit-identical to a
-     * build without this knob and stays pinned by the §8/§9 goldens.
-     * Unlike jobs/snapshot this IS simulation configuration -- sampled
-     * counters are approximations -- so manifests record it whenever
-     * it is enabled (and omit it when off, keeping golden manifests
-     * byte-stable). Solo-IPC calibration always runs full detail.
+     * Sampled-simulation windows. Disabled by default: the full-detail
+     * path is bit-identical to a build without this knob and stays
+     * pinned by the §8/§9 goldens. Solo-IPC calibration always runs
+     * full detail.
      */
     SampleWindows sample;
 
@@ -165,17 +150,15 @@ struct SimConfig
      * detail-simulate only the top-K predictions plus any candidate
      * whose prediction uncertainty exceeds the model's stored
      * threshold. 0 (the default) disables screening and the sample
-     * phase is bit-identical to pre-model builds. Like `sample`, this
-     * IS simulation configuration (the predictor sees fewer detailed
-     * profiles), so manifests record it whenever it is active.
+     * phase is bit-identical to pre-model builds.
      */
     int samplek = 0;
 
     /**
-     * Path of a trained WS model file (--model / SOS_MODEL), written
-     * by sostrain. Consumed by the "learned" predictor, the "learned"
-     * cluster dispatcher, and the samplek screen. Empty = no model;
-     * recorded in manifests only when set.
+     * Path of a trained WS model file written by sostrain (--model;
+     * the knob `model`). Consumed by the "learned" predictor, the
+     * "learned" cluster dispatcher, and the samplek screen. Empty = no
+     * model.
      */
     std::string modelPath;
 
@@ -235,13 +218,6 @@ struct SimConfig
             params.coreMem = heteroCoreMem;
         }
         return params;
-    }
-
-    /** Per-core equivalence classes of the machineFor(level, n) CMP. */
-    std::vector<int>
-    machineClassesFor(int level, int num_cores) const
-    {
-        return machineFor(level, num_cores).coreClasses();
     }
 
     /**

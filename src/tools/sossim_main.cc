@@ -120,11 +120,10 @@ printUsage(const std::string &command)
     } else if (command == "cluster") {
         specific =
             "  --nodes N           machines in the cluster (default "
-            "2; env SOS_CLUSTER_NODES)\n"
+            "2)\n"
             "  --dispatch P        dispatch policy: random, "
             "round-robin, least-loaded,\n"
-            "                      signature (default; env "
-            "SOS_DISPATCH)\n"
+            "                      signature (default)\n"
             "  --arrivals N        jobs in the arrival trace "
             "(default 1000)\n"
             "  --process P         arrival process: poisson "
@@ -198,30 +197,44 @@ parseArgs(int argc, char **argv)
     return args;
 }
 
+/**
+ * The environment, then --machine-config, --model and the --set
+ * overrides, validated. Given @p node_machines (cluster), a repeated
+ * --machine-config gives each node its own file instead.
+ */
 SimConfig
-configFor(const Args &args)
+configFor(const Args &args,
+          std::vector<std::string> *node_machines = nullptr)
 {
     SimConfig config = benchConfigFromEnv();
+    std::vector<std::string> machines;
+    for (const auto &[key, value] : args.flags) {
+        if (key == "machine-config")
+            machines.push_back(value);
+    }
     // The machine file loads before the --set pass so explicit CLI
     // overrides still win over the file's machine-wide defaults.
-    const std::string machine = args.flag("machine-config", "");
-    if (!machine.empty())
-        applyMachineConfig(config, machine);
+    if (node_machines != nullptr && machines.size() > 1)
+        *node_machines = machines;
+    else if (!machines.empty())
+        applyMachineConfig(config, machines.front());
     const std::string model = args.flag("model", "");
     if (!model.empty())
         config.modelPath = model;
     applyOverrides(config, args.overrides);
+    validateConfig(config);
     return config;
 }
 
 /**
- * Sweep worker threads from --jobs (not used by `open`, where --jobs
- * already names the number of jobs in the system).
+ * configFor() plus worker threads from --jobs (not used by `open`,
+ * where --jobs already names the number of jobs in the system).
  */
 SimConfig
-configWithWorkers(const Args &args)
+configWithWorkers(const Args &args,
+                  std::vector<std::string> *node_machines = nullptr)
 {
-    SimConfig config = configFor(args);
+    SimConfig config = configFor(args, node_machines);
     const std::string jobs = args.flag("jobs", "");
     if (!jobs.empty())
         applyOverride(config, "jobs=" + jobs);
@@ -551,11 +564,6 @@ int
 cmdCluster(const Args &args)
 {
     ClusterConfig cluster;
-    // Environment defaults; explicit flags win below.
-    if (const char *nodes = std::getenv("SOS_CLUSTER_NODES"))
-        cluster.numNodes = parseKnobInt("SOS_CLUSTER_NODES", nodes);
-    if (const char *dispatch = std::getenv("SOS_DISPATCH"))
-        cluster.dispatch = dispatch;
     cluster.numNodes = args.intFlag("nodes", cluster.numNodes);
     cluster.dispatch = args.flag("dispatch", cluster.dispatch);
     cluster.process = args.flag("process", cluster.process);
@@ -571,29 +579,12 @@ cmdCluster(const Args &args)
         cluster.classes = parseClasses(classes);
     makeResamplePolicy(cluster.resamplePolicy, 1);
 
-    // One --machine-config applies to every node; repeating the flag
-    // gives each node its own machine file.
-    std::vector<std::string> machines;
-    for (const auto &[key, value] : args.flags) {
-        if (key == "machine-config")
-            machines.push_back(value);
-    }
-    SimConfig config = benchConfigFromEnv();
-    if (machines.size() == 1)
-        applyMachineConfig(config, machines.front());
-    else if (machines.size() > 1)
-        cluster.nodeMachineConfigs = machines;
-    const std::string model = args.flag("model", "");
-    if (!model.empty())
-        config.modelPath = model;
-    applyOverrides(config, args.overrides);
+    const SimConfig config =
+        configWithWorkers(args, &cluster.nodeMachineConfigs);
     // Fail fast on unknown registry names and unreadable model files,
     // before any simulation.
     makeDispatcher(cluster.dispatch, 0, config.modelPath);
     makePredictor(cluster.predictor, config.modelPath);
-    const std::string jobs = args.flag("jobs", "");
-    if (!jobs.empty())
-        applyOverride(config, "jobs=" + jobs);
 
     BenchHarness harness("sossim cluster", config, outputsFor(args));
     cluster.seed = harness.config().seed ^ 0xc105edULL;

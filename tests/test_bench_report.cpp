@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the host-timing bench report: the --bench flag, the
- * "sos.bench" schema v2 document BenchHarness::finish() writes, its
+ * "sos.bench" schema v3 document BenchHarness::finish() writes, its
  * isolation from the manifest, and the determinism of the core-loop
  * microbench's simulated side (the identity probe core_bench.hh
  * promises).
@@ -125,7 +125,7 @@ TEST(BenchReport, FinishWritesBenchDocument)
 
     const std::string document = readFile(out.bench);
     EXPECT_EQ(document.rfind("{\"schema\":\"sos.bench\","
-                             "\"schema_version\":2,"
+                             "\"schema_version\":3,"
                              "\"tool\":\"unit_test\",",
                              0),
               0u)

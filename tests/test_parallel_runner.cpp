@@ -249,8 +249,7 @@ TEST(ParallelRunner, CheckpointsEqualSeparateRuns)
 {
     // One pass read at two lengths must measure exactly what two
     // separate runs of those lengths measure, whichever length comes
-    // first, on one core and on a CMP, at both fidelity levels and on
-    // both warm-up paths.
+    // first, on one core and on a CMP, at both fidelity levels.
     const ExperimentSpec cmp{
         .label = "Jm(4,2,2,2)",
         .entries = {{"FP"}, {"MG"}, {"GCC"}, {"IS"}},
@@ -260,7 +259,7 @@ TEST(ParallelRunner, CheckpointsEqualSeparateRuns)
     for (const ExperimentSpec &spec :
          {experimentByLabel("Jsb(4,2,2)"), cmp}) {
         for (const char *variant :
-             {"sample=off", "sample=7000:1000:2000", "snapshot=off"}) {
+             {"sample=off", "sample=7000:1000:2000"}) {
             SCOPED_TRACE(spec.label + " " + variant);
             SimConfig config = makeFastConfig();
             applyOverride(config, variant);

@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -234,9 +236,12 @@ TEST(ParamsIo, DoubleKnobParserAcceptsFiniteNumbersOnly)
 
 TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
 {
-    // Every numeric flag fails with exit 1 and an error naming the
-    // flag, before any simulation runs -- never an uncaught exception
-    // (exit 134) or a silently truncated value.
+    // Every numeric flag and every hostile knob value fails with exit
+    // 1 and an error naming the flag or key, before any simulation
+    // runs -- never an assertion panic or an uncaught exception (exit
+    // 134), and never a silently truncated value. A knob's range, or
+    // the core/memory validation once every channel applied, catches
+    // the values that used to crash mid-run.
     const std::pair<const char *, const char *> cases[] = {
         {"cluster --nodes abc",
          "value for --nodes is not an integer: 'abc'"},
@@ -257,6 +262,29 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
         {"open --cores 4294967297", "--cores is out of range for an int"},
         {"hier --level 2x", "--level is not an integer"},
         {"machine --cores two", "--cores is not an integer"},
+        {"run 'Jsb(4,2,2)' --set cycleScale=0",
+         "value for cycleScale must be a positive integer"},
+        {"run 'Jsb(4,2,2)' --set sampleSchedules=0",
+         "value for sampleSchedules must be a positive integer"},
+        {"run 'Jsb(4,2,2)' --set sampleSchedules=-3",
+         "value for sampleSchedules must be a positive integer"},
+        {"run 'Jsb(4,2,2)' --set calibMeasureCycles=0",
+         "value for calibMeasureCycles must be a positive integer"},
+        {"run 'Jsb(4,2,2)' --set traceSample=0",
+         "value for traceSample must be a positive integer"},
+        {"run 'Jsb(4,2,2)' --set mem.prefetch.tableBits=-1",
+         "prefetch.tableBits must be in [4, 20], got -1"},
+        {"run 'Jsb(4,2,2)' --set core.fetchWidth=0",
+         "fetchWidth must be >= 1, got 0"},
+        {"run 'Jsb(4,2,2)' --set core.robSize=0",
+         "robSize must be >= 1, got 0"},
+        {"run 'Jsb(4,2,2)' --set mem.l1d.assoc=0",
+         "cache 'l1d': assoc must be positive, got 0"},
+        {"run 'Jsb(4,2,2)' --set mem.l1d.sizeBytes=3",
+         "cache 'l1d': lineBytes must divide sizeBytes, got lineBytes=64 "
+         "sizeBytes=3"},
+        {"run 'Jsb(4,2,2)' --set core.predictorBits=70",
+         "predictorBits above 30"},
     };
     for (const auto &[args, message] : cases) {
         const auto [status, output] = runSossim(args);
@@ -264,13 +292,26 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
         EXPECT_NE(output.find(message), std::string::npos)
             << args << "\n" << output;
     }
+    // The same ranges hold through the knobs' environment aliases.
+    const std::pair<const char *, const char *> envs[] = {
+        {"SOS_CYCLE_SCALE=0",
+         "value for SOS_CYCLE_SCALE must be a positive integer"},
+        {"SOS_TRACE_SAMPLE=0",
+         "value for SOS_TRACE_SAMPLE must be a positive integer"},
+    };
+    for (const auto &[env, message] : envs) {
+        const auto [status, output] = runSossim("run 'Jsb(4,2,2)'", env);
+        EXPECT_EQ(status, 1) << env << "\n" << output;
+        EXPECT_NE(output.find(message), std::string::npos)
+            << env << "\n" << output;
+    }
 
-    // The environment default narrows no more than the flag does.
-    const auto [status, output] = runSossim(
-        "cluster --arrivals 3", "SOS_CLUSTER_NODES=4294967297");
+    // The flag narrows no more than the parser does.
+    const auto [status, output] =
+        runSossim("cluster --arrivals 3 --nodes 4294967297");
     EXPECT_EQ(status, 1) << output;
-    EXPECT_NE(output.find("value for SOS_CLUSTER_NODES is out of range "
-                          "for an int: '4294967297'"),
+    EXPECT_NE(output.find("value for --nodes is out of range for an int: "
+                          "'4294967297'"),
               std::string::npos)
         << output;
 }
@@ -301,13 +342,80 @@ TEST(ParamsIo, EnvironmentKnobTyposAreFatal)
             ::setenv("SOS_CYCLE_SCALE", "500x", 1);
             benchConfigFromEnv();
         },
-        "SOS_CYCLE_SCALE is not an integer");
+        "SOS_CYCLE_SCALE is not an unsigned integer");
     EXPECT_DEATH(
         {
             ::setenv("SOS_CYCLE_SCALE", "0", 1);
             benchConfigFromEnv();
         },
         "SOS_CYCLE_SCALE must be a positive integer");
+}
+
+/** Sets one environment variable for a scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const std::string &name, const std::string &value)
+        : name_(name)
+    {
+        if (const char *old = std::getenv(name.c_str()))
+            old_ = old;
+        ::setenv(name.c_str(), value.c_str(), 1);
+    }
+    ~ScopedEnv()
+    {
+        if (old_)
+            ::setenv(name_.c_str(), old_->c_str(), 1);
+        else
+            ::unsetenv(name_.c_str());
+    }
+
+  private:
+    std::string name_;
+    std::optional<std::string> old_;
+};
+
+TEST(ParamsIo, EveryEnvironmentAliasParsesLikeItsKey)
+{
+    // One valid and one invalid value per knob with an alias (nullptr:
+    // every string is a valid model path). A new alias must add its
+    // own row here.
+    const std::map<std::string, std::pair<const char *, const char *>>
+        values = {
+            {"cycleScale", {"750", "0"}},
+            {"seed", {"4242", "12x"}},
+            {"traceSample", {"4", "0"}},
+            {"sample", {"2250:62:188", "1000:10"}},
+            {"model", {"some.model", nullptr}},
+        };
+    std::size_t aliases = 0;
+    for (const ParamInfo &info : configurableParams()) {
+        if (info.env.empty())
+            continue;
+        ++aliases;
+        SCOPED_TRACE(info.env);
+        ASSERT_TRUE(values.contains(info.key)) << info.key;
+        const auto [valid, invalid] = values.at(info.key);
+
+        const SimConfig base = benchConfigFromEnv();
+        SimConfig expected = base;
+        applyOverride(expected, info.key + "=" + valid);
+        ASSERT_NE(renderConfig(expected), renderConfig(base));
+        {
+            const ScopedEnv env(info.env, valid);
+            EXPECT_EQ(renderConfig(benchConfigFromEnv()),
+                      renderConfig(expected));
+        }
+        if (invalid != nullptr) {
+            EXPECT_DEATH(
+                {
+                    const ScopedEnv env(info.env, invalid);
+                    benchConfigFromEnv();
+                },
+                "value for " + info.env);
+        }
+    }
+    EXPECT_EQ(aliases, values.size());
 }
 
 TEST(ParamsIo, SosJobsNeverNarrowsSilently)

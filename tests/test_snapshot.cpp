@@ -3,9 +3,11 @@
  * The snapshot-fork determinism contract (DESIGN.md §5c): forking a
  * warmed simulation is semantics-preserving. A fork's measured
  * interval must be bit-identical to letting the original warmed run
- * continue, on one core and on a whole machine; and the experiment
- * sweeps must produce byte-identical manifests with the snapshot fast
- * path on or off, at any worker count.
+ * continue, on one core and on a whole machine; a sweep, which warms
+ * one snapshot per warm-up group and forks it per candidate, must
+ * measure exactly what building each candidate from scratch measures;
+ * and the experiment sweeps must produce byte-identical manifests at
+ * any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +16,9 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "metrics/weighted_speedup.hh"
 #include "sim/batch_experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "sim/params_io.hh"
 #include "sim/snapshot.hh"
 #include "stats/manifest.hh"
@@ -135,12 +139,88 @@ TEST(Snapshot, RepeatedForksAreIndependent)
     EXPECT_EQ(first.sliceIpc, second.sliceIpc);
 }
 
-/** Full manifest of a batch experiment under the given host knobs. */
+/**
+ * Candidate @p i of @p sweep built from scratch, by the recipe alone:
+ * a fresh machine, one period of its warm-up, then the schedule for
+ * @p length quanta.
+ */
+ParallelScheduleRunner::ScheduleRun
+fromScratch(const ParallelScheduleRunner::SweepSpec &sweep,
+            const std::vector<MachineSchedule> &schedules, std::size_t i,
+            std::uint64_t length)
+{
+    JobMix mix = sweep.makeMix(i);
+    Machine machine(sweep.machine);
+    MachineEngine engine(machine, sweep.timesliceCycles, sweep.sample);
+    const MachineSchedule warm = sweep.warmup(i);
+    engine.runSchedule(mix, warm, {warm.periodTimeslices()});
+    MachineEngine::MachineRunResult run =
+        engine.runSchedule(mix, schedules[i], {length}).front();
+    const double ws = weightedSpeedup(mix, run.jobRetired, run.cycles);
+    return {std::move(run), ws};
+}
+
+TEST(Snapshot, SweepMatchesCandidatesBuiltFromScratch)
+{
+    // runAll warms one snapshot per warm-up group and forks it per
+    // candidate; that must be invisible next to re-running each
+    // candidate's warm-up on its own machine, at every worker count.
+    const ExperimentSpec cmp{
+        .label = "Jm(4,2,2,2)",
+        .entries = {{"FP"}, {"MG"}, {"GCC"}, {"IS"}},
+        .numCores = 2,
+    };
+    const std::uint64_t length = 6;
+    for (const ExperimentSpec &spec :
+         {experimentByLabel("Jsb(4,2,2)"), cmp}) {
+        const BatchExperiment exp(spec, makeFastConfig());
+        Rng rng(11);
+        const std::vector<MachineSchedule> schedules =
+            exp.space().sample(4, rng);
+        const ParallelScheduleRunner::SweepSpec sweep =
+            exp.sweep(schedules);
+        std::vector<ParallelScheduleRunner::ScheduleRun> reference;
+        for (std::size_t i = 0; i < schedules.size(); ++i)
+            reference.push_back(fromScratch(sweep, schedules, i, length));
+
+        for (const int jobs : {1, 2, 8}) {
+            SCOPED_TRACE(spec.label + " jobs=" + std::to_string(jobs));
+            const ParallelScheduleRunner runner(jobs);
+            const auto runs = runner.runAll(
+                sweep, schedules,
+                [&](std::size_t) { return std::vector{length}; });
+            ASSERT_EQ(runs.size(), reference.size());
+            for (std::size_t i = 0; i < runs.size(); ++i) {
+                SCOPED_TRACE("candidate " + std::to_string(i));
+                ASSERT_EQ(runs[i].size(), 1u);
+                const ParallelScheduleRunner::ScheduleRun &run =
+                    runs[i].front();
+                EXPECT_EQ(run.run.total, reference[i].run.total);
+                EXPECT_EQ(run.run.perCore, reference[i].run.perCore);
+                EXPECT_EQ(run.run.jobRetired,
+                          reference[i].run.jobRetired);
+                EXPECT_EQ(run.run.sliceIpc, reference[i].run.sliceIpc);
+                EXPECT_EQ(run.run.cycles, reference[i].run.cycles);
+                EXPECT_EQ(run.ws, reference[i].ws);
+                EXPECT_GT(run.run.total.retired, 0u);
+            }
+        }
+    }
+}
+
+TEST(Snapshot, KnobIsGone)
+{
+    // Every sweep with a warm-up forks; there is no path to select.
+    SimConfig config;
+    EXPECT_DEATH(applyOverride(config, "snapshot=1"),
+                 "unknown configuration key 'snapshot'");
+}
+
+/** Full manifest of a batch experiment at @p jobs sweep workers. */
 std::string
-batchManifest(bool snapshot, int jobs)
+batchManifest(int jobs)
 {
     SimConfig config = makeFastConfig();
-    config.snapshot = snapshot;
     config.jobs = jobs;
     BatchExperiment exp(experimentByLabel("Jsb(4,2,2)"), config);
     exp.runSamplePhase();
@@ -158,15 +238,11 @@ batchManifest(bool snapshot, int jobs)
 
 TEST(Snapshot, BatchManifestIdenticalAcrossSnapshotAndJobs)
 {
-    // The escape hatch (SOS_SNAPSHOT=0) and the fast path must be
-    // observationally indistinguishable: every stat, every formatted
-    // double, at every worker count. configPairs omits the snapshot
-    // knob (like jobs), so the config blocks agree too.
-    const std::string reference = batchManifest(false, 1);
-    for (const bool snapshot : {false, true}) {
-        for (const int jobs : {1, 2, 8})
-            EXPECT_EQ(reference, batchManifest(snapshot, jobs));
-    }
+    // Every stat, every formatted double, at every worker count.
+    // configPairs omits jobs, so the config blocks agree too.
+    const std::string reference = batchManifest(1);
+    for (const int jobs : {2, 8})
+        EXPECT_EQ(reference, batchManifest(jobs));
 }
 
 TEST(Snapshot, MachineExperimentIdenticalAcrossSnapshotAndJobs)
@@ -184,29 +260,24 @@ TEST(Snapshot, MachineExperimentIdenticalAcrossSnapshotAndJobs)
         std::vector<double> symbiosWs;
     };
     std::vector<Observed> runs;
-    for (const bool snapshot : {false, true}) {
-        for (const int jobs : {1, 8}) {
-            SimConfig config = makeFastConfig();
-            config.snapshot = snapshot;
-            config.jobs = jobs;
-            BatchExperiment exp(spec, config);
-            exp.runSamplePhase();
-            exp.runSymbiosValidation();
-            Observed obs;
-            for (const MachineSchedule &s : exp.schedules())
-                obs.keys.push_back(s.key());
-            for (const ScheduleProfile &p : exp.profiles())
-                obs.sampleWs.push_back(p.sampleWs);
-            obs.symbiosWs = exp.symbiosWs();
-            runs.push_back(std::move(obs));
-        }
+    for (const int jobs : {1, 8}) {
+        SimConfig config = makeFastConfig();
+        config.jobs = jobs;
+        BatchExperiment exp(spec, config);
+        exp.runSamplePhase();
+        exp.runSymbiosValidation();
+        Observed obs;
+        for (const MachineSchedule &s : exp.schedules())
+            obs.keys.push_back(s.key());
+        for (const ScheduleProfile &p : exp.profiles())
+            obs.sampleWs.push_back(p.sampleWs);
+        obs.symbiosWs = exp.symbiosWs();
+        runs.push_back(std::move(obs));
     }
-    ASSERT_EQ(runs.size(), 4u);
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-        EXPECT_EQ(runs[i].keys, runs[0].keys);
-        EXPECT_EQ(runs[i].sampleWs, runs[0].sampleWs);
-        EXPECT_EQ(runs[i].symbiosWs, runs[0].symbiosWs);
-    }
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[1].keys, runs[0].keys);
+    EXPECT_EQ(runs[1].sampleWs, runs[0].sampleWs);
+    EXPECT_EQ(runs[1].symbiosWs, runs[0].symbiosWs);
     EXPECT_FALSE(runs[0].symbiosWs.empty());
 }
 
