@@ -77,7 +77,8 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("ablation_composite_weights", argc, argv);
+    BenchHarness harness({"ablation_composite_weights"}, argc,
+                         argv);
     const SimConfig &config = harness.config();
     BatchExperiment exp(experimentByLabel("Jsb(6,3,3)"), config);
     exp.runSamplePhase();

@@ -22,7 +22,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("ablation_fetch_policy", argc, argv);
+    BenchHarness harness({"ablation_fetch_policy"}, argc, argv);
     const stats::Group policies = harness.group("policies");
     std::vector<std::unique_ptr<BatchExperiment>> kept;
 

@@ -24,7 +24,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("ablation_prefetcher", argc, argv);
+    BenchHarness harness({"ablation_prefetcher"}, argc, argv);
     const stats::Group experiments = harness.group("experiments");
     std::vector<std::unique_ptr<BatchExperiment>> kept;
 

@@ -22,7 +22,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("ablation_warmstart", argc, argv);
+    BenchHarness harness({"ablation_warmstart"}, argc, argv);
     const SimConfig &config = harness.config();
     const stats::Group experiments = harness.group("experiments");
     std::vector<std::unique_ptr<BatchExperiment>> kept;

@@ -63,7 +63,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("analysis_oracle", argc, argv);
+    BenchHarness harness({"analysis_oracle"}, argc, argv);
     const SimConfig &config = harness.config();
     const ExperimentSpec &spec = experimentByLabel("Jsb(6,3,3)");
 

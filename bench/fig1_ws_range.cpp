@@ -22,7 +22,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("fig1_ws_range", argc, argv);
+    BenchHarness harness({"fig1_ws_range"}, argc, argv);
     const SimConfig &config = harness.config();
     const stats::Group experiments = harness.group("experiments");
     ThreadPool pool(resolveJobs(config.jobs));

@@ -19,7 +19,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("fig2_predictor_ws", argc, argv);
+    BenchHarness harness({"fig2_predictor_ws"}, argc, argv);
     const SimConfig &config = harness.config();
     const ExperimentSpec &spec = experimentByLabel("Jsb(6,3,3)");
 

@@ -20,7 +20,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("fig3_sos_jobmixes", argc, argv);
+    BenchHarness harness({"fig3_sos_jobmixes"}, argc, argv);
     const SimConfig &config = harness.config();
     const stats::Group experiments = harness.group("experiments");
     ThreadPool pool(resolveJobs(config.jobs));

@@ -19,7 +19,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("fig4_hierarchical", argc, argv);
+    BenchHarness harness({"fig4_hierarchical"}, argc, argv);
     const SimConfig &config = harness.config();
     const stats::Group experiments = harness.group("experiments");
     std::vector<std::unique_ptr<HierarchicalExperiment>> kept;

@@ -26,8 +26,8 @@ main(int argc, char **argv)
 
     // Open-system runs are long; default to a coarser scale than the
     // throughput benches (SOS_CYCLE_SCALE and --set still override it).
-    BenchHarness harness("fig5_response_time", argc, argv,
-                         /*cycle_scale=*/200);
+    BenchHarness harness(
+        {.tool = "fig5_response_time", .cycleScale = 200}, argc, argv);
     SimConfig &config = harness.config();
     const int traces = 3;
     const std::vector<int> levels = {2, 3, 4, 6};

@@ -20,8 +20,8 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("fig6_lambda_sweep", argc, argv,
-                         /*cycle_scale=*/200);
+    BenchHarness harness(
+        {.tool = "fig6_lambda_sweep", .cycleScale = 200}, argc, argv);
     SimConfig &config = harness.config();
     const int level = 3;
     const int traces = 3;

@@ -31,7 +31,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("fig7_multicore", argc, argv);
+    BenchHarness harness({"fig7_multicore"}, argc, argv);
     const SimConfig &config = harness.config();
     const stats::Group experiments = harness.group("experiments");
 

@@ -35,8 +35,8 @@ main(int argc, char **argv)
 
     // Open-system runs are long; default to a coarser scale than the
     // throughput benches (SOS_CYCLE_SCALE and --set still override it).
-    BenchHarness harness("fig8_open_multicore", argc, argv,
-                         /*cycle_scale=*/200);
+    BenchHarness harness(
+        {.tool = "fig8_open_multicore", .cycleScale = 200}, argc, argv);
     SimConfig &config = harness.config();
     const int level = 2;
     const int traces = 2;

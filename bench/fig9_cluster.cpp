@@ -21,21 +21,22 @@
  * bit-identical, and records the scaling curve as the "cluster"
  * section of the "sos.bench" document.
  *
- * Scale knobs (the defaults keep a laptop run in minutes; CI smoke
- * and large-trace runs override them):
- *   SOS_CLUSTER_JOBS      arrivals per run          (default 400)
- *   SOS_CLUSTER_NODES     single node count         (default 2 and 4)
- *   SOS_DISPATCH          single policy             (default all four,
- *                                                  plus learned with a
- *                                                  --model / SOS_MODEL)
- *   SOS_CLUSTER_MEAN_JOB  mean job, paper cycles    (default 30M)
- * A 10^5-10^6 job trace is a matter of SOS_CLUSTER_JOBS plus a
- * coarser SOS_CYCLE_SCALE (see EXPERIMENTS.md "Figure 9").
+ * Scale flags, named as `sossim cluster` names them (the defaults
+ * keep a laptop run in minutes; CI smoke and large-trace runs
+ * override them):
+ *   --arrivals N   arrivals per run          (default 400)
+ *   --nodes N      single node count         (default 2 and 4)
+ *   --dispatch P   single policy             (default all four, plus
+ *                                           learned with a --model /
+ *                                           SOS_MODEL)
+ *   --mean-job C   mean job, paper cycles    (default 30M)
+ * A 10^5-10^6 job trace is a matter of --arrivals plus a coarser
+ * SOS_CYCLE_SCALE (see EXPERIMENTS.md "Figure 9").
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,19 +45,11 @@
 #include "common/rng.hh"
 #include "common/stats_util.hh"
 #include "sim/bench_harness.hh"
-#include "sim/params_io.hh"
 #include "sim/reporting.hh"
 
 namespace {
 
 using namespace sos;
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *value = std::getenv(name);
-    return value != nullptr ? parseKnobU64(name, value) : fallback;
-}
 
 /** Exact percentile over the drained responses (doubles, cycles). */
 double
@@ -76,25 +69,39 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
+    int jobs = 400;
+    std::uint64_t mean_job = 30000000ULL;
+    std::optional<int> nodes_flag;
+    std::string dispatch;
     // Cluster runs replay whole open systems per node; default to a
     // coarser scale than even the fig8 open-system bench.
-    BenchHarness harness("fig9_cluster", argc, argv,
-                         /*cycle_scale=*/1000);
+    BenchHarness harness(
+        {.tool = "fig9_cluster",
+         .cycleScale = 1000,
+         .flags = {Flag::into("--arrivals", "N",
+                              "arrivals per run (default 400)", jobs),
+                   Flag::into("--mean-job", "C",
+                              "mean job length in paper cycles "
+                              "(default 30000000)",
+                              mean_job),
+                   Flag::into("--nodes", "N",
+                              "run one node count (default 2 and 4)",
+                              nodes_flag),
+                   Flag::into("--dispatch", "P",
+                              "run one dispatch policy (default all)",
+                              dispatch)}},
+        argc, argv);
     SimConfig &config = harness.config();
 
-    const int jobs =
-        static_cast<int>(envU64("SOS_CLUSTER_JOBS", 400));
-    const std::uint64_t mean_job =
-        envU64("SOS_CLUSTER_MEAN_JOB", 30000000ULL);
     std::vector<int> node_counts = {2, 4};
-    if (const char *nodes = std::getenv("SOS_CLUSTER_NODES"))
-        node_counts = {parseKnobInt("SOS_CLUSTER_NODES", nodes)};
+    if (nodes_flag)
+        node_counts = {*nodes_flag};
     std::vector<std::string> policies = dispatcherNames();
     // The learned dispatcher needs a trained model (--model / SOS_MODEL).
     if (config.modelPath.empty())
         std::erase(policies, "learned");
-    if (const char *policy = std::getenv("SOS_DISPATCH"))
-        policies = {policy};
+    if (!dispatch.empty())
+        policies = {dispatch};
 
     const auto clusterConfig = [&](int nodes,
                                    const std::string &policy) {

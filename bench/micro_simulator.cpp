@@ -135,35 +135,24 @@ registerCoreThroughputStats(const stats::Group &group)
 int
 main(int argc, char **argv)
 {
-    // google-benchmark owns the command line, so every harness output
-    // flag is peeled off before Initialize() sees (and rejects) it.
-    // run_all.sh passes --bench to all bench binaries alike, so
-    // missing one here breaks the whole reproduction run.
-    OutputPaths out = outputPathsFromEnv();
-    std::vector<char *> forwarded;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (i + 1 < argc) {
-            std::string *dest = nullptr;
-            if (arg == "--out")
-                dest = &out.manifest;
-            else if (arg == "--trace")
-                dest = &out.trace;
-            else if (arg == "--bench")
-                dest = &out.bench;
-            if (dest != nullptr) {
-                *dest = argv[++i];
-                continue;
-            }
-        }
-        forwarded.push_back(argv[i]);
+    // google-benchmark gets the --benchmark_* arguments and the
+    // harness parser everything else, so a typo fails like it does in
+    // every other bench.
+    std::vector<char *> forwarded = {argv[0]};
+    std::vector<char *> harness_args = {argv[0]};
+    for (int i = 1; i < argc; ++i) {
+        const bool for_benchmark =
+            std::string(argv[i]).starts_with("--benchmark_");
+        (for_benchmark ? forwarded : harness_args).push_back(argv[i]);
     }
     int forwarded_argc = static_cast<int>(forwarded.size());
 
     // Constructed first: the harness clock starts here, so the bench
     // report's elapsed time spans the google-benchmark run and the
     // core loop below.
-    BenchHarness harness("micro_simulator", SimConfig{}, out);
+    BenchHarness harness({"micro_simulator"},
+                         static_cast<int>(harness_args.size()),
+                         harness_args.data());
     benchmark::Initialize(&forwarded_argc, forwarded.data());
     if (benchmark::ReportUnrecognizedArguments(forwarded_argc,
                                                forwarded.data()))

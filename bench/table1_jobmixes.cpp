@@ -18,7 +18,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("table1_jobmixes", argc, argv);
+    BenchHarness harness({"table1_jobmixes"}, argc, argv);
     const stats::Group mixes = harness.group("mixes");
 
     printBanner("Table 1: applications used in all experiments");

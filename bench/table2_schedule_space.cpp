@@ -26,7 +26,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("table2_schedule_space", argc, argv);
+    BenchHarness harness({"table2_schedule_space"}, argc, argv);
     const stats::Group spaces = harness.group("spaces");
 
     printBanner("Table 2: distinct schedules and sample-phase length");

@@ -23,7 +23,7 @@ main(int argc, char **argv)
 {
     using namespace sos;
 
-    BenchHarness harness("table3_predictors", argc, argv);
+    BenchHarness harness({"table3_predictors"}, argc, argv);
     const SimConfig &config = harness.config();
     const ExperimentSpec &spec = experimentByLabel("Jsb(6,3,3)");
 

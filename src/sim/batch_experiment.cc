@@ -254,8 +254,7 @@ BatchExperiment::runSamplePhase()
     Rng rng(config_.seed ^ hashLabel(spec_.label) ^ 0x5a3217e1ULL);
     schedules_ = space_.sample(config_.sampleSchedules, rng);
 
-    const auto periods =
-        static_cast<std::uint64_t>(std::max(1, config_.samplePeriods));
+    const auto periods = static_cast<std::uint64_t>(config_.samplePeriods);
     const std::uint64_t symbios = symbiosTimeslices();
 
     // The candidates the sample phase profiles: every one, or the

@@ -126,20 +126,9 @@ BenchHarness::publishMachineTopology()
     }
 }
 
-BenchHarness::BenchHarness(std::string tool, int argc, char **argv,
-                           std::uint64_t cycle_scale)
-    : tool_(std::move(tool)),
-      options_(parseBenchArgs(argc, argv, cycle_scale))
+BenchHarness::BenchHarness(const CommandLine &cli, int argc, char **argv)
+    : tool_(cli.tool), options_(parseBenchArgs(cli, argc, argv))
 {
-    trace_.setPhaseStride(options_.config.traceSample);
-}
-
-BenchHarness::BenchHarness(std::string tool, SimConfig config,
-                           OutputPaths out)
-    : tool_(std::move(tool))
-{
-    options_.config = config;
-    options_.out = std::move(out);
     trace_.setPhaseStride(options_.config.traceSample);
 }
 

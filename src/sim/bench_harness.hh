@@ -3,12 +3,12 @@
  * Common scaffolding for the bench binaries and the sossim CLI.
  *
  * A harness owns the parsed configuration, the run's stats Registry,
- * and its decision EventTrace. Bench mains construct one from
- * (tool, argc, argv), register stats while printing their usual
- * tables, and end with `return harness.finish();` -- which writes the
- * schema-versioned JSON manifest (--out / SOS_OUT) and the JSONL
- * decision trace (--trace / SOS_TRACE) when requested, and is a no-op
- * otherwise. One call site per binary keeps every harness's
+ * and its decision EventTrace. Bench mains and sossim subcommands
+ * construct one from (CommandLine, argc, argv), register stats while
+ * printing their usual tables, and end with `return harness.finish();`
+ * -- which writes the schema-versioned JSON manifest (--out / SOS_OUT)
+ * and the JSONL decision trace (--trace / SOS_TRACE) when requested,
+ * and is a no-op otherwise. One call site per binary keeps every harness's
  * machine-readable output identical in shape.
  *
  * The harness also measures its own wall-clock duration, from
@@ -42,14 +42,10 @@ class BenchHarness
 {
   public:
     /**
-     * Bench-main entry: parses the standard command line (see
-     * parseBenchArgs) over the bench's default @p cycle_scale.
+     * Parse the command line: the shared flags plus @p cli's own rows
+     * (see parseBenchArgs), named after cli.tool.
      */
-    BenchHarness(std::string tool, int argc, char **argv,
-                 std::uint64_t cycle_scale = makeBenchConfig().cycleScale);
-
-    /** CLI entry (sossim): configuration and outputs already parsed. */
-    BenchHarness(std::string tool, SimConfig config, OutputPaths out);
+    BenchHarness(const CommandLine &cli, int argc, char **argv);
 
     /** Effective configuration; mutable so harnesses may tweak it. */
     SimConfig &config() { return options_.config; }

@@ -117,8 +117,7 @@ HierarchicalExperiment::run(std::uint64_t symbios_cycles)
     // (a few periods, see samplePeriods) and the symbios validation
     // (what the candidate would have delivered). A run only sums
     // per-slice results, so each length is an exact prefix.
-    const auto periods =
-        static_cast<std::uint64_t>(std::max(1, config_.samplePeriods));
+    const auto periods = static_cast<std::uint64_t>(config_.samplePeriods);
     const std::uint64_t timeslice = config_.timesliceCycles();
     auto runs = runner_.runAll(recipe, schedules, [&](std::size_t i) {
         const std::uint64_t period = schedules[i].periodTimeslices();

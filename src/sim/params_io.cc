@@ -222,13 +222,15 @@ fields()
                                  std::to_string(
                                      SimConfig::paperLittleTimeslice)}}),
         knob(SOS_KNOB(symbiosSimCycles),
-             "symbios-phase length (simulated cycles)"),
+             "symbios-phase length (simulated cycles)",
+             {.range = Range{1, MaxU64, "a positive integer"}}),
         knob(SOS_KNOB(seed), "master seed", {.env = "SOS_SEED"}),
         knob(SOS_KNOB(sampleSchedules),
              "schedules profiled per sample phase",
              {.range = Range{1, MaxInt, "a positive integer"}}),
         knob(SOS_KNOB(samplePeriods),
-             "schedule periods per profiled candidate"),
+             "schedule periods per profiled candidate",
+             {.range = Range{1, MaxInt, "a positive integer"}}),
         knob(SOS_KNOB(jobs), "sweep worker threads (0 = SOS_JOBS/auto)",
              {.manifest = Manifest::Never,
               // A negative count would silently mean "auto".
@@ -369,10 +371,10 @@ applyOverride(SimConfig &config, const std::string &assignment)
 }
 
 void
-applyEnvValue(SimConfig &config, const ParamInfo &param,
-              const std::string &value)
+applyKnob(SimConfig &config, const std::string &key,
+          const std::string &name, const std::string &value)
 {
-    orFatal([&] { findField(param.key).set(config, param.env, value); });
+    orFatal([&] { findField(key).set(config, name, value); });
 }
 
 void
@@ -400,14 +402,6 @@ double
 parseKnobDouble(const std::string &name, const std::string &value)
 {
     return orFatal([&] { return parseNumber<double>(name, value); });
-}
-
-void
-applyOverrides(SimConfig &config,
-               const std::vector<std::string> &assignments)
-{
-    for (const std::string &assignment : assignments)
-        applyOverride(config, assignment);
 }
 
 std::string

@@ -48,9 +48,12 @@ void applyOverride(SimConfig &config, const std::string &assignment);
 bool tryApplyOverride(SimConfig &config, const std::string &key,
                       const std::string &value, std::string &error);
 
-/** Apply @p param's environment alias value; errors name the alias. */
-void applyEnvValue(SimConfig &config, const ParamInfo &param,
-                   const std::string &value);
+/**
+ * Apply @p value to the knob @p key; errors name @p name instead (an
+ * environment alias such as SOS_SEED or a flag such as --jobs).
+ */
+void applyKnob(SimConfig &config, const std::string &key,
+               const std::string &name, const std::string &value);
 
 /**
  * fatal() with validateCoreParams'/validateMemParams' message unless
@@ -58,10 +61,6 @@ void applyEnvValue(SimConfig &config, const ParamInfo &param,
  * every channel has applied, before any simulation.
  */
 void validateConfig(const SimConfig &config);
-
-/** Apply several assignments in order. */
-void applyOverrides(SimConfig &config,
-                    const std::vector<std::string> &assignments);
 
 /** Render the full configuration as "key=value" lines. */
 std::string renderConfig(const SimConfig &config);

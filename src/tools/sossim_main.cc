@@ -2,33 +2,31 @@
  * @file
  * sossim: command-line driver for the library.
  *
- * Subcommands:
- *   sossim workloads                     list the workload models
- *   sossim experiments                   list the paper's experiments
- *   sossim params                        list configurable keys
- *   sossim run <label> [--set k=v]...    run one throughput experiment
- *   sossim open [--level N] [--jobs N] [--set k=v]...
- *                                        naive-vs-SOS response times
- *   sossim hier [--level N] [--set k=v]...
- *                                        hierarchical symbiosis
- *   sossim machine [--cores N] [--set k=v]...
- *                                        machine-level SOS on a CMP
+ * Subcommands (`sossim help` lists them, `sossim <command> --help`
+ * prints each one's flags):
+ *   workloads, experiments, params   list the catalogues
+ *   run <label>                      one throughput experiment
+ *   open                             naive-vs-SOS response times
+ *   hier                             hierarchical symbiosis
+ *   machine                          machine-level SOS on a CMP
+ *   cluster                          N machines behind a dispatcher
+ *   config                           the effective configuration
  *
- * Every subcommand accepts repeated --set key=value overrides (see
- * `sossim params`) and --help, plus the SOS_CYCLE_SCALE / SOS_SEED
- * environment variables handled by the bench harnesses.
+ * Each subcommand declares its own flags as rows for the shared
+ * parser (sim/config_env.hh), which adds --set, --jobs,
+ * --machine-config, --model, --out, --trace and --bench, rejects any
+ * other flag and prints --help from the same rows.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hh"
 #include "common/logging.hh"
-#include "config/machine_config.hh"
 #include "core/predictor.hh"
 #include "core/resample_policy.hh"
 #include "sim/batch_experiment.hh"
@@ -45,219 +43,10 @@ namespace {
 
 using namespace sos;
 
-/** Parsed command line: positionals plus --flag value pairs. */
-struct Args
-{
-    std::vector<std::string> positional;
-    std::vector<std::string> overrides; ///< from --set
-    std::vector<std::pair<std::string, std::string>> flags;
-
-    std::string
-    flag(const std::string &name, const std::string &fallback) const
-    {
-        for (const auto &[key, value] : flags) {
-            if (key == name)
-                return value;
-        }
-        return fallback;
-    }
-
-    /** True when --name was given (even with an empty value). */
-    bool
-    has(const std::string &name) const
-    {
-        return std::any_of(flags.begin(), flags.end(),
-                           [&](const auto &f) { return f.first == name; });
-    }
-
-    /** --name as an int (@p fallback when absent); fatal() if malformed. */
-    int
-    intFlag(const std::string &name, int fallback) const
-    {
-        return has(name) ? parseKnobInt("--" + name, flag(name, ""))
-                         : fallback;
-    }
-
-    /** --name as an unsigned integer; fatal() if malformed. */
-    std::uint64_t
-    u64Flag(const std::string &name, std::uint64_t fallback) const
-    {
-        return has(name) ? parseKnobU64("--" + name, flag(name, ""))
-                         : fallback;
-    }
-};
-
-/**
- * Per-subcommand usage, printed by `sossim <command> --help`. Every
- * line documents the shared output/worker knobs once so no subcommand
- * forgets them.
- */
-void
-printUsage(const std::string &command)
-{
-    const char *synopsis = "[options]";
-    const char *specific = "";
-    if (command == "run") {
-        synopsis = "<label> [options]";
-        specific = "  --jobs N            sweep worker threads\n";
-    } else if (command == "open") {
-        specific = "  --level N           SMT level (default 3)\n"
-                   "  --cores N           SMT cores (default 1; more "
-                   "build the CMP backend)\n"
-                   "  --jobs N            jobs in the open system "
-                   "(default 24)\n"
-                   "  --set predictor=P   symbios predictor (see "
-                   "`sossim open --set predictor=? ...`)\n"
-                   "  --set policy=P      resample-timer policy "
-                   "(backoff, fixed)\n";
-    } else if (command == "hier") {
-        specific = "  --level N           SMT level (default 2)\n"
-                   "  --jobs N            sweep worker threads\n";
-    } else if (command == "machine") {
-        specific = "  --cores N           SMT cores on the machine "
-                   "(default 2)\n"
-                   "  --jobs N            sweep worker threads\n";
-    } else if (command == "cluster") {
-        specific =
-            "  --nodes N           machines in the cluster (default "
-            "2)\n"
-            "  --dispatch P        dispatch policy: random, "
-            "round-robin, least-loaded,\n"
-            "                      signature (default)\n"
-            "  --arrivals N        jobs in the arrival trace "
-            "(default 1000)\n"
-            "  --process P         arrival process: poisson "
-            "(default), mmpp, diurnal\n"
-            "  --epoch N           timeslices per dispatch epoch "
-            "(default 8)\n"
-            "  --level N           SMT level of every node (default "
-            "3)\n"
-            "  --cores N           SMT cores per node (default 1)\n"
-            "  --mean-job C        mean job length in paper cycles\n"
-            "  --mean-interarrival C\n"
-            "                      front-door mean interarrival in "
-            "paper cycles\n"
-            "                      (default derives the stable load)\n"
-            "  --classes SPEC      SLA classes as "
-            "name:weight:sizeFactor[,...]\n"
-            "  --jobs N            host worker threads for the node "
-            "fan-out\n"
-            "  (repeat --machine-config to give each node its own "
-            "machine file)\n";
-    }
-    std::printf(
-        "usage: sossim %s %s\n\n"
-        "options:\n"
-        "%s"
-        "  --set key=value     configuration override (repeatable; "
-        "see `sossim params`)\n"
-        "  --machine-config F  machine description file (per-core "
-        "params; env SOS_MACHINE_CONFIG)\n"
-        "  --out FILE.json     write the JSON run manifest (env "
-        "SOS_OUT)\n"
-        "  --trace FILE.jsonl  write the scheduler decision trace "
-        "(env SOS_TRACE)\n"
-        "  --help              show this message and exit\n\n"
-        "environment: SOS_CYCLE_SCALE, SOS_SEED, SOS_JOBS, "
-        "SOS_MACHINE_CONFIG, SOS_OUT, SOS_TRACE\n",
-        command.c_str(), synopsis, specific);
-}
-
-/** True when any argument past the subcommand asks for help. */
-bool
-wantsHelp(int argc, char **argv)
-{
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
-Args
-parseArgs(int argc, char **argv)
-{
-    Args args;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--set") {
-            if (i + 1 >= argc)
-                fatal("--set needs a key=value argument");
-            args.overrides.push_back(argv[++i]);
-        } else if (arg.rfind("--", 0) == 0) {
-            if (i + 1 >= argc)
-                fatal(arg, " needs a value");
-            args.flags.emplace_back(arg.substr(2), argv[++i]);
-        } else {
-            args.positional.push_back(arg);
-        }
-    }
-    return args;
-}
-
-/**
- * The environment, then --machine-config, --model and the --set
- * overrides, validated. Given @p node_machines (cluster), a repeated
- * --machine-config gives each node its own file instead.
- */
-SimConfig
-configFor(const Args &args,
-          std::vector<std::string> *node_machines = nullptr)
-{
-    SimConfig config = benchConfigFromEnv();
-    std::vector<std::string> machines;
-    for (const auto &[key, value] : args.flags) {
-        if (key == "machine-config")
-            machines.push_back(value);
-    }
-    // The machine file loads before the --set pass so explicit CLI
-    // overrides still win over the file's machine-wide defaults.
-    if (node_machines != nullptr && machines.size() > 1)
-        *node_machines = machines;
-    else if (!machines.empty())
-        applyMachineConfig(config, machines.front());
-    const std::string model = args.flag("model", "");
-    if (!model.empty())
-        config.modelPath = model;
-    applyOverrides(config, args.overrides);
-    validateConfig(config);
-    return config;
-}
-
-/**
- * configFor() plus worker threads from --jobs (not used by `open`,
- * where --jobs already names the number of jobs in the system).
- */
-SimConfig
-configWithWorkers(const Args &args,
-                  std::vector<std::string> *node_machines = nullptr)
-{
-    SimConfig config = configFor(args, node_machines);
-    const std::string jobs = args.flag("jobs", "");
-    if (!jobs.empty())
-        applyOverride(config, "jobs=" + jobs);
-    return config;
-}
-
-/** Manifest/trace destinations: --out / --trace, else environment. */
-OutputPaths
-outputsFor(const Args &args)
-{
-    OutputPaths out = outputPathsFromEnv();
-    const std::string manifest = args.flag("out", "");
-    if (!manifest.empty())
-        out.manifest = manifest;
-    const std::string trace = args.flag("trace", "");
-    if (!trace.empty())
-        out.trace = trace;
-    return out;
-}
-
 int
-cmdWorkloads()
+cmdWorkloads(int argc, char **argv)
 {
+    parseFlags("sossim workloads", {}, argc, argv);
     printBanner("Workload models");
     TablePrinter table({"name", "fp%", "load%", "store%", "avg BB",
                         "dep", "WS KiB", "code KiB", "sync"},
@@ -278,8 +67,9 @@ cmdWorkloads()
 }
 
 int
-cmdExperiments()
+cmdExperiments(int argc, char **argv)
 {
+    parseFlags("sossim experiments", {}, argc, argv);
     printBanner("Throughput experiments (paper Table 1/2)");
     TablePrinter table({"label", "jobs", "level", "swap", "schedules"},
                        {14, 5, 6, 5, 10});
@@ -297,8 +87,9 @@ cmdExperiments()
 }
 
 int
-cmdParams()
+cmdParams(int argc, char **argv)
 {
+    parseFlags("sossim params", {}, argc, argv);
     printBanner("Configurable parameters (--set key=value)");
     TablePrinter table({"key", "default", "description"}, {30, 10, 44});
     table.printHeader();
@@ -308,14 +99,20 @@ cmdParams()
 }
 
 int
-cmdRun(const Args &args)
+cmdRun(int argc, char **argv)
 {
-    if (args.positional.empty())
+    std::string label;
+    BenchHarness harness(
+        {.tool = "sossim run",
+         .flags = {Flag::into("", "<label>",
+                              "experiment label (see `sossim "
+                              "experiments`)",
+                              label)}},
+        argc, argv);
+    if (label.empty())
         fatal("usage: sossim run <experiment label>");
-    BenchHarness harness("sossim run", configWithWorkers(args),
-                         outputsFor(args));
     const SimConfig &config = harness.config();
-    const ExperimentSpec &spec = experimentByLabel(args.positional[0]);
+    const ExperimentSpec &spec = experimentByLabel(label);
 
     BatchExperiment exp(spec, config);
     exp.runSamplePhase();
@@ -344,37 +141,42 @@ cmdRun(const Args &args)
 }
 
 int
-cmdOpen(const Args &args)
+cmdOpen(int argc, char **argv)
 {
     OpenSystemConfig open;
-    open.level = args.intFlag("level", 3);
-    open.numJobs = args.intFlag("jobs", 24);
-
-    // The open system has its own --set keys: predictor= and policy=
-    // name registry entries, not SimConfig fields (the manifest's
-    // config block must stay comparable across figures). Peel them
-    // off before the SimConfig override pass sees them.
-    Args sim_args = args;
-    sim_args.overrides.clear();
-    for (const std::string &override : args.overrides) {
-        if (override.rfind("predictor=", 0) == 0)
-            open.predictor = override.substr(10);
-        else if (override.rfind("policy=", 0) == 0)
-            open.resamplePolicy = override.substr(7);
-        else
-            sim_args.overrides.push_back(override);
-    }
+    open.numJobs = 24;
+    std::optional<int> cores;
+    // The predictor and the resample policy name registry entries, not
+    // SimConfig fields: the manifest's config block stays comparable
+    // across figures.
+    BenchHarness harness(
+        {.tool = "sossim open",
+         .flags =
+             {Flag::into("--level", "N", "SMT level (default 3)",
+                         open.level),
+              Flag::into("--cores", "N",
+                         "SMT cores (default 1 or the machine "
+                         "config's; more build the CMP backend)",
+                         cores),
+              Flag::into("--arrivals", "N",
+                         "jobs in the open system (default 24)",
+                         open.numJobs),
+              Flag::into("--predictor", "P",
+                         "symbios predictor (default IPC)",
+                         open.predictor),
+              Flag::into("--policy", "P",
+                         "resample-timer policy: backoff (default), "
+                         "fixed",
+                         open.resamplePolicy)}},
+        argc, argv);
+    const SimConfig &config = harness.config();
     // Fail fast on unknown names, before any simulation runs; the
     // registries list every registered name in their error message.
-    makePredictor(open.predictor);
+    makePredictor(open.predictor, config.modelPath);
     makeResamplePolicy(open.resamplePolicy, 1);
-
-    BenchHarness harness("sossim open", configFor(sim_args),
-                         outputsFor(args));
-    const SimConfig &config = harness.config();
     // --cores wins; otherwise a loaded machine config sets the core
     // count, and the default stays the paper's single SMT core.
-    open.numCores = args.intFlag("cores", std::max(1, config.machineCores));
+    open.numCores = cores.value_or(std::max(1, config.machineCores));
     open.seed = config.seed ^ 0x09e2ULL;
 
     // The SOS backend is owned here so its machine's stat groups
@@ -442,12 +244,15 @@ cmdOpen(const Args &args)
 }
 
 int
-cmdHier(const Args &args)
+cmdHier(int argc, char **argv)
 {
-    BenchHarness harness("sossim hier", configWithWorkers(args),
-                         outputsFor(args));
+    int level = 2;
+    BenchHarness harness(
+        {.tool = "sossim hier",
+         .flags = {Flag::into("--level", "N", "SMT level (default 2)",
+                              level)}},
+        argc, argv);
     const SimConfig &config = harness.config();
-    const int level = args.intFlag("level", 2);
     const HierarchicalSpec *chosen = nullptr;
     for (const HierarchicalSpec &spec : hierarchicalExperiments()) {
         if (spec.level == level)
@@ -477,15 +282,21 @@ cmdHier(const Args &args)
 }
 
 int
-cmdMachine(const Args &args)
+cmdMachine(int argc, char **argv)
 {
-    BenchHarness harness("sossim machine", configWithWorkers(args),
-                         outputsFor(args));
+    std::optional<int> cores_flag;
+    BenchHarness harness(
+        {.tool = "sossim machine",
+         .flags = {Flag::into("--cores", "N",
+                              "SMT cores on the machine (default 2 or "
+                              "the machine config's)",
+                              cores_flag)}},
+        argc, argv);
     const SimConfig &config = harness.config();
     // --cores wins; otherwise a loaded machine config picks the
     // experiment its core count can host, defaulting to the 2-core CMP.
-    const int cores = args.intFlag(
-        "cores", config.machineCores > 0 ? config.machineCores : 2);
+    const int cores = cores_flag.value_or(
+        config.machineCores > 0 ? config.machineCores : 2);
     const ExperimentSpec *chosen = nullptr;
     for (const ExperimentSpec &spec : machineExperiments()) {
         if (spec.numCores == cores)
@@ -561,33 +372,56 @@ parseClasses(const std::string &spec)
 }
 
 int
-cmdCluster(const Args &args)
+cmdCluster(int argc, char **argv)
 {
     ClusterConfig cluster;
-    cluster.numNodes = args.intFlag("nodes", cluster.numNodes);
-    cluster.dispatch = args.flag("dispatch", cluster.dispatch);
-    cluster.process = args.flag("process", cluster.process);
-    cluster.numJobs = args.intFlag("arrivals", 1000);
-    cluster.level = args.intFlag("level", 3);
-    cluster.numCores = args.intFlag("cores", 1);
-    cluster.epochSlices = args.intFlag("epoch", 8);
-    cluster.meanJobPaperCycles =
-        args.u64Flag("mean-job", cluster.meanJobPaperCycles);
-    cluster.meanInterarrivalPaper = args.u64Flag("mean-interarrival", 0);
-    const std::string classes = args.flag("classes", "");
-    if (!classes.empty())
-        cluster.classes = parseClasses(classes);
-    makeResamplePolicy(cluster.resamplePolicy, 1);
-
-    const SimConfig config =
-        configWithWorkers(args, &cluster.nodeMachineConfigs);
+    BenchHarness harness(
+        {.tool = "sossim cluster",
+         .flags =
+             {Flag::into("--nodes", "N",
+                         "machines in the cluster (default 2)",
+                         cluster.numNodes),
+              Flag::into("--dispatch", "P",
+                         "dispatch policy: random, round-robin, "
+                         "least-loaded, signature (default)",
+                         cluster.dispatch),
+              Flag::into("--arrivals", "N",
+                         "jobs in the arrival trace (default 1000)",
+                         cluster.numJobs),
+              Flag::into("--process", "P",
+                         "arrival process: poisson (default), mmpp, "
+                         "diurnal",
+                         cluster.process),
+              Flag::into("--epoch", "N",
+                         "timeslices per dispatch epoch (default 8)",
+                         cluster.epochSlices),
+              Flag::into("--level", "N",
+                         "SMT level of every node (default 3)",
+                         cluster.level),
+              Flag::into("--cores", "N",
+                         "SMT cores per node (default 1)",
+                         cluster.numCores),
+              Flag::into("--mean-job", "C",
+                         "mean job length in paper cycles",
+                         cluster.meanJobPaperCycles),
+              Flag::into("--mean-interarrival", "C",
+                         "front-door mean interarrival in paper "
+                         "cycles (default derives the stable load)",
+                         cluster.meanInterarrivalPaper),
+              {"--classes", "SPEC",
+               "SLA classes as name:weight:sizeFactor[,...]",
+               [&](const std::string &value) {
+                   cluster.classes = parseClasses(value);
+               }}},
+         // A repeated --machine-config gives each node its own file.
+         .nodeMachines = &cluster.nodeMachineConfigs},
+        argc, argv);
+    const SimConfig &config = harness.config();
     // Fail fast on unknown registry names and unreadable model files,
     // before any simulation.
     makeDispatcher(cluster.dispatch, 0, config.modelPath);
     makePredictor(cluster.predictor, config.modelPath);
-
-    BenchHarness harness("sossim cluster", config, outputsFor(args));
-    cluster.seed = harness.config().seed ^ 0xc105edULL;
+    cluster.seed = config.seed ^ 0xc105edULL;
 
     Cluster machine_room(harness.config(), cluster);
     const ClusterResult result = machine_room.run(
@@ -632,37 +466,45 @@ cmdCluster(const Args &args)
 }
 
 int
+cmdConfig(int argc, char **argv)
+{
+    const BenchOptions options =
+        parseBenchArgs({.tool = "sossim config"}, argc, argv);
+    std::fputs(renderConfig(options.config).c_str(), stdout);
+    return 0;
+}
+
+/** One subcommand: its name, one help line and its entry point. */
+struct Command
+{
+    const char *name;
+    const char *summary;
+    int (*run)(int argc, char **argv);
+};
+
+const Command commands[] = {
+    {"workloads", "list the workload models", cmdWorkloads},
+    {"experiments", "list the paper's experiments", cmdExperiments},
+    {"params", "list --set keys", cmdParams},
+    {"run", "run a throughput experiment", cmdRun},
+    {"open", "naive-vs-SOS response times", cmdOpen},
+    {"hier", "hierarchical symbiosis", cmdHier},
+    {"machine", "machine-level SOS on a CMP of SMT cores", cmdMachine},
+    {"cluster", "N machines behind a symbiosis-aware dispatcher",
+     cmdCluster},
+    {"config", "print the effective configuration", cmdConfig},
+};
+
+int
 cmdHelp()
 {
-    std::printf(
-        "sossim -- symbiotic jobscheduling simulator (Snavely & "
-        "Tullsen, ASPLOS 2000)\n\n"
-        "usage: sossim <command> [options]\n\n"
-        "commands:\n"
-        "  workloads              list the workload models\n"
-        "  experiments            list the paper's experiments\n"
-        "  params                 list --set keys\n"
-        "  run <label> [--jobs N] run a throughput experiment\n"
-        "  open [--level N] [--jobs N]\n"
-        "                         naive-vs-SOS response times\n"
-        "  hier [--level N] [--jobs N]\n"
-        "                         hierarchical symbiosis\n"
-        "  machine [--cores N]    machine-level SOS on a CMP of SMT "
-        "cores\n"
-        "  cluster [--nodes N] [--dispatch P] [--arrivals N]\n"
-        "                         N machines behind a symbiosis-aware "
-        "dispatcher\n"
-        "  config                 print the effective configuration\n\n"
-        "`sossim <command> --help` prints each subcommand's options.\n"
-        "options: repeated --set key=value; env SOS_CYCLE_SCALE, "
-        "SOS_SEED, SOS_JOBS (sweep worker threads; for run/hier "
-        "--jobs N\n"
-        "does the same, while `open --jobs` is the system's job "
-        "count).\n"
-        "run/open/hier also accept --out FILE.json (JSON run "
-        "manifest, env SOS_OUT)\n"
-        "and --trace FILE.jsonl (scheduler decision trace, env "
-        "SOS_TRACE).\n");
+    std::printf("sossim -- symbiotic jobscheduling simulator (Snavely & "
+                "Tullsen, ASPLOS 2000)\n\n"
+                "usage: sossim <command> [options]\n\ncommands:\n");
+    for (const Command &command : commands)
+        std::printf("  %-12s %s\n", command.name, command.summary);
+    std::printf("\n`sossim <command> --help` prints each command's "
+                "options.\n");
     return 0;
 }
 
@@ -673,34 +515,12 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return cmdHelp();
-    const std::string command = argv[1];
-    if (wantsHelp(argc, argv)) {
-        printUsage(command);
-        return 0;
+    const std::string name = argv[1];
+    for (const Command &command : commands) {
+        if (name == command.name)
+            return command.run(argc - 1, argv + 1);
     }
-    const Args args = parseArgs(argc, argv);
-
-    if (command == "workloads")
-        return cmdWorkloads();
-    if (command == "experiments")
-        return cmdExperiments();
-    if (command == "params")
-        return cmdParams();
-    if (command == "run")
-        return cmdRun(args);
-    if (command == "open")
-        return cmdOpen(args);
-    if (command == "hier")
-        return cmdHier(args);
-    if (command == "machine")
-        return cmdMachine(args);
-    if (command == "cluster")
-        return cmdCluster(args);
-    if (command == "config") {
-        std::fputs(renderConfig(configFor(args)).c_str(), stdout);
-        return 0;
-    }
-    if (command == "help" || command == "--help")
+    if (name == "help" || name == "--help" || name == "-h")
         return cmdHelp();
-    fatal("unknown command '", command, "' (try `sossim help`)");
+    fatal("unknown command '", name, "' (try `sossim help`)");
 }

@@ -20,8 +20,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -31,6 +29,7 @@
 #include "common/logging.hh"
 #include "model/model.hh"
 #include "model/trainer.hh"
+#include "sim/config_env.hh"
 #include "stats/json.hh"
 #include "stats/trace_reader.hh"
 
@@ -52,52 +51,32 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options options;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto valueOf = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                fatal(flag, " needs an argument");
-            return argv[++i];
-        };
-        const auto intOf = [&](const char *flag) {
-            const std::string value = valueOf(flag);
-            char *end = nullptr;
-            const long parsed = std::strtol(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0')
-                fatal(flag, " needs an integer, got '", value, "'");
-            return static_cast<int>(parsed);
-        };
-        if (arg == "--model-out")
-            options.modelOut = valueOf("--model-out");
-        else if (arg == "--report-out")
-            options.reportOut = valueOf("--report-out");
-        else if (arg == "--kind")
-            options.kind = valueOf("--kind");
-        else if (arg == "--holdout")
-            options.holdout = intOf("--holdout");
-        else if (arg == "--depth")
-            options.fit.maxDepth = intOf("--depth");
-        else if (arg == "--min-leaf")
-            options.fit.minLeaf = intOf("--min-leaf");
-        else if (arg == "--ridge")
-            options.fit.ridge = std::atof(valueOf("--ridge").c_str());
-        else if (arg == "--contrast")
-            options.fit.contrast =
-                std::atof(valueOf("--contrast").c_str());
-        else if (arg == "--help" || arg == "-h") {
-            std::printf(
-                "usage: sostrain TRACE --model-out FILE "
-                "[--report-out FILE] [--kind linear|tree]\n"
-                "                [--holdout N] [--depth D] "
-                "[--min-leaf N] [--ridge X] [--contrast X]\n");
-            std::exit(0);
-        } else if (!arg.empty() && arg[0] == '-')
-            fatal("unknown argument '", arg, "' (see sostrain --help)");
-        else if (options.trace.empty())
-            options.trace = arg;
-        else
-            fatal("more than one trace file given");
-    }
+    parseFlags(
+        "sostrain",
+        {Flag::into("", "TRACE", "JSONL decision trace to learn from",
+                    options.trace),
+         Flag::into("--model-out", "FILE", "write the fitted model here",
+                    options.modelOut),
+         Flag::into("--report-out", "FILE",
+                    "write the sos.train-report here (default stdout)",
+                    options.reportOut),
+         Flag::into("--kind", "K", "model kind: linear (default), tree",
+                    options.kind),
+         Flag::into("--holdout", "N",
+                    "hold out every Nth row (default 5; 0 or 1 = none)",
+                    options.holdout),
+         Flag::into("--depth", "D", "tree split depth cap (default 4)",
+                    options.fit.maxDepth),
+         Flag::into("--min-leaf", "N",
+                    "tree minimum rows per leaf (default 3)",
+                    options.fit.minLeaf),
+         Flag::into("--ridge", "X",
+                    "linear per-row ridge strength (default 0.001)",
+                    options.fit.ridge),
+         Flag::into("--contrast", "X",
+                    "within-mix contrast amplification (default 1)",
+                    options.fit.contrast)},
+        argc, argv);
     if (options.trace.empty())
         fatal("sostrain needs a trace file (see sostrain --help)");
     if (options.modelOut.empty())

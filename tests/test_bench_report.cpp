@@ -31,8 +31,20 @@ parse(std::vector<std::string> args,
     std::vector<char *> argv;
     for (std::string &arg : args)
         argv.push_back(arg.data());
-    return parseBenchArgs(static_cast<int>(argv.size()), argv.data(),
-                          cycle_scale);
+    return parseBenchArgs({.tool = "bench", .cycleScale = cycle_scale},
+                          static_cast<int>(argv.size()), argv.data());
+}
+
+/** A "unit_test" harness over the command line @p args. */
+BenchHarness
+harnessFor(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "unit_test");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return BenchHarness({.tool = "unit_test"},
+                        static_cast<int>(argv.size()), argv.data());
 }
 
 std::string
@@ -116,14 +128,13 @@ TEST(BenchReportDeathTest, RetiredFlagsAreUnknown)
 
 TEST(BenchReport, FinishWritesBenchDocument)
 {
-    OutputPaths out;
-    out.bench = ::testing::TempDir() + "sos_bench_report.json";
-    BenchHarness harness("unit_test", SimConfig{}, out);
+    const std::string bench = ::testing::TempDir() + "sos_bench_report.json";
+    BenchHarness harness = harnessFor({"--bench", bench});
     registerSweep(harness);
     harness.bench("extra").value("x", "a harness section") = 1.5;
     ASSERT_EQ(harness.finish(), 0);
 
-    const std::string document = readFile(out.bench);
+    const std::string document = readFile(bench);
     EXPECT_EQ(document.rfind("{\"schema\":\"sos.bench\","
                              "\"schema_version\":3,"
                              "\"tool\":\"unit_test\",",
@@ -139,26 +150,26 @@ TEST(BenchReport, FinishWritesBenchDocument)
               std::string::npos)
         << document;
     EXPECT_EQ(document.back(), '\n');
-    std::remove(out.bench.c_str());
+    std::remove(bench.c_str());
 }
 
 TEST(BenchReport, ManifestUnchangedByBench)
 {
     const std::string dir = ::testing::TempDir();
     const auto run = [&](const std::string &tag, bool bench) {
-        OutputPaths out;
-        out.manifest = dir + "sos_bench_manifest_" + tag + ".json";
+        const std::string path = dir + "sos_bench_manifest_" + tag;
+        std::vector<std::string> args = {"--out", path + ".json"};
         if (bench)
-            out.bench = dir + "sos_bench_manifest_" + tag + ".bench.json";
-        BenchHarness harness("unit_test", SimConfig{}, out);
+            args.insert(args.end(), {"--bench", path + ".bench.json"});
+        BenchHarness harness = harnessFor(args);
         registerSweep(harness);
         if (harness.wantsBench())
             harness.bench("extra").value("x", "host-only stat") = 2.0;
         harness.finish();
-        const std::string manifest = readFile(out.manifest);
-        std::remove(out.manifest.c_str());
+        const std::string manifest = readFile(path + ".json");
+        std::remove((path + ".json").c_str());
         if (bench)
-            std::remove(out.bench.c_str());
+            std::remove((path + ".bench.json").c_str());
         return manifest;
     };
     const std::string without = run("plain", false);

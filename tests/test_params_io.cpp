@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/config_env.hh"
 #include "sim/params_io.hh"
@@ -18,14 +19,15 @@ namespace sos {
 namespace {
 
 /**
- * Run the sossim CLI with @p args under the extra environment
- * assignments @p env: (exit status, stdout + stderr).
+ * Run @p binary with @p args under the extra environment assignments
+ * @p env: (exit status, stdout + stderr).
  */
 std::pair<int, std::string>
-runSossim(const std::string &args, const std::string &env = "")
+runTool(const std::string &binary, const std::string &args,
+        const std::string &env = "")
 {
     const std::string command =
-        "env " + env + " " + SOS_SOSSIM + " " + args + " 2>&1";
+        "env " + env + " " + binary + " " + args + " 2>&1";
     FILE *pipe = ::popen(command.c_str(), "r");
     if (pipe == nullptr)
         return {-1, "cannot run " + command};
@@ -35,6 +37,25 @@ runSossim(const std::string &args, const std::string &env = "")
         output += buffer;
     const int status = ::pclose(pipe);
     return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
+}
+
+/** parseBenchArgs over the flags @p args of a tool named "t". */
+BenchOptions
+parseArgs(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "t");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return parseBenchArgs({.tool = "t"}, static_cast<int>(argv.size()),
+                          argv.data());
+}
+
+/** Run the sossim CLI (see runTool). */
+std::pair<int, std::string>
+runSossim(const std::string &args, const std::string &env = "")
+{
+    return runTool(SOS_SOSSIM, args, env);
 }
 
 TEST(ParamsIo, SetsHarnessFields)
@@ -91,9 +112,13 @@ TEST(ParamsIo, BooleanSpellings)
 
 TEST(ParamsIo, AppliesInOrder)
 {
-    SimConfig config;
-    applyOverrides(config, {"cycleScale=10", "cycleScale=20"});
+    // --set and --jobs apply in command-line order: the last one wins.
+    const SimConfig config =
+        parseArgs({"--set", "cycleScale=10", "--set", "cycleScale=20",
+                   "--jobs", "3", "--set", "jobs=2"})
+            .config;
     EXPECT_EQ(config.cycleScale, 20u);
+    EXPECT_EQ(config.jobs, 2);
 }
 
 TEST(ParamsIo, UnknownKeyIsFatal)
@@ -285,6 +310,12 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
          "sizeBytes=3"},
         {"run 'Jsb(4,2,2)' --set core.predictorBits=70",
          "predictorBits above 30"},
+        {"run 'Jsb(4,2,2)' --set samplePeriods=0",
+         "value for samplePeriods must be a positive integer"},
+        {"run 'Jsb(4,2,2)' --set samplePeriods=-2",
+         "value for samplePeriods must be a positive integer"},
+        {"run 'Jsb(4,2,2)' --set symbiosSimCycles=0",
+         "value for symbiosSimCycles must be a positive integer"},
     };
     for (const auto &[args, message] : cases) {
         const auto [status, output] = runSossim(args);
@@ -314,6 +345,125 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
                           "'4294967297'"),
               std::string::npos)
         << output;
+}
+
+TEST(ParamsIo, SostrainNumericFlagsGiveNamedErrors)
+{
+    // Each flag used to parse a prefix (atof: a typo became 0.0) or
+    // narrow a long to an int (4294967297 became 1). The flags are
+    // read before the trace file, which need not exist.
+    const std::pair<const char *, const char *> cases[] = {
+        {"--holdout 4294967297",
+         "value for --holdout is out of range for an int: '4294967297'"},
+        {"--depth 4x", "value for --depth is not an integer: '4x'"},
+        {"--min-leaf 4294967297",
+         "value for --min-leaf is out of range for an int"},
+        {"--ridge 0.1x", "value for --ridge is not a finite number: '0.1x'"},
+        {"--contrast abc",
+         "value for --contrast is not a finite number: 'abc'"},
+    };
+    for (const auto &[args, message] : cases) {
+        const auto [status, output] = runTool(
+            SOS_SOSTRAIN, std::string("missing.jsonl --model-out m.txt ") +
+                              args);
+        EXPECT_EQ(status, 1) << args << "\n" << output;
+        EXPECT_NE(output.find(message), std::string::npos)
+            << args << "\n" << output;
+    }
+}
+
+/** Every bench binary and every sossim subcommand that parses flags. */
+std::vector<std::string>
+commandLines()
+{
+    std::vector<std::string> tools;
+    const std::string benches = SOS_BENCHES;
+    for (std::size_t start = 0; start <= benches.size();) {
+        std::size_t end = benches.find(',', start);
+        if (end == std::string::npos)
+            end = benches.size();
+        tools.push_back(std::string(SOS_BENCH_DIR) + "/" +
+                        benches.substr(start, end - start));
+        start = end + 1;
+    }
+    for (const char *command :
+         {"run", "open", "hier", "machine", "cluster", "config"})
+        tools.push_back(std::string(SOS_SOSSIM) + " " + command);
+    return tools;
+}
+
+TEST(CommandLine, UnknownFlagsAreNamed)
+{
+    // One parser: every tool rejects a flag it does not declare,
+    // before any simulation runs.
+    const std::vector<std::string> tools = commandLines();
+    EXPECT_GT(tools.size(), 20u);
+    for (const std::string &tool : tools) {
+        const auto [status, output] = runTool(tool, "--frobnicate 1");
+        EXPECT_EQ(status, 1) << tool << "\n" << output;
+        EXPECT_NE(output.find("unknown argument '--frobnicate'"),
+                  std::string::npos)
+            << tool << "\n" << output;
+    }
+}
+
+TEST(CommandLine, HelpListsTheSharedFlags)
+{
+    for (const std::string &tool : commandLines()) {
+        const auto [status, output] = runTool(tool, "--help");
+        EXPECT_EQ(status, 0) << tool << "\n" << output;
+        for (const char *flag : {"--set key=value", "--out FILE",
+                                 "--bench FILE", "--help"}) {
+            EXPECT_NE(output.find(flag), std::string::npos)
+                << tool << " " << flag << "\n" << output;
+        }
+    }
+}
+
+TEST(CommandLine, SossimRunWritesBenchDocument)
+{
+    // sossim used to accept --bench and write nothing.
+    const std::string path =
+        ::testing::TempDir() + "sos_cli_run.bench.json";
+    std::remove(path.c_str());
+    const auto [status, output] = runSossim(
+        "run 'Jsb(4,2,2)' --set symbiosSimCycles=20000 --bench " + path,
+        "SOS_CYCLE_SCALE=2000");
+    ASSERT_EQ(status, 0) << output;
+    FILE *file = std::fopen(path.c_str(), "r");
+    ASSERT_NE(file, nullptr) << path;
+    char head[128] = {};
+    const std::size_t read = std::fread(head, 1, sizeof(head) - 1, file);
+    std::fclose(file);
+    std::remove(path.c_str());
+    EXPECT_EQ(std::string(head, read)
+                  .rfind("{\"schema\":\"sos.bench\",\"schema_version\":3,"
+                         "\"tool\":\"sossim run\",",
+                         0),
+              0u)
+        << head;
+}
+
+TEST(CommandLine, SetWinsOverMachineConfigInEitherOrder)
+{
+    // The machine file loads before every --set, wherever it stands.
+    const std::string machine =
+        std::string(SOS_CONFIG_DIR) + "/paper_default.cfg";
+    const std::vector<std::vector<std::string>> orders = {
+        {"--set", "core.robSize=64", "--machine-config", machine},
+        {"--machine-config", machine, "--set", "core.robSize=64"},
+    };
+    for (const std::vector<std::string> &args : orders) {
+        EXPECT_EQ(parseArgs(args).config.core.robSize, 64) << args[0];
+
+        std::string line;
+        for (const std::string &arg : args)
+            line += " " + arg;
+        const auto [status, output] = runSossim("config" + line);
+        EXPECT_EQ(status, 0) << line << "\n" << output;
+        EXPECT_NE(output.find("\ncore.robSize=64\n"), std::string::npos)
+            << line << "\n" << output;
+    }
 }
 
 TEST(ParamsIo, EnvironmentKnobsParseWholeValues)
