@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "common/stats_util.hh"
+#include "common/thread_pool.hh"
 #include "sim/bench_harness.hh"
 #include "sim/open_system.hh"
-#include "sim/parallel_runner.hh"
 #include "sim/reporting.hh"
 
 int
@@ -38,23 +38,34 @@ main(int argc, char **argv)
                        {9, 14, 24, 7, 13});
     table.printHeader();
 
-    // Every (level, trace) run is independent: fan them all out.
-    const ParallelScheduleRunner runner(config.jobs);
-    const std::vector<ResponseComparison> comparisons =
-        runner.map<ResponseComparison>(
-            levels.size() * static_cast<std::size_t>(traces),
-            [&](std::size_t i) {
-                const int level =
-                    levels[i / static_cast<std::size_t>(traces)];
-                const int t =
-                    static_cast<int>(i % static_cast<std::size_t>(traces));
-                OpenSystemConfig open;
-                open.level = level;
-                open.numJobs = 24;
-                open.seed = config.seed ^
-                            static_cast<std::uint64_t>(97 * level + t);
-                return compareResponseTimes(config, open);
-            });
+    // One pool for the whole figure. Each level's derived arrival
+    // rate is resolved once, the four capacity probes as one batch;
+    // then every (level, trace) run is independent: fan them all out,
+    // each run's sample phases nesting on the same pool.
+    ThreadPool pool(resolveJobs(config.jobs));
+    std::vector<OpenSystemConfig> bases(levels.size());
+    pool.run(levels.size(), [&](std::size_t l) {
+        bases[l].level = levels[l];
+        bases[l].numJobs = 24;
+        bases[l].meanInterarrivalPaper =
+            bases[l].effectiveInterarrivalPaper(config, pool);
+    });
+    const auto traceConfig = [&](std::size_t l, int t) {
+        OpenSystemConfig open = bases[l];
+        open.seed = config.seed ^
+                    static_cast<std::uint64_t>(97 * levels[l] + t);
+        return open;
+    };
+    std::vector<ResponseComparison> comparisons(
+        levels.size() * static_cast<std::size_t>(traces));
+    pool.run(comparisons.size(), [&](std::size_t i) {
+        comparisons[i] = compareResponseTimes(
+            config,
+            traceConfig(i / static_cast<std::size_t>(traces),
+                        static_cast<int>(
+                            i % static_cast<std::size_t>(traces))),
+            pool);
+    });
 
     const stats::Group byLevel = harness.group("levels");
     for (std::size_t l = 0; l < levels.size(); ++l) {
@@ -102,13 +113,10 @@ main(int argc, char **argv)
     // requested, replay the canonical level-3 run serially so the
     // JSONL is deterministic and byte-comparable across runs.
     if (harness.wantsTrace()) {
-        OpenSystemConfig open;
-        open.level = 3;
-        open.numJobs = 24;
-        open.seed = config.seed ^ static_cast<std::uint64_t>(97 * 3);
+        const OpenSystemConfig open = traceConfig(1, 0); // level 3
         const std::vector<JobArrival> arrivals =
-            makeArrivalTrace(config, open);
-        runOpenSystem(config, open, arrivals, OpenPolicy::Sos,
+            makeArrivalTrace(config, open, pool);
+        runOpenSystem(config, open, arrivals, OpenPolicy::Sos, pool,
                       &harness.trace());
     }
 

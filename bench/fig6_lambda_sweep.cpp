@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "common/stats_util.hh"
+#include "common/thread_pool.hh"
 #include "sim/bench_harness.hh"
 #include "sim/open_system.hh"
-#include "sim/parallel_runner.hh"
 #include "sim/reporting.hh"
 
 int
@@ -26,9 +26,13 @@ main(int argc, char **argv)
     const int level = 3;
     const int traces = 3;
 
+    // One pool for the whole figure: the capacity probe, then every
+    // run with its sample phases nested.
+    ThreadPool pool(resolveJobs(config.jobs));
     OpenSystemConfig base;
     base.level = level;
-    const std::uint64_t stable = base.effectiveInterarrivalPaper(config);
+    const std::uint64_t stable =
+        base.effectiveInterarrivalPaper(config, pool);
 
     printBanner("Figure 6: response-time improvement vs lambda "
                 "(SMT level 3)");
@@ -39,23 +43,20 @@ main(int argc, char **argv)
 
     // Every (lambda, trace) run is independent: fan them all out.
     const std::vector<double> factors = {0.85, 1.0, 1.25, 1.6, 2.2};
-    const ParallelScheduleRunner runner(config.jobs);
-    const std::vector<ResponseComparison> comparisons =
-        runner.map<ResponseComparison>(
-            factors.size() * static_cast<std::size_t>(traces),
-            [&](std::size_t i) {
-                const double factor =
-                    factors[i / static_cast<std::size_t>(traces)];
-                const auto t = static_cast<std::uint64_t>(
-                    i % static_cast<std::size_t>(traces));
-                const auto lambda = static_cast<std::uint64_t>(
-                    factor * static_cast<double>(stable));
-                OpenSystemConfig open = base;
-                open.numJobs = 24;
-                open.meanInterarrivalPaper = lambda;
-                open.seed = config.seed ^ lambda ^ t;
-                return compareResponseTimes(config, open);
-            });
+    std::vector<ResponseComparison> comparisons(
+        factors.size() * static_cast<std::size_t>(traces));
+    pool.run(comparisons.size(), [&](std::size_t i) {
+        const double factor = factors[i / static_cast<std::size_t>(traces)];
+        const auto t =
+            static_cast<std::uint64_t>(i % static_cast<std::size_t>(traces));
+        const auto lambda =
+            static_cast<std::uint64_t>(factor * static_cast<double>(stable));
+        OpenSystemConfig open = base;
+        open.numJobs = 24;
+        open.meanInterarrivalPaper = lambda;
+        open.seed = config.seed ^ lambda ^ t;
+        comparisons[i] = compareResponseTimes(config, open, pool);
+    });
 
     const stats::Group byLambda = harness.group("lambda");
     for (std::size_t f = 0; f < factors.size(); ++f) {

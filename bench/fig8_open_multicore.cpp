@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "common/stats_util.hh"
+#include "common/thread_pool.hh"
 #include "sim/bench_harness.hh"
 #include "sim/open_system.hh"
-#include "sim/parallel_runner.hh"
 #include "sim/reporting.hh"
 #include "sos/open_backend.hh"
 
@@ -51,22 +51,27 @@ main(int argc, char **argv)
                        {6, 13, 6, 14, 12, 7});
     table.printHeader();
 
-    // Every (cores, lambda, trace) run is independent: fan them out.
-    const ParallelScheduleRunner runner(config.jobs);
+    // One pool for the whole figure. Every core count derives its
+    // stable arrival rate from one capacity probe of the SMT-2 core;
+    // then every (cores, lambda, trace) run is independent: fan them
+    // out, each run's sample phases nesting on the same pool.
+    ThreadPool pool(resolveJobs(config.jobs));
+    const double capacity = measuredCapacity(config, level, pool);
+    std::vector<std::uint64_t> stable;
     std::vector<OpenSystemConfig> points;
-    for (int cores : core_counts) {
+    for (std::size_t c = 0; c < core_counts.size(); ++c) {
+        const int cores = core_counts[c];
         OpenSystemConfig base;
         base.level = level;
         base.numCores = cores;
         base.numJobs = 24;
-        const std::uint64_t stable =
-            base.effectiveInterarrivalPaper(config);
+        stable.push_back(base.stableInterarrivalPaper(capacity));
         for (double factor : factors) {
             for (int t = 0; t < traces; ++t) {
                 OpenSystemConfig open = base;
                 open.meanInterarrivalPaper =
                     static_cast<std::uint64_t>(
-                        factor * static_cast<double>(stable));
+                        factor * static_cast<double>(stable[c]));
                 open.seed = config.seed ^
                             static_cast<std::uint64_t>(
                                 1009 * cores + 31 * t) ^
@@ -75,11 +80,10 @@ main(int argc, char **argv)
             }
         }
     }
-    const std::vector<ResponseComparison> comparisons =
-        runner.map<ResponseComparison>(
-            points.size(), [&](std::size_t i) {
-                return compareResponseTimes(config, points[i]);
-            });
+    std::vector<ResponseComparison> comparisons(points.size());
+    pool.run(points.size(), [&](std::size_t i) {
+        comparisons[i] = compareResponseTimes(config, points[i], pool);
+    });
 
     const stats::Group by_cores = harness.group("cores");
     std::size_t cursor = 0;
@@ -125,19 +129,21 @@ main(int argc, char **argv)
     // alive past finish() so the manifest dump can read the machine's
     // per-core stat groups.
     std::vector<std::unique_ptr<EngineBackend>> backends;
-    for (int cores : core_counts) {
+    for (std::size_t c = 0; c < core_counts.size(); ++c) {
+        const int cores = core_counts[c];
         OpenSystemConfig open;
         open.level = level;
         open.numCores = cores;
         open.numJobs = 16;
+        open.meanInterarrivalPaper = stable[c];
         open.seed = config.seed ^
                     static_cast<std::uint64_t>(7001 * cores);
         const std::vector<JobArrival> arrivals =
-            makeArrivalTrace(config, open);
+            makeArrivalTrace(config, open, pool);
         backends.push_back(makeOpenBackend(config, level, cores));
         EngineBackend &backend = *backends.back();
         const OpenSystemResult sos = runOpenSystem(
-            config, open, arrivals, OpenPolicy::Sos,
+            config, open, arrivals, OpenPolicy::Sos, pool,
             harness.wantsTrace() ? &harness.trace() : nullptr, &backend);
 
         const stats::Group machine =

@@ -78,15 +78,15 @@ main(int argc, char **argv)
     BenchHarness harness(
         {.tool = "fig9_cluster",
          .cycleScale = 1000,
-         .flags = {Flag::into("--arrivals", "N",
-                              "arrivals per run (default 400)", jobs),
+         .flags = {Flag::count("--arrivals", "N",
+                               "arrivals per run (default 400)", jobs),
                    Flag::into("--mean-job", "C",
                               "mean job length in paper cycles "
                               "(default 30000000)",
                               mean_job),
-                   Flag::into("--nodes", "N",
-                              "run one node count (default 2 and 4)",
-                              nodes_flag),
+                   Flag::count("--nodes", "N",
+                               "run one node count (default 2 and 4)",
+                               nodes_flag),
                    Flag::into("--dispatch", "P",
                               "run one dispatch policy (default all)",
                               dispatch)}},

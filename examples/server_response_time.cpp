@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/thread_pool.hh"
 #include "sim/open_system.hh"
 #include "sim/config_env.hh"
 #include "sim/reporting.hh"
@@ -23,25 +24,28 @@ main()
 
     const SimConfig config = benchConfigFromEnv();
 
+    ThreadPool pool(resolveJobs(config.jobs));
+
     OpenSystemConfig open;
     open.level = 3;
     open.numJobs = 24;
     open.seed = config.seed ^ 0xd00dULL;
+    // Derive the stable arrival rate (the capacity probe) once.
+    open.meanInterarrivalPaper = open.effectiveInterarrivalPaper(config, pool);
 
     printBanner("Server scenario: SMT level 3, random arrivals");
-    const auto trace = makeArrivalTrace(config, open);
+    const auto trace = makeArrivalTrace(config, open, pool);
     std::printf("%d jobs, mean interarrival %s cycles, mean size %s "
                 "paper-cycles solo\n\n",
                 open.numJobs,
-                fmtCycles(config.scaled(
-                              open.effectiveInterarrivalPaper(config)))
+                fmtCycles(config.scaled(open.meanInterarrivalPaper))
                     .c_str(),
                 fmtCycles(open.meanJobPaperCycles).c_str());
 
     const OpenSystemResult naive =
-        runOpenSystem(config, open, trace, OpenPolicy::Naive);
+        runOpenSystem(config, open, trace, OpenPolicy::Naive, pool);
     const OpenSystemResult sos =
-        runOpenSystem(config, open, trace, OpenPolicy::Sos);
+        runOpenSystem(config, open, trace, OpenPolicy::Sos, pool);
 
     TablePrinter table({"job", "workload", "naive resp", "SOS resp",
                         "delta%"},

@@ -3,57 +3,60 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
-#include "config/machine_config.hh"
 #include "sim/open_system.hh"
 
 namespace sos {
 
 Cluster::Cluster(const SimConfig &base, const ClusterConfig &config)
-    : base_(base), config_(config)
+    : base_(base), config_(config), pool_(resolveJobs(base.jobs))
 {
     SOS_ASSERT(config.numNodes > 0, "a cluster needs at least one node");
     SOS_ASSERT(config.epochSlices > 0,
                "a dispatch epoch needs at least one timeslice");
-    SOS_ASSERT(static_cast<int>(config.nodeMachineConfigs.size()) <=
+    SOS_ASSERT(static_cast<int>(config.nodeConfigs.size()) <=
                    config.numNodes,
-               "more per-node machine configs than nodes");
+               "more per-node configs than nodes");
     classes_ = effectiveClasses(ArrivalSpec{.classes = config.classes});
     dispatcher_ =
         makeDispatcher(config.dispatch, config.seed, base.modelPath);
 
-    // Per-node configuration: the base machine unless a per-node
-    // machine-config file overrides it.
+    // Per-node configuration: the node's own config, else the base.
+    // The stable single-machine interarrival is resolved once per
+    // distinct config -- each node config, then the base if any node
+    // runs it -- as one batch of capacity probes.
+    std::vector<SimConfig> sims = config.nodeConfigs;
+    const std::size_t base_index = sims.size();
+    if (static_cast<int>(sims.size()) < config.numNodes)
+        sims.push_back(base);
+    std::vector<OpenSystemConfig> opens(sims.size());
+    pool_.run(sims.size(), [&](std::size_t i) {
+        OpenSystemConfig &open = opens[i];
+        open.level = config.level;
+        open.numCores = sims[i].machineCores > 0 ? sims[i].machineCores
+                                                 : config.numCores;
+        open.meanJobPaperCycles = config.meanJobPaperCycles;
+        open.sampleSchedules = config.sampleSchedules;
+        open.predictor = config.predictor;
+        open.resamplePolicy = config.resamplePolicy;
+        open.seed = config.seed;
+        open.meanInterarrivalPaper =
+            open.effectiveInterarrivalPaper(sims[i], pool_);
+    });
+
     double cluster_rate = 0.0;
     for (int k = 0; k < config.numNodes; ++k) {
-        SimConfig sim = base;
-        // Cluster nodes advance concurrently; each node's inner
-        // fork sweep stays serial (see ClusterNode).
-        if (k < static_cast<int>(config.nodeMachineConfigs.size()) &&
-            !config.nodeMachineConfigs[static_cast<std::size_t>(k)]
-                 .empty()) {
-            applyMachineConfig(
-                sim,
-                config.nodeMachineConfigs[static_cast<std::size_t>(k)]);
-        }
+        const std::size_t source =
+            std::min(static_cast<std::size_t>(k), base_index);
         ClusterNode::Params params;
-        params.open.level = config.level;
-        params.open.numCores = sim.machineCores > 0 ? sim.machineCores
-                                                    : config.numCores;
-        params.open.meanJobPaperCycles = config.meanJobPaperCycles;
-        params.open.sampleSchedules = config.sampleSchedules;
-        params.open.predictor = config.predictor;
-        params.open.resamplePolicy = config.resamplePolicy;
-        params.open.seed = config.seed;
+        params.open = opens[source];
         // The stable single-machine interarrival doubles as this
         // node's resample base interval and its capacity share of the
         // front-door rate.
-        const std::uint64_t stable =
-            params.open.effectiveInterarrivalPaper(sim);
+        const std::uint64_t stable = params.open.meanInterarrivalPaper;
         cluster_rate += 1.0 / static_cast<double>(stable);
         params.baseIntervalCycles = base.scaled(stable);
         params.traceStride = base.traceSample;
-        nodeSims_.push_back(std::move(sim));
+        nodeSims_.push_back(sims[source]);
         nodeParams_.push_back(std::move(params));
     }
 
@@ -124,7 +127,7 @@ Cluster::run(stats::EventTrace *events)
         params.wantTrace = want_trace;
         nodes_.push_back(std::make_unique<ClusterNode>(
             k, nodeSims_[static_cast<std::size_t>(k)], params,
-            arrivals_));
+            arrivals_, pool_));
     }
 
     const std::uint64_t timeslice = base_.timesliceCycles();
@@ -138,12 +141,10 @@ Cluster::run(stats::EventTrace *events)
     result_.nodeByArrival.assign(arrivals_.size(), -1);
     result_.responseByArrival.assign(arrivals_.size(), 0);
 
-    // One pool for the whole run; nodes are the unit of fan-out.
+    // Nodes are the unit of fan-out; their forks nest inside.
     const auto node_count = static_cast<std::size_t>(config_.numNodes);
-    ThreadPool pool(
-        std::min(resolveJobs(base_.jobs), config_.numNodes));
     const auto advanceAll = [&](std::uint64_t limit) {
-        pool.run(node_count, [&](std::size_t k) {
+        pool_.run(node_count, [&](std::size_t k) {
             nodes_[k]->run().advanceTo(limit);
         });
     };

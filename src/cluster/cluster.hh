@@ -11,7 +11,8 @@
  *             arrival due in the coming epoch through the dispatcher,
  *             folding each pick back into the views;
  *   epoch:    (parallel) advance every node's OpenRun to the epoch
- *             horizon, one ThreadPool task per node.
+ *             horizon, one ThreadPool task per node; a node's sample
+ *             phase forks are a batch nested in its task.
  *
  * Nodes share no mutable state and a node's advance is a pure
  * function of its own (config, injected arrivals), so the wall clock
@@ -38,6 +39,7 @@
 #include "cluster/arrival.hh"
 #include "cluster/dispatch.hh"
 #include "cluster/node.hh"
+#include "common/thread_pool.hh"
 #include "sim/sim_config.hh"
 #include "stats/stats.hh"
 #include "stats/trace.hh"
@@ -91,11 +93,13 @@ struct ClusterConfig
     std::vector<ArrivalClass> classes;
 
     /**
-     * Per-node machine-config paths ("" entries keep the base
-     * machine). Shorter than numNodes is fine; extra entries are an
+     * Per-node simulation configs, for nodes with a machine file of
+     * their own (parseBenchArgs builds one per file, under the same
+     * overrides as the base). Node k < size() runs nodeConfigs[k],
+     * the rest run the base config; more entries than nodes are an
      * error.
      */
-    std::vector<std::string> nodeMachineConfigs;
+    std::vector<SimConfig> nodeConfigs;
 };
 
 /** Per-node outcome of a cluster run. */
@@ -132,8 +136,10 @@ class Cluster
     /**
      * Generates the arrival trace and per-node configurations; the
      * simulation itself runs in run(). @p base supplies cycle scale,
-     * seeds, worker count (SOS_JOBS bounds the node fan-out) and the
-     * default machine.
+     * seeds, the default machine and the worker count of the one pool
+     * the cluster owns for its lifetime: the constructor's capacity
+     * probes, the node advances and their sample-phase forks all run
+     * on it.
      */
     Cluster(const SimConfig &base, const ClusterConfig &config);
 
@@ -178,6 +184,7 @@ class Cluster
 
     SimConfig base_;
     ClusterConfig config_;
+    ThreadPool pool_;
     std::vector<SimConfig> nodeSims_;
     std::vector<ClusterNode::Params> nodeParams_;
     std::uint64_t interarrivalPaper_ = 0;

@@ -10,7 +10,8 @@ namespace sos {
 
 ClusterNode::ClusterNode(int id, const SimConfig &sim,
                          const Params &params,
-                         const std::vector<ClusterArrival> &arrivals)
+                         const std::vector<ClusterArrival> &arrivals,
+                         ThreadPool &workers)
     : id_(id), arrivals_(arrivals),
       backend_(makeOpenBackend(sim, params.open.level,
                                params.open.numCores))
@@ -29,12 +30,10 @@ ClusterNode::ClusterNode(int id, const SimConfig &sim,
     // seed alone (never from dispatch order): node identity is part
     // of the configuration, so runs replay bit-identically.
     setup.config.seed ^= mix64(static_cast<std::uint64_t>(id) + 0x90deULL);
-    // Node-level parallelism replaces fork-level parallelism.
-    setup.config.jobs = 1;
 
     run_ = std::make_unique<OpenRun>(
         *backend_, setup.config, OpenPolicy::Sos,
-        std::move(setup.makeJob),
+        std::move(setup.makeJob), workers,
         params.wantTrace ? &trace_ : nullptr);
 }
 

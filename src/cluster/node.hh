@@ -12,9 +12,9 @@
  * concurrently on a thread pool (one task per node, a pure function
  * of node state) and remain bit-identical to a serial sweep.
  *
- * The inner ParallelScheduleRunner is pinned to one worker: node-level
- * parallelism replaces fork-level parallelism -- nesting both would
- * oversubscribe the host and the inner fan-out would buy nothing.
+ * Every node runs on the cluster's one pool: a sample phase's forks
+ * are a batch nested in the node's task, so workers left idle by a
+ * node with nothing to sample join another node's forks.
  */
 
 #ifndef SOS_CLUSTER_NODE_HH
@@ -62,9 +62,12 @@ class ClusterNode
      * @param arrivals The cluster-wide trace; the factory materializes
      *                jobs from it by global index. Must outlive the
      *                node.
+     * @param workers The pool sample phases fork on. Must outlive the
+     *                node.
      */
     ClusterNode(int id, const SimConfig &sim, const Params &params,
-                const std::vector<ClusterArrival> &arrivals);
+                const std::vector<ClusterArrival> &arrivals,
+                ThreadPool &workers);
 
     ClusterNode(const ClusterNode &) = delete;
     ClusterNode &operator=(const ClusterNode &) = delete;

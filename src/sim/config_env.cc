@@ -175,16 +175,21 @@ parseBenchArgs(const CommandLine &cli, int argc, char **argv)
     footer += " SOS_JOBS SOS_MACHINE_CONFIG SOS_OUT SOS_TRACE\n";
     parseFlags(cli.tool, flags, argc, argv, footer);
 
-    options.config = benchConfigFromEnv(cli.cycleScale);
-    if (cli.nodeMachines != nullptr && machines.size() > 1)
-        *cli.nodeMachines = machines;
-    else {
+    const auto build = [&](const std::vector<std::string> &files) {
+        SimConfig config = benchConfigFromEnv(cli.cycleScale);
+        for (const std::string &file : files)
+            applyMachineConfig(config, file);
+        for (const auto &apply : overrides)
+            apply(config);
+        validateConfig(config);
+        return config;
+    };
+    if (cli.nodeConfigs != nullptr && machines.size() > 1) {
         for (const std::string &machine : machines)
-            applyMachineConfig(options.config, machine);
+            cli.nodeConfigs->push_back(build({machine}));
+        machines.clear();
     }
-    for (const auto &apply : overrides)
-        apply(options.config);
-    validateConfig(options.config);
+    options.config = build(machines);
     return options;
 }
 

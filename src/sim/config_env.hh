@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -107,6 +108,23 @@ struct Flag
         return {std::move(name), std::move(placeholder), std::move(help),
                 std::move(set)};
     }
+
+    /**
+     * A row that parses a count in [1, @p max] into @p target, an int
+     * or an optional one, through parseKnobCount(): zero, a negative
+     * or a too-large value is fatal(), naming the flag.
+     */
+    template <typename T>
+    static Flag
+    count(std::string name, std::string placeholder, std::string help,
+          T &target, int max = std::numeric_limits<int>::max())
+    {
+        auto set = [name, &target, max](const std::string &value) {
+            target = parseKnobCount(name, value, max);
+        };
+        return {std::move(name), std::move(placeholder), std::move(help),
+                std::move(set)};
+    }
 };
 
 /**
@@ -128,10 +146,13 @@ struct CommandLine
     std::uint64_t cycleScale = makeBenchConfig().cycleScale;
     std::vector<Flag> flags = {}; ///< the tool's own rows
     /**
-     * Given (sossim cluster), two or more --machine-config files go
-     * here, one per node, instead of into the configuration.
+     * Given (sossim cluster), two or more --machine-config files
+     * build one configuration each here, one per node, and the
+     * returned configuration loads none of them. Each node's file
+     * takes the file's place in the precedence below, so the --set,
+     * --jobs and --model flags win over it as over any machine file.
      */
-    std::vector<std::string> *nodeMachines = nullptr;
+    std::vector<SimConfig> *nodeConfigs = nullptr;
 };
 
 /**

@@ -1,9 +1,7 @@
 #include "open_system.hh"
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "common/logging.hh"
@@ -15,44 +13,15 @@
 #include "metrics/weighted_speedup.hh"
 #include "sim/experiment_defs.hh"
 #include "sim/machine_engine.hh"
-#include "sim/params_io.hh"
 #include "sos/model_screen.hh"
 #include "sos/open_backend.hh"
 #include "trace/workload_library.hh"
 
 namespace sos {
 
-namespace {
-
-/**
- * Measured weighted-speedup capacity of one SMT core at @p level:
- * warm co-runs of level-sized groups covering the whole open-system
- * workload population, scored against solo-IPC references from the
- * memoized Calibrator cache (the same references arrival-trace
- * generation uses). The probe is deterministic and cached
- * process-wide per (config, level), so sweeps that derive many
- * arrival rates pay for it once.
- */
 double
-measuredCapacity(const SimConfig &sim, int level)
+measuredCapacity(const SimConfig &sim, int level, ThreadPool &pool)
 {
-    static std::mutex mutex;
-    static std::map<std::string, double> cache;
-
-    // configPairs deliberately omits the machine-config fields (they
-    // must not perturb manifests), so the cache key carries the config
-    // path explicitly: different machine files probe different cores.
-    std::string key = std::to_string(level);
-    key += "|machine=" + sim.machineConfigPath;
-    for (const auto &pair : configPairs(sim))
-        key += "|" + pair.first + "=" + pair.second;
-    {
-        const std::lock_guard<std::mutex> lock(mutex);
-        const auto hit = cache.find(key);
-        if (hit != cache.end())
-            return hit->second;
-    }
-
     Calibrator calibrator(sim.referenceCoreFor(level),
                           sim.referenceMem(), sim.calibWarmupCycles,
                           sim.calibMeasureCycles);
@@ -72,7 +41,6 @@ measuredCapacity(const SimConfig &sim, int level)
     // The solo references are independent, so they are measured as
     // one batch; the co-run groups below stay serial, because each
     // group runs on the machine state the previous group left.
-    ThreadPool pool(resolveJobs(sim.jobs));
     const std::vector<double> solo =
         calibrator.soloIpcs(soloKeys(workloads), pool);
 
@@ -118,32 +86,33 @@ measuredCapacity(const SimConfig &sim, int level)
         ws_total += weightedSpeedup(
             progress, measure_slices * timeslice);
     }
-    const double capacity =
-        std::max(0.1, ws_total / static_cast<double>(groups));
-
-    const std::lock_guard<std::mutex> lock(mutex);
-    cache.emplace(key, capacity);
-    return capacity;
+    return std::max(0.1, ws_total / static_cast<double>(groups));
 }
 
-} // namespace
-
 std::uint64_t
-OpenSystemConfig::effectiveInterarrivalPaper(const SimConfig &sim) const
+OpenSystemConfig::effectiveInterarrivalPaper(const SimConfig &sim,
+                                             ThreadPool &pool) const
 {
     if (meanInterarrivalPaper > 0)
         return meanInterarrivalPaper;
+    return stableInterarrivalPaper(measuredCapacity(sim, level, pool));
+}
+
+std::uint64_t
+OpenSystemConfig::stableInterarrivalPaper(double core_capacity) const
+{
     // High but sub-saturation load: the paper sizes lambda so the
     // queue holds about 2 x capacity jobs. Whole-machine capacity is
     // the per-core capacity times the core count.
-    const double rate = 0.85 * (measuredCapacity(sim, level) *
+    const double rate = 0.85 * (core_capacity *
                                 static_cast<double>(std::max(1, numCores)));
     return static_cast<std::uint64_t>(
         static_cast<double>(meanJobPaperCycles) / rate);
 }
 
 std::vector<JobArrival>
-makeArrivalTrace(const SimConfig &sim, const OpenSystemConfig &config)
+makeArrivalTrace(const SimConfig &sim, const OpenSystemConfig &config,
+                 ThreadPool &pool)
 {
     SOS_ASSERT(config.numJobs > 0);
     Rng rng(config.seed ^ 0x7ace7aceULL);
@@ -152,11 +121,10 @@ makeArrivalTrace(const SimConfig &sim, const OpenSystemConfig &config)
                           sim.calibMeasureCycles);
 
     const double interarrival = static_cast<double>(
-        sim.scaled(config.effectiveInterarrivalPaper(sim)));
+        sim.scaled(config.effectiveInterarrivalPaper(sim, pool)));
     const double mean_cycles =
         static_cast<double>(sim.scaled(config.meanJobPaperCycles));
     const auto &workloads = openSystemWorkloads();
-    ThreadPool pool(resolveJobs(sim.jobs));
     const std::vector<double> solo =
         calibrator.soloIpcs(soloKeys(workloads), pool);
 
@@ -184,10 +152,11 @@ makeArrivalTrace(const SimConfig &sim, const OpenSystemConfig &config)
 std::unique_ptr<EngineBackend>
 makeOpenBackend(const SimConfig &sim, int level, int num_cores)
 {
+    SOS_ASSERT(num_cores >= 1, "an open system needs at least one core");
     // Capacity calibration (measuredCapacity above) deliberately stays
     // full detail; only the live system and its candidate forks sample.
     return std::make_unique<EngineBackend>(
-        sim.machineFor(level, std::max(1, num_cores)),
+        sim.machineFor(level, num_cores),
         sim.timesliceCycles(), sim.sample);
 }
 
@@ -203,7 +172,6 @@ openRunSetup(const SimConfig &sim, const OpenSystemConfig &system,
     setup.config.resamplePolicy = system.resamplePolicy;
     setup.config.baseIntervalCycles = base_interval_cycles;
     setup.config.seed = seed ^ 0x5051d67eULL;
-    setup.config.jobs = sim.jobs;
 
     auto calibrator = std::make_shared<Calibrator>(
         sim.referenceCoreFor(system.level), sim.referenceMem(),
@@ -227,7 +195,8 @@ openRunSetup(const SimConfig &sim, const OpenSystemConfig &system,
 OpenSystemResult
 runOpenSystem(const SimConfig &sim, const OpenSystemConfig &config,
               const std::vector<JobArrival> &trace, OpenPolicy policy,
-              stats::EventTrace *events, EngineBackend *backend)
+              ThreadPool &pool, stats::EventTrace *events,
+              EngineBackend *backend)
 {
     SOS_ASSERT(!trace.empty());
     std::unique_ptr<EngineBackend> owned;
@@ -236,7 +205,8 @@ runOpenSystem(const SimConfig &sim, const OpenSystemConfig &config,
         backend = owned.get();
     }
     OpenRunSetup setup = openRunSetup(
-        sim, config, sim.scaled(config.effectiveInterarrivalPaper(sim)),
+        sim, config,
+        sim.scaled(config.effectiveInterarrivalPaper(sim, pool)),
         config.seed, [&trace](std::size_t index) { return trace[index]; });
     if (sim.samplek > 0 && !sim.modelPath.empty())
         setup.config.screen =
@@ -244,7 +214,7 @@ runOpenSystem(const SimConfig &sim, const OpenSystemConfig &config,
 
     // Inject the whole arrival trace up front and drain it in one step.
     OpenRun run(*backend, setup.config, policy, std::move(setup.makeJob),
-                events);
+                pool, events);
     for (std::size_t i = 0; i < trace.size(); ++i)
         run.inject(trace[i].arrivalCycle, static_cast<int>(i));
     run.advanceTo(OpenRun::kNoLimit);
@@ -276,14 +246,19 @@ runOpenSystem(const SimConfig &sim, const OpenSystemConfig &config,
 
 ResponseComparison
 compareResponseTimes(const SimConfig &sim, const OpenSystemConfig &config,
-                     EngineBackend *sos_backend, stats::EventTrace *events)
+                     ThreadPool &pool, EngineBackend *sos_backend,
+                     stats::EventTrace *events)
 {
-    const std::vector<JobArrival> trace = makeArrivalTrace(sim, config);
+    OpenSystemConfig resolved = config;
+    resolved.meanInterarrivalPaper =
+        config.effectiveInterarrivalPaper(sim, pool);
+    const std::vector<JobArrival> trace =
+        makeArrivalTrace(sim, resolved, pool);
     ResponseComparison comparison;
-    comparison.naive =
-        runOpenSystem(sim, config, trace, OpenPolicy::Naive);
-    comparison.sos = runOpenSystem(sim, config, trace, OpenPolicy::Sos,
-                                   events, sos_backend);
+    comparison.naive = runOpenSystem(sim, resolved, trace,
+                                     OpenPolicy::Naive, pool);
+    comparison.sos = runOpenSystem(sim, resolved, trace, OpenPolicy::Sos,
+                                   pool, events, sos_backend);
     comparison.jobsCompared = static_cast<int>(trace.size());
     if (comparison.naive.meanResponseCycles > 0.0) {
         comparison.improvementPct =

@@ -99,16 +99,35 @@ struct OpenSystemConfig
     std::uint64_t seed = 0x0b5e55edULL;
 
     /**
-     * Effective interarrival mean (derives the default if unset).
+     * Effective interarrival mean: meanInterarrivalPaper when set,
+     * else the derived default.
      *
-     * The derived value keeps the queue stable against the machine's
-     * measured weighted-speedup capacity: a short naive-rotation
-     * co-run of the open-system workload population on @p sim's
-     * substrate, scored against the memoized Calibrator solo-IPC
-     * references and cached process-wide.
+     * The derived value is stableInterarrivalPaper() against the
+     * capacity probe (measuredCapacity()) of @p sim's machine at this
+     * level, run on @p pool. Nothing caches the probe: whoever builds
+     * a config with meanInterarrivalPaper == 0 stores this value back
+     * into it once, before handing the config to the functions below,
+     * each of which would otherwise probe again.
      */
-    std::uint64_t effectiveInterarrivalPaper(const SimConfig &sim) const;
+    std::uint64_t effectiveInterarrivalPaper(const SimConfig &sim,
+                                             ThreadPool &pool) const;
+
+    /**
+     * The derived default against a measured per-core capacity
+     * (measuredCapacity()), whatever meanInterarrivalPaper holds: a
+     * load that keeps about 2 x capacity jobs in the system.
+     */
+    std::uint64_t stableInterarrivalPaper(double core_capacity) const;
 };
+
+/**
+ * The capacity probe: the weighted-speedup capacity of one SMT core
+ * at @p level of @p sim's machine, from warm co-runs of level-sized
+ * groups covering the open-system workload population, scored against
+ * solo-IPC references measured on @p pool. Deterministic and
+ * uncached.
+ */
+double measuredCapacity(const SimConfig &sim, int level, ThreadPool &pool);
 
 /** Outcome of one open-system run under one policy. */
 struct OpenSystemResult
@@ -127,9 +146,13 @@ struct OpenSystemResult
     std::vector<std::uint64_t> responseByArrival;
 };
 
-/** Generate the deterministic arrival trace both policies replay. */
+/**
+ * Generate the deterministic arrival trace both policies replay; the
+ * solo references that size the jobs are measured on @p pool.
+ */
 std::vector<JobArrival> makeArrivalTrace(const SimConfig &sim,
-                                         const OpenSystemConfig &config);
+                                         const OpenSystemConfig &config,
+                                         ThreadPool &pool);
 
 /**
  * Build the engine backend an open-system run schedules onto: a
@@ -150,9 +173,9 @@ struct OpenRunSetup
 /**
  * The open-run setup runOpenSystem() and every cluster node share.
  * Kernel knobs come from @p system (sample schedules, predictor,
- * resample policy), @p sim (model path, fork workers) and
- * @p base_interval_cycles. @p seed seeds the kernel's decision stream
- * (seed ^ 0x5051d67e) and every job: arrival i runs its workload with
+ * resample policy), @p sim (model path) and @p base_interval_cycles.
+ * @p seed seeds the kernel's decision stream (seed ^ 0x5051d67e) and
+ * every job: arrival i runs its workload with
  * seed ^ mix64(i + 101), carrying the arrival cycle and size
  * @p arrival_at returns for it and a solo IPC calibrated at
  * system.level.
@@ -163,7 +186,8 @@ openRunSetup(const SimConfig &sim, const OpenSystemConfig &system,
              std::function<JobArrival(std::size_t)> arrival_at);
 
 /**
- * Run one policy over a trace.
+ * Run one policy over a trace; a sample phase profiles its candidate
+ * forks as one batch on @p pool.
  *
  * When @p events is non-null, the kernel's SOS decisions -- each
  * "sample_phase_begin" (with its trigger: job_change or timer) and
@@ -178,7 +202,7 @@ openRunSetup(const SimConfig &sim, const OpenSystemConfig &system,
 OpenSystemResult runOpenSystem(const SimConfig &sim,
                                const OpenSystemConfig &config,
                                const std::vector<JobArrival> &trace,
-                               OpenPolicy policy,
+                               OpenPolicy policy, ThreadPool &pool,
                                stats::EventTrace *events = nullptr,
                                EngineBackend *backend = nullptr);
 
@@ -193,12 +217,14 @@ struct ResponseComparison
 };
 
 /**
- * Run both policies over the same trace and compare; the SOS run
- * takes @p events and @p sos_backend as runOpenSystem() does.
+ * Run both policies over the same trace and compare, all on @p pool;
+ * a derived interarrival is resolved once for the trace and both
+ * runs. The SOS run takes @p events and @p sos_backend as
+ * runOpenSystem() does.
  */
 ResponseComparison
 compareResponseTimes(const SimConfig &sim, const OpenSystemConfig &config,
-                     EngineBackend *sos_backend = nullptr,
+                     ThreadPool &pool, EngineBackend *sos_backend = nullptr,
                      stats::EventTrace *events = nullptr);
 
 } // namespace sos

@@ -404,6 +404,20 @@ parseKnobDouble(const std::string &name, const std::string &value)
     return orFatal([&] { return parseNumber<double>(name, value); });
 }
 
+int
+parseKnobCount(const std::string &name, const std::string &value, int max)
+{
+    const int count = parseKnobInt(name, value);
+    if (count < 1 || count > max) {
+        fatal("value for ", name, " must be ",
+              max == std::numeric_limits<int>::max()
+                  ? std::string("a positive integer")
+                  : "in [1, " + std::to_string(max) + "]",
+              ": '", value, "'");
+    }
+    return count;
+}
+
 std::string
 renderConfig(const SimConfig &config)
 {

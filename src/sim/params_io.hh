@@ -16,6 +16,7 @@
 #define SOS_SIM_PARAMS_IO_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,6 +86,14 @@ std::uint64_t parseKnobU64(const std::string &name,
 int parseKnobInt(const std::string &name, const std::string &value);
 double parseKnobDouble(const std::string &name,
                        const std::string &value);
+
+/**
+ * parseKnobInt() for a count that must lie in [1, @p max] (a node,
+ * arrival or core count, an SMT level); fatal() naming @p name and
+ * the range otherwise.
+ */
+int parseKnobCount(const std::string &name, const std::string &value,
+                   int max = std::numeric_limits<int>::max());
 
 /**
  * Parse a sampled-simulation window spec: "U:W:M" (fast-forward,

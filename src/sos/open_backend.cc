@@ -168,46 +168,44 @@ std::vector<ScheduleProfile>
 EngineBackend::profileCandidates(
     const std::vector<Job *> &pool,
     const std::vector<OpenCandidate> &candidates,
-    std::uint64_t window, std::uint64_t offset,
-    ParallelScheduleRunner &runner)
+    std::uint64_t window, std::uint64_t offset, ThreadPool &workers)
 {
     forks_.clear();
     forks_.resize(candidates.size());
-    auto profiles = runner.map<ScheduleProfile>(
-        candidates.size(), [&](std::size_t i) {
-            State fork = forkLive(pool);
-            std::vector<Job *> fork_pool;
-            std::vector<std::uint64_t> before;
-            for (const auto &job : fork.jobs) {
-                fork_pool.push_back(job.get());
-                before.push_back(job->retired());
-            }
+    std::vector<ScheduleProfile> profiles(candidates.size());
+    workers.run(candidates.size(), [&](std::size_t i) {
+        State fork = forkLive(pool);
+        std::vector<Job *> fork_pool;
+        std::vector<std::uint64_t> before;
+        for (const auto &job : fork.jobs) {
+            fork_pool.push_back(job.get());
+            before.push_back(job->retired());
+        }
 
-            ScheduleProfile profile;
-            profile.label = candidates[i].label;
-            for (std::uint64_t s = 0; s < window; ++s) {
-                const MachineEngine::SliceResult slice =
-                    fork.engine->runSlice(unitsOf(
-                        fork_pool, candidates[i].tuplesAt(offset + s)));
-                recordSampling(slice.sampling);
-                profile.counters += slice.machine;
-                profile.sliceIpc.push_back(slice.machine.ipc());
-                profile.sliceMixImbalance.push_back(
-                    slice.machine.mixImbalance());
-            }
+        ScheduleProfile &profile = profiles[i];
+        profile.label = candidates[i].label;
+        for (std::uint64_t s = 0; s < window; ++s) {
+            const MachineEngine::SliceResult slice =
+                fork.engine->runSlice(unitsOf(
+                    fork_pool, candidates[i].tuplesAt(offset + s)));
+            recordSampling(slice.sampling);
+            profile.counters += slice.machine;
+            profile.sliceIpc.push_back(slice.machine.ipc());
+            profile.sliceMixImbalance.push_back(
+                slice.machine.mixImbalance());
+        }
 
-            std::vector<JobProgress> progress;
-            progress.reserve(fork.jobs.size());
-            for (std::size_t j = 0; j < fork.jobs.size(); ++j)
-                progress.push_back(
-                    JobProgress{fork.jobs[j]->retired() - before[j],
-                                fork.jobs[j]->soloIpc});
-            profile.sampleWs =
-                weightedSpeedup(progress, window * timeslice_);
+        std::vector<JobProgress> progress;
+        progress.reserve(fork.jobs.size());
+        for (std::size_t j = 0; j < fork.jobs.size(); ++j)
+            progress.push_back(
+                JobProgress{fork.jobs[j]->retired() - before[j],
+                            fork.jobs[j]->soloIpc});
+        profile.sampleWs =
+            weightedSpeedup(progress, window * timeslice_);
 
-            forks_[i] = std::move(fork);
-            return profile;
-        });
+        forks_[i] = std::move(fork);
+    });
     return profiles;
 }
 

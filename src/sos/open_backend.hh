@@ -16,8 +16,8 @@
  * assigns one coschedule group per core.
  *
  * Determinism: fork profiling is a pure function of (live state,
- * candidate), fanned out via ParallelScheduleRunner::map, so results
- * are bit-identical for any SOS_JOBS worker count.
+ * candidate), fanned out as one ThreadPool batch, so results are
+ * bit-identical for any SOS_JOBS worker count.
  */
 
 #ifndef SOS_SOS_OPEN_BACKEND_HH
@@ -29,11 +29,11 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "core/schedule_profile.hh"
 #include "cpu/machine.hh"
 #include "sched/schedule.hh"
 #include "sim/machine_engine.hh"
-#include "sim/parallel_runner.hh"
 
 namespace sos {
 
@@ -135,16 +135,17 @@ class EngineBackend
     /**
      * Profile every candidate for @p window timeslices starting at
      * period position @p offset, each on a private fork of the live
-     * state (machine, pool jobs, resident contexts), fanned out on
-     * @p runner. The forks are retained so the winner's end state can
-     * be adopted. Profiles are index-ordered and bit-identical for
-     * any worker count.
+     * state (machine, pool jobs, resident contexts), as one batch on
+     * @p workers (nested when called from a task of that pool). The
+     * forks are retained so the winner's end state can be adopted.
+     * Profiles are index-ordered and bit-identical for any worker
+     * count.
      */
     std::vector<ScheduleProfile>
     profileCandidates(const std::vector<Job *> &pool,
                       const std::vector<OpenCandidate> &candidates,
                       std::uint64_t window, std::uint64_t offset,
-                      ParallelScheduleRunner &runner);
+                      ThreadPool &workers);
 
     /**
      * Make fork @p index's end state the live state and hand its job

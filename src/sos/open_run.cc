@@ -9,7 +9,7 @@ namespace sos {
 
 OpenRun::OpenRun(EngineBackend &backend, const Config &config,
                  OpenPolicy policy, JobFactory make_job,
-                 stats::EventTrace *events)
+                 ThreadPool &workers, stats::EventTrace *events)
     : backend_(backend), config_(config), policy_(policy),
       makeJob_(std::move(make_job)),
       events_(policy == OpenPolicy::Sos ? events : nullptr),
@@ -17,7 +17,8 @@ OpenRun::OpenRun(EngineBackend &backend, const Config &config,
       capacity_(backend.capacity()), rng_(config.seed),
       resample_(makeResamplePolicy(config.resamplePolicy,
                                    config.baseIntervalCycles)),
-      predictor_(makePredictor(config.predictor, config.modelPath)), runner_(config.jobs)
+      predictor_(makePredictor(config.predictor, config.modelPath)),
+      workers_(workers)
 {
 }
 
@@ -192,7 +193,7 @@ OpenRun::runSampleWindow()
     const int n = static_cast<int>(pool_.size());
     const std::vector<ScheduleProfile> profiles =
         backend_.profileCandidates(poolPointers(), candidates_, window_,
-                                   phase_offset_, runner_);
+                                   phase_offset_, workers_);
     const int best = predictor_->best(profiles);
     const OpenCandidate &pick =
         candidates_[static_cast<std::size_t>(best)];

@@ -23,9 +23,11 @@
  * The open golden (tests/golden/open.json) pins both drivers.
  *
  * Determinism: an OpenRun is a pure function of (config, injected
- * arrivals). It performs no synchronization, so a cluster may advance
- * distinct nodes on distinct ThreadPool workers between barriers and
- * still produce bit-identical results for any SOS_JOBS.
+ * arrivals). It performs no synchronization of its own: its sample
+ * phases run their forks as batches on the ThreadPool it is given,
+ * which may be nested inside a task of that pool (a figure's fan-out,
+ * a cluster's node advance). Results are bit-identical for any
+ * SOS_JOBS.
  */
 
 #ifndef SOS_SOS_OPEN_RUN_HH
@@ -40,10 +42,10 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "core/predictor.hh"
 #include "core/resample_policy.hh"
 #include "cpu/perf_counters.hh"
-#include "sim/parallel_runner.hh"
 #include "sos/event.hh"
 #include "sos/kernel.hh"
 #include "sos/open_backend.hh"
@@ -89,9 +91,6 @@ class OpenRun
         /** Seed of the kernel's private decision stream. */
         std::uint64_t seed = 0;
 
-        /** Sweep worker count (SimConfig::jobs semantics). */
-        int jobs = 0;
-
         /**
          * Optional samplek screen: given the drawn candidates and
          * the resident pool (pool order), return the indices of the
@@ -112,12 +111,13 @@ class OpenRun
     /**
      * Schedule arrivals onto @p backend under @p policy. Under
      * OpenPolicy::Sos each sample phase profiles candidates on
-     * parallel forks of the live state (see EngineBackend) and adopts
-     * the predictor's pick; when @p events is non-null the run
-     * appends its "sample_phase_begin" and "symbios_pick" decisions.
+     * parallel forks of the live state (see EngineBackend), one batch
+     * on @p workers (which must outlive the run), and adopts the
+     * predictor's pick; when @p events is non-null the run appends
+     * its "sample_phase_begin" and "symbios_pick" decisions.
      */
     OpenRun(EngineBackend &backend, const Config &config,
-            OpenPolicy policy, JobFactory make_job,
+            OpenPolicy policy, JobFactory make_job, ThreadPool &workers,
             stats::EventTrace *events = nullptr);
 
     OpenRun(const OpenRun &) = delete;
@@ -209,7 +209,7 @@ class OpenRun
     Rng rng_;
     std::unique_ptr<ResampleTimer> resample_;
     std::unique_ptr<Predictor> predictor_;
-    ParallelScheduleRunner runner_;
+    ThreadPool &workers_;
 
     SosKernel::Phase phase_ = SosKernel::Phase::Idle;
     EventQueue queue_;

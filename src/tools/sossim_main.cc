@@ -27,6 +27,7 @@
 
 #include "cluster/cluster.hh"
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "core/predictor.hh"
 #include "core/resample_policy.hh"
 #include "sim/batch_experiment.hh"
@@ -152,15 +153,15 @@ cmdOpen(int argc, char **argv)
     BenchHarness harness(
         {.tool = "sossim open",
          .flags =
-             {Flag::into("--level", "N", "SMT level (default 3)",
-                         open.level),
-              Flag::into("--cores", "N",
-                         "SMT cores (default 1 or the machine "
-                         "config's; more build the CMP backend)",
-                         cores),
-              Flag::into("--arrivals", "N",
-                         "jobs in the open system (default 24)",
-                         open.numJobs),
+             {Flag::count("--level", "N", "SMT level (default 3)",
+                          open.level, MaxContexts),
+              Flag::count("--cores", "N",
+                          "SMT cores (default 1 or the machine "
+                          "config's; more build the CMP backend)",
+                          cores),
+              Flag::count("--arrivals", "N",
+                          "jobs in the open system (default 24)",
+                          open.numJobs),
               Flag::into("--predictor", "P",
                          "symbios predictor (default IPC)",
                          open.predictor),
@@ -184,8 +185,9 @@ cmdOpen(int argc, char **argv)
     // decision trace stays deterministic.
     const std::unique_ptr<EngineBackend> backend =
         makeOpenBackend(config, open.level, open.numCores);
+    ThreadPool pool(resolveJobs(config.jobs));
     const ResponseComparison comparison = compareResponseTimes(
-        config, open, backend.get(),
+        config, open, pool, backend.get(),
         harness.wantsTrace() ? &harness.trace() : nullptr);
 
     const stats::Group open_group = harness.group("open");
@@ -378,29 +380,29 @@ cmdCluster(int argc, char **argv)
     BenchHarness harness(
         {.tool = "sossim cluster",
          .flags =
-             {Flag::into("--nodes", "N",
-                         "machines in the cluster (default 2)",
-                         cluster.numNodes),
+             {Flag::count("--nodes", "N",
+                          "machines in the cluster (default 2)",
+                          cluster.numNodes),
               Flag::into("--dispatch", "P",
                          "dispatch policy: random, round-robin, "
                          "least-loaded, signature (default)",
                          cluster.dispatch),
-              Flag::into("--arrivals", "N",
-                         "jobs in the arrival trace (default 1000)",
-                         cluster.numJobs),
+              Flag::count("--arrivals", "N",
+                          "jobs in the arrival trace (default 1000)",
+                          cluster.numJobs),
               Flag::into("--process", "P",
                          "arrival process: poisson (default), mmpp, "
                          "diurnal",
                          cluster.process),
-              Flag::into("--epoch", "N",
-                         "timeslices per dispatch epoch (default 8)",
-                         cluster.epochSlices),
-              Flag::into("--level", "N",
-                         "SMT level of every node (default 3)",
-                         cluster.level),
-              Flag::into("--cores", "N",
-                         "SMT cores per node (default 1)",
-                         cluster.numCores),
+              Flag::count("--epoch", "N",
+                          "timeslices per dispatch epoch (default 8)",
+                          cluster.epochSlices),
+              Flag::count("--level", "N",
+                          "SMT level of every node (default 3)",
+                          cluster.level, MaxContexts),
+              Flag::count("--cores", "N",
+                          "SMT cores per node (default 1)",
+                          cluster.numCores),
               Flag::into("--mean-job", "C",
                          "mean job length in paper cycles",
                          cluster.meanJobPaperCycles),
@@ -414,7 +416,7 @@ cmdCluster(int argc, char **argv)
                    cluster.classes = parseClasses(value);
                }}},
          // A repeated --machine-config gives each node its own file.
-         .nodeMachines = &cluster.nodeMachineConfigs},
+         .nodeConfigs = &cluster.nodeConfigs},
         argc, argv);
     const SimConfig &config = harness.config();
     // Fail fast on unknown registry names and unreadable model files,

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "cluster/cluster.hh"
+#include "common/thread_pool.hh"
 #include "core/thread_to_core.hh"
 #include "sim/batch_experiment.hh"
 #include "sim/hierarchical_experiment.hh"
@@ -221,20 +222,20 @@ smallOpenSystem(int level, int cores, std::uint64_t seed)
  */
 void
 publishSosRun(const stats::Group &group, const SimConfig &sim,
-              const OpenSystemConfig &config,
+              const OpenSystemConfig &config, ThreadPool &pool,
               std::vector<std::unique_ptr<EngineBackend>> &backends)
 {
     const std::vector<JobArrival> arrivals =
-        makeArrivalTrace(sim, config);
+        makeArrivalTrace(sim, config, pool);
     backends.push_back(makeOpenBackend(sim, config.level, config.numCores));
     EngineBackend &backend = *backends.back();
     stats::EventTrace events;
     const OpenSystemResult result = runOpenSystem(
-        sim, config, arrivals, OpenPolicy::Sos, &events, &backend);
+        sim, config, arrivals, OpenPolicy::Sos, pool, &events, &backend);
     group.info("backend", "engine backend substrate") = backend.name();
     group.scalar("interarrival_paper_cycles",
                  "mean interarrival time in paper cycles") =
-        config.effectiveInterarrivalPaper(sim);
+        config.meanInterarrivalPaper;
     publishOpenResult(group.group("sos"), result);
     group.info("trace", "SOS decision trace (JSONL)") = events.render();
     backend.machine().registerStats(group.group("machine"));
@@ -248,25 +249,30 @@ openManifest(int jobs)
     stats::Registry registry;
     const stats::Group open = stats::Group(registry).group("open");
     std::vector<std::unique_ptr<EngineBackend>> backends;
+    ThreadPool pool(jobs);
 
     // The paper's substrate at level 3 with a derived interarrival
-    // time (the capacity probe): naive and SOS on the same trace.
+    // time (the capacity probe, resolved once): naive and SOS on the
+    // same trace.
     {
-        const OpenSystemConfig system = smallOpenSystem(3, 1, 0x0a11);
+        OpenSystemConfig system = smallOpenSystem(3, 1, 0x0a11);
+        system.meanInterarrivalPaper =
+            system.effectiveInterarrivalPaper(config, pool);
         const stats::Group smt = open.group("smt3");
-        publishSosRun(smt, config, system, backends);
+        publishSosRun(smt, config, system, pool, backends);
         publishOpenResult(
             smt.group("naive"),
             runOpenSystem(config, system,
-                          makeArrivalTrace(config, system),
-                          OpenPolicy::Naive));
+                          makeArrivalTrace(config, system, pool),
+                          OpenPolicy::Naive, pool));
     }
 
     // A CMP of two SMT-2 cores under dense arrivals.
     {
         OpenSystemConfig system = smallOpenSystem(2, 2, 0x0b22);
         system.meanInterarrivalPaper = system.meanJobPaperCycles / 4;
-        publishSosRun(open.group("cmp2x2"), config, system, backends);
+        publishSosRun(open.group("cmp2x2"), config, system, pool,
+                      backends);
     }
 
     // One SMT core with sampled simulation on (live slices and forks).
@@ -278,7 +284,7 @@ openManifest(int jobs)
         const stats::Group group = open.group("sampled");
         group.info("sample", "sampled-simulation windows") =
             renderSampleWindows(sampled.sample);
-        publishSosRun(group, sampled, system, backends);
+        publishSosRun(group, sampled, system, pool, backends);
     }
 
     // Two cluster nodes behind the signature dispatcher.

@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "common/thread_pool.hh"
 #include "sim/open_system.hh"
 #include "sim/params_io.hh"
 #include "stats/manifest.hh"
@@ -53,11 +54,12 @@ struct Rendered
 Rendered
 renderRun(const SimConfig &sim, const OpenSystemConfig &config)
 {
+    ThreadPool pool(resolveJobs(sim.jobs));
     const std::vector<JobArrival> arrivals =
-        makeArrivalTrace(sim, config);
+        makeArrivalTrace(sim, config, pool);
     stats::EventTrace events;
     const OpenSystemResult result = runOpenSystem(
-        sim, config, arrivals, OpenPolicy::Sos, &events);
+        sim, config, arrivals, OpenPolicy::Sos, pool, &events);
 
     stats::Registry registry;
     const stats::Group open = stats::Group(registry).group("open");

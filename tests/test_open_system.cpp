@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/thread_pool.hh"
 #include "sim/open_system.hh"
+#include "stats/trace.hh"
 
 namespace sos {
 namespace {
@@ -24,12 +29,22 @@ smallSystem(int level)
     return config;
 }
 
+/** @p config with its derived interarrival resolved once. */
+OpenSystemConfig
+resolved(const SimConfig &sim, OpenSystemConfig config, ThreadPool &pool)
+{
+    config.meanInterarrivalPaper =
+        config.effectiveInterarrivalPaper(sim, pool);
+    return config;
+}
+
 TEST(OpenSystem, TraceIsDeterministic)
 {
     const SimConfig sim = fast();
-    const OpenSystemConfig config = smallSystem(2);
-    const auto a = makeArrivalTrace(sim, config);
-    const auto b = makeArrivalTrace(sim, config);
+    ThreadPool pool(resolveJobs(sim.jobs));
+    const OpenSystemConfig config = resolved(sim, smallSystem(2), pool);
+    const auto a = makeArrivalTrace(sim, config, pool);
+    const auto b = makeArrivalTrace(sim, config, pool);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].workload, b[i].workload);
@@ -40,7 +55,8 @@ TEST(OpenSystem, TraceIsDeterministic)
 
 TEST(OpenSystem, TraceIsOrderedAndSized)
 {
-    const auto trace = makeArrivalTrace(fast(), smallSystem(3));
+    ThreadPool pool(resolveJobs(fast().jobs));
+    const auto trace = makeArrivalTrace(fast(), smallSystem(3), pool);
     ASSERT_EQ(trace.size(), 10u);
     for (std::size_t i = 1; i < trace.size(); ++i)
         EXPECT_GE(trace[i].arrivalCycle, trace[i - 1].arrivalCycle);
@@ -51,20 +67,22 @@ TEST(OpenSystem, TraceIsOrderedAndSized)
 TEST(OpenSystem, InterarrivalDefaultDerivedFromLoad)
 {
     const SimConfig sim = fast();
+    ThreadPool pool(resolveJobs(sim.jobs));
     OpenSystemConfig config;
     config.level = 3;
-    EXPECT_GT(config.effectiveInterarrivalPaper(sim), 0u);
+    EXPECT_GT(config.effectiveInterarrivalPaper(sim, pool), 0u);
     config.meanInterarrivalPaper = 12345;
-    EXPECT_EQ(config.effectiveInterarrivalPaper(sim), 12345u);
+    EXPECT_EQ(config.effectiveInterarrivalPaper(sim, pool), 12345u);
 }
 
 TEST(OpenSystem, NaiveCompletesAllJobs)
 {
     const SimConfig sim = fast();
-    const OpenSystemConfig config = smallSystem(2);
-    const auto trace = makeArrivalTrace(sim, config);
+    ThreadPool pool(resolveJobs(sim.jobs));
+    const OpenSystemConfig config = resolved(sim, smallSystem(2), pool);
+    const auto trace = makeArrivalTrace(sim, config, pool);
     const auto result =
-        runOpenSystem(sim, config, trace, OpenPolicy::Naive);
+        runOpenSystem(sim, config, trace, OpenPolicy::Naive, pool);
     EXPECT_EQ(result.completed, 10);
     EXPECT_GT(result.meanResponseCycles, 0.0);
     for (std::uint64_t response : result.responseByArrival)
@@ -79,9 +97,10 @@ TEST(OpenSystem, SosCompletesAllJobsAndSamples)
     // Push arrivals close together so the queue exceeds the SMT level
     // and SOS actually has schedules to sample.
     config.meanInterarrivalPaper = config.meanJobPaperCycles / 4;
-    const auto trace = makeArrivalTrace(sim, config);
+    ThreadPool pool(resolveJobs(sim.jobs));
+    const auto trace = makeArrivalTrace(sim, config, pool);
     const auto result =
-        runOpenSystem(sim, config, trace, OpenPolicy::Sos);
+        runOpenSystem(sim, config, trace, OpenPolicy::Sos, pool);
     EXPECT_EQ(result.completed, 10);
     EXPECT_GT(result.samplePhases, 0);
 }
@@ -89,10 +108,11 @@ TEST(OpenSystem, SosCompletesAllJobsAndSamples)
 TEST(OpenSystem, ResponseIncludesQueueingDelay)
 {
     const SimConfig sim = fast();
-    const OpenSystemConfig config = smallSystem(2);
-    const auto trace = makeArrivalTrace(sim, config);
+    ThreadPool pool(resolveJobs(sim.jobs));
+    const OpenSystemConfig config = resolved(sim, smallSystem(2), pool);
+    const auto trace = makeArrivalTrace(sim, config, pool);
     const auto result =
-        runOpenSystem(sim, config, trace, OpenPolicy::Naive);
+        runOpenSystem(sim, config, trace, OpenPolicy::Naive, pool);
     // Mean response must exceed the mean solo execution time: jobs
     // share the machine.
     const double mean_solo =
@@ -103,10 +123,11 @@ TEST(OpenSystem, ResponseIncludesQueueingDelay)
 TEST(OpenSystem, SystemStaysStable)
 {
     const SimConfig sim = fast();
-    const OpenSystemConfig config = smallSystem(3);
-    const auto trace = makeArrivalTrace(sim, config);
+    ThreadPool pool(resolveJobs(sim.jobs));
+    const OpenSystemConfig config = resolved(sim, smallSystem(3), pool);
+    const auto trace = makeArrivalTrace(sim, config, pool);
     const auto result =
-        runOpenSystem(sim, config, trace, OpenPolicy::Naive);
+        runOpenSystem(sim, config, trace, OpenPolicy::Naive, pool);
     EXPECT_LT(result.meanJobsInSystem, 12.0);
 }
 
@@ -114,7 +135,8 @@ TEST(OpenSystem, ComparisonCoversBothPolicies)
 {
     const SimConfig sim = fast();
     const OpenSystemConfig config = smallSystem(2);
-    const auto comparison = compareResponseTimes(sim, config);
+    ThreadPool pool(resolveJobs(sim.jobs));
+    const auto comparison = compareResponseTimes(sim, config, pool);
     EXPECT_EQ(comparison.naive.completed, 10);
     EXPECT_EQ(comparison.sos.completed, 10);
     EXPECT_EQ(comparison.jobsCompared, 10);
@@ -128,12 +150,94 @@ TEST(OpenSystem, ComparisonCoversBothPolicies)
 TEST(OpenSystem, DeterministicPolicyRuns)
 {
     const SimConfig sim = fast();
-    const OpenSystemConfig config = smallSystem(2);
-    const auto trace = makeArrivalTrace(sim, config);
-    const auto a = runOpenSystem(sim, config, trace, OpenPolicy::Sos);
-    const auto b = runOpenSystem(sim, config, trace, OpenPolicy::Sos);
+    ThreadPool pool(resolveJobs(sim.jobs));
+    const OpenSystemConfig config = resolved(sim, smallSystem(2), pool);
+    const auto trace = makeArrivalTrace(sim, config, pool);
+    const auto a =
+        runOpenSystem(sim, config, trace, OpenPolicy::Sos, pool);
+    const auto b =
+        runOpenSystem(sim, config, trace, OpenPolicy::Sos, pool);
     EXPECT_EQ(a.totalCycles, b.totalCycles);
     EXPECT_DOUBLE_EQ(a.meanResponseCycles, b.meanResponseCycles);
+}
+
+/** One comparison and its SOS decision trace. */
+struct Compared
+{
+    ResponseComparison comparison;
+    std::string trace;
+};
+
+void
+expectSameResult(const OpenSystemResult &a, const OpenSystemResult &b,
+                 const std::string &context)
+{
+    EXPECT_EQ(a.responseByArrival, b.responseByArrival) << context;
+    EXPECT_EQ(a.completed, b.completed) << context;
+    EXPECT_EQ(a.meanResponseCycles, b.meanResponseCycles) << context;
+    EXPECT_EQ(a.meanJobsInSystem, b.meanJobsInSystem) << context;
+    EXPECT_EQ(a.totalCycles, b.totalCycles) << context;
+    EXPECT_EQ(a.sampleCycles, b.sampleCycles) << context;
+    EXPECT_EQ(a.samplePhases, b.samplePhases) << context;
+    EXPECT_EQ(a.resamplesOnJobChange, b.resamplesOnJobChange) << context;
+    EXPECT_EQ(a.resamplesOnTimer, b.resamplesOnTimer) << context;
+}
+
+TEST(OpenSystem, ComparisonsNestedOnOnePoolMatchSerialCalls)
+{
+    // The Figure 5/6/8 shape: several comparisons run as tasks of one
+    // batch, and each one's arrival calibration and sample-phase forks
+    // are batches nested on the same pool. Every comparison must equal
+    // a top-level call on a one-worker pool.
+    const SimConfig sim = fast();
+    std::vector<OpenSystemConfig> configs;
+    for (int k = 0; k < 3; ++k) {
+        OpenSystemConfig config = smallSystem(2 + k % 2);
+        config.numJobs = 6;
+        config.meanJobPaperCycles = 20000000;
+        config.seed = 77 + static_cast<std::uint64_t>(k);
+        // Dense arrivals, so every run's sample phases fork.
+        config.meanInterarrivalPaper = config.meanJobPaperCycles / 4;
+        configs.push_back(config);
+    }
+    const auto compare = [&](std::size_t i, ThreadPool &pool) {
+        stats::EventTrace events;
+        Compared compared;
+        compared.comparison =
+            compareResponseTimes(sim, configs[i], pool, nullptr, &events);
+        compared.trace = events.render();
+        return compared;
+    };
+
+    ThreadPool serial(1);
+    std::vector<Compared> expected;
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        expected.push_back(compare(i, serial));
+    for (const Compared &compared : expected) {
+        EXPECT_GT(compared.comparison.sos.samplePhases, 0);
+        EXPECT_FALSE(compared.trace.empty());
+    }
+
+    for (int workers : {1, 4}) {
+        ThreadPool pool(workers);
+        std::vector<Compared> nested(configs.size());
+        pool.run(configs.size(), [&](std::size_t i) {
+            nested[i] = compare(i, pool);
+        });
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            const std::string context = "workers " +
+                                        std::to_string(workers) +
+                                        ", comparison " +
+                                        std::to_string(i);
+            const ResponseComparison &a = expected[i].comparison;
+            const ResponseComparison &b = nested[i].comparison;
+            expectSameResult(a.naive, b.naive, context + " naive");
+            expectSameResult(a.sos, b.sos, context + " sos");
+            EXPECT_EQ(a.jobsCompared, b.jobsCompared) << context;
+            EXPECT_EQ(a.improvementPct, b.improvementPct) << context;
+            EXPECT_EQ(expected[i].trace, nested[i].trace) << context;
+        }
+    }
 }
 
 } // namespace

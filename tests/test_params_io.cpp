@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
@@ -316,6 +317,26 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
          "value for samplePeriods must be a positive integer"},
         {"run 'Jsb(4,2,2)' --set symbiosSimCycles=0",
          "value for symbiosSimCycles must be a positive integer"},
+        // Counts: zero or negative used to panic (exit 134), a level
+        // outside the core's contexts threw, and `open --cores 0`
+        // silently ran one core.
+        {"cluster --nodes 0",
+         "value for --nodes must be a positive integer: '0'"},
+        {"cluster --nodes -1",
+         "value for --nodes must be a positive integer: '-1'"},
+        {"cluster --epoch 0",
+         "value for --epoch must be a positive integer: '0'"},
+        {"cluster --arrivals 0",
+         "value for --arrivals must be a positive integer: '0'"},
+        {"cluster --level 0", "value for --level must be in [1, 8]: '0'"},
+        {"cluster --level 9", "value for --level must be in [1, 8]: '9'"},
+        {"cluster --cores 0",
+         "value for --cores must be a positive integer: '0'"},
+        {"open --arrivals 0",
+         "value for --arrivals must be a positive integer: '0'"},
+        {"open --cores 0",
+         "value for --cores must be a positive integer: '0'"},
+        {"open --level 0", "value for --level must be in [1, 8]: '0'"},
     };
     for (const auto &[args, message] : cases) {
         const auto [status, output] = runSossim(args);
@@ -345,6 +366,18 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
                           "'4294967297'"),
               std::string::npos)
         << output;
+
+    // fig9 takes the same counts as `sossim cluster`.
+    const std::string fig9 = std::string(SOS_BENCH_DIR) + "/fig9_cluster";
+    for (const char *flag : {"--nodes", "--arrivals"}) {
+        const auto [fig9_status, fig9_output] =
+            runTool(fig9, std::string(flag) + " 0");
+        EXPECT_EQ(fig9_status, 1) << flag << "\n" << fig9_output;
+        EXPECT_NE(fig9_output.find(std::string("value for ") + flag +
+                                   " must be a positive integer: '0'"),
+                  std::string::npos)
+            << flag << "\n" << fig9_output;
+    }
 }
 
 TEST(ParamsIo, SostrainNumericFlagsGiveNamedErrors)
@@ -464,6 +497,38 @@ TEST(CommandLine, SetWinsOverMachineConfigInEitherOrder)
         EXPECT_NE(output.find("\ncore.robSize=64\n"), std::string::npos)
             << line << "\n" << output;
     }
+}
+
+TEST(CommandLine, SetWinsOverPerNodeMachineFiles)
+{
+    // Two or more machine files build one config per node; each file
+    // loads before the --set overrides, as a single machine file does.
+    const std::string dir = ::testing::TempDir();
+    const std::string a = dir + "node_a.cfg";
+    const std::string b = dir + "node_b.cfg";
+    {
+        std::ofstream(a) << "core.robSize 32\nmem.l2HitLatency 14\n";
+        std::ofstream(b) << "core.robSize 48\n";
+    }
+    std::vector<std::string> args = {"t", "--machine-config", a,
+                                      "--set", "core.robSize=64",
+                                      "--machine-config", b};
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    std::vector<SimConfig> nodes;
+    const BenchOptions options =
+        parseBenchArgs({.tool = "t", .nodeConfigs = &nodes},
+                       static_cast<int>(argv.size()), argv.data());
+    ASSERT_EQ(nodes.size(), 2u);
+    for (const SimConfig &node : nodes)
+        EXPECT_EQ(node.core.robSize, 64);
+    EXPECT_EQ(nodes[0].mem.l2HitLatency, 14u);
+    EXPECT_EQ(nodes[0].machineConfigPath, a);
+    EXPECT_EQ(nodes[1].machineConfigPath, b);
+    // The base config loads neither file but keeps the override.
+    EXPECT_EQ(options.config.core.robSize, 64);
+    EXPECT_TRUE(options.config.machineConfigPath.empty());
 }
 
 TEST(ParamsIo, EnvironmentKnobsParseWholeValues)

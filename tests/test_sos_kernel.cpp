@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "sim/open_system.hh"
 #include "sos/event.hh"
 #include "sos/kernel.hh"
@@ -164,9 +165,10 @@ TEST(SosKernel, OpenRunOnCmpBackendCompletesAndSamples)
 {
     const SimConfig sim = fast();
     const OpenSystemConfig config = busySystem(2, 2);
-    const auto trace = makeArrivalTrace(sim, config);
+    ThreadPool pool(resolveJobs(sim.jobs));
+    const auto trace = makeArrivalTrace(sim, config, pool);
     const auto result =
-        runOpenSystem(sim, config, trace, OpenPolicy::Sos);
+        runOpenSystem(sim, config, trace, OpenPolicy::Sos, pool);
     EXPECT_EQ(result.completed, config.numJobs);
     EXPECT_GT(result.samplePhases, 0);
     EXPECT_GT(result.sampleCycles, 0u);
@@ -176,22 +178,21 @@ TEST(SosKernel, OpenRunOnCmpBackendCompletesAndSamples)
 
 TEST(SosKernel, OpenRunIsInvariantAcrossWorkerCounts)
 {
-    // The fork-profiled sample phases fan out through the parallel
-    // runner; results and the decision trace must be bit-identical
+    // The fork-profiled sample phases fan out on the pool the run is
+    // given; results and the decision trace must be bit-identical
     // whether one worker or four profile the candidates.
     const OpenSystemConfig config = busySystem(3);
-    SimConfig serial = fast();
-    serial.jobs = 1;
-    SimConfig parallel = fast();
-    parallel.jobs = 4;
-    const auto trace = makeArrivalTrace(serial, config);
+    const SimConfig sim = fast();
+    ThreadPool serial(1);
+    ThreadPool parallel(4);
+    const auto trace = makeArrivalTrace(sim, config, serial);
 
     stats::EventTrace events_serial;
     stats::EventTrace events_parallel;
-    const auto a = runOpenSystem(serial, config, trace,
-                                 OpenPolicy::Sos, &events_serial);
-    const auto b = runOpenSystem(parallel, config, trace,
-                                 OpenPolicy::Sos, &events_parallel);
+    const auto a = runOpenSystem(sim, config, trace, OpenPolicy::Sos,
+                                 serial, &events_serial);
+    const auto b = runOpenSystem(sim, config, trace, OpenPolicy::Sos,
+                                 parallel, &events_parallel);
 
     EXPECT_EQ(a.totalCycles, b.totalCycles);
     EXPECT_EQ(a.samplePhases, b.samplePhases);
