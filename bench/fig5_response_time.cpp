@@ -56,6 +56,12 @@ main(int argc, char **argv)
                     static_cast<std::uint64_t>(97 * levels[l] + t);
         return open;
     };
+    // The canonical run (level 3, trace 0) records its SOS decisions
+    // into a buffer of its own, so the JSONL does not depend on how
+    // the fanned-out runs interleave.
+    const std::size_t traced = 1 * static_cast<std::size_t>(traces) + 0;
+    stats::EventTrace decisions;
+    decisions.setPhaseStride(config.traceSample);
     std::vector<ResponseComparison> comparisons(
         levels.size() * static_cast<std::size_t>(traces));
     pool.run(comparisons.size(), [&](std::size_t i) {
@@ -64,8 +70,10 @@ main(int argc, char **argv)
             traceConfig(i / static_cast<std::size_t>(traces),
                         static_cast<int>(
                             i % static_cast<std::size_t>(traces))),
-            pool);
+            pool,
+            i == traced && harness.wantsTrace() ? &decisions : nullptr);
     });
+    harness.trace().append(decisions);
 
     const stats::Group byLevel = harness.group("levels");
     for (std::size_t l = 0; l < levels.size(); ++l) {
@@ -106,18 +114,6 @@ main(int argc, char **argv)
         table.printRow({std::to_string(levels[l]),
                         fmt(improvement.mean(), 1), per_trace,
                         fmt(mean_n.mean(), 1), std::to_string(phases)});
-    }
-
-    // The fanned-out comparisons cannot stream decisions (their
-    // events would interleave across workers); when a trace was
-    // requested, replay the canonical level-3 run serially so the
-    // JSONL is deterministic and byte-comparable across runs.
-    if (harness.wantsTrace()) {
-        const OpenSystemConfig open = traceConfig(1, 0); // level 3
-        const std::vector<JobArrival> arrivals =
-            makeArrivalTrace(config, open, pool);
-        runOpenSystem(config, open, arrivals, OpenPolicy::Sos, pool,
-                      &harness.trace());
     }
 
     std::printf("\n(Paper: improvements between 8%% and nearly 18%%, "

@@ -11,14 +11,13 @@
  * this figure extrapolates its methodology to the CMP substrate of
  * Figure 7.
  *
- * Per core count, one representative run is repeated serially with a
- * harness-owned backend so the manifest carries the machine's
- * per-core cache groups (machine.core<k>) and, when requested, the
- * kernel's decision trace.
+ * Per core count, one representative SOS run publishes its machine's
+ * per-core cache groups (machine.core<k>) from its result and, when
+ * requested, its decision trace from a buffer of its own, appended in
+ * core-count order.
  */
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "common/stats_util.hh"
@@ -26,7 +25,6 @@
 #include "sim/bench_harness.hh"
 #include "sim/open_system.hh"
 #include "sim/reporting.hh"
-#include "sos/open_backend.hh"
 
 int
 main(int argc, char **argv)
@@ -57,21 +55,23 @@ main(int argc, char **argv)
     // out, each run's sample phases nesting on the same pool.
     ThreadPool pool(resolveJobs(config.jobs));
     const double capacity = measuredCapacity(config, level, pool);
-    std::vector<std::uint64_t> stable;
+    // Plus one representative SOS run per core count, tracing into a
+    // buffer of its own.
     std::vector<OpenSystemConfig> points;
+    std::vector<OpenSystemConfig> representatives;
+    std::vector<stats::EventTrace> decisions(core_counts.size());
     for (std::size_t c = 0; c < core_counts.size(); ++c) {
         const int cores = core_counts[c];
         OpenSystemConfig base;
         base.level = level;
         base.numCores = cores;
         base.numJobs = 24;
-        stable.push_back(base.stableInterarrivalPaper(capacity));
+        const std::uint64_t stable = base.stableInterarrivalPaper(capacity);
         for (double factor : factors) {
             for (int t = 0; t < traces; ++t) {
                 OpenSystemConfig open = base;
-                open.meanInterarrivalPaper =
-                    static_cast<std::uint64_t>(
-                        factor * static_cast<double>(stable[c]));
+                open.meanInterarrivalPaper = static_cast<std::uint64_t>(
+                    factor * static_cast<double>(stable));
                 open.seed = config.seed ^
                             static_cast<std::uint64_t>(
                                 1009 * cores + 31 * t) ^
@@ -79,10 +79,27 @@ main(int argc, char **argv)
                 points.push_back(open);
             }
         }
+        OpenSystemConfig representative = base;
+        representative.numJobs = 16;
+        representative.meanInterarrivalPaper = stable;
+        representative.seed =
+            config.seed ^ static_cast<std::uint64_t>(7001 * cores);
+        representatives.push_back(representative);
+        decisions[c].setPhaseStride(config.traceSample);
     }
     std::vector<ResponseComparison> comparisons(points.size());
-    pool.run(points.size(), [&](std::size_t i) {
-        comparisons[i] = compareResponseTimes(config, points[i], pool);
+    std::vector<OpenSystemResult> representativeRuns(core_counts.size());
+    pool.run(points.size() + core_counts.size(), [&](std::size_t i) {
+        if (i < points.size()) {
+            comparisons[i] = compareResponseTimes(config, points[i], pool);
+            return;
+        }
+        const std::size_t c = i - points.size();
+        const OpenSystemConfig &open = representatives[c];
+        representativeRuns[c] = runOpenSystem(
+            config, open, makeArrivalTrace(config, open, pool),
+            OpenPolicy::Sos, pool,
+            harness.wantsTrace() ? &decisions[c] : nullptr);
     });
 
     const stats::Group by_cores = harness.group("cores");
@@ -124,38 +141,19 @@ main(int argc, char **argv)
         }
     }
 
-    // One representative run per core count on a harness-owned
-    // backend: serial, so the decision trace stays deterministic, and
-    // alive past finish() so the manifest dump can read the machine's
-    // per-core stat groups.
-    std::vector<std::unique_ptr<EngineBackend>> backends;
     for (std::size_t c = 0; c < core_counts.size(); ++c) {
-        const int cores = core_counts[c];
-        OpenSystemConfig open;
-        open.level = level;
-        open.numCores = cores;
-        open.numJobs = 16;
-        open.meanInterarrivalPaper = stable[c];
-        open.seed = config.seed ^
-                    static_cast<std::uint64_t>(7001 * cores);
-        const std::vector<JobArrival> arrivals =
-            makeArrivalTrace(config, open, pool);
-        backends.push_back(makeOpenBackend(config, level, cores));
-        EngineBackend &backend = *backends.back();
-        const OpenSystemResult sos = runOpenSystem(
-            config, open, arrivals, OpenPolicy::Sos, pool,
-            harness.wantsTrace() ? &harness.trace() : nullptr, &backend);
-
+        const OpenSystemResult &sos = representativeRuns[c];
         const stats::Group machine =
-            by_cores.group(std::to_string(cores)).group("machine");
-        machine.info("backend", "engine backend substrate") =
-            backend.name();
+            by_cores.group(std::to_string(core_counts[c]))
+                .group("machine");
+        machine.info("backend", "engine backend substrate") = sos.backend;
         machine.scalar("sample_phases", "sample phases run") =
             static_cast<std::uint64_t>(sos.samplePhases);
         machine.value("mean_response_cycles",
                       "mean job response time") =
             sos.meanResponseCycles;
-        backend.machine().registerStats(machine);
+        sos.memory.registerStats(machine);
+        harness.trace().append(decisions[c]);
     }
 
     std::printf("\n(Extrapolation: the paper's Figures 5-6 stop at "

@@ -92,6 +92,7 @@ main(int argc, char **argv)
                               dispatch)}},
         argc, argv);
     SimConfig &config = harness.config();
+    requireScaledFlag("--mean-job", mean_job, config);
 
     std::vector<int> node_counts = {2, 4};
     if (nodes_flag)

@@ -53,6 +53,12 @@ Cluster::Cluster(const SimConfig &base, const ClusterConfig &config)
         // node's resample base interval and its capacity share of the
         // front-door rate.
         const std::uint64_t stable = params.open.meanInterarrivalPaper;
+        if (stable / base.cycleScale == 0) {
+            fatal("cluster: node ", k, "'s stable interarrival (", stable,
+                  " paper cycles) is shorter than the cycle scale (",
+                  base.cycleScale, "); raise the mean job (--mean-job, ",
+                  config.meanJobPaperCycles, " paper cycles)");
+        }
         cluster_rate += 1.0 / static_cast<double>(stable);
         params.baseIntervalCycles = base.scaled(stable);
         params.traceStride = base.traceSample;

@@ -124,23 +124,73 @@ Machine::flushAll()
         view->flushAll(); // each view also flushes the shared L2
 }
 
-void
-Machine::registerStats(const stats::Group &group) const
+MemoryCounters
+Machine::memoryCounters() const
 {
-    l2_.cache().registerStats(group.group("l2"));
+    const auto counts = [](const Cache &cache) {
+        return CacheCounts{cache.hits(), cache.misses()};
+    };
+    MemoryCounters out;
+    out.l2 = counts(l2_.cache());
+    out.cores.reserve(views_.size());
     for (int k = 0; k < numCores(); ++k) {
+        const CacheHierarchy &view = *views_[static_cast<std::size_t>(k)];
+        out.cores.push_back({counts(view.l1i()), counts(view.l1d()),
+                             counts(view.itlb()), counts(view.dtlb()),
+                             view.prefetcher().issued(),
+                             l2_.coreCounters(k)});
+    }
+    return out;
+}
+
+namespace {
+
+/** Hits, misses and the miss rate of level @p name under @p parent. */
+void
+registerCache(const stats::Group &parent, const std::string &name,
+              const CacheCounts &counts)
+{
+    const stats::Group group = parent.group(name);
+    group.scalar("hits", name + " lifetime hits") = counts.hits;
+    group.scalar("misses", name + " lifetime misses") = counts.misses;
+    const double total = static_cast<double>(counts.hits + counts.misses);
+    group.value("miss_rate", name + " lifetime miss rate") =
+        total == 0.0 ? 0.0 : static_cast<double>(counts.misses) / total;
+}
+
+} // namespace
+
+void
+MemoryCounters::registerStats(const stats::Group &group) const
+{
+    registerCache(group, "l2", l2);
+    std::uint64_t l2_misses = 0;
+    for (const Core &core : cores)
+        l2_misses += core.l2.misses;
+    for (std::size_t k = 0; k < cores.size(); ++k) {
+        const Core &core = cores[k];
         const stats::Group core_group =
             group.group("core" + std::to_string(k));
-        const CacheHierarchy &view = *views_[static_cast<std::size_t>(k)];
-        view.l1i().registerStats(core_group.group("l1i"));
-        view.l1d().registerStats(core_group.group("l1d"));
-        view.itlb().registerStats(core_group.group("itlb"));
-        view.dtlb().registerStats(core_group.group("dtlb"));
-        core_group.group("prefetcher")
-            .formula("issued", "prefetches issued", [&view] {
-                return static_cast<double>(view.prefetcher().issued());
-            });
-        l2_.registerCoreStats(core_group.group("l2_contention"), k);
+        registerCache(core_group, "l1i", core.l1i);
+        registerCache(core_group, "l1d", core.l1d);
+        registerCache(core_group, "itlb", core.itlb);
+        registerCache(core_group, "dtlb", core.dtlb);
+        core_group.group("prefetcher").value("issued", "prefetches issued") =
+            static_cast<double>(core.prefetchesIssued);
+
+        const stats::Group l2 = core_group.group("l2_contention");
+        l2.scalar("accesses", "demand L2 lookups from this core") =
+            core.l2.accesses;
+        l2.scalar("hits", "shared-L2 hits of this core") = core.l2.hits;
+        l2.scalar("misses", "shared-L2 misses of this core") =
+            core.l2.misses;
+        l2.scalar("prefetch_fills", "prefetch fills issued by this core") =
+            core.l2.prefetchFills;
+        l2.value("miss_share",
+                 "this core's share of all shared-L2 misses") =
+            l2_misses == 0 ? 0.0
+                           : static_cast<double>(core.l2.misses) /
+                                 static_cast<double>(l2_misses);
     }
 }
 

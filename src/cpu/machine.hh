@@ -18,6 +18,7 @@
 #ifndef SOS_CPU_MACHINE_HH
 #define SOS_CPU_MACHINE_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -111,6 +112,53 @@ struct MachineParams
  */
 void validateMachineParams(const MachineParams &params);
 
+/** Lifetime demand hits and misses of one cache or TLB. */
+struct CacheCounts
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+    bool operator==(const CacheCounts &) const = default;
+};
+
+/**
+ * A machine's memory-system counters as plain integers: a value a run
+ * result carries, so manifests publish them after the machine is gone.
+ * Counts are lifetime counts of the machine they were read from (a
+ * snapshot fork inherits its warm-up's).
+ */
+struct MemoryCounters
+{
+    /** One core's private levels and its share of the shared L2. */
+    struct Core
+    {
+        CacheCounts l1i;
+        CacheCounts l1d;
+        CacheCounts itlb;
+        CacheCounts dtlb;
+        std::uint64_t prefetchesIssued = 0;
+        SharedL2::CoreCounters l2;
+
+        bool operator==(const Core &) const = default;
+    };
+
+    /** The shared L2's aggregate counters. */
+    CacheCounts l2;
+    /** Indexed by core. */
+    std::vector<Core> cores;
+
+    bool operator==(const MemoryCounters &) const = default;
+
+    /**
+     * Assign the counters under @p group: the shared cache under
+     * "l2", and one "core<k>" subgroup per core holding its private
+     * levels ("l1i", "l1d", "itlb", "dtlb", each with a "miss_rate"),
+     * "prefetcher.issued" and its shared-L2 contention counters
+     * ("l2_contention.*", with its "miss_share" of all cores' misses).
+     */
+    void registerStats(const stats::Group &group) const;
+};
+
 /** A chip multiprocessor of SMT cores with a shared L2. */
 class Machine
 {
@@ -164,14 +212,8 @@ class Machine
     /** Invalidate every cache on the machine (between experiments). */
     void flushAll();
 
-    /**
-     * Register the machine's memory-system counters under @p group:
-     * the shared cache's aggregate counters under "l2", and one
-     * "core<k>" subgroup per core holding that core's private levels
-     * plus its shared-L2 contention counters ("core0.l2_contention.*").
-     * Stats bind to live counters; the machine must outlive dumps.
-     */
-    void registerStats(const stats::Group &group) const;
+    /** The memory-system counters as they stand now. */
+    MemoryCounters memoryCounters() const;
 
   private:
     MachineParams params_;

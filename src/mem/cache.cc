@@ -1,7 +1,6 @@
 #include "cache.hh"
 
 #include "common/logging.hh"
-#include "stats/stats.hh"
 
 namespace sos {
 
@@ -59,22 +58,6 @@ Cache::resetStats()
 {
     hits_ = 0;
     misses_ = 0;
-}
-
-void
-Cache::registerStats(const stats::Group &group) const
-{
-    group.scalar("hits", params_.name + " lifetime hits").bind(&hits_);
-    group.scalar("misses", params_.name + " lifetime misses")
-        .bind(&misses_);
-    group.formula("miss_rate", params_.name + " lifetime miss rate",
-                  [this] {
-                      const double total =
-                          static_cast<double>(hits_ + misses_);
-                      return total == 0.0
-                                 ? 0.0
-                                 : static_cast<double>(misses_) / total;
-                  });
 }
 
 } // namespace sos

@@ -20,10 +20,6 @@
 
 namespace sos {
 
-namespace stats {
-class Group;
-} // namespace stats
-
 /** Geometry of one cache (or, degenerately, a TLB). */
 struct CacheParams
 {
@@ -96,14 +92,6 @@ class Cache
 
     /** Zero the hit/miss counters (contents are kept). */
     void resetStats();
-
-    /**
-     * Register the lifetime counters under @p group ("hits",
-     * "misses", the "miss_rate" formula). Stats bind to the live
-     * counters -- sinks read them at dump time and access() pays
-     * nothing -- so the cache must outlive any dump.
-     */
-    void registerStats(const stats::Group &group) const;
 
     const CacheParams &params() const { return params_; }
 

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "stats/stats.hh"
-
 namespace sos {
 
 namespace {
@@ -103,30 +101,6 @@ SharedL2::flush()
     l2_.flush();
 }
 
-void
-SharedL2::registerCoreStats(const stats::Group &group, int core) const
-{
-    const CoreCounters &c = coreCounters(core);
-    group.scalar("accesses", "demand L2 lookups from this core")
-        .bind(&c.accesses);
-    group.scalar("hits", "shared-L2 hits of this core").bind(&c.hits);
-    group.scalar("misses", "shared-L2 misses of this core")
-        .bind(&c.misses);
-    group.scalar("prefetch_fills", "prefetch fills issued by this core")
-        .bind(&c.prefetchFills);
-    group.formula("miss_share",
-                  "this core's share of all shared-L2 misses", [this,
-                                                                core] {
-        std::uint64_t total = 0;
-        for (const CoreCounters &cc : counters_)
-            total += cc.misses;
-        if (total == 0)
-            return 0.0;
-        return static_cast<double>(coreCounters(core).misses) /
-               static_cast<double>(total);
-    });
-}
-
 CacheHierarchy::CacheHierarchy(const MemParams &params, SharedL2 &l2,
                                int core_id)
     : params_(params), coreId_(core_id), l2_(l2), l1i_(params.l1i),
@@ -175,22 +149,6 @@ CacheHierarchy::flushAll()
     l2_.flush();
     itlb_.flush();
     dtlb_.flush();
-}
-
-void
-CacheHierarchy::registerStats(const stats::Group &group) const
-{
-    l1i_.registerStats(group.group("l1i"));
-    l1d_.registerStats(group.group("l1d"));
-    l2_.cache().registerStats(group.group("l2"));
-    itlb_.registerStats(group.group("itlb"));
-    dtlb_.registerStats(group.group("dtlb"));
-    // The prefetcher count goes through a formula: its counter is
-    // private, and the accessor is only called at dump time anyway.
-    group.group("prefetcher")
-        .formula("issued", "prefetches issued", [this] {
-            return static_cast<double>(prefetcher_.issued());
-        });
 }
 
 } // namespace sos

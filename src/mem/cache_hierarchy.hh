@@ -90,6 +90,8 @@ class SharedL2
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t prefetchFills = 0;
+
+        bool operator==(const CoreCounters &) const = default;
     };
 
     /**
@@ -122,14 +124,6 @@ class SharedL2
     {
         return counters_.at(static_cast<std::size_t>(core));
     }
-
-    /**
-     * Register one core's contention counters under @p group
-     * ("accesses", "hits", "misses", "prefetch_fills", plus the
-     * "miss_share" formula: this core's misses over all cores').
-     * Stats bind to live counters; this object must outlive dumps.
-     */
-    void registerCoreStats(const stats::Group &group, int core) const;
 
   private:
     Cache l2_;
@@ -194,28 +188,14 @@ class CacheHierarchy
      */
     void flushAll();
 
-    /**
-     * Register this view's counters under @p group: one subgroup per
-     * private cache/TLB ("l1i", "l1d", "itlb", "dtlb"), the shared
-     * cache's aggregate counters under "l2", and the prefetcher's
-     * issue count.  Register at most one view's stats per path (on a
-     * multicore machine the "l2" aggregate belongs to the machine).
-     * Binding rules as Cache::registerStats.
-     */
-    void registerStats(const stats::Group &group) const;
-
     const MemParams &params() const { return params_; }
 
-    int coreId() const { return coreId_; }
-
-    /** @name Component access for stats and tests. @{ */
+    /** @name Component access for counters and tests. @{ */
     const Cache &l1i() const { return l1i_; }
     const Cache &l1d() const { return l1d_; }
-    const Cache &l2() const { return l2_.cache(); }
     const Cache &itlb() const { return itlb_; }
     const Cache &dtlb() const { return dtlb_; }
     const StridePrefetcher &prefetcher() const { return prefetcher_; }
-    const SharedL2 &sharedL2() const { return l2_; }
     /** This core's contention counters at the shared level. */
     const SharedL2::CoreCounters &
     l2CoreCounters() const

@@ -310,29 +310,16 @@ BatchExperiment::runSymbiosValidation()
     // The sample phase already ran every candidate to the symbios
     // length; this phase only reads those runs.
     kernel_.runSymbiosValidation(symbiosRuns_);
+    if (spec_.numCores > 1) {
+        // A CMP publishes the best candidate's machine counters, which
+        // its own sweep run already carries.
+        const std::vector<double> &symbios = kernel_.symbiosWs();
+        const auto index = static_cast<std::size_t>(
+            std::max_element(symbios.begin(), symbios.end()) -
+            symbios.begin());
+        best_ = BestRun{index, std::move(symbiosRuns_[index].run)};
+    }
     symbiosRuns_ = {};
-    if (spec_.numCores > 1)
-        replayBest(symbiosTimeslices());
-}
-
-void
-BatchExperiment::replayBest(std::uint64_t timeslices)
-{
-    const std::vector<double> &symbios = kernel_.symbiosWs();
-    bestIndex_ = static_cast<int>(
-        std::max_element(symbios.begin(), symbios.end()) -
-        symbios.begin());
-    const MachineSchedule &best =
-        schedules_[static_cast<std::size_t>(bestIndex_)];
-    JobMix mix = freshMix();
-    statsMachine_ = std::make_unique<Machine>(machineParams_);
-    MachineEngine engine(*statsMachine_, timesliceCycles(),
-                         config_.sample);
-    const MachineSchedule warm = warmupFor(best.allocation());
-    engine.runSchedule(mix, warm, {warm.periodTimeslices()});
-    bestRun_ = std::move(engine.runSchedule(mix, best, {timeslices}).front());
-    recordSampling(bestRun_.sampling);
-    engine.evictAll();
 }
 
 const BatchExperiment::PolicyResult &
@@ -408,17 +395,17 @@ BatchExperiment::publishStats(const stats::Group &group) const
     group.info("label", "experiment label") = spec_.label;
     kernel_.publishStats(group);
 
-    if (statsMachine_) {
+    if (best_) {
         // The acceptance-visible per-core groups: machine.l2.*,
-        // machine.core<k>.{l1i,l1d,itlb,dtlb,prefetch,l2_contention},
-        // plus each core's best-run pipeline counters.
+        // machine.core<k>.{l1i,l1d,itlb,dtlb,prefetcher,l2_contention},
+        // plus each core's pipeline counters over the best run.
         const stats::Group machine = group.group("machine");
         machine.info("best_schedule",
-                     "machine schedule replayed for these counters") =
-            schedules_[static_cast<std::size_t>(bestIndex_)].label();
-        statsMachine_->registerStats(machine);
-        for (std::size_t k = 0; k < bestRun_.perCore.size(); ++k) {
-            bestRun_.perCore[k].registerStats(
+                     "machine schedule these counters come from") =
+            schedules_[best_->index].label();
+        best_->run.memory.registerStats(machine);
+        for (std::size_t k = 0; k < best_->run.perCore.size(); ++k) {
+            best_->run.perCore[k].registerStats(
                 machine.group("core" + std::to_string(k))
                     .group("perf"));
         }

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,9 +107,8 @@ class BatchExperiment
      * Symbios validation: record every sampled schedule's measured
      * weighted speedup over the symbios duration, from the runs the
      * sample phase kept. Requires a completed sample phase. On a CMP
-     * it also replays the best-WS candidate on a persistent stats
-     * machine so publishStats() can expose live per-core cache
-     * counters.
+     * it keeps the best-WS candidate's run, whose machine counters
+     * publishStats() publishes.
      */
     void runSymbiosValidation();
 
@@ -213,10 +213,11 @@ class BatchExperiment
      * and symbios WS, balance/diversity signals, the full counter
      * snapshot) plus the sample-phase cost and, once the symbios
      * validation ran, the best/worst/average summary. A CMP adds a
-     * "machine" subtree with the stats machine's shared-L2 and
-     * per-core cache counters (plus each core's best-run pipeline
-     * counters under "core<k>.perf"), and every evaluated policy adds
-     * a "policy.<name>" subtree. Stats bind to this experiment's
+     * "machine" subtree with the shared-L2 and per-core cache counters
+     * of the best-WS candidate's symbios run, as the sweep measured it
+     * from its warm fork (plus each core's pipeline counters over that
+     * run under "core<k>.perf"), and every evaluated policy adds a
+     * "policy.<name>" subtree. Stats bind to this experiment's
      * storage, so it must outlive any dump. Call after the phases you
      * want visible have completed.
      */
@@ -268,13 +269,6 @@ class BatchExperiment
     std::vector<std::size_t>
     screenCandidates(std::vector<ScheduleProfile> &synthetic) const;
 
-    /**
-     * Replay the measured best candidate for @p timeslices on a
-     * persistent machine, so dumps can read live cache and contention
-     * counters (publishStats binds, never copies).
-     */
-    void replayBest(std::uint64_t timeslices);
-
     ExperimentSpec spec_;
     SimConfig config_;
     MachineParams machineParams_; ///< the machine every candidate runs on
@@ -295,11 +289,14 @@ class BatchExperiment
 
     std::vector<PolicyResult> policyResults_;
 
-    /** @name Best-candidate replay for live machine stats (CMP) @{ */
-    std::unique_ptr<Machine> statsMachine_;
-    MachineEngine::MachineRunResult bestRun_;
-    int bestIndex_ = -1;
-    /** @} */
+    /** The best-WS candidate and its symbios-length run. */
+    struct BestRun
+    {
+        std::size_t index = 0;
+        MachineEngine::MachineRunResult run;
+    };
+    /** Kept by runSymbiosValidation() on a CMP, for publishStats(). */
+    std::optional<BestRun> best_;
 };
 
 /**

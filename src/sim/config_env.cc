@@ -193,4 +193,14 @@ parseBenchArgs(const CommandLine &cli, int argc, char **argv)
     return options;
 }
 
+void
+requireScaledFlag(const std::string &name, std::uint64_t paper_cycles,
+                  const SimConfig &config)
+{
+    if (paper_cycles / config.cycleScale == 0) {
+        fatal("value for ", name, " must be at least the cycle scale (",
+              config.cycleScale, " paper cycles): '", paper_cycles, "'");
+    }
+}
+
 } // namespace sos

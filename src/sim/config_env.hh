@@ -165,6 +165,10 @@ struct CommandLine
  */
 BenchOptions parseBenchArgs(const CommandLine &cli, int argc, char **argv);
 
+/** fatal(), naming flag @p name, if @p paper_cycles scales to zero. */
+void requireScaledFlag(const std::string &name, std::uint64_t paper_cycles,
+                       const SimConfig &config);
+
 } // namespace sos
 
 #endif // SOS_SIM_CONFIG_ENV_HH

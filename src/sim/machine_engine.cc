@@ -19,20 +19,6 @@ MachineEngine::MachineEngine(Machine &machine,
 }
 
 void
-MachineEngine::evictAll()
-{
-    for (Core &core : cores_) {
-        for (int slot = 0; slot < core.smt->params().numContexts; ++slot) {
-            ThreadRef &unit = core.slots[static_cast<std::size_t>(slot)];
-            if (unit.job != nullptr) {
-                core.smt->detachThread(slot);
-                unit = ThreadRef{};
-            }
-        }
-    }
-}
-
-void
 MachineEngine::evictJob(const Job *job)
 {
     for (Core &core : cores_) {
@@ -204,8 +190,10 @@ MachineEngine::runSchedule(JobMix &mix, const MachineSchedule &schedule,
     auto next = order.begin();
     std::vector<std::vector<ThreadRef>> units(cores);
     for (std::uint64_t t = 0;; ++t) {
-        while (next != order.end() && checkpoints[*next] == t)
-            results[*next++] = result;
+        while (next != order.end() && checkpoints[*next] == t) {
+            results[*next] = result;
+            results[*next++].memory = machine_.memoryCounters();
+        }
         if (next == order.end())
             break;
         for (std::size_t k = 0; k < cores; ++k) {

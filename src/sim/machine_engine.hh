@@ -52,6 +52,9 @@ class MachineEngine
         /** Per-core counter totals, indexed by core. */
         std::vector<PerfCounters> perCore;
 
+        /** The machine's lifetime memory counters at the run's end. */
+        MemoryCounters memory;
+
         /** Retired instructions per mix job (global job indices). */
         std::vector<std::uint64_t> jobRetired;
 
@@ -120,10 +123,11 @@ class MachineEngine
     /**
      * Run @p schedule once, for the longest of @p checkpoints quanta:
      * every timeslice, core k runs tuple t of its per-core schedule.
-     * Result c is the run's accumulators after checkpoints[c]
-     * timeslices, which is exactly what a separate run of that length
-     * from the same state would measure: a run only sums per-slice
-     * results. Checkpoints may come in any order and repeat. The
+     * Result c is the run's accumulators (and the machine's memory
+     * counters) after checkpoints[c] timeslices, which is exactly what
+     * a separate run of that length from the same state would measure:
+     * a run only sums per-slice results. Checkpoints may come in any
+     * order and repeat. The
      * schedule's allocation must index into @p mix. Jobs accumulate
      * progress as under runSlice (retired instructions and resident
      * cycles), so a warmup run followed by a measured run charges the
@@ -132,9 +136,6 @@ class MachineEngine
     std::vector<MachineRunResult>
     runSchedule(JobMix &mix, const MachineSchedule &schedule,
                 const std::vector<std::uint64_t> &checkpoints);
-
-    /** Detach every unit from every core. */
-    void evictAll();
 
     /** Detach any resident threads of one job from every core. */
     void evictJob(const Job *job);

@@ -195,15 +195,11 @@ openRunSetup(const SimConfig &sim, const OpenSystemConfig &system,
 OpenSystemResult
 runOpenSystem(const SimConfig &sim, const OpenSystemConfig &config,
               const std::vector<JobArrival> &trace, OpenPolicy policy,
-              ThreadPool &pool, stats::EventTrace *events,
-              EngineBackend *backend)
+              ThreadPool &pool, stats::EventTrace *events)
 {
     SOS_ASSERT(!trace.empty());
-    std::unique_ptr<EngineBackend> owned;
-    if (backend == nullptr) {
-        owned = makeOpenBackend(sim, config.level, config.numCores);
-        backend = owned.get();
-    }
+    const std::unique_ptr<EngineBackend> backend =
+        makeOpenBackend(sim, config.level, config.numCores);
     OpenRunSetup setup = openRunSetup(
         sim, config,
         sim.scaled(config.effectiveInterarrivalPaper(sim, pool)),
@@ -241,13 +237,14 @@ runOpenSystem(const SimConfig &sim, const OpenSystemConfig &config,
     result.samplePhases = run.samplePhases();
     result.resamplesOnJobChange = run.resamplesOnJobChange();
     result.resamplesOnTimer = run.resamplesOnTimer();
+    result.backend = backend->name();
+    result.memory = backend->machine().memoryCounters();
     return result;
 }
 
 ResponseComparison
 compareResponseTimes(const SimConfig &sim, const OpenSystemConfig &config,
-                     ThreadPool &pool, EngineBackend *sos_backend,
-                     stats::EventTrace *events)
+                     ThreadPool &pool, stats::EventTrace *events)
 {
     OpenSystemConfig resolved = config;
     resolved.meanInterarrivalPaper =
@@ -258,7 +255,7 @@ compareResponseTimes(const SimConfig &sim, const OpenSystemConfig &config,
     comparison.naive = runOpenSystem(sim, resolved, trace,
                                      OpenPolicy::Naive, pool);
     comparison.sos = runOpenSystem(sim, resolved, trace, OpenPolicy::Sos,
-                                   pool, events, sos_backend);
+                                   pool, events);
     comparison.jobsCompared = static_cast<int>(trace.size());
     if (comparison.naive.meanResponseCycles > 0.0) {
         comparison.improvementPct =

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu/machine.hh"
 #include "sim/sim_config.hh"
 #include "sos/open_run.hh"
 
@@ -144,6 +145,10 @@ struct OpenSystemResult
     int resamplesOnTimer = 0;
     /** Response time per arrival index (matches the trace order). */
     std::vector<std::uint64_t> responseByArrival;
+    /** The substrate, as EngineBackend::name() calls it. */
+    std::string backend;
+    /** The backend machine's memory counters once the run drained. */
+    MemoryCounters memory;
 };
 
 /**
@@ -157,8 +162,8 @@ std::vector<JobArrival> makeArrivalTrace(const SimConfig &sim,
 /**
  * Build the engine backend an open-system run schedules onto: a
  * @p num_cores machine (at least one core) of SMT-@p level cores,
- * sampled as @p sim.sample says. Exposed so harnesses can keep the
- * backend alive and publish its machine's stat groups after the run.
+ * sampled as @p sim.sample says. runOpenSystem() and every cluster
+ * node build theirs here.
  */
 std::unique_ptr<EngineBackend>
 makeOpenBackend(const SimConfig &sim, int level, int num_cores);
@@ -186,25 +191,23 @@ openRunSetup(const SimConfig &sim, const OpenSystemConfig &system,
              std::function<JobArrival(std::size_t)> arrival_at);
 
 /**
- * Run one policy over a trace; a sample phase profiles its candidate
- * forks as one batch on @p pool.
+ * Run one policy over a trace on a fresh backend (makeOpenBackend());
+ * a sample phase profiles its candidate forks as one batch on
+ * @p pool. The result carries the backend's name and its machine's
+ * memory counters at drain, so nothing needs the backend afterwards.
  *
  * When @p events is non-null, the kernel's SOS decisions -- each
  * "sample_phase_begin" (with its trigger: job_change or timer) and
  * each "symbios_pick" -- are appended to it. Decisions are emitted
  * from the kernel's deterministic event loop, so traces are
- * byte-identical across runs and worker counts.
- *
- * The run schedules onto @p backend when non-null (a fresh backend
- * the caller keeps, so its machine's stat groups outlive the run);
- * otherwise it builds and discards one.
+ * byte-identical across runs and worker counts; runs fanned out on
+ * one pool each take their own.
  */
 OpenSystemResult runOpenSystem(const SimConfig &sim,
                                const OpenSystemConfig &config,
                                const std::vector<JobArrival> &trace,
                                OpenPolicy policy, ThreadPool &pool,
-                               stats::EventTrace *events = nullptr,
-                               EngineBackend *backend = nullptr);
+                               stats::EventTrace *events = nullptr);
 
 /** Side-by-side comparison used by Figures 5, 6 and 8. */
 struct ResponseComparison
@@ -219,13 +222,11 @@ struct ResponseComparison
 /**
  * Run both policies over the same trace and compare, all on @p pool;
  * a derived interarrival is resolved once for the trace and both
- * runs. The SOS run takes @p events and @p sos_backend as
- * runOpenSystem() does.
+ * runs. The SOS run takes @p events as runOpenSystem() does.
  */
 ResponseComparison
 compareResponseTimes(const SimConfig &sim, const OpenSystemConfig &config,
-                     ThreadPool &pool, EngineBackend *sos_backend = nullptr,
-                     stats::EventTrace *events = nullptr);
+                     ThreadPool &pool, stats::EventTrace *events = nullptr);
 
 } // namespace sos
 

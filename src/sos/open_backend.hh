@@ -85,7 +85,7 @@ class EngineBackend
 
     std::uint64_t timesliceCycles() const { return timeslice_; }
 
-    /** The live machine (per-core stat groups for manifests). */
+    /** The live machine (its memory counters for manifests). */
     const Machine &machine() const { return *live_.machine; }
 
     /**

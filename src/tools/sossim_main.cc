@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,7 +36,6 @@
 #include "sim/open_system.hh"
 #include "sim/params_io.hh"
 #include "sim/reporting.hh"
-#include "sos/open_backend.hh"
 #include "trace/workload_library.hh"
 
 namespace {
@@ -180,27 +178,22 @@ cmdOpen(int argc, char **argv)
     open.numCores = cores.value_or(std::max(1, config.machineCores));
     open.seed = config.seed ^ 0x09e2ULL;
 
-    // The SOS backend is owned here so its machine's stat groups
-    // survive into the manifest dump; both runs are serial, so the
-    // decision trace stays deterministic.
-    const std::unique_ptr<EngineBackend> backend =
-        makeOpenBackend(config, open.level, open.numCores);
     ThreadPool pool(resolveJobs(config.jobs));
     const ResponseComparison comparison = compareResponseTimes(
-        config, open, pool, backend.get(),
+        config, open, pool,
         harness.wantsTrace() ? &harness.trace() : nullptr);
 
     const stats::Group open_group = harness.group("open");
     open_group.scalar("jobs", "arrivals simulated") =
         static_cast<std::uint64_t>(comparison.jobsCompared);
     open_group.info("backend", "engine backend substrate") =
-        backend->name();
+        comparison.sos.backend;
     open_group.info("predictor", "symbios predictor") = open.predictor;
     open_group.info("resample_policy", "resample-timer policy") =
         open.resamplePolicy;
     open_group.scalar("cores", "SMT cores on the machine") =
         static_cast<std::uint64_t>(open.numCores);
-    backend->machine().registerStats(open_group.group("machine"));
+    comparison.sos.memory.registerStats(open_group.group("machine"));
     const auto publishPolicy = [&](const char *name,
                                    const OpenSystemResult &result) {
         const stats::Group policy = open_group.group(name);
@@ -361,12 +354,19 @@ parseClasses(const std::string &spec)
                   "' is not name:weight:sizeFactor");
         ArrivalClass klass;
         klass.name = entry.substr(0, first);
-        klass.weight =
-            parseKnobDouble("--classes weight of " + klass.name,
-                            entry.substr(first + 1, second - first - 1));
-        klass.sizeFactor =
-            parseKnobDouble("--classes sizeFactor of " + klass.name,
-                            entry.substr(second + 1));
+        const auto positive = [&](const std::string &field,
+                                  const std::string &value) {
+            const std::string name =
+                "--classes " + field + " of " + klass.name;
+            const double number = parseKnobDouble(name, value);
+            if (!(number > 0.0))
+                fatal("value for ", name, " must be positive: '", value,
+                      "'");
+            return number;
+        };
+        klass.weight = positive(
+            "weight", entry.substr(first + 1, second - first - 1));
+        klass.sizeFactor = positive("sizeFactor", entry.substr(second + 1));
         classes.push_back(std::move(klass));
         start = end + 1;
     }
@@ -419,8 +419,10 @@ cmdCluster(int argc, char **argv)
          .nodeConfigs = &cluster.nodeConfigs},
         argc, argv);
     const SimConfig &config = harness.config();
-    // Fail fast on unknown registry names and unreadable model files,
-    // before any simulation.
+    // Fail fast on unknown registry names, unreadable model files and
+    // a mean job that vanishes at the cycle scale, before any
+    // simulation.
+    requireScaledFlag("--mean-job", cluster.meanJobPaperCycles, config);
     makeDispatcher(cluster.dispatch, 0, config.modelPath);
     makePredictor(cluster.predictor, config.modelPath);
     cluster.seed = config.seed ^ 0xc105edULL;

@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,7 +31,6 @@
 #include "sim/hierarchical_experiment.hh"
 #include "sim/open_system.hh"
 #include "sim/params_io.hh"
-#include "sos/open_backend.hh"
 #include "stats/manifest.hh"
 #include "stats/stats.hh"
 #include "stats/trace.hh"
@@ -216,29 +214,25 @@ smallOpenSystem(int level, int cores, std::uint64_t seed)
 }
 
 /**
- * One SOS run on a harness-owned backend, published with the
- * machine's stat groups and the decision trace. @p backends keeps the
- * machine alive until the manifest renders.
+ * One SOS run, published with its machine's memory counters and the
+ * decision trace.
  */
 void
 publishSosRun(const stats::Group &group, const SimConfig &sim,
-              const OpenSystemConfig &config, ThreadPool &pool,
-              std::vector<std::unique_ptr<EngineBackend>> &backends)
+              const OpenSystemConfig &config, ThreadPool &pool)
 {
     const std::vector<JobArrival> arrivals =
         makeArrivalTrace(sim, config, pool);
-    backends.push_back(makeOpenBackend(sim, config.level, config.numCores));
-    EngineBackend &backend = *backends.back();
     stats::EventTrace events;
     const OpenSystemResult result = runOpenSystem(
-        sim, config, arrivals, OpenPolicy::Sos, pool, &events, &backend);
-    group.info("backend", "engine backend substrate") = backend.name();
+        sim, config, arrivals, OpenPolicy::Sos, pool, &events);
+    group.info("backend", "engine backend substrate") = result.backend;
     group.scalar("interarrival_paper_cycles",
                  "mean interarrival time in paper cycles") =
         config.meanInterarrivalPaper;
     publishOpenResult(group.group("sos"), result);
     group.info("trace", "SOS decision trace (JSONL)") = events.render();
-    backend.machine().registerStats(group.group("machine"));
+    result.memory.registerStats(group.group("machine"));
 }
 
 std::string
@@ -248,7 +242,6 @@ openManifest(int jobs)
     config.jobs = jobs;
     stats::Registry registry;
     const stats::Group open = stats::Group(registry).group("open");
-    std::vector<std::unique_ptr<EngineBackend>> backends;
     ThreadPool pool(jobs);
 
     // The paper's substrate at level 3 with a derived interarrival
@@ -259,7 +252,7 @@ openManifest(int jobs)
         system.meanInterarrivalPaper =
             system.effectiveInterarrivalPaper(config, pool);
         const stats::Group smt = open.group("smt3");
-        publishSosRun(smt, config, system, pool, backends);
+        publishSosRun(smt, config, system, pool);
         publishOpenResult(
             smt.group("naive"),
             runOpenSystem(config, system,
@@ -271,8 +264,7 @@ openManifest(int jobs)
     {
         OpenSystemConfig system = smallOpenSystem(2, 2, 0x0b22);
         system.meanInterarrivalPaper = system.meanJobPaperCycles / 4;
-        publishSosRun(open.group("cmp2x2"), config, system, pool,
-                      backends);
+        publishSosRun(open.group("cmp2x2"), config, system, pool);
     }
 
     // One SMT core with sampled simulation on (live slices and forks).
@@ -284,7 +276,7 @@ openManifest(int jobs)
         const stats::Group group = open.group("sampled");
         group.info("sample", "sampled-simulation windows") =
             renderSampleWindows(sampled.sample);
-        publishSosRun(group, sampled, system, pool, backends);
+        publishSosRun(group, sampled, system, pool);
     }
 
     // Two cluster nodes behind the signature dispatcher.

@@ -105,13 +105,15 @@ TEST_F(EngineTest, RejectsOversizedRunningSet)
                  "more units");
 }
 
-TEST_F(EngineTest, EvictAllFreesSlots)
+TEST_F(EngineTest, EmptySliceFreesSlots)
 {
+    // A core given no units runs its quantum with every resident
+    // evicted.
     JobMix mix(5);
     mix.addJob("EP");
     mix.addJob("FP");
     run({mix.unit(0), mix.unit(1)});
-    engine_.evictAll();
+    run({});
     EXPECT_EQ(core_.inFlightCount(), 0);
     EXPECT_FALSE(core_.slotActive(0));
     EXPECT_FALSE(core_.slotActive(1));

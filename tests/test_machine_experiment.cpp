@@ -3,16 +3,23 @@
  * Machine-level experiment tests: a closed experiment on a CMP
  * (Jm(X,C,Y,Z), C > 1) obeys the sweep determinism contract --
  * profiles and symbios WS are bit-identical for any worker count (the
- * SOS_JOBS=1/2/8 acceptance check, run in-process via config.jobs).
- * That the 1-core case is the paper's SMT core is pinned by the batch
- * golden (test_adapter_equivalence).
+ * SOS_JOBS=1/2/8 acceptance check, run in-process via config.jobs) --
+ * and publishes the best candidate's machine counters exactly as a
+ * from-scratch run of that candidate measures them. That the 1-core
+ * case is the paper's SMT core is pinned by the batch golden
+ * (test_adapter_equivalence).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "sim/batch_experiment.hh"
+#include "sim/params_io.hh"
+#include "stats/stats.hh"
 
 namespace sos {
 namespace {
@@ -109,6 +116,67 @@ TEST(MachineExperiment, CoscheduleSamplesCoverEveryCandidate)
         EXPECT_FALSE(sample.tuples.empty());
         EXPECT_GT(sample.ws, 0.0);
     }
+}
+
+/** Every stat under @p prefix, rendered, keyed by its path. */
+std::map<std::string, std::string>
+subtree(const stats::Registry &registry, const std::string &prefix)
+{
+    std::map<std::string, std::string> out;
+    for (const stats::Stat *stat : registry.sorted()) {
+        if (stat->path().starts_with(prefix))
+            out[stat->path()] = stat->renderText();
+    }
+    return out;
+}
+
+TEST(MachineExperiment, PublishedMachineCountersMatchAFromScratchRun)
+{
+    // The "machine" subtree comes from the best candidate's own sweep
+    // run, a fork of its allocation's warm snapshot. The reference
+    // builds that candidate from scratch: a fresh machine, one period
+    // of its allocation's warm-up, then its schedule to the symbios
+    // length. Sampled, so no golden pins this case.
+    SimConfig config = makeFastConfig();
+    applyOverride(config, "sample=7000:1000:2000");
+    config.jobs = 2;
+    BatchExperiment exp(smallSpec(), config);
+    exp.runSamplePhase();
+    exp.runSymbiosValidation();
+
+    stats::Registry published;
+    exp.publishStats(stats::Group(published, "e"));
+    const auto actual = subtree(published, "e.machine.");
+
+    const std::vector<double> &symbios = exp.symbiosWs();
+    const auto best = static_cast<std::size_t>(
+        std::max_element(symbios.begin(), symbios.end()) -
+        symbios.begin());
+    const ParallelScheduleRunner::SweepSpec sweep =
+        exp.sweep(exp.schedules());
+    JobMix mix = sweep.makeMix(best);
+    Machine machine(sweep.machine);
+    MachineEngine engine(machine, sweep.timesliceCycles, sweep.sample);
+    const MachineSchedule warm = sweep.warmup(best);
+    engine.runSchedule(mix, warm, {warm.periodTimeslices()});
+    const std::uint64_t symbios_slices = std::max<std::uint64_t>(
+        1, config.symbiosCycles() / sweep.timesliceCycles);
+    const MachineEngine::MachineRunResult run =
+        engine.runSchedule(mix, exp.schedules()[best], {symbios_slices})
+            .front();
+
+    stats::Registry reference;
+    const stats::Group group =
+        stats::Group(reference, "e").group("machine");
+    group.info("best_schedule") = exp.schedules()[best].label();
+    run.memory.registerStats(group);
+    for (std::size_t k = 0; k < run.perCore.size(); ++k)
+        run.perCore[k].registerStats(
+            group.group("core" + std::to_string(k)).group("perf"));
+
+    EXPECT_EQ(actual, subtree(reference, "e.machine."));
+    EXPECT_TRUE(actual.contains("e.machine.core1.l2_contention.miss_share"));
+    EXPECT_NE(actual.at("e.machine.l2.hits"), "0");
 }
 
 } // namespace

@@ -204,7 +204,7 @@ TEST(OpenSystem, ComparisonsNestedOnOnePoolMatchSerialCalls)
         stats::EventTrace events;
         Compared compared;
         compared.comparison =
-            compareResponseTimes(sim, configs[i], pool, nullptr, &events);
+            compareResponseTimes(sim, configs[i], pool, &events);
         compared.trace = events.render();
         return compared;
     };

@@ -242,6 +242,7 @@ expectRunIdentical(const ParallelScheduleRunner::ScheduleRun &a,
     EXPECT_EQ(a.run.sliceMixImbalance, b.run.sliceMixImbalance);
     EXPECT_EQ(a.run.cycles, b.run.cycles);
     EXPECT_EQ(a.run.sampling, b.run.sampling);
+    EXPECT_EQ(a.run.memory, b.run.memory);
     EXPECT_EQ(a.ws, b.ws);
 }
 

@@ -337,6 +337,16 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
         {"open --cores 0",
          "value for --cores must be a positive integer: '0'"},
         {"open --level 0", "value for --level must be in [1, 8]: '0'"},
+        // A mean job that scales to zero cycles, and a non-positive
+        // class weight or size factor, used to panic mid-setup.
+        {"cluster --mean-job 0 --arrivals 5 --nodes 1",
+         "value for --mean-job must be at least the cycle scale"},
+        {"cluster --classes a:0:1 --arrivals 5 --nodes 1",
+         "value for --classes weight of a must be positive: '0'"},
+        {"cluster --classes a:1:1,b:-1:1",
+         "value for --classes weight of b must be positive: '-1'"},
+        {"cluster --classes a:1:-0.5",
+         "value for --classes sizeFactor of a must be positive: '-0.5'"},
     };
     for (const auto &[args, message] : cases) {
         const auto [status, output] = runSossim(args);
@@ -357,6 +367,30 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
         EXPECT_NE(output.find(message), std::string::npos)
             << env << "\n" << output;
     }
+    // Any mean job below the cycle scale vanishes, at any scale.
+    {
+        const auto [status, output] =
+            runSossim("cluster --mean-job 3999 --arrivals 5 --nodes 1",
+                      "SOS_CYCLE_SCALE=4000");
+        EXPECT_EQ(status, 1) << output;
+        EXPECT_NE(output.find("value for --mean-job must be at least the "
+                              "cycle scale (4000 paper cycles): '3999'"),
+                  std::string::npos)
+            << output;
+    }
+    // So does a stable interarrival derived from a mean job just above
+    // it.
+    {
+        const auto [status, output] =
+            runSossim("cluster --mean-job 4000 --arrivals 5 --nodes 1",
+                      "SOS_CYCLE_SCALE=4000");
+        EXPECT_EQ(status, 1) << output;
+        EXPECT_NE(output.find("is shorter than the cycle scale (4000); "
+                              "raise the mean job (--mean-job, 4000 "
+                              "paper cycles)"),
+                  std::string::npos)
+            << output;
+    }
 
     // The flag narrows no more than the parser does.
     const auto [status, output] =
@@ -367,7 +401,7 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
               std::string::npos)
         << output;
 
-    // fig9 takes the same counts as `sossim cluster`.
+    // fig9 takes the same counts and mean job as `sossim cluster`.
     const std::string fig9 = std::string(SOS_BENCH_DIR) + "/fig9_cluster";
     for (const char *flag : {"--nodes", "--arrivals"}) {
         const auto [fig9_status, fig9_output] =
@@ -378,6 +412,13 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
                   std::string::npos)
             << flag << "\n" << fig9_output;
     }
+    const auto [fig9_status, fig9_output] =
+        runTool(fig9, "--mean-job 999", "SOS_CYCLE_SCALE=1000");
+    EXPECT_EQ(fig9_status, 1) << fig9_output;
+    EXPECT_NE(fig9_output.find("value for --mean-job must be at least the "
+                               "cycle scale (1000 paper cycles): '999'"),
+              std::string::npos)
+        << fig9_output;
 }
 
 TEST(ParamsIo, SostrainNumericFlagsGiveNamedErrors)

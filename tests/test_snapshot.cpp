@@ -164,13 +164,15 @@ TEST(Snapshot, SweepMatchesCandidatesBuiltFromScratch)
 {
     // runAll warms one snapshot per warm-up group and forks it per
     // candidate; that must be invisible next to re-running each
-    // candidate's warm-up on its own machine, at every worker count.
+    // candidate's warm-up on its own machine, at every worker count
+    // and every checkpoint -- the memory counters included, which a
+    // fork inherits from the snapshot's warm-up.
     const ExperimentSpec cmp{
         .label = "Jm(4,2,2,2)",
         .entries = {{"FP"}, {"MG"}, {"GCC"}, {"IS"}},
         .numCores = 2,
     };
-    const std::uint64_t length = 6;
+    const std::vector<std::uint64_t> lengths = {6, 3};
     for (const ExperimentSpec &spec :
          {experimentByLabel("Jsb(4,2,2)"), cmp}) {
         const BatchExperiment exp(spec, makeFastConfig());
@@ -179,30 +181,41 @@ TEST(Snapshot, SweepMatchesCandidatesBuiltFromScratch)
             exp.space().sample(4, rng);
         const ParallelScheduleRunner::SweepSpec sweep =
             exp.sweep(schedules);
-        std::vector<ParallelScheduleRunner::ScheduleRun> reference;
-        for (std::size_t i = 0; i < schedules.size(); ++i)
-            reference.push_back(fromScratch(sweep, schedules, i, length));
+        std::vector<std::vector<ParallelScheduleRunner::ScheduleRun>>
+            reference(schedules.size());
+        for (std::size_t i = 0; i < schedules.size(); ++i) {
+            for (const std::uint64_t length : lengths)
+                reference[i].push_back(
+                    fromScratch(sweep, schedules, i, length));
+        }
 
         for (const int jobs : {1, 2, 8}) {
             SCOPED_TRACE(spec.label + " jobs=" + std::to_string(jobs));
             const ParallelScheduleRunner runner(jobs);
             const auto runs = runner.runAll(
-                sweep, schedules,
-                [&](std::size_t) { return std::vector{length}; });
+                sweep, schedules, [&](std::size_t) { return lengths; });
             ASSERT_EQ(runs.size(), reference.size());
             for (std::size_t i = 0; i < runs.size(); ++i) {
-                SCOPED_TRACE("candidate " + std::to_string(i));
-                ASSERT_EQ(runs[i].size(), 1u);
-                const ParallelScheduleRunner::ScheduleRun &run =
-                    runs[i].front();
-                EXPECT_EQ(run.run.total, reference[i].run.total);
-                EXPECT_EQ(run.run.perCore, reference[i].run.perCore);
-                EXPECT_EQ(run.run.jobRetired,
-                          reference[i].run.jobRetired);
-                EXPECT_EQ(run.run.sliceIpc, reference[i].run.sliceIpc);
-                EXPECT_EQ(run.run.cycles, reference[i].run.cycles);
-                EXPECT_EQ(run.ws, reference[i].ws);
-                EXPECT_GT(run.run.total.retired, 0u);
+                ASSERT_EQ(runs[i].size(), lengths.size());
+                for (std::size_t c = 0; c < lengths.size(); ++c) {
+                    SCOPED_TRACE("candidate " + std::to_string(i) +
+                                 " checkpoint " + std::to_string(c));
+                    const ParallelScheduleRunner::ScheduleRun &run =
+                        runs[i][c];
+                    const ParallelScheduleRunner::ScheduleRun &expected =
+                        reference[i][c];
+                    EXPECT_EQ(run.run.total, expected.run.total);
+                    EXPECT_EQ(run.run.perCore, expected.run.perCore);
+                    EXPECT_EQ(run.run.memory, expected.run.memory);
+                    EXPECT_EQ(run.run.jobRetired, expected.run.jobRetired);
+                    EXPECT_EQ(run.run.sliceIpc, expected.run.sliceIpc);
+                    EXPECT_EQ(run.run.cycles, expected.run.cycles);
+                    EXPECT_EQ(run.ws, expected.ws);
+                    EXPECT_GT(run.run.total.retired, 0u);
+                    ASSERT_EQ(run.run.memory.cores.size(),
+                              static_cast<std::size_t>(spec.numCores));
+                    EXPECT_GT(run.run.memory.cores[0].l1d.hits, 0u);
+                }
             }
         }
     }
