@@ -39,17 +39,22 @@ main(int argc, char **argv)
     table.printHeader();
 
     // One pool for the whole figure. Each level's derived arrival
-    // rate is resolved once, the four capacity probes as one batch;
-    // then every (level, trace) run is independent: fan them all out,
-    // each run's sample phases nesting on the same pool.
+    // rate is resolved once, the four capacity probes as one batch
+    // (their shared solo references are measured once); then every
+    // (level, trace) run is independent: fan them all out, each run's
+    // sample phases nesting on the same pool.
     ThreadPool pool(resolveJobs(config.jobs));
+    std::vector<CapacityProbe> probes;
+    for (int level : levels)
+        probes.push_back({&config, level});
+    const std::vector<double> capacities = measuredCapacities(probes, pool);
     std::vector<OpenSystemConfig> bases(levels.size());
-    pool.run(levels.size(), [&](std::size_t l) {
+    for (std::size_t l = 0; l < levels.size(); ++l) {
         bases[l].level = levels[l];
         bases[l].numJobs = 24;
         bases[l].meanInterarrivalPaper =
-            bases[l].effectiveInterarrivalPaper(config, pool);
-    });
+            bases[l].stableInterarrivalPaper(capacities[l]);
+    }
     const auto traceConfig = [&](std::size_t l, int t) {
         OpenSystemConfig open = bases[l];
         open.seed = config.seed ^

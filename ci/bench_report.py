@@ -4,7 +4,7 @@
 Each bench binary given --bench FILE writes one "sos.bench" (schema
 version 3) document: top-level tool, jobs and sample, and a
 "stats" tree that always holds "timing" (elapsed_seconds, candidates,
-candidates_per_sec). micro_simulator adds "core" (smt<k> levels of the
+candidates_per_sec, solo_refs_measured). micro_simulator adds "core" (smt<k> levels of the
 core-loop microbench), fig9_cluster adds "cluster" (workers<w> points
 of its scaling curve).
 
@@ -86,7 +86,8 @@ def load_bench(path):
         require(section in doc["stats"],
                 "%s: %s wrote no %r section" % (path, doc["tool"], section))
     timing = doc["stats"].get("timing", {})
-    for key in ("elapsed_seconds", "candidates", "candidates_per_sec"):
+    for key in ("elapsed_seconds", "candidates", "candidates_per_sec",
+                "solo_refs_measured"):
         require(timing.get(key, -1) >= 0, "%s: bad timing.%s" % (path, key))
     core = doc["stats"].get("core")
     if core is not None:

@@ -23,13 +23,18 @@ Cluster::Cluster(const SimConfig &base, const ClusterConfig &config)
     // Per-node configuration: the node's own config, else the base.
     // The stable single-machine interarrival is resolved once per
     // distinct config -- each node config, then the base if any node
-    // runs it -- as one batch of capacity probes.
+    // runs it -- from one batch of capacity probes.
     std::vector<SimConfig> sims = config.nodeConfigs;
     const std::size_t base_index = sims.size();
     if (static_cast<int>(sims.size()) < config.numNodes)
         sims.push_back(base);
+    std::vector<CapacityProbe> probes;
+    for (const SimConfig &sim : sims)
+        probes.push_back({&sim, config.level});
+    const std::vector<double> capacities =
+        measuredCapacities(probes, pool_);
     std::vector<OpenSystemConfig> opens(sims.size());
-    pool_.run(sims.size(), [&](std::size_t i) {
+    for (std::size_t i = 0; i < sims.size(); ++i) {
         OpenSystemConfig &open = opens[i];
         open.level = config.level;
         open.numCores = sims[i].machineCores > 0 ? sims[i].machineCores
@@ -40,8 +45,8 @@ Cluster::Cluster(const SimConfig &base, const ClusterConfig &config)
         open.resamplePolicy = config.resamplePolicy;
         open.seed = config.seed;
         open.meanInterarrivalPaper =
-            open.effectiveInterarrivalPaper(sims[i], pool_);
-    });
+            open.stableInterarrivalPaper(capacities[i]);
+    }
 
     double cluster_rate = 0.0;
     for (int k = 0; k < config.numNodes; ++k) {

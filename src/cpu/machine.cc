@@ -110,20 +110,6 @@ Machine::Machine(const Machine &other)
     }
 }
 
-void
-Machine::detachAll()
-{
-    for (auto &core : cores_)
-        core->detachAll();
-}
-
-void
-Machine::flushAll()
-{
-    for (auto &view : views_)
-        view->flushAll(); // each view also flushes the shared L2
-}
-
 MemoryCounters
 Machine::memoryCounters() const
 {

@@ -206,12 +206,6 @@ class Machine
 
     const MachineParams &params() const { return params_; }
 
-    /** Detach every thread from every core. */
-    void detachAll();
-
-    /** Invalidate every cache on the machine (between experiments). */
-    void flushAll();
-
     /** The memory-system counters as they stand now. */
     MemoryCounters memoryCounters() const;
 

@@ -181,15 +181,6 @@ SmtCore::detachThread(int slot)
     rebuildActiveList();
 }
 
-void
-SmtCore::detachAll()
-{
-    for (int slot = 0; slot < params_.numContexts; ++slot) {
-        if (active_[static_cast<std::size_t>(slot)])
-            detachThread(slot);
-    }
-}
-
 bool
 SmtCore::slotActive(int slot) const
 {

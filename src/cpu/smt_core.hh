@@ -89,9 +89,6 @@ class SmtCore
      */
     void detachThread(int slot);
 
-    /** Detach every bound thread. */
-    void detachAll();
-
     /** True if the slot currently has a thread bound. */
     bool slotActive(int slot) const;
 

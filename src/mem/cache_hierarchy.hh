@@ -182,9 +182,9 @@ class CacheHierarchy
     std::uint32_t instAccess(std::uint16_t asid, std::uint64_t pc);
 
     /**
-     * Invalidate the private levels *and* the shared L2 (used between
-     * independent experiments; on a multicore machine prefer
-     * Machine::flushAll, which flushes every view).
+     * Invalidate the private levels *and* the shared L2. On a
+     * multicore machine the L2 is shared, so this also coldens every
+     * other core's view of it.
      */
     void flushAll();
 

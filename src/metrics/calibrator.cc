@@ -42,7 +42,13 @@ appendCache(std::string &key, const CacheParams &cache)
  * Canonical rendering of everything a solo-IPC measurement depends
  * on. Collision-free by construction (unlike a hash), so a cache hit
  * is always the right reference. Must enumerate every CoreParams and
- * MemParams field: a missed field would alias configurations.
+ * MemParams field but one: a missed field would alias configurations.
+ * The exception is core.numContexts. A solo run leaves every context
+ * beyond its own threads empty, and measureOne() runs it on the
+ * smallest core that hosts it (numContexts = threads), so the cores
+ * of every SMT level share one reference;
+ * Calibrator.ReferenceIsIndependentOfContextCount pins that the
+ * context count does not change a solo run.
  */
 std::string
 soloIpcKey(const CoreParams &core, const MemParams &mem,
@@ -60,7 +66,6 @@ soloIpcKey(const CoreParams &core, const MemParams &mem,
     appendField(key, sample.warm);
     appendField(key, sample.measure);
 
-    appendField(key, core.numContexts);
     appendField(key, core.fetchWidth);
     appendField(key, core.fetchThreads);
     appendField(key, core.fetchQueueSize);
@@ -176,7 +181,12 @@ Calibrator::measureOne(const SoloKey &key) const
         WorkloadLibrary::instance().get(key.workload);
     Job job(1, profile, 0xca11b7a7eULL, key.threads,
             /*adaptive=*/false);
-    Machine machine(coreParams_, memParams_);
+    // The smallest core that hosts the job: the table key leaves the
+    // context count out, so a shared key's value must not depend on
+    // which calibrator measured it first.
+    CoreParams core_params = coreParams_;
+    core_params.numContexts = key.threads;
+    Machine machine(core_params, memParams_);
     SmtCore &core = machine.core(0);
     for (int t = 0; t < key.threads; ++t)
         core.attachThread(t, job.binding(t));

@@ -8,15 +8,17 @@
  * issue rate of the job running alone with no other jobs coscheduled
  * (Section 7), so a parallel job's reference depends on its thread
  * count. The Calibrator measures these references on a private core
- * with the same configuration as the experiment's core, and memoizes
- * them per (workload, thread count).
+ * with the experiment's core configuration, narrowed to the job's
+ * thread count (contexts a solo run leaves empty do not change it),
+ * and memoizes them per (workload, thread count).
  *
  * Measurements are also shared through a thread-safe SoloIpcTable
- * keyed by the full (core, memory, intervals, sampling, workload,
- * threads) configuration: a solo run is a pure function of that key
- * (private job, fixed internal seed, private machine), so Calibrator
- * instances built by different experiments -- or on different sweep
- * worker threads -- reuse each other's references instead of
+ * keyed by the (core, memory, intervals, sampling, workload, threads)
+ * configuration, less the core's context count: a solo run is a pure
+ * function of that key (private job, fixed internal seed, private
+ * machine of `threads` contexts), so Calibrator instances built by
+ * different experiments, at different SMT levels or on different
+ * sweep worker threads, reuse each other's references instead of
  * re-simulating them. Every Calibrator uses the process-wide table
  * unless it is handed its own.
  *

@@ -8,6 +8,7 @@
 #include "common/thread_pool.hh"
 #include "sim/params_io.hh"
 #include "cpu/sampling.hh"
+#include "metrics/calibrator.hh"
 #include "stats/json.hh"
 
 namespace sos {
@@ -147,6 +148,9 @@ BenchHarness::writeBench()
         candidates;
     timing.value("candidates_per_sec", "sweep throughput") =
         elapsed > 0.0 ? candidates / elapsed : 0.0;
+    timing.scalar("solo_refs_measured",
+                  "solo references measured into the shared table") =
+        SoloIpcTable::shared().measured();
 
     std::string document;
     stats::JsonWriter json(&document);

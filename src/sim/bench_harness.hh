@@ -18,7 +18,9 @@
  * --bench FILE writes that registry as one "sos.bench" schema v3
  * document: top-level tool, jobs and sample, then "stats" with the
  * always-present "timing" section
- * (elapsed_seconds, candidates, candidates_per_sec) and the sections
+ * (elapsed_seconds, candidates, candidates_per_sec, and
+ * solo_refs_measured: the solo references the process-wide
+ * SoloIpcTable measured) and the sections
  * harnesses add through bench(name): micro_simulator's "core" and
  * fig9_cluster's "cluster".
  */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/logging.hh"
@@ -19,14 +20,17 @@
 
 namespace sos {
 
-double
-measuredCapacity(const SimConfig &sim, int level, ThreadPool &pool)
-{
-    Calibrator calibrator(sim.referenceCoreFor(level),
-                          sim.referenceMem(), sim.calibWarmupCycles,
-                          sim.calibMeasureCycles);
-    const std::vector<std::string> &workloads = openSystemWorkloads();
+namespace {
 
+/**
+ * The warm co-run capacity of one SMT core at @p level of @p sim's
+ * machine, scored against @p solo (one reference per open-system
+ * workload, in order).
+ */
+double
+coRunCapacity(const SimConfig &sim, int level, std::span<const double> solo)
+{
+    const std::vector<std::string> &workloads = openSystemWorkloads();
     Machine machine(sim.referenceCoreFor(level), sim.referenceMem());
     MachineEngine engine(machine, sim.timesliceCycles());
     std::vector<std::unique_ptr<Job>> jobs;
@@ -38,17 +42,14 @@ measuredCapacity(const SimConfig &sim, int level, ThreadPool &pool)
             static_cast<std::uint32_t>(w + 1), profile,
             0xcafac17eULL ^ mix64(w + 11), 1, false));
     }
-    // The solo references are independent, so they are measured as
-    // one batch; the co-run groups below stay serial, because each
-    // group runs on the machine state the previous group left.
-    const std::vector<double> solo =
-        calibrator.soloIpcs(soloKeys(workloads), pool);
 
     // The steady-state open system mostly runs a resident coschedule
     // of `level` jobs for many consecutive timeslices, so capacity is
     // the warm co-run WS of such groups, averaged over the population
     // (a whole-population rotation would charge every slice a cold
-    // restart the real system doesn't pay).
+    // restart the real system doesn't pay). The groups stay serial,
+    // because each group runs on the machine state the previous group
+    // left.
     const int n = static_cast<int>(jobs.size());
     const auto groups =
         static_cast<std::uint64_t>((n + level - 1) / level);
@@ -87,6 +88,45 @@ measuredCapacity(const SimConfig &sim, int level, ThreadPool &pool)
             progress, measure_slices * timeslice);
     }
     return std::max(0.1, ws_total / static_cast<double>(groups));
+}
+
+} // namespace
+
+std::vector<double>
+measuredCapacities(const std::vector<CapacityProbe> &probes,
+                   ThreadPool &pool)
+{
+    const std::vector<SoloKey> keys = soloKeys(openSystemWorkloads());
+    // Every probe's solo references as one batch: probes resolved
+    // one at a time, or as concurrent batches, would each measure the
+    // references they share.
+    std::vector<Calibrator> calibrators;
+    calibrators.reserve(probes.size());
+    std::vector<Calibrator::Request> requests;
+    for (const CapacityProbe &probe : probes) {
+        calibrators.emplace_back(probe.sim->referenceCoreFor(probe.level),
+                                 probe.sim->referenceMem(),
+                                 probe.sim->calibWarmupCycles,
+                                 probe.sim->calibMeasureCycles);
+        for (const SoloKey &key : keys)
+            requests.push_back({&calibrators.back(), key});
+    }
+    const std::vector<double> solo = Calibrator::measure(requests, pool);
+
+    std::vector<double> capacities(probes.size(), 0.0);
+    pool.run(probes.size(), [&](std::size_t p) {
+        capacities[p] = coRunCapacity(
+            *probes[p].sim, probes[p].level,
+            std::span<const double>(solo).subspan(p * keys.size(),
+                                                  keys.size()));
+    });
+    return capacities;
+}
+
+double
+measuredCapacity(const SimConfig &sim, int level, ThreadPool &pool)
+{
+    return measuredCapacities({{&sim, level}}, pool).front();
 }
 
 std::uint64_t
@@ -153,7 +193,7 @@ std::unique_ptr<EngineBackend>
 makeOpenBackend(const SimConfig &sim, int level, int num_cores)
 {
     SOS_ASSERT(num_cores >= 1, "an open system needs at least one core");
-    // Capacity calibration (measuredCapacity above) deliberately stays
+    // Capacity calibration (measuredCapacities above) deliberately stays
     // full detail; only the live system and its candidate forks sample.
     return std::make_unique<EngineBackend>(
         sim.machineFor(level, num_cores),

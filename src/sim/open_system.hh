@@ -121,13 +121,27 @@ struct OpenSystemConfig
     std::uint64_t stableInterarrivalPaper(double core_capacity) const;
 };
 
+/** One capacity probe: one SMT core at @c level of @c sim's machine. */
+struct CapacityProbe
+{
+    const SimConfig *sim = nullptr;
+    int level = 3;
+};
+
 /**
- * The capacity probe: the weighted-speedup capacity of one SMT core
- * at @p level of @p sim's machine, from warm co-runs of level-sized
- * groups covering the open-system workload population, scored against
- * solo-IPC references measured on @p pool. Deterministic and
- * uncached.
+ * The capacity probe: the weighted-speedup capacity of each probe's
+ * core, in probe order, from warm co-runs of level-sized groups
+ * covering the open-system workload population, scored against
+ * solo-IPC references. The union of every probe's references is
+ * measured as one batch on @p pool, so a reference that probes share
+ * (solo runs do not depend on the level) is measured once; then each
+ * probe's co-run groups run serially, as one task of @p pool per
+ * probe. Deterministic and uncached.
  */
+std::vector<double> measuredCapacities(const std::vector<CapacityProbe> &probes,
+                                       ThreadPool &pool);
+
+/** measuredCapacities() of the one probe (@p sim, @p level). */
 double measuredCapacity(const SimConfig &sim, int level, ThreadPool &pool);
 
 /** Outcome of one open-system run under one policy. */

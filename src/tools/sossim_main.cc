@@ -90,10 +90,21 @@ cmdParams(int argc, char **argv)
 {
     parseFlags("sossim params", {}, argc, argv);
     printBanner("Configurable parameters (--set key=value)");
-    TablePrinter table({"key", "default", "description"}, {30, 10, 44});
-    table.printHeader();
+    std::vector<std::vector<std::string>> rows = {
+        {"key", "default", "description"}};
     for (const ParamInfo &info : configurableParams())
-        table.printRow({info.key, info.currentValue, info.description});
+        rows.push_back({info.key, info.currentValue, info.description});
+    // Columns as wide as their widest cell: TablePrinter cuts longer
+    // cells, and a cut key is not one --set accepts.
+    std::vector<int> widths(rows.front().size(), 0);
+    for (const std::vector<std::string> &row : rows) {
+        for (std::size_t c = 0; c < row.size(); ++c)
+            widths[c] = std::max(widths[c], static_cast<int>(row[c].size()));
+    }
+    TablePrinter table(rows.front(), widths);
+    table.printHeader();
+    for (std::size_t r = 1; r < rows.size(); ++r)
+        table.printRow(rows[r]);
     return 0;
 }
 

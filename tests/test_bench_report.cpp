@@ -149,6 +149,9 @@ TEST(BenchReport, FinishWritesBenchDocument)
     EXPECT_NE(document.find("\"timing\":{\"candidates\":5,"),
               std::string::npos)
         << document;
+    // The solo references the process-wide table measured.
+    EXPECT_NE(document.find("\"solo_refs_measured\":"), std::string::npos)
+        << document;
     EXPECT_EQ(document.back(), '\n');
     std::remove(bench.c_str());
 }

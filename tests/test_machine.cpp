@@ -323,18 +323,5 @@ TEST(Machine, HeterogeneousCoresDifferInThroughput)
     EXPECT_LT(little.retired, big.retired);
 }
 
-TEST(Machine, DetachAllAndFlushAllReset)
-{
-    Machine machine(CoreParams{}, MemParams{}, 2);
-    auto j1 = makeJob(1, "GCC");
-    machine.core(0).attachThread(0, bindingOf(*j1));
-    machine.detachAll();
-    PerfCounters pc;
-    machine.core(0).run(1000, pc);
-    EXPECT_EQ(pc.retired, 0u);
-    machine.flushAll();
-    EXPECT_EQ(machine.memory(0).l1d().residentLines(), 0u);
-}
-
 } // namespace
 } // namespace sos

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/thread_pool.hh"
+#include "cpu/machine.hh"
+#include "cpu/sampling.hh"
 #include "metrics/calibrator.hh"
 #include "metrics/weighted_speedup.hh"
+#include "sched/job.hh"
 #include "sched/jobmix.hh"
+#include "trace/workload_library.hh"
 
 namespace sos {
 namespace {
@@ -232,17 +238,124 @@ TEST(Calibrator, BatchSpansCalibratorsAndDedupsSharedConfigs)
     Calibrator same(twoContexts(), MemParams{}, 20000, 50000, table);
     CoreParams wide = twoContexts();
     wide.numContexts = 4;
-    Calibrator other(wide, MemParams{}, 20000, 50000, table);
+    Calibrator wider(wide, MemParams{}, 20000, 50000, table);
+    CoreParams narrow_rob = twoContexts();
+    narrow_rob.robSize = 64;
+    Calibrator other(narrow_rob, MemParams{}, 20000, 50000, table);
 
     ThreadPool pool(4);
     const std::vector<double> ipcs = Calibrator::measure(
-        {{&a, {"FP", 1}}, {&same, {"FP", 1}}, {&other, {"FP", 1}}}, pool);
-    // a and same share a configuration; other's core differs.
+        {{&a, {"FP", 1}},
+         {&same, {"FP", 1}},
+         {&wider, {"FP", 1}},
+         {&other, {"FP", 1}}},
+        pool);
+    // a, same and wider share a key: a solo run does not depend on the
+    // core's context count. other's core differs in a field the solo
+    // run reads.
     EXPECT_EQ(table.measured(), 2u);
     EXPECT_EQ(ipcs[0], ipcs[1]);
+    EXPECT_EQ(ipcs[0], ipcs[2]);
+    EXPECT_NE(ipcs[0], ipcs[3]);
     EXPECT_EQ(ipcs[0],
               oneAtATime(twoContexts(), SampleWindows{}, {{"FP", 1}})
                   .front());
+}
+
+/**
+ * The solo run Calibrator::measureOne() makes -- same job seed,
+ * private machine, warm-up then measurement at @p sample's fidelity --
+ * on a core of @p contexts contexts instead of key.threads.
+ */
+double
+soloRunAt(CoreParams core, const MemParams &mem,
+          const SampleWindows &sample, const SoloKey &key, int contexts)
+{
+    core.numContexts = contexts;
+    Job job(1, WorkloadLibrary::instance().get(key.workload),
+            0xca11b7a7eULL, key.threads, /*adaptive=*/false);
+    Machine machine(core, mem);
+    SmtCore &smt = machine.core(0);
+    for (int t = 0; t < key.threads; ++t)
+        smt.attachThread(t, job.binding(t));
+    SamplingController sampler(smt, sample);
+    SamplingTally tally;
+    PerfCounters warmup;
+    sampler.run(20000, warmup, tally);
+    PerfCounters measured;
+    sampler.run(30000, measured, tally);
+    return measured.ipc();
+}
+
+TEST(Calibrator, ReferenceIsIndependentOfContextCount)
+{
+    // soloIpcKey leaves core.numContexts out of the table key and
+    // measureOne runs on key.threads contexts; both rest on this: the
+    // contexts a solo run leaves empty do not change its IPC, bit for
+    // bit, at either fidelity and on a narrowed core as well.
+    CoreParams narrow_core;
+    narrow_core.robSize = 64;
+    narrow_core.fetchThreads = 1;
+    narrow_core.fetchWidth = 4;
+    narrow_core.intQueueSize = 12;
+    MemParams narrow_mem;
+    narrow_mem.prefetch.enabled = true;
+    narrow_mem.l2.sizeBytes = 512 * 1024;
+    SampleWindows sampled;
+    sampled.fastForward = 2250;
+    sampled.warm = 62;
+    sampled.measure = 188;
+    ASSERT_TRUE(sampled.enabled());
+
+    struct Setting
+    {
+        CoreParams core;
+        MemParams mem;
+        SampleWindows sample;
+    };
+    const std::vector<Setting> settings = {
+        {CoreParams{}, MemParams{}, SampleWindows{}},
+        {CoreParams{}, MemParams{}, sampled},
+        {narrow_core, narrow_mem, SampleWindows{}},
+        {narrow_core, narrow_mem, sampled},
+    };
+    std::vector<SoloKey> keys;
+    for (const std::string &workload : WorkloadLibrary::instance().names()) {
+        for (int threads : {1, 2})
+            keys.push_back({workload, threads});
+    }
+
+    ThreadPool pool(4);
+    for (std::size_t s = 0; s < settings.size(); ++s) {
+        const Setting &setting = settings[s];
+        // The calibrator's references, asked of its widest core.
+        SoloIpcTable table;
+        CoreParams widest = setting.core;
+        widest.numContexts = MaxContexts;
+        Calibrator calib(widest, setting.mem, 20000, 30000, table);
+        calib.setSampling(setting.sample);
+        const std::vector<double> references = calib.soloIpcs(keys, pool);
+
+        // Each key's solo run on cores of three sizes.
+        std::vector<std::array<int, 3>> contexts(keys.size());
+        std::vector<std::array<double, 3>> ipcs(keys.size());
+        pool.run(keys.size(), [&](std::size_t k) {
+            const int threads = keys[k].threads;
+            contexts[k] = {threads, threads + 1, MaxContexts};
+            for (std::size_t c = 0; c < contexts[k].size(); ++c) {
+                ipcs[k][c] = soloRunAt(setting.core, setting.mem,
+                                       setting.sample, keys[k],
+                                       contexts[k][c]);
+            }
+        });
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+            for (std::size_t c = 0; c < contexts[k].size(); ++c) {
+                EXPECT_EQ(ipcs[k][c], references[k])
+                    << keys[k].workload << "/" << keys[k].threads << " on "
+                    << contexts[k][c] << " contexts, setting " << s;
+            }
+        }
+    }
 }
 
 TEST(Calibrator, BatchRejectsMoreThreadsThanContexts)

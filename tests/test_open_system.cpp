@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "metrics/calibrator.hh"
+#include "sim/experiment_defs.hh"
 #include "sim/open_system.hh"
 #include "stats/trace.hh"
 
@@ -73,6 +75,37 @@ TEST(OpenSystem, InterarrivalDefaultDerivedFromLoad)
     EXPECT_GT(config.effectiveInterarrivalPaper(sim, pool), 0u);
     config.meanInterarrivalPaper = 12345;
     EXPECT_EQ(config.effectiveInterarrivalPaper(sim, pool), 12345u);
+}
+
+TEST(OpenSystem, CapacityBatchMeasuresEachReferenceOnce)
+{
+    // Probes of several levels share their solo references (a solo run
+    // does not depend on the level), so the batch form measures each
+    // once, whatever the worker count, and finds what one probe at a
+    // time finds.
+    const std::vector<int> levels = {2, 3, 4, 6};
+    for (int workers : {1, 2, 8}) {
+        SimConfig sim = fast();
+        // Calibration lengths of this worker count only, so every key
+        // is new to the process-wide table.
+        sim.calibWarmupCycles = 40003 + static_cast<std::uint64_t>(workers);
+        sim.calibMeasureCycles = 40000;
+        std::vector<CapacityProbe> probes;
+        for (int level : levels)
+            probes.push_back({&sim, level});
+        ThreadPool pool(workers);
+        const std::uint64_t before = SoloIpcTable::shared().measured();
+        const std::vector<double> capacities =
+            measuredCapacities(probes, pool);
+        EXPECT_EQ(SoloIpcTable::shared().measured() - before,
+                  openSystemWorkloads().size())
+            << workers << " workers";
+        ASSERT_EQ(capacities.size(), levels.size());
+        for (std::size_t l = 0; l < levels.size(); ++l) {
+            EXPECT_EQ(capacities[l], measuredCapacity(sim, levels[l], pool))
+                << "level " << levels[l] << ", " << workers << " workers";
+        }
+    }
 }
 
 TEST(OpenSystem, NaiveCompletesAllJobs)

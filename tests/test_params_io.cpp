@@ -9,6 +9,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -516,6 +517,43 @@ TEST(CommandLine, SossimRunWritesBenchDocument)
                          0),
               0u)
         << head;
+}
+
+TEST(CommandLine, SossimParamsPrintsKeysThatSetAccepts)
+{
+    // `sossim params` used to cut keys to a fixed column width, and
+    // --set rejected the cut names it printed.
+    const auto [status, output] = runSossim("params");
+    ASSERT_EQ(status, 0) << output;
+    std::map<std::string, std::string> catalogue;
+    for (const ParamInfo &info : configurableParams())
+        catalogue.emplace(info.key, info.currentValue);
+
+    // The rows follow the header's rule; each starts with its key.
+    std::istringstream lines(output);
+    std::string line;
+    while (std::getline(lines, line) && line.rfind("---", 0) != 0) {
+    }
+    std::size_t rows = 0;
+    std::string longest;
+    while (std::getline(lines, line)) {
+        const std::string key = line.substr(0, line.find(' '));
+        const auto known = catalogue.find(key);
+        ASSERT_NE(known, catalogue.end()) << "printed key '" << key << "'";
+        SimConfig config;
+        std::string error;
+        EXPECT_TRUE(tryApplyOverride(config, key, known->second, error))
+            << key << ": " << error;
+        if (key.size() > longest.size())
+            longest = key;
+        ++rows;
+    }
+    EXPECT_EQ(rows, catalogue.size());
+
+    // The longest printed key through the real --set.
+    const auto [set_status, set_output] = runSossim(
+        "config --set '" + longest + "=" + catalogue.at(longest) + "'");
+    EXPECT_EQ(set_status, 0) << longest << "\n" << set_output;
 }
 
 TEST(CommandLine, SetWinsOverMachineConfigInEitherOrder)
