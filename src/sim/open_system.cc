@@ -20,16 +20,11 @@
 
 namespace sos {
 
-namespace {
-
-/**
- * The warm co-run capacity of one SMT core at @p level of @p sim's
- * machine, scored against @p solo (one reference per open-system
- * workload, in order).
- */
-double
-coRunCapacity(const SimConfig &sim, int level, std::span<const double> solo)
+CoRunGroups
+simulateCoRunGroups(const CapacityProbe &probe)
 {
+    const SimConfig &sim = *probe.sim;
+    const int level = probe.level;
     const std::vector<std::string> &workloads = openSystemWorkloads();
     Machine machine(sim.referenceCoreFor(level), sim.referenceMem());
     MachineEngine engine(machine, sim.timesliceCycles());
@@ -47,9 +42,7 @@ coRunCapacity(const SimConfig &sim, int level, std::span<const double> solo)
     // of `level` jobs for many consecutive timeslices, so capacity is
     // the warm co-run WS of such groups, averaged over the population
     // (a whole-population rotation would charge every slice a cold
-    // restart the real system doesn't pay). The groups stay serial,
-    // because each group runs on the machine state the previous group
-    // left.
+    // restart the real system doesn't pay).
     const int n = static_cast<int>(jobs.size());
     const auto groups =
         static_cast<std::uint64_t>((n + level - 1) / level);
@@ -60,37 +53,46 @@ coRunCapacity(const SimConfig &sim, int level, std::span<const double> solo)
         1, sim.calibWarmupCycles / timeslice);
     const std::uint64_t measure_slices = std::max<std::uint64_t>(
         1, sim.calibMeasureCycles / timeslice);
-    double ws_total = 0.0;
+    CoRunGroups run;
+    run.measuredCycles = measure_slices * timeslice;
     for (std::uint64_t g = 0; g < groups; ++g) {
         std::vector<std::vector<ThreadRef>> units(1);
-        std::vector<std::size_t> members;
+        std::vector<CoRunGroups::Member> members;
         for (int k = 0; k < level; ++k) {
             const std::size_t j =
                 (g * static_cast<std::uint64_t>(level) +
                  static_cast<std::uint64_t>(k)) %
                 jobs.size();
-            members.push_back(j);
+            members.push_back({j, 0});
             units[0].push_back(ThreadRef{jobs[j].get(), 0});
         }
         for (std::uint64_t s = 0; s < warm_slices; ++s)
             recordSampling(engine.runSlice(units).sampling);
-        std::vector<std::uint64_t> before;
-        for (std::size_t j : members)
-            before.push_back(jobs[j]->retired());
+        for (CoRunGroups::Member &member : members)
+            member.retired = jobs[member.workload]->retired();
         for (std::uint64_t s = 0; s < measure_slices; ++s)
             recordSampling(engine.runSlice(units).sampling);
-        std::vector<JobProgress> progress;
-        for (std::size_t m = 0; m < members.size(); ++m)
-            progress.push_back(JobProgress{
-                jobs[members[m]]->retired() - before[m],
-                solo[members[m]]});
-        ws_total += weightedSpeedup(
-            progress, measure_slices * timeslice);
+        for (CoRunGroups::Member &member : members)
+            member.retired = jobs[member.workload]->retired() - member.retired;
+        run.groups.push_back(std::move(members));
     }
-    return std::max(0.1, ws_total / static_cast<double>(groups));
+    return run;
 }
 
-} // namespace
+double
+scoreCoRun(const CoRunGroups &run, std::span<const double> solo)
+{
+    double ws_total = 0.0;
+    for (const std::vector<CoRunGroups::Member> &group : run.groups) {
+        std::vector<JobProgress> progress;
+        for (const CoRunGroups::Member &member : group)
+            progress.push_back(
+                JobProgress{member.retired, solo[member.workload]});
+        ws_total += weightedSpeedup(progress, run.measuredCycles);
+    }
+    return std::max(0.1,
+                    ws_total / static_cast<double>(run.groups.size()));
+}
 
 std::vector<double>
 measuredCapacities(const std::vector<CapacityProbe> &probes,
@@ -111,15 +113,27 @@ measuredCapacities(const std::vector<CapacityProbe> &probes,
         for (const SoloKey &key : keys)
             requests.push_back({&calibrators.back(), key});
     }
-    const std::vector<double> solo = Calibrator::measure(requests, pool);
 
-    std::vector<double> capacities(probes.size(), 0.0);
-    pool.run(probes.size(), [&](std::size_t p) {
-        capacities[p] = coRunCapacity(
-            *probes[p].sim, probes[p].level,
-            std::span<const double>(solo).subspan(p * keys.size(),
-                                                  keys.size()));
+    // The co-runs read no reference, so both halves share one batch:
+    // a task per probe runs its co-run groups (the critical path, so
+    // they take the first indices), and the last task measures the
+    // references as a nested batch on the workers left idle.
+    std::vector<CoRunGroups> runs(probes.size());
+    std::vector<double> solo;
+    pool.run(probes.size() + 1, [&](std::size_t i) {
+        if (i < probes.size())
+            runs[i] = simulateCoRunGroups(probes[i]);
+        else
+            solo = Calibrator::measure(requests, pool);
     });
+
+    std::vector<double> capacities;
+    capacities.reserve(probes.size());
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+        capacities.push_back(scoreCoRun(
+            runs[p], std::span<const double>(solo).subspan(
+                         p * keys.size(), keys.size())));
+    }
     return capacities;
 }
 

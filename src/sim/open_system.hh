@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -129,14 +130,45 @@ struct CapacityProbe
 };
 
 /**
+ * The co-run half of a capacity probe: the warm co-runs of level-sized
+ * groups covering the open-system workload population, each group
+ * with its members and the micro-ops each retired over the measured
+ * interval. It reads no solo reference.
+ */
+struct CoRunGroups
+{
+    struct Member
+    {
+        std::size_t workload = 0; ///< index into openSystemWorkloads()
+        std::uint64_t retired = 0;
+    };
+    std::vector<std::vector<Member>> groups;
+    /** Length of every group's measured interval, in cycles. */
+    std::uint64_t measuredCycles = 0;
+};
+
+/**
+ * Run @p probe's co-run groups, one after another on one reference
+ * core: each group runs on the machine state the previous one left.
+ */
+CoRunGroups simulateCoRunGroups(const CapacityProbe &probe);
+
+/**
+ * The scoring half: the mean weighted speedup of @p run's groups
+ * against @p solo (one reference per open-system workload, in order),
+ * floored at 0.1.
+ */
+double scoreCoRun(const CoRunGroups &run, std::span<const double> solo);
+
+/**
  * The capacity probe: the weighted-speedup capacity of each probe's
- * core, in probe order, from warm co-runs of level-sized groups
- * covering the open-system workload population, scored against
- * solo-IPC references. The union of every probe's references is
- * measured as one batch on @p pool, so a reference that probes share
- * (solo runs do not depend on the level) is measured once; then each
- * probe's co-run groups run serially, as one task of @p pool per
- * probe. Deterministic and uncached.
+ * core, in probe order, from simulateCoRunGroups() scored against
+ * solo-IPC references (scoreCoRun()). One batch of @p pool runs both
+ * halves side by side: one task per probe runs its co-run groups, and
+ * one more task measures the union of every probe's references as a
+ * nested batch, so a reference that probes share (solo runs do not
+ * depend on the level) is measured once. Each probe is scored once
+ * both halves have joined. Deterministic and uncached.
  */
 std::vector<double> measuredCapacities(const std::vector<CapacityProbe> &probes,
                                        ThreadPool &pool);

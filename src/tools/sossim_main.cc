@@ -19,6 +19,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -36,6 +37,7 @@
 #include "sim/open_system.hh"
 #include "sim/params_io.hh"
 #include "sim/reporting.hh"
+#include "stats/stats.hh"
 #include "trace/workload_library.hh"
 
 namespace {
@@ -350,6 +352,7 @@ std::vector<ArrivalClass>
 parseClasses(const std::string &spec)
 {
     std::vector<ArrivalClass> classes;
+    double total_weight = 0.0;
     std::size_t start = 0;
     while (start < spec.size()) {
         std::size_t end = spec.find(',', start);
@@ -365,6 +368,16 @@ parseClasses(const std::string &spec)
                   "' is not name:weight:sizeFactor");
         ArrivalClass klass;
         klass.name = entry.substr(0, first);
+        if (klass.name.empty())
+            fatal("--classes entry '", entry, "' has an empty name");
+        // Each class publishes under its own stats path segment.
+        for (const ArrivalClass &other : classes) {
+            if (stats::sanitizeSegment(other.name) ==
+                stats::sanitizeSegment(klass.name))
+                fatal("--classes names '", other.name, "' and '",
+                      klass.name, "' give the same stats path segment '",
+                      stats::sanitizeSegment(klass.name), "'");
+        }
         const auto positive = [&](const std::string &field,
                                   const std::string &value) {
             const std::string name =
@@ -378,6 +391,10 @@ parseClasses(const std::string &spec)
         klass.weight = positive(
             "weight", entry.substr(first + 1, second - first - 1));
         klass.sizeFactor = positive("sizeFactor", entry.substr(second + 1));
+        total_weight += klass.weight;
+        if (!std::isfinite(total_weight))
+            fatal("--classes weights up to ", klass.name,
+                  " do not sum to a finite number");
         classes.push_back(std::move(klass));
         start = end + 1;
     }

@@ -187,12 +187,28 @@ struct Rendered
     ClusterResult result;
 };
 
+/**
+ * smallCluster() on two machines that differ in their L2, so two
+ * capacity probes share one set-up batch.
+ */
+ClusterConfig
+heterogeneousCluster()
+{
+    ClusterConfig config = smallCluster();
+    for (std::uint32_t l2_bytes : {512u * 1024u, 1024u * 1024u}) {
+        SimConfig node = makeFastConfig();
+        node.mem.l2.sizeBytes = l2_bytes;
+        config.nodeConfigs.push_back(node);
+    }
+    return config;
+}
+
 Rendered
-renderRun(int workers)
+renderRun(int workers, const ClusterConfig &config = smallCluster())
 {
     SimConfig sim = makeFastConfig();
     sim.jobs = workers;
-    Cluster cluster(sim, smallCluster());
+    Cluster cluster(sim, config);
     stats::EventTrace events;
     Rendered rendered;
     rendered.result = cluster.run(&events);
@@ -217,6 +233,20 @@ TEST(ClusterDeterminism, WorkerCountsAreByteIdentical)
     EXPECT_FALSE(serial.trace.empty());
     for (int workers : {2, 8}) {
         const Rendered threaded = renderRun(workers);
+        EXPECT_EQ(serial.trace, threaded.trace) << workers;
+        EXPECT_EQ(serial.manifest, threaded.manifest) << workers;
+    }
+}
+
+TEST(ClusterDeterminism, HeterogeneousNodesAreByteIdenticalAcrossWorkers)
+{
+    // Nodes with their own configs probe their capacities side by side
+    // in one batch; the worker count must not change what they find.
+    const ClusterConfig config = heterogeneousCluster();
+    const Rendered serial = renderRun(1, config);
+    EXPECT_FALSE(serial.trace.empty());
+    for (int workers : {2, 8}) {
+        const Rendered threaded = renderRun(workers, config);
         EXPECT_EQ(serial.trace, threaded.trace) << workers;
         EXPECT_EQ(serial.manifest, threaded.manifest) << workers;
     }

@@ -108,6 +108,52 @@ TEST(OpenSystem, CapacityBatchMeasuresEachReferenceOnce)
     }
 }
 
+TEST(OpenSystem, CapacityProbeOverlapMatchesSerial)
+{
+    // The co-run groups run in the same batch as the solo references
+    // they are scored against. The overlap must not move a bit of any
+    // capacity, at any worker count, whether the batch measures the
+    // references or finds them in the table.
+    const std::vector<int> levels = {2, 3, 4, 6};
+    for (int workers : {1, 2, 8}) {
+        SimConfig sim = fast();
+        // Calibration lengths of this test and worker count only, so
+        // the first batch finds the process-wide table cold.
+        sim.calibWarmupCycles = 40103 + static_cast<std::uint64_t>(workers);
+        sim.calibMeasureCycles = 40000;
+        std::vector<CapacityProbe> probes;
+        for (int level : levels)
+            probes.push_back({&sim, level});
+
+        // References first, then the co-runs, on one thread and a
+        // private table.
+        ThreadPool serial(1);
+        SoloIpcTable table;
+        std::vector<double> expected;
+        for (const CapacityProbe &probe : probes) {
+            Calibrator calibrator(sim.referenceCoreFor(probe.level),
+                                  sim.referenceMem(), sim.calibWarmupCycles,
+                                  sim.calibMeasureCycles, table);
+            const std::vector<double> solo = calibrator.soloIpcs(
+                soloKeys(openSystemWorkloads()), serial);
+            expected.push_back(
+                scoreCoRun(simulateCoRunGroups(probe), solo));
+        }
+
+        ThreadPool pool(workers);
+        const std::uint64_t before = SoloIpcTable::shared().measured();
+        const std::vector<double> cold = measuredCapacities(probes, pool);
+        const std::uint64_t after_cold = SoloIpcTable::shared().measured();
+        const std::vector<double> filled = measuredCapacities(probes, pool);
+        EXPECT_EQ(after_cold - before, openSystemWorkloads().size())
+            << workers << " workers";
+        EXPECT_EQ(SoloIpcTable::shared().measured(), after_cold)
+            << workers << " workers";
+        EXPECT_EQ(cold, expected) << workers << " workers";
+        EXPECT_EQ(filled, expected) << workers << " workers";
+    }
+}
+
 TEST(OpenSystem, NaiveCompletesAllJobs)
 {
     const SimConfig sim = fast();

@@ -348,6 +348,19 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
          "value for --classes weight of b must be positive: '-1'"},
         {"cluster --classes a:1:-0.5",
          "value for --classes sizeFactor of a must be positive: '-0.5'"},
+        // Class names that publish under no stats path, or under one
+        // path twice, used to run silently or abort after the whole
+        // run (exit 134); so did an infinite total weight.
+        {"cluster --classes :1:1 --arrivals 5 --nodes 1",
+         "--classes entry ':1:1' has an empty name"},
+        {"cluster --classes a:1:1,a:1:2 --arrivals 5 --nodes 1",
+         "--classes names 'a' and 'a' give the same stats path segment "
+         "'a'"},
+        {"cluster --classes a.b:1:1,a_b:1:1 --arrivals 5 --nodes 1",
+         "--classes names 'a.b' and 'a_b' give the same stats path "
+         "segment 'a_b'"},
+        {"cluster --classes a:1e308:1,b:1e308:1 --arrivals 5 --nodes 1",
+         "--classes weights up to b do not sum to a finite number"},
     };
     for (const auto &[args, message] : cases) {
         const auto [status, output] = runSossim(args);
