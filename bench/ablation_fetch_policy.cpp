@@ -9,8 +9,6 @@
  */
 
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "core/predictor.hh"
 #include "sim/batch_experiment.hh"
@@ -24,7 +22,6 @@ main(int argc, char **argv)
 
     BenchHarness harness({"ablation_fetch_policy"}, argc, argv);
     const stats::Group policies = harness.group("policies");
-    std::vector<std::unique_ptr<BatchExperiment>> kept;
 
     printBanner("Ablation: ICOUNT vs round-robin fetch on Jsb(6,3,3)");
     TablePrinter table({"fetch policy", "worst", "avg", "best",
@@ -36,9 +33,7 @@ main(int argc, char **argv)
     for (const bool round_robin : {false, true}) {
         SimConfig config = harness.config();
         config.core.roundRobinFetch = round_robin;
-        kept.push_back(std::make_unique<BatchExperiment>(
-            experimentByLabel("Jsb(6,3,3)"), config));
-        BatchExperiment &exp = *kept.back();
+        BatchExperiment exp(experimentByLabel("Jsb(6,3,3)"), config);
         exp.runSamplePhase();
         exp.runSymbiosValidation();
         const stats::Group policy = policies.group(

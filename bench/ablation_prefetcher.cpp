@@ -11,8 +11,6 @@
  */
 
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "core/predictor.hh"
 #include "sim/batch_experiment.hh"
@@ -26,7 +24,6 @@ main(int argc, char **argv)
 
     BenchHarness harness({"ablation_prefetcher"}, argc, argv);
     const stats::Group experiments = harness.group("experiments");
-    std::vector<std::unique_ptr<BatchExperiment>> kept;
 
     printBanner("Ablation: stride prefetcher vs schedule sensitivity");
     TablePrinter table({"Experiment", "prefetch", "worst", "avg",
@@ -39,9 +36,7 @@ main(int argc, char **argv)
         for (const bool enabled : {false, true}) {
             SimConfig config = harness.config();
             config.mem.prefetch.enabled = enabled;
-            kept.push_back(std::make_unique<BatchExperiment>(
-                experimentByLabel(label), config));
-            BatchExperiment &exp = *kept.back();
+            BatchExperiment exp(experimentByLabel(label), config);
             exp.runSamplePhase();
             exp.runSymbiosValidation();
             const double spread = 100.0 *

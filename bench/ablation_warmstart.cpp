@@ -10,8 +10,6 @@
  */
 
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "sim/batch_experiment.hh"
 #include "sim/bench_harness.hh"
@@ -25,7 +23,6 @@ main(int argc, char **argv)
     BenchHarness harness({"ablation_warmstart"}, argc, argv);
     const SimConfig &config = harness.config();
     const stats::Group experiments = harness.group("experiments");
-    std::vector<std::unique_ptr<BatchExperiment>> kept;
 
     printBanner("Ablation: warmstart scheduling (Section 8)");
     TablePrinter table({"Experiment", "avg WS", "best WS",
@@ -37,8 +34,7 @@ main(int argc, char **argv)
          {"Jsb(6,3,3)", "Jsb(6,3,1)", "Jsl(6,3,1)", "Jsb(8,4,4)",
           "Jsb(8,4,1)", "Jsl(8,4,1)"}) {
         const ExperimentSpec &spec = experimentByLabel(label);
-        kept.push_back(std::make_unique<BatchExperiment>(spec, config));
-        BatchExperiment &exp = *kept.back();
+        BatchExperiment exp(spec, config);
         exp.runSamplePhase();
         exp.runSymbiosValidation();
         // Consecutive resident timeslices per job: Y/Z, the residency

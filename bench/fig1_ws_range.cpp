@@ -26,8 +26,6 @@ main(int argc, char **argv)
     const SimConfig &config = harness.config();
     const stats::Group experiments = harness.group("experiments");
     ThreadPool pool(resolveJobs(config.jobs));
-    // publishStats binds into each experiment, so they must stay
-    // alive until the manifest is written.
     const std::vector<std::unique_ptr<BatchExperiment>> kept =
         runExperiments(paperExperiments(), config, pool);
 

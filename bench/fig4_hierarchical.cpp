@@ -7,8 +7,6 @@
  */
 
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "sim/bench_harness.hh"
 #include "sim/hierarchical_experiment.hh"
@@ -22,7 +20,6 @@ main(int argc, char **argv)
     BenchHarness harness({"fig4_hierarchical"}, argc, argv);
     const SimConfig &config = harness.config();
     const stats::Group experiments = harness.group("experiments");
-    std::vector<std::unique_ptr<HierarchicalExperiment>> kept;
 
     printBanner("Figure 4: hierarchical symbiosis improvements");
     // The paper plots the improvement "potentially achievable by SOS"
@@ -37,9 +34,7 @@ main(int argc, char **argv)
     table.printHeader();
 
     for (const HierarchicalSpec &spec : hierarchicalExperiments()) {
-        kept.push_back(
-            std::make_unique<HierarchicalExperiment>(spec, config));
-        HierarchicalExperiment &exp = *kept.back();
+        HierarchicalExperiment exp(spec, config);
         exp.run();
         exp.publishStats(
             experiments.group(stats::sanitizeSegment(spec.label)));

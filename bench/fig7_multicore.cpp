@@ -45,8 +45,6 @@ main(int argc, char **argv)
             specs.push_back(spec);
     }
     ThreadPool pool(resolveJobs(config.jobs));
-    // publishStats binds into each experiment, so they must stay
-    // alive until the manifest is written.
     const std::vector<std::unique_ptr<BatchExperiment>> kept =
         runExperiments(specs, config, pool);
 

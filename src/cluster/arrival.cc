@@ -9,6 +9,7 @@
 #include "common/thread_pool.hh"
 #include "metrics/calibrator.hh"
 #include "sim/experiment_defs.hh"
+#include "sim/open_system.hh"
 
 namespace sos {
 
@@ -215,15 +216,13 @@ makeClusterArrivals(const SimConfig &sim, const ArrivalSpec &spec)
         const std::size_t w = rng.below(workloads.size());
         arrival.workload = workloads[w];
         arrival.klass = drawClass(rng, classes, total_weight);
-        // Duration in solo cycles around the class mean, clamped like
-        // the single-machine trace so no job degenerates.
-        const double mean =
+        // Sized around the class mean like the single-machine trace.
+        arrival.sizeInstructions = drawJobInstructions(
+            rng,
             spec.meanJobCycles *
-            classes[static_cast<std::size_t>(arrival.klass)].sizeFactor;
-        double duration = rng.exponential(mean);
-        duration = std::clamp(duration, mean * 0.05, mean * 6.0);
-        arrival.sizeInstructions = std::max<std::uint64_t>(
-            1000, static_cast<std::uint64_t>(duration * solo[w]));
+                classes[static_cast<std::size_t>(arrival.klass)]
+                    .sizeFactor,
+            solo[w]);
         trace.push_back(std::move(arrival));
     }
     return trace;

@@ -88,74 +88,63 @@ PerfCounters::mixImbalance() const
 void
 PerfCounters::registerStats(const stats::Group &group) const
 {
-    group.scalar("cycles", "simulated cycles in the interval")
-        .bind(&cycles);
+    group.scalar("cycles", "simulated cycles in the interval") = cycles;
 
     const stats::Group pipeline = group.group("pipeline");
-    pipeline.scalar("fetched", "instructions fetched").bind(&fetched);
-    pipeline.scalar("dispatched", "instructions dispatched")
-        .bind(&dispatched);
-    pipeline.scalar("issued", "instructions issued").bind(&issued);
-    pipeline.scalar("retired", "instructions retired").bind(&retired);
+    pipeline.scalar("fetched", "instructions fetched") = fetched;
+    pipeline.scalar("dispatched", "instructions dispatched") = dispatched;
+    pipeline.scalar("issued", "instructions issued") = issued;
+    pipeline.scalar("retired", "instructions retired") = retired;
 
     const stats::Group mix = group.group("mix");
-    mix.scalar("int_ops", "integer ops at dispatch").bind(&intOps);
-    mix.scalar("fp_ops", "FP ops at dispatch").bind(&fpOps);
-    mix.scalar("loads", "loads at dispatch").bind(&loads);
-    mix.scalar("stores", "stores at dispatch").bind(&stores);
-    mix.scalar("branches", "branches at dispatch").bind(&branches);
-    mix.scalar("barriers", "barriers at dispatch").bind(&barriers);
-    mix.scalar("branch_mispredicts", "mispredicted branches")
-        .bind(&branchMispredicts);
-    mix.scalar("spin_ops", "busy-wait ops dispatched").bind(&spinOps);
+    mix.scalar("int_ops", "integer ops at dispatch") = intOps;
+    mix.scalar("fp_ops", "FP ops at dispatch") = fpOps;
+    mix.scalar("loads", "loads at dispatch") = loads;
+    mix.scalar("stores", "stores at dispatch") = stores;
+    mix.scalar("branches", "branches at dispatch") = branches;
+    mix.scalar("barriers", "barriers at dispatch") = barriers;
+    mix.scalar("branch_mispredicts", "mispredicted branches") =
+        branchMispredicts;
+    mix.scalar("spin_ops", "busy-wait ops dispatched") = spinOps;
 
     const stats::Group conflicts = group.group("conflicts");
-    conflicts.scalar("int_queue", "INT issue-queue conflict cycles")
-        .bind(&confIntQueue);
-    conflicts.scalar("fp_queue", "FP issue-queue conflict cycles")
-        .bind(&confFpQueue);
-    conflicts.scalar("int_regs", "INT rename-register conflict cycles")
-        .bind(&confIntRegs);
-    conflicts.scalar("fp_regs", "FP rename-register conflict cycles")
-        .bind(&confFpRegs);
-    conflicts.scalar("rob", "reorder-buffer conflict cycles")
-        .bind(&confRob);
-    conflicts.scalar("int_units", "integer-unit conflict cycles")
-        .bind(&confIntUnits);
-    conflicts.scalar("fp_units", "FP-unit conflict cycles")
-        .bind(&confFpUnits);
-    conflicts.scalar("ls_ports", "load/store-port conflict cycles")
-        .bind(&confLsPorts);
+    conflicts.scalar("int_queue", "INT issue-queue conflict cycles") =
+        confIntQueue;
+    conflicts.scalar("fp_queue", "FP issue-queue conflict cycles") =
+        confFpQueue;
+    conflicts.scalar("int_regs", "INT rename-register conflict cycles") =
+        confIntRegs;
+    conflicts.scalar("fp_regs", "FP rename-register conflict cycles") =
+        confFpRegs;
+    conflicts.scalar("rob", "reorder-buffer conflict cycles") = confRob;
+    conflicts.scalar("int_units", "integer-unit conflict cycles") =
+        confIntUnits;
+    conflicts.scalar("fp_units", "FP-unit conflict cycles") = confFpUnits;
+    conflicts.scalar("ls_ports", "load/store-port conflict cycles") =
+        confLsPorts;
 
     // Cache and TLB counters, one subgroup per level.
     const stats::Group mem = group.group("mem");
     const stats::Group l1i = mem.group("l1i");
-    l1i.scalar("hits", "L1I demand hits").bind(&l1iHits);
-    l1i.scalar("misses", "L1I demand misses").bind(&l1iMisses);
+    l1i.scalar("hits", "L1I demand hits") = l1iHits;
+    l1i.scalar("misses", "L1I demand misses") = l1iMisses;
     const stats::Group l1d = mem.group("l1d");
-    l1d.scalar("hits", "L1D demand hits").bind(&l1dHits);
-    l1d.scalar("misses", "L1D demand misses").bind(&l1dMisses);
+    l1d.scalar("hits", "L1D demand hits") = l1dHits;
+    l1d.scalar("misses", "L1D demand misses") = l1dMisses;
     const stats::Group l2 = mem.group("l2");
-    l2.scalar("hits", "L2 demand hits").bind(&l2Hits);
-    l2.scalar("misses", "L2 demand misses").bind(&l2Misses);
-    mem.group("itlb")
-        .scalar("misses", "ITLB misses")
-        .bind(&itlbMisses);
-    mem.group("dtlb")
-        .scalar("misses", "DTLB misses")
-        .bind(&dtlbMisses);
+    l2.scalar("hits", "L2 demand hits") = l2Hits;
+    l2.scalar("misses", "L2 demand misses") = l2Misses;
+    mem.group("itlb").scalar("misses", "ITLB misses") = itlbMisses;
+    mem.group("dtlb").scalar("misses", "DTLB misses") = dtlbMisses;
 
-    // Derived rates, evaluated only when a sink dumps.
     const stats::Group derived = group.group("derived");
-    derived.formula("ipc", "retired instructions per cycle",
-                    [this] { return ipc(); });
-    derived.formula("l1d_hit_rate", "L1D demand hit rate",
-                    [this] { return l1dHitRate(); });
-    derived.formula("all_conflict_pct",
-                    "sum of the eight conflict percentages",
-                    [this] { return allConflictPct(); });
-    derived.formula("mix_imbalance", "|fp - int| dispatch share",
-                    [this] { return mixImbalance(); });
+    derived.value("ipc", "retired instructions per cycle") = ipc();
+    derived.value("l1d_hit_rate", "L1D demand hit rate") = l1dHitRate();
+    derived.value("all_conflict_pct",
+                  "sum of the eight conflict percentages") =
+        allConflictPct();
+    derived.value("mix_imbalance", "|fp - int| dispatch share") =
+        mixImbalance();
 
     stats::Vector &slots = group.vector(
         "slot_retired", "retired instructions per context slot");

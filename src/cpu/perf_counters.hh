@@ -111,14 +111,7 @@ struct PerfCounters
     /**
      * Register every counter (and the derived rates) under @p group,
      * e.g. "<group>.pipeline.retired", "<group>.mem.l1d.misses",
-     * "<group>.derived.ipc".
-     *
-     * Stats *bind* to the raw fields: registration stores pointers
-     * that sinks read only at dump time, so the core's hot loops keep
-     * incrementing plain struct members with zero added indirection
-     * (the hot-path-free binding rule, DESIGN.md section 5b). This
-     * object must therefore outlive any dump of the registry, and
-     * must not be moved after registration.
+     * "<group>.derived.ipc", holding the values they have now.
      */
     void registerStats(const stats::Group &group) const;
 };

@@ -217,9 +217,8 @@ class BatchExperiment
      * of the best-WS candidate's symbios run, as the sweep measured it
      * from its warm fork (plus each core's pipeline counters over that
      * run under "core<k>.perf"), and every evaluated policy adds a
-     * "policy.<name>" subtree. Stats bind to this experiment's
-     * storage, so it must outlive any dump. Call after the phases you
-     * want visible have completed.
+     * "policy.<name>" subtree. Call after the phases you want visible
+     * have completed.
      */
     void publishStats(const stats::Group &group) const;
 

@@ -107,8 +107,7 @@ class HierarchicalExperiment
     /**
      * Register the measured candidates under @p group: a
      * "candidate<i>" subtree per (plan, schedule) pair plus the
-     * Figure 4 summary. Stats bind to this experiment's storage; call
-     * after run() and keep the experiment alive for any dump.
+     * Figure 4 summary. Call after run().
      */
     void publishStats(const stats::Group &group) const;
 

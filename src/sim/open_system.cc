@@ -164,6 +164,24 @@ OpenSystemConfig::stableInterarrivalPaper(double core_capacity) const
         static_cast<double>(meanJobPaperCycles) / rate);
 }
 
+std::uint64_t
+drawJobInstructions(Rng &rng, double mean_cycles, double solo_ipc)
+{
+    // Clamped so no job is shorter than a few timeslices or absurdly
+    // long.
+    const double duration = std::clamp(rng.exponential(mean_cycles),
+                                       mean_cycles * 0.05,
+                                       mean_cycles * 6.0);
+    const double size = duration * solo_ipc;
+    // The cast below is defined only under 2^64; NaN fails too.
+    if (!(size < 0x1p64))
+        fatal("a job of ", duration, " solo cycles at IPC ", solo_ipc,
+              " does not fit in 64 bits of instructions; lower the "
+              "class size factor or the mean job length");
+    return std::max<std::uint64_t>(1000,
+                                   static_cast<std::uint64_t>(size));
+}
+
 std::vector<JobArrival>
 makeArrivalTrace(const SimConfig &sim, const OpenSystemConfig &config,
                  ThreadPool &pool)
@@ -191,13 +209,8 @@ makeArrivalTrace(const SimConfig &sim, const OpenSystemConfig &config,
         arrival.arrivalCycle = static_cast<std::uint64_t>(clock);
         const std::size_t w = rng.below(workloads.size());
         arrival.workload = workloads[w];
-        // Duration in solo cycles, clamped so no job is shorter than a
-        // few timeslices or absurdly long.
-        double duration = rng.exponential(mean_cycles);
-        duration = std::clamp(duration, mean_cycles * 0.05,
-                              mean_cycles * 6.0);
-        arrival.sizeInstructions = std::max<std::uint64_t>(
-            1000, static_cast<std::uint64_t>(duration * solo[w]));
+        arrival.sizeInstructions =
+            drawJobInstructions(rng, mean_cycles, solo[w]);
         trace.push_back(std::move(arrival));
     }
     return trace;

@@ -40,6 +40,8 @@
 
 namespace sos {
 
+class Rng;
+
 namespace stats {
 class EventTrace;
 } // namespace stats
@@ -196,6 +198,16 @@ struct OpenSystemResult
     /** The backend machine's memory counters once the run drained. */
     MemoryCounters memory;
 };
+
+/**
+ * Draw one job's size in instructions: an exponential duration of mean
+ * @p mean_cycles solo cycles, clamped to [0.05, 6] x the mean so no
+ * job degenerates, times the workload's @p solo_ipc, and at least
+ * 1000. A size that does not fit in 64 bits is fatal. Both arrival
+ * generators (makeArrivalTrace, makeClusterArrivals) size jobs here.
+ */
+std::uint64_t drawJobInstructions(Rng &rng, double mean_cycles,
+                                  double solo_ipc);
 
 /**
  * Generate the deterministic arrival trace both policies replay; the

@@ -179,8 +179,8 @@ void
 SosKernel::publishStats(const stats::Group &group) const
 {
     group.scalar("sample_phase_cycles",
-                 "simulated machine cycles spent profiling candidates")
-        .bind(&sampleCycles_);
+                 "simulated machine cycles spent profiling candidates") =
+        sampleCycles_;
 
     for (std::size_t i = 0; i < profiles_.size(); ++i) {
         const ScheduleProfile &profile = profiles_[i];

@@ -60,15 +60,6 @@ class SosKernel
     /** One candidate's measured run, as the sweep runner reports it. */
     using Run = ParallelScheduleRunner::ScheduleRun;
 
-    SosKernel() = default;
-    SosKernel(const SosKernel &) = delete;
-    SosKernel &operator=(const SosKernel &) = delete;
-    // Movable so experiments owning a kernel can be returned by
-    // value; stat groups bind to kernel storage only after the owner
-    // reaches its final location.
-    SosKernel(SosKernel &&) = default;
-    SosKernel &operator=(SosKernel &&) = default;
-
     Phase phase() const { return phase_; }
 
     /**
@@ -142,8 +133,7 @@ class SosKernel
      * sample-phase cost, one "candidate<i>" subtree per profile
      * (label, sample and symbios WS, balance/diversity signals, the
      * full counter snapshot) and, once the symbios validation ran,
-     * the best/worst/average summary. Stats bind to this kernel's
-     * storage, so it must outlive any dump.
+     * the best/worst/average summary.
      */
     void publishStats(const stats::Group &group) const;
 

@@ -9,8 +9,8 @@
 
 namespace sos::stats {
 
-Stat::Stat(std::string path, std::string desc, Kind kind)
-    : path_(std::move(path)), desc_(std::move(desc)), kind_(kind)
+Stat::Stat(std::string path, std::string desc)
+    : path_(std::move(path)), desc_(std::move(desc))
 {
 }
 
@@ -34,28 +34,6 @@ Value::writeJson(JsonWriter &json) const
 
 std::string
 Value::renderText() const
-{
-    return formatDouble(value());
-}
-
-Formula::Formula(std::string path, std::string desc,
-                 std::function<double()> fn)
-    : Stat(std::move(path), std::move(desc), Kind::Formula),
-      fn_(std::move(fn))
-{
-    if (!fn_)
-        throw std::invalid_argument("stats: Formula '" + this->path() +
-                                    "' needs a callable");
-}
-
-void
-Formula::writeJson(JsonWriter &json) const
-{
-    json.number(value());
-}
-
-std::string
-Formula::renderText() const
 {
     return formatDouble(value());
 }
@@ -110,7 +88,7 @@ Distribution::renderText() const
 }
 
 Quantile::Quantile(std::string path, std::string desc)
-    : Stat(std::move(path), std::move(desc), Kind::Quantile),
+    : Stat(std::move(path), std::move(desc)),
       // Unit buckets below 2^kSubBits, then 2^kSubBits sub-buckets for
       // each of the remaining (64 - kSubBits) octaves.
       buckets_((64 - kSubBits + 1) << kSubBits, 0)
@@ -350,26 +328,19 @@ Registry::add(const std::string &path, Args &&...args)
 Scalar &
 Registry::scalar(const std::string &path, std::string desc)
 {
-    return add<Scalar>(path, std::move(desc), Kind::Scalar);
+    return add<Scalar>(path, std::move(desc));
 }
 
 Value &
 Registry::value(const std::string &path, std::string desc)
 {
-    return add<Value>(path, std::move(desc), Kind::Value);
-}
-
-Formula &
-Registry::formula(const std::string &path, std::string desc,
-                  std::function<double()> fn)
-{
-    return add<Formula>(path, std::move(desc), std::move(fn));
+    return add<Value>(path, std::move(desc));
 }
 
 Distribution &
 Registry::distribution(const std::string &path, std::string desc)
 {
-    return add<Distribution>(path, std::move(desc), Kind::Distribution);
+    return add<Distribution>(path, std::move(desc));
 }
 
 Quantile &
@@ -381,13 +352,13 @@ Registry::quantile(const std::string &path, std::string desc)
 Vector &
 Registry::vector(const std::string &path, std::string desc)
 {
-    return add<Vector>(path, std::move(desc), Kind::Vector);
+    return add<Vector>(path, std::move(desc));
 }
 
 Info &
 Registry::info(const std::string &path, std::string desc)
 {
-    return add<Info>(path, std::move(desc), Kind::Info);
+    return add<Info>(path, std::move(desc));
 }
 
 const Stat *
@@ -430,14 +401,6 @@ Value &
 Group::value(const std::string &name, std::string desc) const
 {
     return registry_->value(join(name), std::move(desc));
-}
-
-Formula &
-Group::formula(const std::string &name, std::string desc,
-               std::function<double()> fn) const
-{
-    return registry_->formula(join(name), std::move(desc),
-                              std::move(fn));
 }
 
 Distribution &

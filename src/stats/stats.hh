@@ -8,12 +8,12 @@
  * same values as aligned text, a JSON run manifest, or both -- one
  * source of numbers for every output format.
  *
- * The hot-path-free binding rule: stats never sit on the simulator's
- * fast paths. A Scalar can *bind* to a live counter (a pointer to the
- * raw std::uint64_t the simulator already increments); the registry
- * reads through the pointer only when a sink dumps. SmtCore::run and
- * friends keep incrementing plain struct fields with zero added
- * indirection or allocation.
+ * Stats are values: a publisher assigns each one once, after the
+ * phases it reports have completed, so a registry owns everything it
+ * renders and outlives nothing it was built from. Stats never sit on
+ * the simulator's fast paths either: SmtCore::run and friends keep
+ * incrementing plain struct fields, which are copied in only when a
+ * run publishes.
  *
  * Registration errors (duplicate paths, a path nested under an
  * existing leaf, malformed segments) throw std::invalid_argument:
@@ -25,7 +25,6 @@
 #define SOS_STATS_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,23 +35,17 @@ namespace sos::stats {
 class JsonWriter;
 class Registry;
 
-/** What kind of quantity a Stat renders. */
-enum class Kind
-{
-    Scalar,       ///< unsigned integer counter (bindable)
-    Value,        ///< floating-point result
-    Formula,      ///< computed on demand at dump time
-    Distribution, ///< count/mean/stddev/min/max summary
-    Quantile,     ///< streaming p50/p95/p99 (log-histogram)
-    Vector,       ///< ordered (optionally named) series of doubles
-    Info,         ///< free-form string metadata (labels, names)
-};
-
-/** One registered statistic. */
+/**
+ * One registered statistic, of one of six kinds: Scalar (unsigned
+ * counter), Value (floating-point result), Distribution
+ * (count/mean/stddev/min/max summary), Quantile (streaming
+ * p50/p95/p99), Vector (ordered, optionally named series) or Info
+ * (string metadata).
+ */
 class Stat
 {
   public:
-    Stat(std::string path, std::string desc, Kind kind);
+    Stat(std::string path, std::string desc);
     virtual ~Stat() = default;
 
     Stat(const Stat &) = delete;
@@ -60,7 +53,6 @@ class Stat
 
     const std::string &path() const { return path_; }
     const std::string &desc() const { return desc_; }
-    Kind kind() const { return kind_; }
 
     /** Emit this stat's value into an open JSON value position. */
     virtual void writeJson(JsonWriter &json) const = 0;
@@ -71,25 +63,13 @@ class Stat
   private:
     std::string path_;
     std::string desc_;
-    Kind kind_;
 };
 
-/**
- * Unsigned counter. Either holds its own value or binds to a live
- * counter owned by the simulator (read only at dump time).
- */
+/** Unsigned counter. */
 class Scalar : public Stat
 {
   public:
     using Stat::Stat;
-
-    /** Read through @p source at dump time; source must outlive dumps. */
-    Scalar &
-    bind(const std::uint64_t *source)
-    {
-        bound_ = source;
-        return *this;
-    }
 
     Scalar &
     operator=(std::uint64_t v)
@@ -105,13 +85,12 @@ class Scalar : public Stat
         return *this;
     }
 
-    std::uint64_t value() const { return bound_ ? *bound_ : own_; }
+    std::uint64_t value() const { return own_; }
 
     void writeJson(JsonWriter &json) const override;
     std::string renderText() const override;
 
   private:
-    const std::uint64_t *bound_ = nullptr;
     std::uint64_t own_ = 0;
 };
 
@@ -128,38 +107,13 @@ class Value : public Stat
         return *this;
     }
 
-    /** Read through @p source at dump time. */
-    Value &
-    bind(const double *source)
-    {
-        bound_ = source;
-        return *this;
-    }
-
-    double value() const { return bound_ ? *bound_ : own_; }
+    double value() const { return own_; }
 
     void writeJson(JsonWriter &json) const override;
     std::string renderText() const override;
 
   private:
-    const double *bound_ = nullptr;
     double own_ = 0.0;
-};
-
-/** Derived quantity evaluated when a sink dumps (e.g. a rate). */
-class Formula : public Stat
-{
-  public:
-    Formula(std::string path, std::string desc,
-            std::function<double()> fn);
-
-    double value() const { return fn_(); }
-
-    void writeJson(JsonWriter &json) const override;
-    std::string renderText() const override;
-
-  private:
-    std::function<double()> fn_;
 };
 
 /** Sample summary: count, mean, stddev (population), min, max. */
@@ -313,8 +267,6 @@ class Registry
     /** @name Typed registration (throws on path conflicts) @{ */
     Scalar &scalar(const std::string &path, std::string desc = "");
     Value &value(const std::string &path, std::string desc = "");
-    Formula &formula(const std::string &path, std::string desc,
-                     std::function<double()> fn);
     Distribution &distribution(const std::string &path,
                                std::string desc = "");
     Quantile &quantile(const std::string &path, std::string desc = "");
@@ -366,8 +318,6 @@ class Group
     /** @name Registration under the prefix @{ */
     Scalar &scalar(const std::string &name, std::string desc = "") const;
     Value &value(const std::string &name, std::string desc = "") const;
-    Formula &formula(const std::string &name, std::string desc,
-                     std::function<double()> fn) const;
     Distribution &distribution(const std::string &name,
                                std::string desc = "") const;
     Quantile &quantile(const std::string &name,

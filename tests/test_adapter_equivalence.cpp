@@ -60,7 +60,6 @@ batchManifest(int jobs)
     stats::Registry registry;
     const stats::Group experiments =
         stats::Group(registry).group("experiments");
-    std::string document;
     {
         // Both a full-space sweep (3 of 3 schedules) and a sampled
         // one (10 of 60), the two shapes the kernel must preserve.
@@ -73,11 +72,10 @@ batchManifest(int jobs)
             exp->publishStats(experiments.group(
                 stats::sanitizeSegment(exp->spec().label)));
         }
-        // Stats bind to the experiments' storage: render in scope.
-        document = render("adapter_equivalence_batch", config,
-                          registry);
     }
-    return document;
+    // Stats hold values: the manifest renders after the experiments
+    // are gone.
+    return render("adapter_equivalence_batch", config, registry);
 }
 
 std::string
@@ -88,17 +86,14 @@ hierarchicalManifest(int jobs)
     stats::Registry registry;
     const stats::Group experiments =
         stats::Group(registry).group("experiments");
-    std::string document;
     {
         const HierarchicalSpec &spec = hierarchicalExperiments()[0];
         HierarchicalExperiment exp(spec, config, 6);
         exp.run(200000);
         exp.publishStats(
             experiments.group(stats::sanitizeSegment(spec.label)));
-        document = render("adapter_equivalence_hierarchical", config,
-                          registry);
     }
-    return document;
+    return render("adapter_equivalence_hierarchical", config, registry);
 }
 
 std::string
@@ -109,7 +104,6 @@ machineManifest(int jobs)
     stats::Registry registry;
     const stats::Group experiments =
         stats::Group(registry).group("experiments");
-    std::string document;
     {
         const ExperimentSpec spec{
             .label = "Jm(4,2,2,2)",
@@ -121,10 +115,8 @@ machineManifest(int jobs)
         exp.runSymbiosValidation();
         exp.publishStats(
             experiments.group(stats::sanitizeSegment(spec.label)));
-        document = render("adapter_equivalence_machine", config,
-                          registry);
     }
-    return document;
+    return render("adapter_equivalence_machine", config, registry);
 }
 
 /**

@@ -361,6 +361,11 @@ TEST(ParamsIo, SossimNumericFlagsGiveNamedErrors)
          "segment 'a_b'"},
         {"cluster --classes a:1e308:1,b:1e308:1 --arrivals 5 --nodes 1",
          "--classes weights up to b do not sum to a finite number"},
+        // A job size past 2^64 instructions used to wrap to a tiny job
+        // and run silently.
+        {"cluster --classes a:1:1e300 --arrivals 5 --nodes 1",
+         "does not fit in 64 bits of instructions; lower the class size "
+         "factor or the mean job length"},
     };
     for (const auto &[args, message] : cases) {
         const auto [status, output] = runSossim(args);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the hierarchical statistics registry: typed stats,
- * bind-vs-own semantics, path validation, groups, and the text/JSON
- * sinks. Registration errors throw std::invalid_argument, so every
+ * values held from registration on, path validation, groups, and the
+ * text/JSON sinks. Registration errors throw std::invalid_argument, so every
  * failure mode here is testable without death tests.
  */
 
@@ -12,9 +12,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "cpu/perf_counters.hh"
 #include "stats/json.hh"
 #include "stats/stats.hh"
 #include "stats/trace.hh"
@@ -102,53 +104,46 @@ TEST(Scalar, OwnedValueAndIncrement)
     EXPECT_EQ(s.value(), 8u);
 }
 
-TEST(Scalar, BoundReadsSourceAtDumpTime)
+TEST(Value, HoldsAssignedValue)
 {
     Registry registry;
-    std::uint64_t live = 1;
-    Scalar &s = registry.scalar("cycles").bind(&live);
-    // The binding reads through the pointer: later increments of the
-    // simulator-owned counter are visible with no further stat calls.
-    live = 42;
-    EXPECT_EQ(s.value(), 42u);
-    EXPECT_EQ(s.renderText(), "42");
-}
-
-TEST(Value, BoundAndOwned)
-{
-    Registry registry;
-    double live = 0.0;
-    Value &bound = registry.value("ws.bound").bind(&live);
-    live = 1.75;
-    EXPECT_DOUBLE_EQ(bound.value(), 1.75);
-
     Value &owned = registry.value("ws.owned");
+    EXPECT_DOUBLE_EQ(owned.value(), 0.0);
     owned = 2.5;
     EXPECT_DOUBLE_EQ(owned.value(), 2.5);
 }
 
-TEST(Formula, EvaluatesAtDumpTime)
+TEST(PerfCountersStats, RenderTheValuesTheyWereRegisteredWith)
 {
     Registry registry;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    Formula &rate =
-        registry.formula("l1d.miss_rate", "misses per access", [&] {
-            const double total =
-                static_cast<double>(hits) + static_cast<double>(misses);
-            return total == 0.0 ? 0.0
-                                : static_cast<double>(misses) / total;
-        });
-    hits = 90;
-    misses = 10;
-    EXPECT_DOUBLE_EQ(rate.value(), 0.1);
-}
+    auto counters = std::make_unique<PerfCounters>();
+    counters->cycles = 100;
+    counters->retired = 250;
+    counters->l1dHits = 9;
+    counters->l1dMisses = 1;
+    counters->confRob = 20;
+    counters->slotRetired[1] = 250;
+    counters->registerStats(Group(registry, "core"));
 
-TEST(Formula, NullCallableThrows)
-{
-    Registry registry;
-    EXPECT_THROW(registry.formula("bad", "", nullptr),
-                 std::invalid_argument);
+    // The run goes on after it published, and then its counters die:
+    // neither reaches the registry.
+    counters->cycles = 1000;
+    counters->retired = 7;
+    counters->l1dMisses = 91;
+    counters->confRob = 0;
+    counters->slotRetired[1] = 7;
+    counters.reset();
+
+    std::string out;
+    JsonWriter json(&out);
+    writeJsonTree(registry, json);
+    for (const char *expected :
+         {"\"cycles\":100", "\"retired\":250",
+          "\"l1d\":{\"hits\":9,\"misses\":1}",
+          "\"rob\":20", "\"ipc\":2.5", "\"l1d_hit_rate\":0.9",
+          "\"all_conflict_pct\":20", "\"slot_retired\":[0,250,"})
+        EXPECT_NE(out.find(expected), std::string::npos)
+            << expected << " in " << out;
 }
 
 TEST(Distribution, SummaryStatistics)
