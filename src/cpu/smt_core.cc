@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/logging.hh"
 #include "cpu/sync_domain.hh"
@@ -16,7 +17,7 @@ SmtCore::SmtCore(const CoreParams &params, CacheHierarchy &mem)
     cold_.resize(n);
     fetchStride_ = static_cast<std::uint32_t>(params.fetchQueueSize);
     robStride_ = static_cast<std::uint32_t>(params.robSize);
-    fetchSlab_.resize(n * fetchStride_);
+    fetchRing_.resize(n * fetchStride_);
     robSlab_.resize(n * robStride_);
 
     const std::size_t slab_size = static_cast<std::size_t>(
@@ -26,14 +27,15 @@ SmtCore::SmtCore(const CoreParams &params, CacheHierarchy &mem)
     for (std::size_t i = 0; i < slab_size; ++i)
         freeList_.push_back(static_cast<std::uint32_t>(slab_size - 1 - i));
 
-    intQ_.reserve(static_cast<std::size_t>(params.intQueueSize));
-    fpQ_.reserve(static_cast<std::size_t>(params.fpQueueSize));
-    intPend_.reserve(static_cast<std::size_t>(params.intQueueSize));
-    fpPend_.reserve(static_cast<std::size_t>(params.fpQueueSize));
+    intQ_.slots.resize(static_cast<std::size_t>(params.intQueueSize));
+    fpQ_.slots.resize(static_cast<std::size_t>(params.fpQueueSize));
 
-    intRenameFree_ = params.intRenameRegs;
-    fpRenameFree_ = params.fpRenameRegs;
+    renameFree_ = {params.intRenameRegs, params.fpRenameRegs,
+                   std::numeric_limits<int>::max()};
     robFree_ = params.robSize;
+
+    frontReady_.fill(noWake);
+    headReady_.fill(noWake);
 
     l1iLineShift_ = static_cast<std::uint32_t>(
         std::countr_zero(mem.params().l1i.lineBytes));
@@ -48,26 +50,20 @@ SmtCore::SmtCore(const SmtCore &other, CacheHierarchy &mem)
       lastFetchCycle_(other.lastFetchCycle_), retired_(other.retired_),
       fqHead_(other.fqHead_), fqCount_(other.fqCount_),
       robHead_(other.robHead_), robCount_(other.robCount_),
-      cold_(other.cold_), fetchSlab_(other.fetchSlab_),
+      frontReady_(other.frontReady_), headReady_(other.headReady_),
+      cold_(other.cold_), fetchRing_(other.fetchRing_),
       robSlab_(other.robSlab_), fetchStride_(other.fetchStride_),
       robStride_(other.robStride_), activeList_(other.activeList_),
       numActive_(other.numActive_), slab_(other.slab_),
       freeList_(other.freeList_), ageCounter_(other.ageCounter_),
       intQ_(other.intQ_), fpQ_(other.fpQ_),
-      intPend_(other.intPend_), fpPend_(other.fpPend_),
-      intQCount_(other.intQCount_), fpQCount_(other.fpQCount_),
-      intQWake_(other.intQWake_), fpQWake_(other.fpQWake_),
-      intRenameFree_(other.intRenameFree_),
-      fpRenameFree_(other.fpRenameFree_), robFree_(other.robFree_),
+      commitWake_(other.commitWake_),
+      renameFree_(other.renameFree_), robFree_(other.robFree_),
       fpBusyUntil_(other.fpBusyUntil_),
       l1iLineShift_(other.l1iLineShift_),
       roundRobinFetch_(other.roundRobinFetch_), cycle_(other.cycle_),
       commitRR_(other.commitRR_), dispatchRR_(other.dispatchRR_)
 {
-    intQ_.reserve(static_cast<std::size_t>(params_.intQueueSize));
-    fpQ_.reserve(static_cast<std::size_t>(params_.fpQueueSize));
-    intPend_.reserve(static_cast<std::size_t>(params_.intQueueSize));
-    fpPend_.reserve(static_cast<std::size_t>(params_.fpQueueSize));
 }
 
 void
@@ -111,6 +107,8 @@ SmtCore::attachThread(int slot, const ThreadBinding &binding)
     fqCount_[s] = 0;
     robHead_[s] = 0;
     robCount_[s] = 0;
+    frontReady_[s] = noWake;
+    headReady_[s] = noWake;
     cold.regs.fill(RegEntry{});
     icount_[s] = 0;
     fetchStall_[s] = 0;
@@ -131,20 +129,18 @@ void
 SmtCore::squashCtx(int slot)
 {
     const auto s = static_cast<std::size_t>(slot);
-    const auto byCtx = [this, slot](const QEntry &e) {
-        return slab_[e.id].ctx == static_cast<std::uint8_t>(slot);
-    };
+    const auto ctx = static_cast<std::uint8_t>(slot);
     // Queue wakes are left alone: removing entries can only push the
     // true wake later, and a too-early wake just costs a no-op scan.
-    intQ_.erase(std::remove_if(intQ_.begin(), intQ_.end(), byCtx),
-                intQ_.end());
-    fpQ_.erase(std::remove_if(fpQ_.begin(), fpQ_.end(), byCtx),
-               fpQ_.end());
-    intPend_.erase(
-        std::remove_if(intPend_.begin(), intPend_.end(), byCtx),
-        intPend_.end());
-    fpPend_.erase(std::remove_if(fpPend_.begin(), fpPend_.end(), byCtx),
-                  fpPend_.end());
+    for (IssueQueue *queue : {&intQ_, &fpQ_}) {
+        std::uint32_t keep = 0;
+        for (std::uint32_t i = 0; i < queue->len; ++i) {
+            const QEntry e = queue->slots[i];
+            if (slab_[e.id].ctx != ctx)
+                queue->slots[keep++] = e;
+        }
+        queue->len = keep;
+    }
     std::uint32_t head = robHead_[s];
     const std::uint32_t *const rob = &robSlab_[s * robStride_];
     for (std::uint32_t i = 0; i < robCount_[s]; ++i) {
@@ -152,21 +148,29 @@ SmtCore::squashCtx(int slot)
         const InFlight &inst = slab_[id];
         if (!inst.completed) {
             // Dispatched but never issued: still held queue capacity.
-            if (inst.op.isFp())
-                --fpQCount_;
-            else
-                --intQCount_;
+            --(inst.op.isFp() ? fpQ_ : intQ_).count;
         }
         releaseResources(inst);
-        freeList_.push_back(id);
+        freeInst(id);
         head = wrapRob(head);
+    }
+    std::uint32_t fhead = fqHead_[s];
+    const std::uint32_t *const fq = &fetchRing_[s * fetchStride_];
+    for (std::uint32_t i = 0; i < fqCount_[s]; ++i) {
+        freeInst(fq[fhead]);
+        fhead = wrapFetch(fhead);
     }
     robHead_[s] = 0;
     robCount_[s] = 0;
     fqHead_[s] = 0;
     fqCount_[s] = 0;
+    frontReady_[s] = noWake;
+    headReady_[s] = noWake;
     cold_[s].hasPending = false;
     icount_[s] = 0;
+    // The squashed head may have held the commit wake; the next commit
+    // walk recomputes it.
+    commitWake_ = cycle_;
 }
 
 void
@@ -202,21 +206,20 @@ SmtCore::debugDump() const
 {
     std::fprintf(stderr, "cycle=%llu intQ=%d fpQ=%d robFree=%d "
                          "intRen=%d fpRen=%d\n",
-                 static_cast<unsigned long long>(cycle_), intQCount_,
-                 fpQCount_, robFree_, intRenameFree_, fpRenameFree_);
-    auto dumpQ = [&](const char *name,
-                     const std::vector<QEntry> &queue) {
-        for (std::size_t i = 0; i < std::min<std::size_t>(queue.size(), 6);
+                 static_cast<unsigned long long>(cycle_), intQ_.count,
+                 fpQ_.count, robFree_, renameFree_[intRegs],
+                 renameFree_[fpRegs]);
+    auto dumpQ = [&](const char *name, const IssueQueue &queue) {
+        for (std::uint32_t i = 0; i < std::min<std::uint32_t>(queue.len, 6);
              ++i) {
-            const InFlight &inst = slab_[queue[i].id];
+            const QEntry &e = queue.slots[i];
+            const InFlight &inst = slab_[e.id];
             std::fprintf(stderr,
-                         "  %s[%zu] cls=%d srcA=%d srcB=%d dst=%d "
+                         "  %s[%u] cls=%d srcA=%d srcB=%d dst=%d "
                          "age=%u readyAt=%llu\n",
                          name, i, static_cast<int>(inst.op.cls),
-                         inst.op.srcA, inst.op.srcB, inst.op.dst,
-                         queue[i].age,
-                         static_cast<unsigned long long>(
-                             queue[i].readyAt));
+                         inst.op.srcA, inst.op.srcB, inst.op.dst, e.age,
+                         static_cast<unsigned long long>(e.readyAt));
         }
     };
     dumpQ("intQ", intQ_);
@@ -240,7 +243,6 @@ SmtCore::allocInst()
     SOS_ASSERT(!freeList_.empty(), "instruction slab exhausted");
     const std::uint32_t id = freeList_.back();
     freeList_.pop_back();
-    slab_[id].age = ++ageCounter_;
     return id;
 }
 
@@ -248,12 +250,7 @@ void
 SmtCore::releaseResources(const InFlight &inst)
 {
     ++robFree_;
-    if (inst.op.dst != NoReg) {
-        if (isFpReg(inst.op.dst))
-            ++fpRenameFree_;
-        else
-            ++intRenameFree_;
-    }
+    ++renameFree_[inst.regClass];
 }
 
 namespace {
@@ -313,19 +310,22 @@ SmtCore::drainInFlight(PerfCounters &counters)
             cold.hasPending = false;
         }
         std::uint32_t fhead = fqHead_[s];
-        const Fetched *const fq = &fetchSlab_[s * fetchStride_];
+        const std::uint32_t *const fq = &fetchRing_[s * fetchStride_];
         for (std::uint32_t k = 0; k < fqCount_[s]; ++k) {
-            const Fetched &front = fq[fhead];
+            const std::uint32_t id = fq[fhead];
+            const InFlight &front = slab_[id];
             if (!front.spin) {
                 creditDispatchClass(front.op, counters);
                 ++counters.issued;
                 ++counters.retired;
                 ++counters.slotRetired[s];
             }
+            freeInst(id);
             fhead = wrapFetch(fhead);
         }
         fqHead_[s] = 0;
         fqCount_[s] = 0;
+        frontReady_[s] = noWake;
 
         std::uint32_t head = robHead_[s];
         const std::uint32_t *const rob = &robSlab_[s * robStride_];
@@ -335,10 +335,7 @@ SmtCore::drainInFlight(PerfCounters &counters)
             if (!inst.completed) {
                 // Dispatched but never issued: still holds queue
                 // capacity and owes its issue credit.
-                if (inst.op.isFp())
-                    --fpQCount_;
-                else
-                    --intQCount_;
+                --(inst.op.isFp() ? fpQ_ : intQ_).count;
                 if (!inst.spin)
                     ++counters.issued;
             }
@@ -347,11 +344,12 @@ SmtCore::drainInFlight(PerfCounters &counters)
                 ++counters.slotRetired[s];
             }
             releaseResources(inst);
-            freeList_.push_back(id);
+            freeInst(id);
             head = wrapRob(head);
         }
         robHead_[s] = 0;
         robCount_[s] = 0;
+        headReady_[s] = noWake;
 
         // Values of drained writers are architecturally available now;
         // pendingReg entries would otherwise point at freed slab ids.
@@ -363,131 +361,35 @@ SmtCore::drainInFlight(PerfCounters &counters)
         fetchStall_[s] = 0;
     }
 
-    intQ_.clear();
-    fpQ_.clear();
-    intPend_.clear();
-    fpPend_.clear();
-    intQWake_ = noWake;
-    fpQWake_ = noWake;
-    SOS_ASSERT(intQCount_ == 0 && fpQCount_ == 0,
-               "issue-queue occupancy leaked through a drain");
+    for (IssueQueue *queue : {&intQ_, &fpQ_}) {
+        SOS_ASSERT(queue->count == 0,
+                   "issue-queue occupancy leaked through a drain");
+        queue->len = 0;
+        queue->wake = noWake;
+    }
+    commitWake_ = noWake;
     SOS_ASSERT(robFree_ == params_.robSize, "ROB leaked through a drain");
     fpBusyUntil_.fill(0);
-}
-
-void
-SmtCore::run(std::uint64_t cycles, PerfCounters &counters)
-{
-    if (numActive_ == 0) {
-        // Nothing bound, nothing in flight (detach squashes): the
-        // whole interval is architecturally empty.
-        cycle_ += cycles;
-        counters.cycles += cycles;
-        return;
-    }
-
-    // Memory-system counters are derived from component deltas.
-    const std::uint64_t l1i_h0 = mem_.l1i().hits();
-    const std::uint64_t l1i_m0 = mem_.l1i().misses();
-    const std::uint64_t l1d_h0 = mem_.l1d().hits();
-    const std::uint64_t l1d_m0 = mem_.l1d().misses();
-    // L2 counts come from this core's contention counters, not the
-    // shared cache's aggregate: on a multicore machine the aggregate
-    // mixes in other cores' traffic.
-    const std::uint64_t l2_h0 = mem_.l2CoreCounters().hits;
-    const std::uint64_t l2_m0 = mem_.l2CoreCounters().misses;
-    const std::uint64_t itlb_m0 = mem_.itlb().misses();
-    const std::uint64_t dtlb_m0 = mem_.dtlb().misses();
-
-    retired_.fill(0);
-
-    // Stage bookkeeping lands in a stack-local delta; one += at the
-    // end makes it visible (every PerfCounters field is additive).
-    PerfCounters d;
-    const std::uint64_t end = cycle_ + cycles;
-    while (cycle_ < end) {
-        const bool committed = doCommit(d);
-        const bool scanned = intQWake_ <= cycle_ || fpQWake_ <= cycle_;
-        doIssue(d);
-        const std::uint32_t disp = doDispatch(d);
-        const bool fetched = doFetch(d);
-        ++cycle_;
-        if (committed || scanned || (disp & dispAny) != 0 || fetched)
-            continue;
-
-        // Idle cycle: every stage either did nothing or (dispatch)
-        // raised the same per-cycle conflict flags it will keep
-        // raising while the pipeline is frozen.  Jump straight to the
-        // next scheduled event, crediting the skipped cycles' flags
-        // and round-robin rotation arithmetically -- the simulated
-        // machine cannot tell the difference.
-        std::uint64_t event = nextEventCycle();
-        if (event > end)
-            event = end;
-        if (event <= cycle_)
-            continue;
-        const std::uint64_t k = event - cycle_;
-        if ((disp & dispConfRob) != 0)
-            d.confRob += k;
-        if ((disp & dispConfIntQ) != 0)
-            d.confIntQueue += k;
-        if ((disp & dispConfFpQ) != 0)
-            d.confFpQueue += k;
-        if ((disp & dispConfIntRegs) != 0)
-            d.confIntRegs += k;
-        if ((disp & dispConfFpRegs) != 0)
-            d.confFpRegs += k;
-        cycle_ = event;
-        const int n = numActive_;
-        if (n > 0) {
-            commitRR_ = static_cast<int>(
-                (static_cast<std::uint64_t>(commitRR_) + k) % n);
-            dispatchRR_ = static_cast<int>(
-                (static_cast<std::uint64_t>(dispatchRR_) + k) % n);
-        }
-    }
-    d.cycles = cycles;
-
-    for (int slot = 0; slot < params_.numContexts; ++slot) {
-        d.slotRetired[static_cast<std::size_t>(slot)] =
-            retired_[static_cast<std::size_t>(slot)];
-    }
-    d.l1iHits = mem_.l1i().hits() - l1i_h0;
-    d.l1iMisses = mem_.l1i().misses() - l1i_m0;
-    d.l1dHits = mem_.l1d().hits() - l1d_h0;
-    d.l1dMisses = mem_.l1d().misses() - l1d_m0;
-    d.l2Hits = mem_.l2CoreCounters().hits - l2_h0;
-    d.l2Misses = mem_.l2CoreCounters().misses - l2_m0;
-    d.itlbMisses = mem_.itlb().misses() - itlb_m0;
-    d.dtlbMisses = mem_.dtlb().misses() - dtlb_m0;
-    counters += d;
 }
 
 std::uint64_t
 SmtCore::nextEventCycle() const
 {
     // Only called after an idle cycle (cycle_ already advanced past
-    // it): queue wakes are in the future, every completed ROB head
-    // completes in the future, every fetchable context is stalled.
-    // Ready-but-resource-blocked dispatch fronts are deliberately
-    // excluded -- the resources they wait for are freed only by
-    // commit or issue events, which are already in the minimum.
-    std::uint64_t event = std::min(intQWake_, fpQWake_);
+    // it): queue wakes are in the future, every issued ROB head
+    // completes in the future (commitWake_ is exact here: that cycle's
+    // commit stage either walked every head with its full budget or
+    // found its wake in the future), every fetchable context is
+    // stalled. Ready-but-resource-blocked dispatch fronts are
+    // deliberately excluded -- the resources they wait for are freed
+    // only by commit or issue events, which are already in the
+    // minimum.
+    std::uint64_t event = std::min({intQ_.wake, fpQ_.wake, commitWake_});
     for (int i = 0; i < numActive_; ++i) {
         const auto s = static_cast<std::size_t>(
             activeList_[static_cast<std::size_t>(i)]);
-        if (robCount_[s] > 0) {
-            const InFlight &head =
-                slab_[robSlab_[s * robStride_ + robHead_[s]]];
-            if (head.completed)
-                event = std::min(event, head.when);
-        }
-        if (fqCount_[s] > 0) {
-            const Fetched &front =
-                fetchSlab_[s * fetchStride_ + fqHead_[s]];
-            if (front.readyAt >= cycle_)
-                event = std::min(event, front.readyAt);
-        }
+        if (frontReady_[s] >= cycle_)
+            event = std::min(event, frontReady_[s]);
         if (fqCount_[s] < fetchStride_ &&
             fetchStall_[s] != redirectPending) {
             event = std::min(event, fetchStall_[s]);
@@ -496,11 +398,13 @@ SmtCore::nextEventCycle() const
     return event;
 }
 
-bool
-SmtCore::doCommit(PerfCounters &pc)
+// The stages below are forced inline into run(): one loop body that
+// counts into a Tally local to run().
+
+[[gnu::always_inline]] inline bool
+SmtCore::commit()
 {
     bool committed = false;
-    int budget = params_.commitWidth;
     // Rotate priority over the *active* contexts; rotating over all
     // slots would hand the lowest-numbered context first pick whenever
     // the rotation lands on an empty slot.
@@ -511,33 +415,49 @@ SmtCore::doCommit(PerfCounters &pc)
     int rr = commitRR_;
     if (rr >= n && n > 0)
         rr %= n;
-    for (int i = 0; i < n && budget > 0; ++i) {
-        int idx = rr + i;
-        if (idx >= n)
-            idx -= n;
-        const int slot = activeList_[static_cast<std::size_t>(idx)];
-        const auto s = static_cast<std::size_t>(slot);
-        std::uint32_t head = robHead_[s];
-        std::uint32_t count = robCount_[s];
-        const std::uint32_t *const rob = &robSlab_[s * robStride_];
-        while (budget > 0 && count > 0) {
-            const std::uint32_t id = rob[head];
-            const InFlight &inst = slab_[id];
-            if (!inst.completed || inst.when > cycle_)
-                break;
-            releaseResources(inst);
-            head = wrapRob(head);
-            --count;
-            freeList_.push_back(id);
-            if (!inst.spin) {
-                ++retired_[s];
-                ++pc.retired;
+    // No head can retire before commitWake_: the walk would stop at
+    // every head, so only the cursor moves.
+    if (commitWake_ <= cycle_) {
+        const std::uint64_t now = cycle_;
+        int budget = params_.commitWidth;
+        std::uint64_t wake = noWake;
+        for (int i = 0; i < n; ++i) {
+            int idx = rr + i;
+            if (idx >= n)
+                idx -= n;
+            const auto s = static_cast<std::size_t>(
+                activeList_[static_cast<std::size_t>(idx)]);
+            std::uint64_t ready = headReady_[s];
+            if (ready <= now && budget > 0) {
+                std::uint32_t head = robHead_[s];
+                std::uint32_t count = robCount_[s];
+                const std::uint32_t *const rob = &robSlab_[s * robStride_];
+                do {
+                    const std::uint32_t id = rob[head];
+                    const InFlight &inst = slab_[id];
+                    releaseResources(inst);
+                    retired_[s] += inst.spin ? 0 : 1;
+                    freeInst(id);
+                    head = wrapRob(head);
+                    --count;
+                    --budget;
+                    if (count == 0) {
+                        ready = noWake;
+                        break;
+                    }
+                    const InFlight &next = slab_[rob[head]];
+                    ready = next.completed ? next.when : noWake;
+                } while (ready <= now && budget > 0);
+                robHead_[s] = head;
+                robCount_[s] = count;
+                headReady_[s] = ready;
+                committed = true;
             }
-            --budget;
-            committed = true;
+            // A head left ready by a spent budget keeps the wake at
+            // or below now, so the next cycle walks again.
+            wake = std::min(wake, ready);
         }
-        robHead_[s] = head;
-        robCount_[s] = count;
+        commitWake_ = wake;
     }
     if (n > 0) {
         ++rr;
@@ -547,259 +467,216 @@ SmtCore::doCommit(PerfCounters &pc)
 }
 
 void
+SmtCore::enqueue(IssueQueue &queue, const QEntry &entry)
+{
+    // Wrapping age compare: older (smaller) dispatch stamp first.
+    QEntry *const slots = queue.slots.data();
+    std::uint32_t j = queue.len++;
+    while (j > 0 &&
+           static_cast<std::int32_t>(entry.age - slots[j - 1].age) < 0) {
+        slots[j] = slots[j - 1];
+        --j;
+    }
+    slots[j] = entry;
+}
+
+[[gnu::always_inline]] inline void
 SmtCore::wakeWaiters(std::uint32_t id, std::uint64_t complete_cycle)
 {
     std::uint32_t cid = slab_[id].waiterHead;
     slab_[id].waiterHead = noInst;
     while (cid != noInst) {
         InFlight &c = slab_[cid];
-        SOS_ASSERT(c.prodA == id || c.prodB == id,
-                   "stale waiter chain");
-        const std::uint32_t next = c.prodA == id ? c.nextA : c.nextB;
-        if (c.prodA == id) {
+        const bool via_a = c.prodA == id;
+        const bool via_b = c.prodB == id;
+        SOS_ASSERT(via_a || via_b, "stale waiter chain");
+        const std::uint32_t next = via_a ? c.nextA : c.nextB;
+        if (via_a)
             c.prodA = noInst;
-            c.when = std::max(c.when, complete_cycle);
-            --c.waitCount;
-        }
-        if (c.prodB == id) {
+        if (via_b)
             c.prodB = noInst;
-            c.when = std::max(c.when, complete_cycle);
-            --c.waitCount;
-        }
+        c.waitCount =
+            static_cast<std::uint8_t>(c.waitCount - via_a - via_b);
+        c.when = std::max(c.when, complete_cycle);
         if (c.waitCount == 0) {
-            // Fully resolved: becomes a queue entry (via the pending
-            // buffer -- the queue may be mid-scan right now).
-            if (c.op.isFp()) {
-                fpPend_.push_back(QEntry{c.when, cid, c.age});
-                fpQWake_ = std::min(fpQWake_, c.when);
-            } else {
-                intPend_.push_back(QEntry{c.when, cid, c.age});
-                intQWake_ = std::min(intQWake_, c.when);
-            }
+            // Fully resolved: enters its queue at its age position. The
+            // queue may be mid-scan; see the declaration for why that
+            // is safe.
+            IssueQueue &queue = c.op.isFp() ? fpQ_ : intQ_;
+            enqueue(queue, QEntry{c.when, cid, c.age});
+            queue.wake = std::min(queue.wake, c.when);
         }
         cid = next;
     }
 }
 
-void
-SmtCore::mergePending(std::vector<QEntry> &queue,
-                      std::vector<QEntry> &pending)
+[[gnu::always_inline]] inline void
+SmtCore::writeback(InFlight &inst, std::uint32_t id,
+                   std::uint64_t completion, Tally &t)
 {
-    // Wrapping age compare: older (smaller) dispatch stamp first.
-    const auto older = [](const QEntry &a, const QEntry &b) {
-        return static_cast<std::int32_t>(a.age - b.age) < 0;
-    };
-    // The pending buffer arrives in wake order, not dispatch order;
-    // it is tiny (consumers of this cycle's issues), so insertion
-    // sort, then a backward in-place merge into the queue.
-    for (std::size_t i = 1; i < pending.size(); ++i) {
-        const QEntry e = pending[i];
-        std::size_t j = i;
-        while (j > 0 && older(e, pending[j - 1])) {
-            pending[j] = pending[j - 1];
-            --j;
-        }
-        pending[j] = e;
+    inst.completed = true;
+    inst.when = completion;
+    const std::size_t ctx = inst.ctx;
+    RegEntry &r = cold_[ctx].regs[inst.op.dst];
+    if (r.ready == pendingReg && r.writer == id)
+        r.ready = completion;
+    --icount_[ctx];
+    if (!inst.spin)
+        ++t.issued;
+    // An issued ROB head is the only kind that can lower the commit
+    // wake: every other head either waits to issue or already counts.
+    if (robSlab_[ctx * robStride_ + robHead_[ctx]] == id) {
+        headReady_[ctx] = completion;
+        commitWake_ = std::min(commitWake_, completion);
     }
-    std::size_t i = queue.size();
-    std::size_t j = pending.size();
-    queue.resize(i + j);
-    std::size_t k = queue.size();
-    while (j > 0) {
-        if (i > 0 && older(pending[j - 1], queue[i - 1]))
-            queue[--k] = queue[--i];
-        else
-            queue[--k] = pending[--j];
-    }
-    pending.clear();
+    if (inst.waiterHead != noInst)
+        wakeWaiters(id, completion);
 }
 
-void
-SmtCore::doIssue(PerfCounters &pc)
+[[gnu::always_inline]] inline void
+SmtCore::issueInt(Tally &t)
 {
+    // Oldest first. Loads and stores live here (their address
+    // generation is integer work) but issue through the load/store
+    // ports. The queue holds only schedulable entries, so the slab is
+    // touched exactly at issue attempts; issued entries are compacted
+    // out in the same pass (order-preserving). Consumers woken by an
+    // issue enter the array behind the cursor (len grows), where this
+    // scan meets them as not-yet-ready entries.
+    IssueQueue &queue = intQ_;
+    QEntry *const slots = queue.slots.data();
+    const std::uint64_t now = cycle_;
     bool conf_int_units = false;
-    bool conf_fp_units = false;
     bool conf_ls_ports = false;
-    const std::uint64_t next_cycle = cycle_ + 1;
-
-    // Integer queue: oldest first. Loads and stores live here (their
-    // address generation is integer work) but issue through the
-    // load/store ports. The queue holds only schedulable entries, so
-    // the slab is touched exactly at issue attempts; issued entries
-    // are compacted out in the same pass (order-preserving). The
-    // whole scan is skipped while the queue's wake cycle lies in the
-    // future: every entry would be passed over by the readiness
-    // guard, which mutates nothing and raises no conflict flag, so
-    // the skip is architecturally invisible.
-    if (intQWake_ <= cycle_) {
-        if (!intPend_.empty())
-            mergePending(intQ_, intPend_);
-        int int_used = 0;
-        int ls_used = 0;
-        std::uint64_t wake = noWake;
-        std::size_t keep = 0;
-        for (std::size_t qi = 0; qi < intQ_.size(); ++qi) {
-            const QEntry e = intQ_[qi];
-            if (e.readyAt > cycle_) {
-                wake = std::min(wake, e.readyAt);
-                intQ_[keep++] = e;
-                continue;
-            }
-            InFlight &inst = slab_[e.id];
-            const UOp &op = inst.op;
-            std::uint64_t completion;
-            if (op.isMem()) {
-                if (ls_used >= params_.numLsPorts) {
-                    conf_ls_ports = true;
-                    wake = next_cycle;
-                    intQ_[keep++] = e;
-                    continue;
-                }
-                ++ls_used;
-                const std::uint32_t extra =
-                    mem_.dataAccess(asid_[inst.ctx], op.addr,
-                                    op.cls == OpClass::Store, op.pc);
-                if (op.cls == OpClass::Load) {
-                    completion =
-                        cycle_ +
-                        static_cast<std::uint64_t>(params_.l1dHitLat) +
-                        extra;
-                } else {
-                    // Stores retire through a write buffer.
-                    completion = cycle_ + 1;
-                }
-            } else {
-                if (int_used >= params_.numIntUnits) {
-                    conf_int_units = true;
-                    wake = next_cycle;
-                    intQ_[keep++] = e;
-                    continue;
-                }
-                ++int_used;
-                const int lat = op.cls == OpClass::IntMult
-                                    ? params_.intMultLat
-                                    : params_.intAluLat;
-                completion = cycle_ + static_cast<std::uint64_t>(lat);
-            }
-
-            inst.completed = true;
-            inst.when = completion;
-            if (inst.mispredicted) {
-                // The front end was parked on this branch; release it
-                // when the branch resolves, plus the redirect penalty.
-                fetchStall_[inst.ctx] =
-                    completion +
-                    static_cast<std::uint64_t>(params_.mispredictRedirect);
-            }
-            if (op.dst != NoReg) {
-                RegEntry &r = cold_[inst.ctx].regs[op.dst];
-                if (r.ready == pendingReg && r.writer == e.id)
-                    r.ready = completion;
-            }
-            --icount_[inst.ctx];
-            if (!inst.spin)
-                ++pc.issued;
-            --intQCount_;
-            wakeWaiters(e.id, completion);
+    int int_used = 0;
+    int ls_used = 0;
+    std::uint64_t wake = noWake;
+    std::uint32_t keep = 0;
+    for (std::uint32_t qi = 0; qi < queue.len; ++qi) {
+        const QEntry e = slots[qi];
+        if (e.readyAt > now) {
+            wake = std::min(wake, e.readyAt);
+            slots[keep++] = e;
+            continue;
         }
-        intQ_.resize(keep);
-        // Consumers woken by this very scan sit in the pending buffer
-        // (emptied at the top); their ready cycles must survive the
-        // wake recomputation.
-        for (const QEntry &p : intPend_)
-            wake = std::min(wake, p.readyAt);
-        intQWake_ = wake;
+        InFlight &inst = slab_[e.id];
+        const UOp &op = inst.op;
+        const bool is_mem = op.isMem();
+        if (is_mem ? ls_used >= params_.numLsPorts
+                   : int_used >= params_.numIntUnits) {
+            (is_mem ? conf_ls_ports : conf_int_units) = true;
+            wake = now + 1;
+            slots[keep++] = e;
+            continue;
+        }
+        std::uint64_t completion;
+        if (is_mem) {
+            ++ls_used;
+            const std::uint32_t extra =
+                mem_.dataAccess(asid_[inst.ctx], op.addr,
+                                op.cls == OpClass::Store, op.pc);
+            // Stores retire through a write buffer.
+            completion =
+                op.cls == OpClass::Load
+                    ? now + static_cast<std::uint64_t>(params_.l1dHitLat) +
+                          extra
+                    : now + 1;
+        } else {
+            ++int_used;
+            const int lat = op.cls == OpClass::IntMult ? params_.intMultLat
+                                                       : params_.intAluLat;
+            completion = now + static_cast<std::uint64_t>(lat);
+        }
+        if (inst.mispredicted) {
+            // The front end was parked on this branch; release it when
+            // the branch resolves, plus the redirect penalty.
+            fetchStall_[inst.ctx] =
+                completion +
+                static_cast<std::uint64_t>(params_.mispredictRedirect);
+        }
+        --queue.count;
+        writeback(inst, e.id, completion, t);
     }
-
-    // FP queue: same order-preserving single-pass compaction.
-    if (fpQWake_ <= cycle_) {
-        if (!fpPend_.empty())
-            mergePending(fpQ_, fpPend_);
-        int fp_add_used = 0;
-        int fp_mul_used = 0;
-        // Multiply pipes still executing a non-pipelined divide are
-        // unavailable this cycle.
-        int fp_mul_open = 0;
-        for (int u = 0; u < params_.fpMulPipes; ++u) {
-            if (fpBusyUntil_[static_cast<std::size_t>(u)] <= cycle_)
-                ++fp_mul_open;
-        }
-        std::uint64_t wake = noWake;
-        std::size_t keep = 0;
-        for (std::size_t qi = 0; qi < fpQ_.size(); ++qi) {
-            const QEntry e = fpQ_[qi];
-            if (e.readyAt > cycle_) {
-                wake = std::min(wake, e.readyAt);
-                fpQ_[keep++] = e;
-                continue;
-            }
-            InFlight &inst = slab_[e.id];
-            const UOp &op = inst.op;
-            int lat;
-            if (op.cls == OpClass::FpAdd) {
-                if (fp_add_used >= params_.fpAddPipes) {
-                    conf_fp_units = true;
-                    wake = next_cycle;
-                    fpQ_[keep++] = e;
-                    continue;
-                }
-                ++fp_add_used;
-                lat = params_.fpAddLat;
-            } else if (op.cls == OpClass::FpMult) {
-                if (fp_mul_used >= fp_mul_open) {
-                    conf_fp_units = true;
-                    wake = next_cycle;
-                    fpQ_[keep++] = e;
-                    continue;
-                }
-                ++fp_mul_used;
-                lat = params_.fpMultLat;
-            } else { // FpDiv
-                if (fp_mul_used >= fp_mul_open) {
-                    conf_fp_units = true;
-                    wake = next_cycle;
-                    fpQ_[keep++] = e;
-                    continue;
-                }
-                lat = params_.fpDivLat;
-                // Divide monopolizes a multiply pipe (non-pipelined).
-                for (int u = 0; u < params_.fpMulPipes; ++u) {
-                    auto &busy =
-                        fpBusyUntil_[static_cast<std::size_t>(u)];
-                    if (busy <= cycle_) {
-                        busy = cycle_ + static_cast<std::uint64_t>(lat);
-                        --fp_mul_open;
-                        break;
-                    }
-                }
-            }
-            const std::uint64_t completion =
-                cycle_ + static_cast<std::uint64_t>(lat);
-            inst.completed = true;
-            inst.when = completion;
-            if (op.dst != NoReg) {
-                RegEntry &r = cold_[inst.ctx].regs[op.dst];
-                if (r.ready == pendingReg && r.writer == e.id)
-                    r.ready = completion;
-            }
-            --icount_[inst.ctx];
-            if (!inst.spin)
-                ++pc.issued;
-            --fpQCount_;
-            wakeWaiters(e.id, completion);
-        }
-        fpQ_.resize(keep);
-        for (const QEntry &p : fpPend_)
-            wake = std::min(wake, p.readyAt);
-        fpQWake_ = wake;
-    }
-
+    queue.len = keep;
+    queue.wake = wake;
     if (conf_int_units)
-        ++pc.confIntUnits;
-    if (conf_fp_units)
-        ++pc.confFpUnits;
+        ++t.confIntUnits;
     if (conf_ls_ports)
-        ++pc.confLsPorts;
+        ++t.confLsPorts;
+}
+
+[[gnu::always_inline]] inline void
+SmtCore::issueFp(Tally &t)
+{
+    // Same order-preserving single-pass compaction as issueInt.
+    IssueQueue &queue = fpQ_;
+    QEntry *const slots = queue.slots.data();
+    const std::uint64_t now = cycle_;
+    bool conf_fp_units = false;
+    int fp_add_used = 0;
+    int fp_mul_used = 0;
+    // Multiply pipes still executing a non-pipelined divide are
+    // unavailable this cycle.
+    int fp_mul_open = 0;
+    for (int u = 0; u < params_.fpMulPipes; ++u) {
+        if (fpBusyUntil_[static_cast<std::size_t>(u)] <= now)
+            ++fp_mul_open;
+    }
+    std::uint64_t wake = noWake;
+    std::uint32_t keep = 0;
+    for (std::uint32_t qi = 0; qi < queue.len; ++qi) {
+        const QEntry e = slots[qi];
+        if (e.readyAt > now) {
+            wake = std::min(wake, e.readyAt);
+            slots[keep++] = e;
+            continue;
+        }
+        InFlight &inst = slab_[e.id];
+        const OpClass cls = inst.op.cls;
+        int lat;
+        if (cls == OpClass::FpAdd) {
+            if (fp_add_used >= params_.fpAddPipes) {
+                conf_fp_units = true;
+                wake = now + 1;
+                slots[keep++] = e;
+                continue;
+            }
+            ++fp_add_used;
+            lat = params_.fpAddLat;
+        } else if (cls == OpClass::FpMult) {
+            if (fp_mul_used >= fp_mul_open) {
+                conf_fp_units = true;
+                wake = now + 1;
+                slots[keep++] = e;
+                continue;
+            }
+            ++fp_mul_used;
+            lat = params_.fpMultLat;
+        } else { // FpDiv
+            if (fp_mul_used >= fp_mul_open) {
+                conf_fp_units = true;
+                wake = now + 1;
+                slots[keep++] = e;
+                continue;
+            }
+            lat = params_.fpDivLat;
+            // Divide monopolizes a multiply pipe (non-pipelined).
+            for (int u = 0; u < params_.fpMulPipes; ++u) {
+                auto &busy = fpBusyUntil_[static_cast<std::size_t>(u)];
+                if (busy <= now) {
+                    busy = now + static_cast<std::uint64_t>(lat);
+                    --fp_mul_open;
+                    break;
+                }
+            }
+        }
+        --queue.count;
+        writeback(inst, e.id, now + static_cast<std::uint64_t>(lat), t);
+    }
+    queue.len = keep;
+    queue.wake = wake;
+    if (conf_fp_units)
+        ++t.confFpUnits;
 }
 
 void
@@ -807,8 +684,6 @@ SmtCore::resolveOperand(InFlight &inst, std::uint32_t id,
                         const CtxCold &cold, std::uint8_t reg,
                         bool is_second)
 {
-    if (reg == NoReg)
-        return;
     const RegEntry &r = cold.regs[reg];
     if (r.ready != pendingReg) {
         // Last writer already issued (or long retired): its value
@@ -841,8 +716,8 @@ SmtCore::resolveOperand(InFlight &inst, std::uint32_t id,
     ++inst.waitCount;
 }
 
-std::uint32_t
-SmtCore::doDispatch(PerfCounters &pc)
+[[gnu::always_inline]] inline std::uint32_t
+SmtCore::dispatch(Tally &t)
 {
     int budget = params_.dispatchWidth;
     const int n = numActive_;
@@ -856,61 +731,41 @@ SmtCore::doDispatch(PerfCounters &pc)
         int idx = rr + i;
         if (idx >= n)
             idx -= n;
-        const int slot = activeList_[static_cast<std::size_t>(idx)];
-        const auto s = static_cast<std::size_t>(slot);
+        const auto s = static_cast<std::size_t>(
+            activeList_[static_cast<std::size_t>(idx)]);
+        if (frontReady_[s] > cycle_)
+            continue;
         CtxCold &cold = cold_[s];
         std::uint32_t head = fqHead_[s];
         std::uint32_t count = fqCount_[s];
-        Fetched *const fq = &fetchSlab_[s * fetchStride_];
-        while (budget > 0 && count > 0) {
-            const Fetched &front = fq[head];
-            if (front.readyAt > cycle_)
-                break;
-            const UOp &op = front.op;
+        const std::uint32_t *const fq = &fetchRing_[s * fetchStride_];
+        std::uint32_t *const rob = &robSlab_[s * robStride_];
+        std::uint64_t front_ready = frontReady_[s];
+        while (budget > 0 && front_ready <= cycle_) {
+            const std::uint32_t id = fq[head];
+            InFlight &inst = slab_[id];
+            const UOp &op = inst.op;
 
             if (robFree_ == 0) {
                 result |= dispConfRob;
                 break;
             }
             const bool is_fp_q = op.isFp();
-            if (is_fp_q) {
-                if (fpQCount_ >= params_.fpQueueSize) {
-                    result |= dispConfFpQ;
-                    break;
-                }
-            } else {
-                if (intQCount_ >= params_.intQueueSize) {
-                    result |= dispConfIntQ;
-                    break;
-                }
+            IssueQueue &queue = is_fp_q ? fpQ_ : intQ_;
+            if (queue.count >= (is_fp_q ? params_.fpQueueSize
+                                        : params_.intQueueSize)) {
+                result |= is_fp_q ? dispConfFpQ : dispConfIntQ;
+                break;
             }
-            if (op.dst != NoReg) {
-                if (isFpReg(op.dst)) {
-                    if (fpRenameFree_ == 0) {
-                        result |= dispConfFpRegs;
-                        break;
-                    }
-                } else {
-                    if (intRenameFree_ == 0) {
-                        result |= dispConfIntRegs;
-                        break;
-                    }
-                }
+            if (renameFree_[inst.regClass] == 0) {
+                result |= dispConfIntRegs << inst.regClass;
+                break;
             }
 
-            // All resources available: dispatch.
-            const std::uint32_t id = allocInst();
-            InFlight &inst = slab_[id];
-            inst.op = op;
-            inst.ctx = static_cast<std::uint8_t>(slot);
-            inst.completed = false;
-            inst.mispredicted = front.mispredicted;
-            inst.spin = front.spin;
+            // All resources available: dispatch. Fetch left the
+            // dependence fields clear.
+            inst.age = ++ageCounter_;
             inst.when = cycle_ + 1; // earliest possible issue scan
-            inst.waitCount = 0;
-            inst.prodA = noInst;
-            inst.prodB = noInst;
-            inst.waiterHead = noInst;
 
             // Resolve the program-order producers now; the register
             // name may be recycled by a younger writer before this
@@ -919,71 +774,34 @@ SmtCore::doDispatch(PerfCounters &pc)
             resolveOperand(inst, id, cold, op.srcB, true);
 
             --robFree_;
-            if (op.dst != NoReg) {
-                if (isFpReg(op.dst))
-                    --fpRenameFree_;
-                else
-                    --intRenameFree_;
-                cold.regs[op.dst] = RegEntry{pendingReg, id};
-            }
+            --renameFree_[inst.regClass];
+            cold.regs[op.dst] = RegEntry{pendingReg, id};
             std::uint32_t tail = robHead_[s] + robCount_[s];
             if (tail >= robStride_)
                 tail -= robStride_;
-            robSlab_[s * robStride_ + tail] = id;
+            rob[tail] = id;
             ++robCount_[s];
-            // A dispatch-time-ready instruction goes straight onto the
-            // queue tail: it carries the youngest age, so dispatch
-            // order is preserved no matter what sits in the pending
-            // buffer.
-            if (is_fp_q) {
-                ++fpQCount_;
-                if (inst.waitCount == 0) {
-                    fpQ_.push_back(QEntry{inst.when, id, inst.age});
-                    fpQWake_ = std::min(fpQWake_, inst.when);
-                }
-            } else {
-                ++intQCount_;
-                if (inst.waitCount == 0) {
-                    intQ_.push_back(QEntry{inst.when, id, inst.age});
-                    intQWake_ = std::min(intQWake_, inst.when);
-                }
+            // A dispatch-time-ready instruction carries the youngest
+            // age, so it goes straight onto the queue tail.
+            ++queue.count;
+            if (inst.waitCount == 0) {
+                queue.slots[queue.len++] = QEntry{inst.when, id, inst.age};
+                queue.wake = std::min(queue.wake, inst.when);
             }
 
-            if (front.spin) {
-                ++pc.spinOps;
-            } else {
-                switch (op.cls) {
-                  case OpClass::IntAlu:
-                  case OpClass::IntMult:
-                    ++pc.intOps;
-                    break;
-                  case OpClass::Branch:
-                    ++pc.intOps;
-                    ++pc.branches;
-                    break;
-                  case OpClass::FpAdd:
-                  case OpClass::FpMult:
-                  case OpClass::FpDiv:
-                    ++pc.fpOps;
-                    break;
-                  case OpClass::Load:
-                    ++pc.loads;
-                    break;
-                  case OpClass::Store:
-                    ++pc.stores;
-                    break;
-                  case OpClass::Barrier:
-                    panic("barriers never enter the dispatch stream");
-                }
-                ++pc.dispatched;
-            }
+            if (inst.spin)
+                ++t.spinOps;
+            else
+                ++t.dispatchedByClass[static_cast<std::size_t>(op.cls)];
             head = wrapFetch(head);
             --count;
             --budget;
             result |= dispAny;
+            front_ready = count == 0 ? noWake : slab_[fq[head]].when;
         }
         fqHead_[s] = head;
         fqCount_[s] = count;
+        frontReady_[s] = front_ready;
     }
     if (n > 0) {
         ++rr;
@@ -991,20 +809,20 @@ SmtCore::doDispatch(PerfCounters &pc)
     }
 
     if ((result & dispConfRob) != 0)
-        ++pc.confRob;
+        ++t.confRob;
     if ((result & dispConfIntQ) != 0)
-        ++pc.confIntQueue;
+        ++t.confIntQueue;
     if ((result & dispConfFpQ) != 0)
-        ++pc.confFpQueue;
+        ++t.confFpQueue;
     if ((result & dispConfIntRegs) != 0)
-        ++pc.confIntRegs;
+        ++t.confIntRegs;
     if ((result & dispConfFpRegs) != 0)
-        ++pc.confFpRegs;
+        ++t.confFpRegs;
     return result;
 }
 
-bool
-SmtCore::tryFetchOne(int slot, PerfCounters &pc)
+[[gnu::always_inline]] inline bool
+SmtCore::tryFetchOne(int slot, Tally &t)
 {
     // Returns true if fetch for this thread may continue this cycle.
     const auto s = static_cast<std::size_t>(slot);
@@ -1020,7 +838,6 @@ SmtCore::tryFetchOne(int slot, PerfCounters &pc)
         // makes splitting tightly-synchronized threads so expensive on
         // an SMT (Section 6).
         spin = true;
-        op = UOp();
         const std::uint32_t phase = cold.spinPhase++ % 5;
         op.pc = 0xf00 + 4 * phase;
         switch (phase) {
@@ -1053,7 +870,7 @@ SmtCore::tryFetchOne(int slot, PerfCounters &pc)
         SOS_ASSERT(cold.bind.sync != nullptr,
                    "barrier from a thread with no sync domain");
         cold.bind.sync->arrive(cold.bind.syncIndex);
-        ++pc.barriers;
+        ++t.barriers;
         if (cold.bind.sync->blocked(cold.bind.syncIndex)) {
             atBarrier_[s] = 1;
             return false;
@@ -1073,21 +890,15 @@ SmtCore::tryFetchOne(int slot, PerfCounters &pc)
         }
     }
 
-    Fetched fetched;
-    fetched.op = op;
-    fetched.readyAt = cycle_ + static_cast<std::uint64_t>(
-                                   params_.frontendDelay);
-    fetched.mispredicted = false;
-    fetched.spin = spin;
-
+    bool mispredicted = false;
     bool stop = false;
     if (op.cls == OpClass::Branch) {
         const bool predicted =
             bpred_.predictAndUpdate(cold.predSalt, op.pc, op.taken);
         if (predicted != op.taken) {
-            fetched.mispredicted = true;
+            mispredicted = true;
             if (!spin)
-                ++pc.branchMispredicts;
+                ++t.branchMispredicts;
             // Park the front end until the branch resolves at issue.
             fetchStall_[s] = redirectPending;
             stop = true;
@@ -1096,19 +907,41 @@ SmtCore::tryFetchOne(int slot, PerfCounters &pc)
         }
     }
 
+    // The instruction's one record, from here to commit.
+    const std::uint32_t id = allocInst();
+    InFlight &inst = slab_[id];
+    inst.op = op;
+    inst.op.srcA = op.srcA == NoReg ? noSrcReg : op.srcA;
+    inst.op.srcB = op.srcB == NoReg ? noSrcReg : op.srcB;
+    inst.op.dst = op.dst == NoReg ? noDstReg : op.dst;
+    inst.regClass = op.dst == NoReg ? noRegs
+                    : isFpReg(op.dst) ? fpRegs
+                                      : intRegs;
+    inst.when =
+        cycle_ + static_cast<std::uint64_t>(params_.frontendDelay);
+    inst.prodA = noInst;
+    inst.prodB = noInst;
+    inst.waiterHead = noInst;
+    inst.ctx = static_cast<std::uint8_t>(slot);
+    inst.waitCount = 0;
+    inst.completed = false;
+    inst.mispredicted = mispredicted;
+    inst.spin = spin;
+
     std::uint32_t tail = fqHead_[s] + fqCount_[s];
     if (tail >= fetchStride_)
         tail -= fetchStride_;
-    fetchSlab_[s * fetchStride_ + tail] = fetched;
-    ++fqCount_[s];
+    fetchRing_[s * fetchStride_ + tail] = id;
+    if (fqCount_[s]++ == 0)
+        frontReady_[s] = inst.when;
     ++icount_[s];
     if (!spin)
-        ++pc.fetched;
+        ++t.fetched;
     return !stop;
 }
 
-bool
-SmtCore::doFetch(PerfCounters &pc)
+[[gnu::always_inline]] inline bool
+SmtCore::fetch(Tally &t)
 {
     // ICOUNT: fetch from the threads with the fewest in-flight
     // pre-issue instructions.
@@ -1156,13 +989,13 @@ SmtCore::doFetch(PerfCounters &pc)
 
     const int num_threads = std::min(num_candidates, params_.fetchThreads);
     int budget = params_.fetchWidth;
-    for (int t = 0; t < num_threads && budget > 0; ++t) {
-        const int slot = picked[static_cast<std::size_t>(t)];
+    for (int k = 0; k < num_threads && budget > 0; ++k) {
+        const int slot = picked[static_cast<std::size_t>(k)];
         const auto s = static_cast<std::size_t>(slot);
         bool fetched_any = false;
         while (budget > 0 && fqCount_[s] < fetchStride_) {
             const std::uint32_t before_count = fqCount_[s];
-            const bool keep_going = tryFetchOne(slot, pc);
+            const bool keep_going = tryFetchOne(slot, t);
             if (fqCount_[s] > before_count) {
                 --budget;
                 fetched_any = true;
@@ -1174,6 +1007,132 @@ SmtCore::doFetch(PerfCounters &pc)
             lastFetchCycle_[s] = cycle_;
     }
     return num_candidates > 0 || unblocked;
+}
+
+void
+SmtCore::run(std::uint64_t cycles, PerfCounters &counters)
+{
+    if (numActive_ == 0) {
+        // Nothing bound, nothing in flight (detach squashes): the
+        // whole interval is architecturally empty.
+        cycle_ += cycles;
+        counters.cycles += cycles;
+        return;
+    }
+
+    // Memory-system counters are derived from component deltas.
+    const std::uint64_t l1i_h0 = mem_.l1i().hits();
+    const std::uint64_t l1i_m0 = mem_.l1i().misses();
+    const std::uint64_t l1d_h0 = mem_.l1d().hits();
+    const std::uint64_t l1d_m0 = mem_.l1d().misses();
+    // L2 counts come from this core's contention counters, not the
+    // shared cache's aggregate: on a multicore machine the aggregate
+    // mixes in other cores' traffic.
+    const std::uint64_t l2_h0 = mem_.l2CoreCounters().hits;
+    const std::uint64_t l2_m0 = mem_.l2CoreCounters().misses;
+    const std::uint64_t itlb_m0 = mem_.itlb().misses();
+    const std::uint64_t dtlb_m0 = mem_.dtlb().misses();
+
+    retired_.fill(0);
+
+    // Stage bookkeeping lands in a stack-local tally; the fold below
+    // makes it visible (every PerfCounters field is additive).
+    Tally t;
+    const std::uint64_t end = cycle_ + cycles;
+    while (cycle_ < end) {
+        const bool committed = commit();
+        // A scan below its queue's wake is skipped: every entry would
+        // be passed over by the readiness guard, which mutates nothing
+        // and raises no conflict flag, so the skip is architecturally
+        // invisible. (The integer scan can only wake FP consumers for
+        // later cycles, so testing both wakes up front is exact.)
+        const bool scan_int = intQ_.wake <= cycle_;
+        const bool scan_fp = fpQ_.wake <= cycle_;
+        if (scan_int)
+            issueInt(t);
+        if (scan_fp)
+            issueFp(t);
+        const std::uint32_t disp = dispatch(t);
+        const bool fetched = fetch(t);
+        ++cycle_;
+        if (committed || scan_int || scan_fp || (disp & dispAny) != 0 ||
+            fetched)
+            continue;
+
+        // Idle cycle: every stage either did nothing or (dispatch)
+        // raised the same per-cycle conflict flags it will keep
+        // raising while the pipeline is frozen.  Jump straight to the
+        // next scheduled event, crediting the skipped cycles' flags
+        // and round-robin rotation arithmetically -- the simulated
+        // machine cannot tell the difference.
+        std::uint64_t event = nextEventCycle();
+        if (event > end)
+            event = end;
+        if (event <= cycle_)
+            continue;
+        const std::uint64_t k = event - cycle_;
+        if ((disp & dispConfRob) != 0)
+            t.confRob += k;
+        if ((disp & dispConfIntQ) != 0)
+            t.confIntQueue += k;
+        if ((disp & dispConfFpQ) != 0)
+            t.confFpQueue += k;
+        if ((disp & dispConfIntRegs) != 0)
+            t.confIntRegs += k;
+        if ((disp & dispConfFpRegs) != 0)
+            t.confFpRegs += k;
+        cycle_ = event;
+        const int n = numActive_;
+        if (n > 0) {
+            commitRR_ = static_cast<int>(
+                (static_cast<std::uint64_t>(commitRR_) + k) % n);
+            dispatchRR_ = static_cast<int>(
+                (static_cast<std::uint64_t>(dispatchRR_) + k) % n);
+        }
+    }
+
+    PerfCounters d;
+    d.cycles = cycles;
+    const auto byClass = [&t](OpClass cls) {
+        return t.dispatchedByClass[static_cast<std::size_t>(cls)];
+    };
+    SOS_ASSERT(byClass(OpClass::Barrier) == 0,
+               "barriers never enter the dispatch stream");
+    d.branches = byClass(OpClass::Branch);
+    d.intOps =
+        byClass(OpClass::IntAlu) + byClass(OpClass::IntMult) + d.branches;
+    d.fpOps = byClass(OpClass::FpAdd) + byClass(OpClass::FpMult) +
+              byClass(OpClass::FpDiv);
+    d.loads = byClass(OpClass::Load);
+    d.stores = byClass(OpClass::Store);
+    d.dispatched = d.intOps + d.fpOps + d.loads + d.stores;
+    d.fetched = t.fetched;
+    d.issued = t.issued;
+    d.spinOps = t.spinOps;
+    d.barriers = t.barriers;
+    d.branchMispredicts = t.branchMispredicts;
+    d.confIntQueue = t.confIntQueue;
+    d.confFpQueue = t.confFpQueue;
+    d.confIntRegs = t.confIntRegs;
+    d.confFpRegs = t.confFpRegs;
+    d.confRob = t.confRob;
+    d.confIntUnits = t.confIntUnits;
+    d.confFpUnits = t.confFpUnits;
+    d.confLsPorts = t.confLsPorts;
+    for (int slot = 0; slot < params_.numContexts; ++slot) {
+        const std::uint64_t retired = retired_[static_cast<std::size_t>(slot)];
+        d.slotRetired[static_cast<std::size_t>(slot)] = retired;
+        d.retired += retired;
+    }
+    d.l1iHits = mem_.l1i().hits() - l1i_h0;
+    d.l1iMisses = mem_.l1i().misses() - l1i_m0;
+    d.l1dHits = mem_.l1d().hits() - l1d_h0;
+    d.l1dMisses = mem_.l1d().misses() - l1d_m0;
+    d.l2Hits = mem_.l2CoreCounters().hits - l2_h0;
+    d.l2Misses = mem_.l2CoreCounters().misses - l2_m0;
+    d.itlbMisses = mem_.itlb().misses() - itlb_m0;
+    d.dtlbMisses = mem_.dtlb().misses() - dtlb_m0;
+    counters += d;
 }
 
 } // namespace sos

@@ -21,13 +21,15 @@
  *
  * Hot-path layout (DESIGN.md section 9): per-thread pipeline state is
  * struct-of-arrays (`active_`, `icount_`, `fetchStall_`, ... indexed
- * by slot), fetch queues and per-thread ROBs are ring buffers in flat
- * slabs, operand readiness is event-driven (a producer wakes its
- * waiting consumers when it issues, so the issue scan never polls),
- * and each issue queue carries a wake cycle that lets whole scans be
- * skipped when provably nothing can change. All of it is layout and
- * scheduling of the *simulator*, not the simulated machine: counters
- * and manifests are bit-identical to the pre-rewrite core (pinned by
+ * by slot); each instruction lives in one slab record from fetch to
+ * commit, and the per-context fetch queues and ROBs are rings of slab
+ * ids; operand readiness is event-driven (a producer wakes its waiting
+ * consumers straight into their issue queue when it issues, so the
+ * issue scan never polls); and the issue queues and the commit stage
+ * carry wake cycles that let whole scans be skipped when provably
+ * nothing can change. All of it is layout and scheduling of the
+ * *simulator*, not the simulated machine: counters and manifests are
+ * bit-identical to the pre-rewrite core (pinned by
  * tests/test_smt_core_fastpath.cpp).
  */
 
@@ -145,39 +147,34 @@ class SmtCore
      * cpu/functional_executor.hh.
      */
     friend class FunctionalExecutor;
-
-    /** Fetched, pre-dispatch instruction (fetch-queue ring element). */
-    struct Fetched
-    {
-        UOp op;
-        std::uint64_t readyAt = 0; ///< earliest dispatch cycle
-        bool mispredicted = false;
-        bool spin = false; ///< busy-wait op: consumes resources only
-    };
+    /** White-box state queries of tests/test_smt_core_fastpath.cpp. */
+    friend class SmtCoreTestPeer;
 
     /**
-     * Dispatched instruction tracked until commit.
+     * One instruction, from fetch to commit: fetch writes the µop into
+     * a slab record and the fetch ring, then the ROB ring, hold its id.
      *
      * Operand readiness is event-driven: a consumer whose producer has
      * not issued yet registers itself on the producer's intrusive
      * waiter list (`waiterHead`/`nextA`/`nextB`); when the producer
      * issues, it walks the list and converts each waiting operand into
-     * an exact ready cycle.  `when` does double duty across the entry's
-     * two disjoint phases: before issue it accumulates the max of the
-     * resolved operand-available cycles (and dispatch+1); at issue it
-     * becomes the completion cycle.  The instruction is schedulable
-     * once `waitCount` drops to zero.  Producers are always older
+     * an exact ready cycle.  `when` spans the record's three disjoint
+     * phases: in the fetch queue it is the earliest dispatch cycle;
+     * from dispatch to issue it accumulates the max of the resolved
+     * operand-available cycles (and dispatch+1); at issue it becomes
+     * the completion cycle.  The instruction is schedulable once
+     * `waitCount` drops to zero.  Producers are always older
      * same-context instructions, so a waiter list can never outlive
      * its members: a waiting consumer cannot issue or commit, and a
      * context squash frees producers and consumers together.
      *
-     * The whole entry fits one cache line; the per-cycle issue scan
+     * Each record is one aligned cache line; the per-cycle issue scan
      * never touches it (see QEntry), only issue/wake/commit do.
      */
-    struct InFlight
+    struct alignas(64) InFlight
     {
         UOp op;
-        /** Ready cycle before issue; completion cycle after. */
+        /** Dispatch cycle in the fetch queue; ready, then completion. */
         std::uint64_t when = 0;
         /** Producers still being waited on (noInst once resolved). */
         std::uint32_t prodA = ~std::uint32_t{0};
@@ -191,6 +188,8 @@ class SmtCore
         std::uint32_t age = 0;
         std::uint8_t ctx = 0;
         std::uint8_t waitCount = 0; ///< unresolved operands
+        /** Rename pool of op.dst: intRegs, fpRegs or noRegs. */
+        std::uint8_t regClass = 0;
         bool completed = false;
         bool mispredicted = false;
         /**
@@ -200,7 +199,7 @@ class SmtCore
          */
         bool spin = false;
     };
-    static_assert(sizeof(InFlight) <= 64,
+    static_assert(sizeof(InFlight) == 64,
                   "InFlight must stay within one cache line");
 
     /**
@@ -215,6 +214,29 @@ class SmtCore
         std::uint64_t readyAt = 0;
         std::uint32_t id = 0;
         std::uint32_t age = 0;
+    };
+
+    /**
+     * An issue queue: schedulable instructions only, in dispatch (age)
+     * order, in a fixed array of the queue's capacity.  `count` is the
+     * occupancy the dispatch stage checks: every dispatched-not-issued
+     * instruction of the class, whether it sits in the array or only on
+     * producers' waiter lists, so the array never overflows.
+     */
+    struct IssueQueue
+    {
+        std::vector<QEntry> slots;
+        std::uint32_t len = 0; ///< schedulable entries in slots
+        int count = 0;
+        /**
+         * Earliest cycle the queue's scan could do anything: min over
+         * schedulable entries of readyAt, clamped to cycle+1 for
+         * entries denied a unit this cycle.  A scan at a cycle below
+         * the wake is provably a no-op (every entry would be skipped by
+         * the readyAt guard, which mutates nothing and raises no
+         * conflict flag), so the issue stage skips it wholesale.
+         */
+        std::uint64_t wake = ~std::uint64_t{0};
     };
 
     /**
@@ -239,11 +261,38 @@ class SmtCore
     {
         ThreadBinding bind;
         UOp pendingOp; ///< op stalled behind an icache miss
-        std::array<RegEntry, NumArchRegs> regs{};
+        /** Architectural registers, then noSrcReg and noDstReg. */
+        std::array<RegEntry, NumArchRegs + 2> regs{};
         std::uint64_t lastFetchLine = ~std::uint64_t{0};
         std::uint32_t predSalt = 0; ///< per-thread predictor salt
         std::uint32_t spinPhase = 0; ///< spin-loop op alternator
         bool hasPending = false;
+    };
+
+    /**
+     * Stage counts of one run() call: a small local the inlined stages
+     * count into, folded into PerfCounters when the call returns.
+     * Dispatches are tallied per OpClass (one indexed add, no switch)
+     * and retirements per slot in retired_.
+     */
+    struct Tally
+    {
+        std::array<std::uint64_t,
+                   static_cast<std::size_t>(OpClass::Barrier) + 1>
+            dispatchedByClass{};
+        std::uint64_t fetched = 0;
+        std::uint64_t issued = 0;
+        std::uint64_t spinOps = 0;
+        std::uint64_t barriers = 0;
+        std::uint64_t branchMispredicts = 0;
+        std::uint64_t confIntUnits = 0;
+        std::uint64_t confFpUnits = 0;
+        std::uint64_t confLsPorts = 0;
+        std::uint64_t confRob = 0;
+        std::uint64_t confIntQueue = 0;
+        std::uint64_t confFpQueue = 0;
+        std::uint64_t confIntRegs = 0;
+        std::uint64_t confFpRegs = 0;
     };
 
     /** Sentinel: fetch stalled until a mispredicted branch resolves. */
@@ -258,21 +307,52 @@ class SmtCore
     /** Sentinel RegEntry::ready: writer dispatched, not yet issued. */
     static constexpr std::uint64_t pendingReg = ~std::uint64_t{0};
 
-    /** doDispatch() result bits (conflict flags + activity). */
+    /**
+     * Scoreboard slots that stand in for NoReg once an op is in the
+     * slab, so operand and writer bookkeeping needs no NoReg test:
+     * noSrcReg is never written (always ready), noDstReg is written
+     * but never read.
+     */
+    static constexpr std::uint8_t noSrcReg = NumArchRegs;
+    static constexpr std::uint8_t noDstReg = NumArchRegs + 1;
+
+    /** InFlight::regClass values, indexing renameFree_. */
+    static constexpr std::uint8_t intRegs = 0;
+    static constexpr std::uint8_t fpRegs = 1;
+    static constexpr std::uint8_t noRegs = 2;
+
+    /** dispatch() result bits (conflict flags + activity). */
     static constexpr std::uint32_t dispConfRob = 1u << 0;
     static constexpr std::uint32_t dispConfIntQ = 1u << 1;
     static constexpr std::uint32_t dispConfFpQ = 1u << 2;
+    /** dispConfIntRegs << regClass is the class's rename conflict. */
     static constexpr std::uint32_t dispConfIntRegs = 1u << 3;
     static constexpr std::uint32_t dispConfFpRegs = 1u << 4;
     static constexpr std::uint32_t dispAny = 1u << 5;
 
+    /**
+     * The pipeline stages, in the order run() steps them each cycle.
+     * They are defined in smt_core.cc, forced inline into run().
+     * @{
+     */
     /** @return true if anything committed. */
-    bool doCommit(PerfCounters &pc);
-    void doIssue(PerfCounters &pc);
+    bool commit();
+    /** Scan the integer queue (int units and load/store ports). */
+    void issueInt(Tally &t);
+    /** Scan the FP queue. */
+    void issueFp(Tally &t);
+    /**
+     * Issue bookkeeping shared by both scans: record the completion,
+     * finalize the scoreboard, lower the commit wake if @p inst heads
+     * its ROB, and wake its consumers.
+     */
+    void writeback(InFlight &inst, std::uint32_t id,
+                   std::uint64_t completion, Tally &t);
     /** @return dispConf* flags raised plus dispAny on any dispatch. */
-    std::uint32_t doDispatch(PerfCounters &pc);
+    std::uint32_t dispatch(Tally &t);
     /** @return true if any fetch slot was exercised or unblocked. */
-    bool doFetch(PerfCounters &pc);
+    bool fetch(Tally &t);
+    /** @} */
 
     /**
      * The executed cycle was architecturally idle: no commit, both
@@ -286,7 +366,10 @@ class SmtCore
 
     std::uint32_t allocInst();
     void releaseResources(const InFlight &inst);
-    bool tryFetchOne(int slot, PerfCounters &pc);
+    /** Free an instruction's slab record. */
+    void freeInst(std::uint32_t id) { freeList_.push_back(id); }
+    /** @return false if fetch for this thread stops this cycle. */
+    bool tryFetchOne(int slot, Tally &t);
     void squashCtx(int slot);
 
     /** Rebuild the cached ascending active-slot list. */
@@ -305,17 +388,19 @@ class SmtCore
     /**
      * Producer @p id issued with known completion @p complete_cycle:
      * walk its waiter list and convert each waiting operand into an
-     * exact ready cycle; a consumer whose last operand resolves is
-     * appended to its queue's pending buffer and the queue woken.
+     * exact ready cycle; a consumer whose last operand resolves enters
+     * its issue queue at its age position and wakes the queue.  A
+     * consumer is younger than its producer and ready no earlier than
+     * the next cycle, so when its queue is mid-scan it lands behind
+     * the scan cursor and this scan only skips it.
      */
     void wakeWaiters(std::uint32_t id, std::uint64_t complete_cycle);
 
     /**
-     * Fold the pending-wake buffer into the age-ordered queue (stable
-     * dispatch-order merge; called at the top of a queue scan).
+     * Insert @p entry into @p queue at its age position, searching
+     * from the tail (a new entry is almost always the youngest).
      */
-    static void mergePending(std::vector<QEntry> &queue,
-                             std::vector<QEntry> &pending);
+    static void enqueue(IssueQueue &queue, const QEntry &entry);
 
     /** Ring-buffer helpers (capacities are per-context strides). */
     std::uint32_t
@@ -341,16 +426,24 @@ class SmtCore
     std::array<std::uint64_t, MaxContexts> fetchStall_{};
     std::array<std::uint64_t, MaxContexts> lastFetchCycle_{};
     std::array<std::uint64_t, MaxContexts> retired_{};
-    /** Fetch-queue rings: ctx c owns fetchSlab_[c*fetchStride_ ...]. */
+    /** Fetch rings of slab ids: ctx c owns fetchRing_[c*fetchStride_..]. */
     std::array<std::uint32_t, MaxContexts> fqHead_{};
     std::array<std::uint32_t, MaxContexts> fqCount_{};
-    /** Per-thread ROB rings: ctx c owns robSlab_[c*robStride_ ...]. */
+    /** ROB rings of slab ids: ctx c owns robSlab_[c*robStride_ ...]. */
     std::array<std::uint32_t, MaxContexts> robHead_{};
     std::array<std::uint32_t, MaxContexts> robCount_{};
+    /**
+     * Earliest dispatch cycle of the fetch-queue front and earliest
+     * retire cycle of the ROB head (its completion once it has
+     * issued); noWake for an empty ring or an unissued head. The
+     * dispatch and commit loops test these before touching the slab.
+     */
+    std::array<std::uint64_t, MaxContexts> frontReady_{};
+    std::array<std::uint64_t, MaxContexts> headReady_{};
     /** @} */
 
     std::vector<CtxCold> cold_;
-    std::vector<Fetched> fetchSlab_;
+    std::vector<std::uint32_t> fetchRing_;
     std::vector<std::uint32_t> robSlab_;
     std::uint32_t fetchStride_ = 0;
     std::uint32_t robStride_ = 0;
@@ -359,38 +452,28 @@ class SmtCore
     std::array<std::int32_t, MaxContexts> activeList_{};
     int numActive_ = 0;
 
+    /**
+     * Instruction records, sized robSize + contexts * fetchQueueSize + 8
+     * so every fetched or dispatched instruction has one.
+     */
     std::vector<InFlight> slab_;
     std::vector<std::uint32_t> freeList_;
     std::uint32_t ageCounter_ = 0;
 
-    /**
-     * Issue queues: schedulable instructions only, in dispatch (age)
-     * order.  Consumers woken by a producer's issue land in the
-     * pending buffer and are merged -- stable, by age -- at the top of
-     * the next scan, so mid-scan wakes never mutate the queue being
-     * walked.  Queue capacity counts every dispatched-not-issued
-     * instruction of the class, whether it currently sits in the
-     * queue, the pending buffer, or only on producers' waiter lists.
-     */
-    std::vector<QEntry> intQ_;
-    std::vector<QEntry> fpQ_;
-    std::vector<QEntry> intPend_;
-    std::vector<QEntry> fpPend_;
-    int intQCount_ = 0;
-    int fpQCount_ = 0;
-    /**
-     * Earliest cycle the queue's scan could do anything: min over
-     * schedulable entries of readyAt, clamped to cycle+1 for entries
-     * denied a unit this cycle.  A scan at a cycle below the wake is
-     * provably a no-op (every entry would be skipped by the readyAt
-     * guard, which mutates nothing and raises no conflict flag), so
-     * doIssue skips it wholesale.
-     */
-    std::uint64_t intQWake_ = noWake;
-    std::uint64_t fpQWake_ = noWake;
+    IssueQueue intQ_;
+    IssueQueue fpQ_;
 
-    int intRenameFree_;
-    int fpRenameFree_;
+    /**
+     * Earliest cycle any ROB head could retire: the minimum of
+     * headReady_ over the active contexts, recomputed by every commit
+     * walk and lowered when a head issues.  While it lies in the
+     * future the commit stage only rotates its cursor; it never lies
+     * later than the true minimum, so nextEventCycle() reads it too.
+     */
+    std::uint64_t commitWake_ = noWake;
+
+    /** Free rename registers per regClass (noRegs never runs out). */
+    std::array<int, 3> renameFree_{};
     int robFree_;
 
     std::array<std::uint64_t, 8> fpBusyUntil_{};

@@ -1,10 +1,12 @@
 #include "core_bench.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "cpu/machine.hh"
 #include "sched/job.hh"
 #include "trace/workload_library.hh"
@@ -47,31 +49,43 @@ runCoreBench(std::uint64_t cycles_per_level)
 
     for (int li = 0; li < CoreBenchResult::numLevels; ++li) {
         const int level = benchLevels[static_cast<std::size_t>(li)];
-        CoreParams params;
-        params.numContexts = level;
-        Machine machine(params, MemParams{});
-        SmtCore &core = machine.core(0);
-        const auto jobs = attachBenchJobs(core, level);
+        // Each repetition starts from a fresh machine, so every one
+        // simulates exactly the same thing; only the host time varies.
+        PerfCounters first;
+        std::array<double, CoreBenchResult::repetitions> elapsed{};
+        for (std::size_t rep = 0; rep < elapsed.size(); ++rep) {
+            CoreParams params;
+            params.numContexts = level;
+            Machine machine(params, MemParams{});
+            SmtCore &core = machine.core(0);
+            const auto jobs = attachBenchJobs(core, level);
 
-        PerfCounters pc;
-        const auto start = clock::now();
-        core.run(cycles_per_level, pc);
-        const double elapsed =
-            std::chrono::duration<double>(clock::now() - start).count();
+            PerfCounters pc;
+            const auto start = clock::now();
+            core.run(cycles_per_level, pc);
+            elapsed[rep] =
+                std::chrono::duration<double>(clock::now() - start).count();
+            if (rep == 0)
+                first = pc;
+            SOS_ASSERT(pc == first,
+                       "core bench repetitions simulated different work");
+        }
+        std::sort(elapsed.begin(), elapsed.end());
+        const double median = elapsed[elapsed.size() / 2];
 
         CoreBenchLevel &entry =
             result.levels[static_cast<std::size_t>(li)];
         entry.contexts = level;
-        entry.cycles = pc.cycles;
-        entry.retired = pc.retired;
-        entry.ipc = pc.ipc();
-        entry.elapsedSeconds = elapsed;
+        entry.cycles = first.cycles;
+        entry.retired = first.retired;
+        entry.ipc = first.ipc();
+        entry.elapsedSeconds = median;
         entry.cyclesPerSec =
-            elapsed > 0.0 ? static_cast<double>(pc.cycles) / elapsed
-                          : 0.0;
+            median > 0.0 ? static_cast<double>(first.cycles) / median
+                         : 0.0;
         entry.retiredPerSec =
-            elapsed > 0.0 ? static_cast<double>(pc.retired) / elapsed
-                          : 0.0;
+            median > 0.0 ? static_cast<double>(first.retired) / median
+                         : 0.0;
     }
     return result;
 }
@@ -85,7 +99,7 @@ publishCoreBench(const stats::Group &group, const CoreBenchResult &result)
         g.scalar("cycles", "simulated cycles driven") = level.cycles;
         g.scalar("retired", "instructions retired") = level.retired;
         g.value("ipc", "simulated IPC") = level.ipc;
-        g.value("elapsed_seconds", "host wall-clock for the level") =
+        g.value("elapsed_seconds", "median host wall-clock of one run") =
             level.elapsedSeconds;
         g.value("cycles_per_sec", "simulated cycles per host second") =
             level.cyclesPerSec;

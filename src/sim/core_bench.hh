@@ -9,7 +9,8 @@
  *
  * The simulated side (cycles, retired, IPC) is bit-reproducible: it
  * must not change unless the architectural model changes, which makes
- * the report double as a cheap identity probe. The host side
+ * the report double as a cheap identity probe (tests/test_bench_report
+ * pins it to constants). The host side
  * (cycles/sec, kilo-instructions/sec) is what the CI perf trajectory
  * tracks: it is pure wall-clock and never enters a run manifest.
  *
@@ -40,7 +41,7 @@ struct CoreBenchLevel
     std::uint64_t cycles = 0;     ///< simulated cycles driven
     std::uint64_t retired = 0;    ///< instructions retired (deterministic)
     double ipc = 0.0;             ///< simulated IPC (deterministic)
-    double elapsedSeconds = 0.0;  ///< host wall-clock for the run
+    double elapsedSeconds = 0.0;  ///< median host wall-clock of a run
     double cyclesPerSec = 0.0;    ///< host throughput, simulated cycles/s
     double retiredPerSec = 0.0;   ///< host throughput, retired insts/s
 };
@@ -49,6 +50,8 @@ struct CoreBenchLevel
 struct CoreBenchResult
 {
     static constexpr int numLevels = 4;
+    /** Timed runs per level; the level reports their median. */
+    static constexpr int repetitions = 5;
     std::array<CoreBenchLevel, numLevels> levels{};
 };
 
@@ -62,10 +65,12 @@ std::vector<std::unique_ptr<Job>> attachBenchJobs(SmtCore &core,
                                                   int level);
 
 /**
- * Drive the fixed core-loop workload at every SMT level.
+ * Drive the fixed core-loop workload at every SMT level, repetitions
+ * times each from a fresh machine, and report the median host time.
+ * Panics if two repetitions of a level simulate different counters.
  *
- * @param cycles_per_level Simulated cycles per level (default sized
- *        so the whole sweep takes about a second on a laptop core).
+ * @param cycles_per_level Simulated cycles per run (default sized so
+ *        the whole sweep takes a few seconds on a laptop core).
  */
 CoreBenchResult runCoreBench(std::uint64_t cycles_per_level = 300000);
 

@@ -200,5 +200,24 @@ TEST(BenchReport, CoreBenchSimulatedSideIsDeterministic)
     }
 }
 
+TEST(BenchReport, CoreBenchSimulatedSideMatchesPinnedConstants)
+{
+    // Two runs of one build agree even if a rewrite changed the model
+    // the same way in both, so the simulated side is also pinned to
+    // the values the pre-rewrite core produced (retired µops per
+    // level at 20000 cycles). Only a deliberate model change may move
+    // them.
+    const CoreBenchResult result = runCoreBench(20000);
+    const int levels[] = {1, 2, 4, 6};
+    const std::uint64_t retired[] = {16457, 17226, 20336, 17831};
+    for (int i = 0; i < CoreBenchResult::numLevels; ++i) {
+        const CoreBenchLevel &level =
+            result.levels[static_cast<std::size_t>(i)];
+        EXPECT_EQ(level.contexts, levels[i]);
+        EXPECT_EQ(level.cycles, 20000u) << levels[i];
+        EXPECT_EQ(level.retired, retired[i]) << levels[i];
+    }
+}
+
 } // namespace
 } // namespace sos

@@ -44,6 +44,90 @@
 #include "trace/workload_library.hh"
 
 namespace sos {
+
+/**
+ * Reads the pipeline states a mid-run copy must carry over; a friend
+ * of SmtCore, so it lives in namespace sos.
+ */
+class SmtCoreTestPeer
+{
+  public:
+    explicit SmtCoreTestPeer(const SmtCore &core) : core_(core) {}
+
+    /** Some context's fetch waits for a mispredicted branch. */
+    bool
+    redirectPending() const
+    {
+        return anyActive([this](std::size_t s) {
+            return core_.fetchStall_[s] == SmtCore::redirectPending;
+        });
+    }
+
+    /** Some context holds an op behind an icache miss. */
+    bool
+    heldFetch() const
+    {
+        return anyActive(
+            [this](std::size_t s) { return core_.cold_[s].hasPending; });
+    }
+
+    /** Some context spins at a barrier. */
+    bool
+    barrierParked() const
+    {
+        return anyActive(
+            [this](std::size_t s) { return core_.atBarrier_[s] != 0; });
+    }
+
+    /** Dispatched instructions still waiting on a producer. */
+    std::vector<std::uint32_t>
+    waitingConsumers() const
+    {
+        std::vector<std::uint32_t> ids;
+        for (int i = 0; i < core_.numActive_; ++i) {
+            const auto s = static_cast<std::size_t>(
+                core_.activeList_[static_cast<std::size_t>(i)]);
+            for (std::uint32_t k = 0; k < core_.robCount_[s]; ++k) {
+                const std::uint32_t id =
+                    core_.robSlab_[s * core_.robStride_ +
+                                   (core_.robHead_[s] + k) %
+                                       core_.robStride_];
+                const SmtCore::InFlight &inst = core_.slab_[id];
+                if (!inst.completed && inst.waitCount > 0)
+                    ids.push_back(id);
+            }
+        }
+        return ids;
+    }
+
+    /** One of @p ids (waiting before the last cycle) became ready. */
+    bool
+    anyWoken(const std::vector<std::uint32_t> &ids) const
+    {
+        for (const std::uint32_t id : ids) {
+            const SmtCore::InFlight &inst = core_.slab_[id];
+            if (!inst.completed && inst.waitCount == 0)
+                return true;
+        }
+        return false;
+    }
+
+  private:
+    template <typename Pred>
+    bool
+    anyActive(Pred pred) const
+    {
+        for (int i = 0; i < core_.numActive_; ++i) {
+            if (pred(static_cast<std::size_t>(
+                    core_.activeList_[static_cast<std::size_t>(i)])))
+                return true;
+        }
+        return false;
+    }
+
+    const SmtCore &core_;
+};
+
 namespace {
 
 std::unique_ptr<Job>
@@ -212,6 +296,122 @@ TEST(SmtCoreFastpath, RunBoundaryPartitionIsInvisible)
     const PerfCounters ragged = scenario({1, 9999, 17000, 3000});
     EXPECT_EQ(renderCounters("x", whole), renderCounters("x", halves));
     EXPECT_EQ(renderCounters("x", whole), renderCounters("x", ragged));
+}
+
+/** Where one context's thread comes from. */
+struct Placement
+{
+    int core;
+    int slot;
+    std::size_t job;
+    int thread;
+};
+
+/** Step every core one cycle, in core order. */
+void
+stepMachine(Machine &machine, std::vector<PerfCounters> &counters)
+{
+    for (int k = 0; k < machine.numCores(); ++k)
+        machine.core(k).run(1, counters[static_cast<std::size_t>(k)]);
+}
+
+/**
+ * Copy a machine mid-run at @p contexts contexts per core and check
+ * that the copy continues exactly like the original. The copy point
+ * is the first cycle at or after @p from at which the machine holds,
+ * all at once, a pending mispredict redirect, an op held behind an
+ * icache miss, a thread of the mt_ARRAY job parked at its barrier and
+ * a consumer its producer woke in that very cycle.
+ */
+void
+checkCopyMidRun(int cores, int contexts, std::uint64_t from)
+{
+    std::vector<std::unique_ptr<Job>> jobs;
+    jobs.push_back(makeJob(1, "GCC"));
+    jobs.push_back(makeJob(2, "mt_ARRAY", 2));
+    jobs.push_back(makeJob(3, "EP"));
+    jobs.push_back(makeJob(4, "MG"));
+    jobs.push_back(makeJob(5, "FP"));
+    // Context order: GCC, both ARRAY threads, then single threads.
+    const std::pair<std::size_t, int> threads[] = {
+        {0, 0}, {1, 0}, {1, 1}, {2, 0}, {3, 0}, {4, 0}};
+
+    CoreParams params;
+    params.numContexts = contexts;
+    Machine machine(params, MemParams{}, cores);
+    std::vector<Placement> placements;
+    for (int k = 0; k < cores; ++k) {
+        for (int s = 0; s < contexts; ++s) {
+            const auto [job, thread] =
+                threads[placements.size() % std::size(threads)];
+            placements.push_back({k, s, job, thread});
+            machine.core(k).attachThread(
+                s, bindingOf(*jobs[job], thread));
+        }
+    }
+
+    std::vector<PerfCounters> warm(static_cast<std::size_t>(cores));
+    for (std::uint64_t c = 0; c < from; ++c)
+        stepMachine(machine, warm);
+    bool found = false;
+    for (int c = 0; c < 100000 && !found; ++c) {
+        std::vector<std::vector<std::uint32_t>> waiting;
+        for (int k = 0; k < cores; ++k)
+            waiting.push_back(
+                SmtCoreTestPeer(machine.core(k)).waitingConsumers());
+        stepMachine(machine, warm);
+        bool redirect = false;
+        bool held = false;
+        bool parked = false;
+        bool woken = false;
+        for (int k = 0; k < cores; ++k) {
+            const SmtCoreTestPeer peer(machine.core(k));
+            redirect = redirect || peer.redirectPending();
+            held = held || peer.heldFetch();
+            parked = parked || peer.barrierParked();
+            woken = woken ||
+                    peer.anyWoken(waiting[static_cast<std::size_t>(k)]);
+        }
+        found = redirect && held && parked && woken;
+    }
+    ASSERT_TRUE(found) << "no copy point at SMT " << contexts;
+
+    // The copy: machine state by value, threads rebound to job copies
+    // at the same stream positions (what the snapshot layer does).
+    Machine copy(machine);
+    std::vector<std::unique_ptr<Job>> job_copies;
+    for (const auto &job : jobs)
+        job_copies.push_back(std::make_unique<Job>(*job));
+    for (const Placement &p : placements) {
+        copy.core(p.core).rebindThread(
+            p.slot, bindingOf(*job_copies[p.job], p.thread));
+    }
+
+    std::vector<PerfCounters> original(static_cast<std::size_t>(cores));
+    std::vector<PerfCounters> copied(static_cast<std::size_t>(cores));
+    for (int c = 0; c < 4000; ++c) {
+        stepMachine(machine, original);
+        stepMachine(copy, copied);
+    }
+    for (int k = 0; k < cores; ++k) {
+        const auto i = static_cast<std::size_t>(k);
+        EXPECT_GT(original[i].retired, 0u);
+        EXPECT_EQ(renderCounters("core", copied[i]),
+                  renderCounters("core", original[i]))
+            << "SMT " << contexts << " core " << k << " copied at cycle "
+            << machine.core(k).now() - 4000;
+    }
+}
+
+TEST(SmtCoreFastpath, CopyMidRunContinuesIdentically)
+{
+    // SMT 1 runs the threads on three single-context cores, so the
+    // ARRAY pair still meets at barriers across cores.
+    for (const std::uint64_t from : {1001u, 7777u}) {
+        checkCopyMidRun(3, 1, from);
+        checkCopyMidRun(1, 3, from);
+        checkCopyMidRun(1, 6, from);
+    }
 }
 
 /** Render a manifest with everything host-dependent pinned. */
