@@ -21,13 +21,13 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "core/predictor.hh"
 #include "cpu/machine.hh"
 #include "metrics/calibrator.hh"
 #include "metrics/weighted_speedup.hh"
 #include "sim/batch_experiment.hh"
 #include "sim/bench_harness.hh"
-#include "sim/parallel_runner.hh"
 #include "sim/reporting.hh"
 #include "sim/machine_engine.hh"
 
@@ -46,8 +46,8 @@ pairWs(const ExperimentSpec &spec, const SimConfig &config, int a,
                           config.calibMeasureCycles);
     calibrator.calibrate(mix);
 
-    Machine machine(config.coreFor(2), config.mem);
-    MachineEngine engine(machine, config.timesliceCycles());
+    MachineEngine engine(homogeneousMachine(config.coreFor(2), config.mem),
+                         config.timesliceCycles());
 
     const MachineSchedule schedule(Schedule::fromPartition({{a, b}}));
     const std::uint64_t slices = 10;
@@ -109,12 +109,11 @@ main(int argc, char **argv)
             for (int b = a + 1; b < n; ++b)
                 pairs.emplace_back(a, b);
         }
-        const ParallelScheduleRunner runner(config.jobs);
-        const std::vector<double> ws = runner.map<double>(
-            pairs.size(), [&](std::size_t i) {
-                return pairWs(spec, config, pairs[i].first,
-                              pairs[i].second);
-            });
+        ThreadPool pool(resolveJobs(config.jobs));
+        std::vector<double> ws(pairs.size());
+        pool.run(pairs.size(), [&](std::size_t i) {
+            ws[i] = pairWs(spec, config, pairs[i].first, pairs[i].second);
+        });
         for (std::size_t i = 0; i < pairs.size(); ++i) {
             matrix[static_cast<std::size_t>(pairs[i].first)]
                   [static_cast<std::size_t>(pairs[i].second)] = ws[i];

@@ -42,6 +42,17 @@ MachineParams::coreClasses() const
     return ids;
 }
 
+MachineParams
+homogeneousMachine(const CoreParams &core, const MemParams &mem,
+                   int num_cores)
+{
+    MachineParams params;
+    params.numCores = num_cores;
+    params.core = core;
+    params.mem = mem;
+    return params;
+}
+
 void
 validateMachineParams(const MachineParams &params)
 {
@@ -93,7 +104,7 @@ Machine::Machine(const MachineParams &params)
 
 Machine::Machine(const CoreParams &core, const MemParams &mem,
                  int num_cores)
-    : Machine(MachineParams{num_cores, core, mem})
+    : Machine(homogeneousMachine(core, mem, num_cores))
 {
 }
 

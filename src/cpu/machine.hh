@@ -104,6 +104,10 @@ struct MachineParams
     std::vector<int> coreClasses() const;
 };
 
+/** @p num_cores identical cores of @p core over private levels @p mem. */
+MachineParams homogeneousMachine(const CoreParams &core, const MemParams &mem,
+                                 int num_cores = 1);
+
 /**
  * Check a machine configuration: core count within [1, MaxCores] plus
  * the per-core and memory validations.
@@ -124,8 +128,8 @@ struct CacheCounts
 /**
  * A machine's memory-system counters as plain integers: a value a run
  * result carries, so manifests publish them after the machine is gone.
- * Counts are lifetime counts of the machine they were read from (a
- * snapshot fork inherits its warm-up's).
+ * Counts are lifetime counts of the machine they were read from (an
+ * engine fork inherits its warm-up's).
  */
 struct MemoryCounters
 {
@@ -170,13 +174,13 @@ class Machine
             int num_cores = 1);
 
     /**
-     * Snapshot copy: a value copy of the whole machine -- shared L2,
-     * per-core memory views and cores with their complete pipeline
-     * state.  Cores and views are rebuilt against the copy's own
-     * SharedL2, so the two machines share nothing and can run
-     * concurrently.  Active contexts still reference the original
-     * run's generators; see SmtCore::rebindThread (the snapshot layer
-     * handles this -- see sim/snapshot.hh).
+     * Value copy of the whole machine -- shared L2, per-core memory
+     * views and cores with their complete pipeline state.  Cores and
+     * views are rebuilt against the copy's own SharedL2, so the two
+     * machines share nothing and can run concurrently.  Active
+     * contexts still reference the original run's generators until
+     * rebound (SmtCore::rebindThread); the MachineEngine fork
+     * constructor copies a machine and rebinds every context.
      */
     Machine(const Machine &other);
 

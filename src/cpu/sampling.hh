@@ -15,8 +15,9 @@
  * ratio.
  *
  * Rates are local to each controller call (one timeslice), never
- * carried across calls: the controller holds no mutable state, so
- * snapshot forks and engine adoption stay trivially deterministic.
+ * carried across calls: the controller holds no mutable state, so an
+ * engine fork rebuilds it on the copied core and stays trivially
+ * deterministic.
  */
 
 #ifndef SOS_CPU_SAMPLING_HH

@@ -63,13 +63,14 @@ class SmtCore
     SmtCore(const CoreParams &params, CacheHierarchy &mem);
 
     /**
-     * Snapshot copy: duplicate @p other's complete pipeline state --
+     * Copy for a fork: duplicate @p other's complete pipeline state --
      * contexts, in-flight slab, issue queues, rename/ROB occupancy,
      * predictor, cycle and round-robin cursors -- on top of @p mem
      * (the copying Machine's matching memory view).  Active contexts
-     * still point at the *original* mix's generators and sync domains;
-     * the owner must rebindThread() every active slot to its own mix
-     * copy before running the core.
+     * still point at the *original* jobs' generators and sync domains;
+     * the owner must rebindThread() every active slot to its own job
+     * copies before running the core (the MachineEngine fork
+     * constructor does).
      */
     SmtCore(const SmtCore &other, CacheHierarchy &mem);
 
@@ -81,7 +82,7 @@ class SmtCore
      * (same ASID, a generator/sync-domain copy at the same position in
      * its stream).  Unlike attachThread this preserves every bit of
      * pipeline state -- nothing is squashed, no salt recomputed -- so
-     * a snapshot fork resumes exactly where the original would.
+     * an engine fork resumes exactly where the original would.
      */
     void rebindThread(int slot, const ThreadBinding &binding);
 

@@ -153,7 +153,7 @@ class CacheHierarchy
     CacheHierarchy(const MemParams &params, SharedL2 &l2, int core_id);
 
     /**
-     * Snapshot copy: duplicate @p other's private caches, TLBs and
+     * Fork copy: duplicate @p other's private caches, TLBs and
      * prefetcher state exactly, but route shared-level traffic to
      * @p l2 (the copying Machine's own SharedL2).  Together with the
      * SharedL2's value copy this reproduces the memory system of a

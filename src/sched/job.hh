@@ -44,7 +44,7 @@ class Job
         std::uint64_t seed, int num_threads = 1, bool adaptive = false);
 
     /**
-     * Snapshot copy: clones the generators (mid-stream) and the sync
+     * Fork copy: clones the generators (mid-stream) and the sync
      * domain along with all progress accounting, so the copy resumes
      * exactly where @p other stood.
      */

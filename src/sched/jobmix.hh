@@ -29,7 +29,7 @@ class JobMix
     explicit JobMix(std::uint64_t seed = 0x50505050ULL) : seed_(seed) {}
 
     /**
-     * Snapshot copy: deep-copies every job mid-stream (see Job's copy
+     * Fork copy: deep-copies every job mid-stream (see Job's copy
      * constructor).  Unit indices, job ids and ASIDs are preserved, so
      * a schedule valid for @p other is valid for the copy.
      */

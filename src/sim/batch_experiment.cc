@@ -25,10 +25,7 @@ machineOf(const ExperimentSpec &spec, const SimConfig &config)
 {
     if (spec.numCores > 1)
         return config.machineFor(spec.level, spec.numCores);
-    MachineParams params;
-    params.core = config.coreFor(spec.level);
-    params.mem = config.mem;
-    return params;
+    return homogeneousMachine(config.coreFor(spec.level), config.mem);
 }
 
 /** The mix every task of @p spec rebuilds (same seed, same streams). */
@@ -183,7 +180,7 @@ BatchExperiment::sweep(const std::vector<MachineSchedule> &schedules) const
     recipe.machine = machineParams_;
     recipe.timesliceCycles = timesliceCycles();
     // warmupFor() depends on the allocation alone, so candidates that
-    // share an allocation share one warmed snapshot.
+    // share an allocation share one warmed engine.
     recipe.warmup = [this, &schedules](std::size_t i) {
         return warmupFor(schedules[i].allocation());
     };
@@ -487,7 +484,7 @@ runExperiments(const std::vector<ExperimentSpec> &specs,
 
     // One task per experiment, claimed in spec order. A thread holds
     // at most one experiment (its sweeps are nested batches it only
-    // helps), so no more than pool.workers() warm snapshots are ever
+    // helps), so no more than pool.workers() warm engines are ever
     // alive; idle workers join the in-flight experiments' sweeps.
     std::vector<std::unique_ptr<BatchExperiment>> experiments(
         specs.size());

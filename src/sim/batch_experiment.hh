@@ -201,7 +201,7 @@ class BatchExperiment
      * The recipe every phase runs @p schedules with: private mixes
      * cloned from the calibrated prototype on private machines, each
      * candidate warmed by one period of its allocation's neutral
-     * rotation (shared through one snapshot per allocation). The
+     * rotation (shared through one warm engine per allocation). The
      * recipe refers to @p schedules, which must outlive it.
      */
     ParallelScheduleRunner::SweepSpec

@@ -7,15 +7,37 @@
 
 namespace sos {
 
-MachineEngine::MachineEngine(Machine &machine,
+MachineEngine::MachineEngine(const MachineParams &params,
                              std::uint64_t timeslice_cycles,
                              const SampleWindows &sample)
-    : machine_(machine), timeslice_(timeslice_cycles)
+    : machine_(std::make_unique<Machine>(params)),
+      timeslice_(timeslice_cycles)
 {
     SOS_ASSERT(timeslice_cycles > 0);
-    cores_.reserve(static_cast<std::size_t>(machine.numCores()));
-    for (int k = 0; k < machine.numCores(); ++k)
-        cores_.emplace_back(machine.core(k), sample);
+    cores_.reserve(static_cast<std::size_t>(machine_->numCores()));
+    for (int k = 0; k < machine_->numCores(); ++k)
+        cores_.emplace_back(machine_->core(k), sample);
+}
+
+MachineEngine::MachineEngine(const MachineEngine &other,
+                             const JobMap &job_of)
+    : machine_(std::make_unique<Machine>(*other.machine_)),
+      timeslice_(other.timeslice_)
+{
+    cores_.reserve(other.cores_.size());
+    for (int k = 0; k < machine_->numCores(); ++k) {
+        const Core &from = other.cores_[static_cast<std::size_t>(k)];
+        Core &core =
+            cores_.emplace_back(machine_->core(k), from.sampler.sample());
+        for (int slot = 0; slot < core.smt->params().numContexts; ++slot) {
+            ThreadRef unit = from.slots[static_cast<std::size_t>(slot)];
+            if (unit.job == nullptr)
+                continue;
+            unit.job = job_of(*unit.job);
+            core.smt->rebindThread(slot, unit.job->binding(unit.thread));
+            core.slots[static_cast<std::size_t>(slot)] = unit;
+        }
+    }
 }
 
 void
@@ -46,25 +68,6 @@ MachineEngine::residents() const
         }
     }
     return out;
-}
-
-void
-MachineEngine::adopt(const std::vector<Resident> &residents)
-{
-    for (const Core &core : cores_) {
-        for (const ThreadRef &unit : core.slots)
-            SOS_ASSERT(unit.job == nullptr, "adopt needs a fresh engine");
-    }
-    for (const Resident &resident : residents) {
-        Core &core = cores_.at(static_cast<std::size_t>(resident.core));
-        SOS_ASSERT(core.smt->slotActive(resident.slot),
-                   "adopted slot carries no pipeline state");
-        core.smt->rebindThread(
-            resident.slot,
-            resident.unit.job->binding(resident.unit.thread));
-        core.slots[static_cast<std::size_t>(resident.slot)] =
-            resident.unit;
-    }
 }
 
 void
@@ -166,7 +169,7 @@ MachineEngine::runSchedule(JobMix &mix, const MachineSchedule &schedule,
                            const std::vector<std::uint64_t> &checkpoints)
 {
     SOS_ASSERT(schedule.valid());
-    SOS_ASSERT(schedule.numCores() == machine_.numCores(),
+    SOS_ASSERT(schedule.numCores() == machine_->numCores(),
                "schedule core count must match the machine");
     SOS_ASSERT(!checkpoints.empty(), "a run needs a length");
 
@@ -179,7 +182,7 @@ MachineEngine::runSchedule(JobMix &mix, const MachineSchedule &schedule,
                          return checkpoints[a] < checkpoints[b];
                      });
 
-    const auto cores = static_cast<std::size_t>(machine_.numCores());
+    const auto cores = static_cast<std::size_t>(machine_->numCores());
     MachineRunResult result;
     result.perCore.resize(cores);
     result.jobRetired.assign(static_cast<std::size_t>(mix.numJobs()), 0);
@@ -192,7 +195,7 @@ MachineEngine::runSchedule(JobMix &mix, const MachineSchedule &schedule,
     for (std::uint64_t t = 0;; ++t) {
         while (next != order.end() && checkpoints[*next] == t) {
             results[*next] = result;
-            results[*next++].memory = machine_.memoryCounters();
+            results[*next++].memory = machine_->memoryCounters();
         }
         if (next == order.end())
             break;

@@ -29,6 +29,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "cpu/machine.hh"
@@ -39,7 +41,7 @@
 
 namespace sos {
 
-/** Runs timeslices and machine schedules on a borrowed Machine. */
+/** Runs timeslices and machine schedules on the Machine it owns. */
 class MachineEngine
 {
   public:
@@ -76,13 +78,33 @@ class MachineEngine
     };
 
     /**
-     * Drive every core of @p machine at the fidelity @p sample sets
-     * (cpu/sampling.hh; the default is full detail).
+     * Build a machine of @p params and drive every core at the
+     * fidelity @p sample sets (cpu/sampling.hh; the default is full
+     * detail).
      */
-    MachineEngine(Machine &machine, std::uint64_t timeslice_cycles,
+    MachineEngine(const MachineParams &params,
+                  std::uint64_t timeslice_cycles,
                   const SampleWindows &sample = SampleWindows{});
 
+    /** Where a fork finds its copy of each resident unit's job. */
+    using JobMap = std::function<Job *(const Job &)>;
+
+    /**
+     * Fork @p other's warm state: a value copy of its machine, each
+     * occupied context still holding its unit, whose job is now
+     * job_of(original job) -- the caller's copy of it. The cores
+     * already carry the copied pipeline state of every unit, so
+     * nothing is squashed or re-attached: each context is rebound to
+     * its job's copy (SmtCore::rebindThread), and the fork runs on
+     * exactly as @p other would. Reads @p other only, so concurrent
+     * workers may fork one warm engine.
+     */
+    MachineEngine(const MachineEngine &other, const JobMap &job_of);
+
     std::uint64_t timesliceCycles() const { return timeslice_; }
+
+    /** The machine this engine drives. */
+    const Machine &machine() const { return *machine_; }
 
     /** What one machine timeslice measured. */
     struct SliceResult
@@ -140,7 +162,7 @@ class MachineEngine
     /** Detach any resident threads of one job from every core. */
     void evictJob(const Job *job);
 
-    /** One occupied hardware context: the warm-state fork currency. */
+    /** One occupied hardware context. */
     struct Resident
     {
         int core = 0;
@@ -148,19 +170,8 @@ class MachineEngine
         ThreadRef unit;
     };
 
-    /** Every occupied context, by core and then slot. */
+    /** Every occupied context, by core and then slot (read-only). */
     std::vector<Resident> residents() const;
-
-    /**
-     * Seed a fresh engine over a copied Machine with the resident set
-     * of the engine it was copied from: the cores already carry the
-     * (copied) pipeline state of every unit, so each slot is marked
-     * occupied and its context rebound to the unit's own job --
-     * nothing is squashed or re-attached. The engine must have no
-     * occupied slots, and every adopted slot must be active on its
-     * core. Callers translate each unit's job into the copy first.
-     */
-    void adopt(const std::vector<Resident> &residents);
 
     int numCores() const { return static_cast<int>(cores_.size()); }
 
@@ -189,7 +200,8 @@ class MachineEngine
                  std::vector<std::uint64_t> &unit_retired,
                  SamplingTally &tally);
 
-    Machine &machine_;
+    /** Behind a pointer: cores_ and the controllers point into it. */
+    std::unique_ptr<Machine> machine_;
     std::uint64_t timeslice_;
     std::vector<Core> cores_;
 

@@ -26,8 +26,9 @@ simulateCoRunGroups(const CapacityProbe &probe)
     const SimConfig &sim = *probe.sim;
     const int level = probe.level;
     const std::vector<std::string> &workloads = openSystemWorkloads();
-    Machine machine(sim.referenceCoreFor(level), sim.referenceMem());
-    MachineEngine engine(machine, sim.timesliceCycles());
+    MachineEngine engine(
+        homogeneousMachine(sim.referenceCoreFor(level), sim.referenceMem()),
+        sim.timesliceCycles());
     std::vector<std::unique_ptr<Job>> jobs;
     jobs.reserve(workloads.size());
     for (std::size_t w = 0; w < workloads.size(); ++w) {

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/logging.hh"
@@ -49,26 +50,26 @@ ParallelScheduleRunner::runAll(
 {
     SOS_ASSERT(sweep.makeMix, "sweep needs a mix factory");
     SOS_ASSERT(sweep.timesliceCycles > 0);
-    using Runs = std::vector<ScheduleRun>;
+    std::vector<std::vector<ScheduleRun>> out(schedules.size());
 
     if (!sweep.warmup) {
-        return map<Runs>(schedules.size(), [&](std::size_t i) {
+        pool_->run(schedules.size(), [&](std::size_t i) {
             JobMix mix = sweep.makeMix(i);
             // A private machine per task keeps sweep results a pure
             // function of the task index (DESIGN.md determinism
             // contract).
-            Machine machine(sweep.machine);
-            MachineEngine engine(machine, sweep.timesliceCycles,
+            MachineEngine engine(sweep.machine, sweep.timesliceCycles,
                                  sweep.sample);
-            return measure(engine, mix, schedules[i], checkpoints(i));
+            out[i] = measure(engine, mix, schedules[i], checkpoints(i));
         });
+        return out;
     }
 
     // Every task of a group warms the same mix on an identical machine
     // with the same warm-up schedule, so its post-warmup state IS the
-    // group's snapshot (DESIGN.md §5c). Warm each group once -- in
+    // group's warm engine (DESIGN.md §5c). Warm each group once -- in
     // parallel, the groups are independent -- then run each
-    // candidate's measured interval on a private fork.
+    // candidate's measured interval on a private fork of it.
     std::vector<MachineSchedule> warmups;
     std::vector<std::size_t> leader;
     std::vector<std::size_t> group_of(schedules.size());
@@ -84,27 +85,32 @@ ParallelScheduleRunner::runAll(
         group_of[i] = it->second;
     }
 
-    const auto snapshots =
-        map<std::shared_ptr<const MachineSnapshot>>(
-            warmups.size(), [&](std::size_t g) {
-                JobMix mix = sweep.makeMix(leader[g]);
-                Machine machine(sweep.machine);
-                MachineEngine engine(machine, sweep.timesliceCycles,
-                                     sweep.sample);
-                // One warm-up period; its sampling tally is dropped.
-                engine.runSchedule(mix, warmups[g],
-                                   {warmups[g].periodTimeslices()});
-                return std::make_shared<const MachineSnapshot>(
-                    machine, mix, engine);
-            });
-
-    return map<Runs>(schedules.size(), [&](std::size_t i) {
-        MachineSnapshot::Fork fork(*snapshots[group_of[i]]);
-        MachineEngine engine(fork.machine(), sweep.timesliceCycles,
-                             sweep.sample);
-        fork.adopt(engine);
-        return measure(engine, fork.mix(), schedules[i], checkpoints(i));
+    struct Warm
+    {
+        JobMix mix;
+        MachineEngine engine;
+    };
+    std::vector<std::optional<Warm>> warm(warmups.size());
+    pool_->run(warmups.size(), [&](std::size_t g) {
+        Warm &group = warm[g].emplace(
+            Warm{sweep.makeMix(leader[g]),
+                 MachineEngine(sweep.machine, sweep.timesliceCycles,
+                               sweep.sample)});
+        // One warm-up period; its sampling tally is dropped.
+        group.engine.runSchedule(group.mix, warmups[g],
+                                 {warmups[g].periodTimeslices()});
     });
+
+    pool_->run(schedules.size(), [&](std::size_t i) {
+        const Warm &group = *warm[group_of[i]];
+        JobMix mix = group.mix;
+        // Job ids are 1-based insertion order within a mix.
+        MachineEngine engine(group.engine, [&mix](const Job &job) {
+            return &mix.job(static_cast<int>(job.id()) - 1);
+        });
+        out[i] = measure(engine, mix, schedules[i], checkpoints(i));
+    });
+    return out;
 }
 
 } // namespace sos

@@ -4,8 +4,8 @@
  *
  * Profiling a candidate is a pure function of (jobmix recipe, machine
  * configuration, warm-up, schedule): each task measures on a private
- * fork of its warm-up group's snapshot (with no warm-up, on a fresh
- * Machine + MachineEngine + JobMix), so every candidate starts from
+ * fork of its warm-up group's warm engine and mix (with no warm-up,
+ * on a fresh MachineEngine + JobMix), so every candidate starts from
  * bit-identical machine state and no mutable state is shared. Every closed-system
  * experiment runs its candidates here: the paper's single SMT core is
  * the 1-core case (hierarchical lifts its Schedules into 1-core
@@ -36,7 +36,6 @@
 #include "sched/jobmix.hh"
 #include "sched/machine_schedule.hh"
 #include "sim/machine_engine.hh"
-#include "sim/snapshot.hh"
 
 namespace sos {
 
@@ -71,11 +70,11 @@ class ParallelScheduleRunner
          * Warm-up schedule of candidate @p index, run for one period
          * before measuring. Candidates are grouped by their exact
          * warm-up schedule (its per-core label -- never the
-         * core-permutation-invariant key, which would fork a snapshot
-         * with the groups on the wrong cores); one snapshot is warmed
-         * per group and every candidate measures on a private fork
-         * (see sim/snapshot.hh). Unset: every candidate starts from a
-         * fresh machine.
+         * core-permutation-invariant key, which would fork a warm
+         * engine with the groups on the wrong cores); one engine is
+         * warmed per group and every candidate measures on a private
+         * fork of it (the MachineEngine fork constructor). Unset:
+         * every candidate starts from a fresh machine.
          */
         std::function<MachineSchedule(std::size_t index)> warmup;
 
@@ -115,21 +114,6 @@ class ParallelScheduleRunner
            const std::vector<MachineSchedule> &schedules,
            const std::function<std::vector<std::uint64_t>(std::size_t)>
                &checkpoints) const;
-
-    /**
-     * Generic deterministic fan-out: evaluate task(0..n-1) on the
-     * pool and return the results in index order. task must be a pure
-     * function of its index.
-     */
-    template <typename Result>
-    std::vector<Result>
-    map(std::size_t n,
-        const std::function<Result(std::size_t)> &task) const
-    {
-        std::vector<Result> out(n);
-        pool_->run(n, [&](std::size_t i) { out[i] = task(i); });
-        return out;
-    }
 
   private:
     std::unique_ptr<ThreadPool> owned_; ///< null when the pool is borrowed

@@ -202,10 +202,8 @@ struct SimConfig
     MachineParams
     machineFor(int level, int num_cores) const
     {
-        MachineParams params;
-        params.numCores = num_cores;
-        params.core = coreFor(level);
-        params.mem = mem;
+        MachineParams params = homogeneousMachine(coreFor(level), mem,
+                                                  num_cores);
         if (!heteroCores.empty()) {
             if (static_cast<int>(heteroCores.size()) != num_cores) {
                 fatal("machine config '", machineConfigPath,

@@ -66,14 +66,11 @@ EngineBackend::EngineBackend(const MachineParams &params,
                              const SampleWindows &sample)
     : numCores_(params.numCores),
       level_(params.coreParams(0).numContexts),
-      classes_(params.coreClasses()), timeslice_(timeslice_cycles),
-      sample_(sample)
+      classes_(params.coreClasses()),
+      live_(params, timeslice_cycles, sample)
 {
     SOS_ASSERT(numCores_ >= 1 && level_ >= 1,
                "backend needs at least one core and one context");
-    live_.machine = std::make_unique<Machine>(params);
-    live_.engine = std::make_unique<MachineEngine>(*live_.machine,
-                                                   timeslice_, sample_);
 }
 
 std::uint64_t
@@ -134,34 +131,9 @@ EngineBackend::runLiveSlice(const std::vector<Job *> &pool,
                                 &core_tuples)
 {
     const MachineEngine::SliceResult slice =
-        live_.engine->runSlice(unitsOf(pool, core_tuples));
+        live_.runSlice(unitsOf(pool, core_tuples));
     recordSampling(slice.sampling);
     return slice.machine;
-}
-
-EngineBackend::State
-EngineBackend::forkLive(const std::vector<Job *> &pool) const
-{
-    State fork;
-    fork.machine = std::make_unique<Machine>(*live_.machine);
-    fork.engine = std::make_unique<MachineEngine>(*fork.machine,
-                                                  timeslice_, sample_);
-    fork.jobs.reserve(pool.size());
-    for (const Job *job : pool)
-        fork.jobs.push_back(std::make_unique<Job>(*job));
-    // Rebind each resident context onto the fork's copy of its job.
-    std::vector<MachineEngine::Resident> residents =
-        live_.engine->residents();
-    for (MachineEngine::Resident &resident : residents) {
-        const auto position = static_cast<std::size_t>(
-            std::find(pool.begin(), pool.end(), resident.unit.job) -
-            pool.begin());
-        SOS_ASSERT(position < pool.size(),
-                   "resident job missing from the pool snapshot");
-        resident.unit.job = fork.jobs[position].get();
-    }
-    fork.engine->adopt(residents);
-    return fork;
 }
 
 std::vector<ScheduleProfile>
@@ -174,19 +146,31 @@ EngineBackend::profileCandidates(
     forks_.resize(candidates.size());
     std::vector<ScheduleProfile> profiles(candidates.size());
     workers.run(candidates.size(), [&](std::size_t i) {
-        State fork = forkLive(pool);
+        std::vector<std::unique_ptr<Job>> jobs;
         std::vector<Job *> fork_pool;
         std::vector<std::uint64_t> before;
-        for (const auto &job : fork.jobs) {
-            fork_pool.push_back(job.get());
+        for (const Job *job : pool) {
+            jobs.push_back(std::make_unique<Job>(*job));
+            fork_pool.push_back(jobs.back().get());
             before.push_back(job->retired());
         }
+        // Each resident unit's job maps to its copy by pool position.
+        Fork &fork = forks_[i].emplace(Fork{
+            std::move(jobs),
+            MachineEngine(live_, [&](const Job &job) {
+                const auto position = static_cast<std::size_t>(
+                    std::find(pool.begin(), pool.end(), &job) -
+                    pool.begin());
+                SOS_ASSERT(position < pool.size(),
+                           "resident job missing from the pool");
+                return fork_pool[position];
+            })});
 
         ScheduleProfile &profile = profiles[i];
         profile.label = candidates[i].label;
         for (std::uint64_t s = 0; s < window; ++s) {
             const MachineEngine::SliceResult slice =
-                fork.engine->runSlice(unitsOf(
+                fork.engine.runSlice(unitsOf(
                     fork_pool, candidates[i].tuplesAt(offset + s)));
             recordSampling(slice.sampling);
             profile.counters += slice.machine;
@@ -202,9 +186,7 @@ EngineBackend::profileCandidates(
                 JobProgress{fork.jobs[j]->retired() - before[j],
                             fork.jobs[j]->soloIpc});
         profile.sampleWs =
-            weightedSpeedup(progress, window * timeslice_);
-
-        forks_[i] = std::move(fork);
+            weightedSpeedup(progress, window * timesliceCycles());
     });
     return profiles;
 }
@@ -212,11 +194,10 @@ EngineBackend::profileCandidates(
 std::vector<std::unique_ptr<Job>>
 EngineBackend::adoptFork(std::size_t index)
 {
-    SOS_ASSERT(index < forks_.size(), "adopting an unknown fork");
-    State &winner = forks_[index];
-    SOS_ASSERT(winner.machine != nullptr, "adopting an empty fork");
-    live_.machine = std::move(winner.machine);
-    live_.engine = std::move(winner.engine);
+    SOS_ASSERT(index < forks_.size() && forks_[index],
+               "adopting an unknown fork");
+    Fork &winner = *forks_[index];
+    live_ = std::move(winner.engine);
     std::vector<std::unique_ptr<Job>> jobs = std::move(winner.jobs);
     forks_.clear();
     return jobs;

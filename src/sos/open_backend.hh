@@ -3,12 +3,12 @@
  * The engine backend of the open-system SOS kernel.
  *
  * The kernel schedules a changing pool of jobs; the EngineBackend is
- * the substrate it schedules onto. The backend owns the live machine
- * state (a Machine behind a MachineEngine), runs one timeslice of a
- * chosen coschedule, draws candidate coschedules over the pool, and
- * -- the heart of the kernel's sample phase -- profiles every
- * candidate in parallel on private forks of the live state and lets
- * the kernel adopt the winner's end state.
+ * the substrate it schedules onto. The backend owns the live engine
+ * (which owns the machine), runs one timeslice of a chosen
+ * coschedule, draws candidate coschedules over the pool, and -- the
+ * heart of the kernel's sample phase -- profiles every candidate in
+ * parallel, each on a fork of the live engine over copies of the pool
+ * jobs, and lets the kernel adopt the winner's fork as the live state.
  *
  * The core count picks the candidate draw: one SMT core (the paper's
  * machine; Figures 5-6) draws distinct schedules of Js(n, level,
@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,10 +84,10 @@ class EngineBackend
     /** Units the whole machine can run per timeslice. */
     int capacity() const { return numCores_ * level_; }
 
-    std::uint64_t timesliceCycles() const { return timeslice_; }
+    std::uint64_t timesliceCycles() const { return live_.timesliceCycles(); }
 
     /** The live machine (its memory counters for manifests). */
-    const Machine &machine() const { return *live_.machine; }
+    const Machine &machine() const { return live_.machine(); }
 
     /**
      * Draw up to @p count distinct candidate coschedules of a pool of
@@ -134,10 +135,10 @@ class EngineBackend
 
     /**
      * Profile every candidate for @p window timeslices starting at
-     * period position @p offset, each on a private fork of the live
-     * state (machine, pool jobs, resident contexts), as one batch on
-     * @p workers (nested when called from a task of that pool). The
-     * forks are retained so the winner's end state can be adopted.
+     * period position @p offset, each on a private fork (a copy of
+     * the pool's jobs and a fork of the live engine onto them), as
+     * one batch on @p workers (nested when called from a task of that
+     * pool). The forks are retained so the winner can be adopted.
      * Profiles are index-ordered and bit-identical for any worker
      * count.
      */
@@ -148,35 +149,29 @@ class EngineBackend
                       ThreadPool &workers);
 
     /**
-     * Make fork @p index's end state the live state and hand its job
+     * Make fork @p index's engine the live engine and hand its job
      * copies (pool-ordered) to the caller; drops the other forks.
      */
     std::vector<std::unique_ptr<Job>> adoptFork(std::size_t index);
 
     /** Detach a departing job from every core. */
-    void evictJob(const Job *job) { live_.engine->evictJob(job); }
+    void evictJob(const Job *job) { live_.evictJob(job); }
 
   private:
-    /** A complete runnable copy of machine + engine (+ fork jobs). */
-    struct State
+    /** One candidate's private state: the pool's jobs, copied, and
+     *  the live engine forked onto them. */
+    struct Fork
     {
-        std::unique_ptr<Machine> machine;
-        std::unique_ptr<MachineEngine> engine;
-        /** Deep-copied pool jobs; empty for the live state (the
-         *  kernel owns the live pool). */
         std::vector<std::unique_ptr<Job>> jobs;
+        MachineEngine engine;
     };
-
-    /** Fork the live state against a pool snapshot (read-only). */
-    State forkLive(const std::vector<Job *> &pool) const;
 
     int numCores_;
     int level_;
     std::vector<int> classes_; ///< core equivalence classes
-    std::uint64_t timeslice_;
-    SampleWindows sample_;
-    State live_;
-    std::vector<State> forks_; ///< retained by profileCandidates()
+    MachineEngine live_; ///< runs the kernel's pool jobs
+    /** One per candidate, retained by profileCandidates(). */
+    std::vector<std::optional<Fork>> forks_;
 };
 
 } // namespace sos

@@ -20,8 +20,8 @@ class EngineTest : public ::testing::Test
 {
   protected:
     EngineTest()
-        : machine_(params(), MemParams{}), core_(machine_.core(0)),
-          engine_(machine_, 10000)
+        : engine_(homogeneousMachine(params(), MemParams{}), 10000),
+          core_(engine_.machine().core(0))
     {
     }
 
@@ -40,9 +40,8 @@ class EngineTest : public ::testing::Test
         return engine_.runSlice({units});
     }
 
-    Machine machine_;
-    SmtCore &core_;
     MachineEngine engine_;
+    const SmtCore &core_;
 };
 
 TEST_F(EngineTest, RunTimesliceCreditsJobs)
@@ -140,8 +139,7 @@ runOneCore(JobMix &mix, const Schedule &schedule,
 {
     CoreParams params;
     params.numContexts = 2;
-    Machine machine(params, MemParams{});
-    MachineEngine engine(machine, 10000);
+    MachineEngine engine(homogeneousMachine(params, MemParams{}), 10000);
     return engine
         .runSchedule(mix, MachineSchedule(schedule), {timeslices})
         .front();
@@ -211,8 +209,7 @@ TEST(MachineEngineSlice, RunsEveryCoreForOneQuantum)
     // the cores' but span one quantum, and a core given no units (here
     // core 1, past the end of the list) idles with its residents
     // evicted.
-    Machine machine(twoCores());
-    MachineEngine engine(machine, 10000);
+    MachineEngine engine(twoCores(), 10000);
     JobMix mix(11);
     mix.addJob("EP");
     mix.addJob("FP");
@@ -249,37 +246,126 @@ TEST_F(EngineTest, ParallelJobThreadsCanShareTimeslice)
     EXPECT_EQ(mix.job(0).residentCycles(), 10000u);
 }
 
+/** Per-core (pool index, thread) picks of one timeslice. */
+using Pick = std::vector<std::vector<std::pair<int, int>>>;
+
+/** The units @p pick names over the pool @p jobs. */
+std::vector<std::vector<ThreadRef>>
+unitsOf(const std::vector<Job *> &jobs, const Pick &pick)
+{
+    std::vector<std::vector<ThreadRef>> units(pick.size());
+    for (std::size_t k = 0; k < pick.size(); ++k)
+        for (const auto &[index, thread] : pick[k])
+            units[k].push_back(
+                ThreadRef{jobs.at(static_cast<std::size_t>(index)), thread});
+    return units;
+}
+
+/** A parallel ARRAY job and four single-threaded ones. */
+JobMix
+poolMix(std::uint64_t seed)
+{
+    JobMix mix(seed);
+    mix.addParallelJob("ARRAY", 2);
+    for (const char *name : {"EP", "FP", "MG", "GCC"})
+        mix.addJob(name);
+    return mix;
+}
+
+/** The jobs of @p mix, in pool order. */
+std::vector<Job *>
+poolOf(JobMix &mix)
+{
+    std::vector<Job *> pool;
+    for (int j = 0; j < mix.numJobs(); ++j)
+        pool.push_back(&mix.job(j));
+    return pool;
+}
+
 /**
- * The open system's fork: copy the Machine and the pool's jobs, adopt
- * the live residents remapped by pool position, and the fork's window
- * equals the live engine continuing, field for field.
+ * The open system's fork: copies of the pool's jobs, and the engine
+ * forked onto them with each job mapped by its pool position.
+ */
+struct PoolFork
+{
+    PoolFork(const MachineEngine &from, const std::vector<Job *> &from_pool)
+        : pool(copyJobs(from_pool)),
+          engine(from, [&](const Job &job) {
+              const auto position = static_cast<std::size_t>(
+                  std::find(from_pool.begin(), from_pool.end(), &job) -
+                  from_pool.begin());
+              return pool.at(position);
+          })
+    {
+    }
+
+    std::vector<Job *>
+    copyJobs(const std::vector<Job *> &from_pool)
+    {
+        std::vector<Job *> copies;
+        for (const Job *job : from_pool) {
+            jobs.push_back(std::make_unique<Job>(*job));
+            copies.push_back(jobs.back().get());
+        }
+        return copies;
+    }
+
+    std::vector<std::unique_ptr<Job>> jobs;
+    std::vector<Job *> pool;
+    MachineEngine engine;
+};
+
+/**
+ * Run @p window on @p reference and on @p fork, expecting the fork to
+ * measure exactly what the reference does: every SliceResult field,
+ * then each job's retired instructions and resident cycles.
+ */
+void
+expectSameWindow(MachineEngine &reference,
+                 const std::vector<Job *> &reference_pool,
+                 PoolFork &fork, const std::vector<Pick> &window)
+{
+    for (const Pick &pick : window) {
+        const MachineEngine::SliceResult expected =
+            reference.runSlice(unitsOf(reference_pool, pick));
+        const MachineEngine::SliceResult forked =
+            fork.engine.runSlice(unitsOf(fork.pool, pick));
+        EXPECT_EQ(forked.machine, expected.machine);
+        EXPECT_EQ(forked.perCore, expected.perCore);
+        EXPECT_EQ(forked.unitRetired, expected.unitRetired);
+        EXPECT_EQ(forked.sampling, expected.sampling);
+        EXPECT_GT(forked.machine.retired, 0u);
+    }
+    for (std::size_t j = 0; j < reference_pool.size(); ++j) {
+        EXPECT_EQ(fork.pool[j]->retired(), reference_pool[j]->retired())
+            << j;
+        EXPECT_EQ(fork.pool[j]->residentCycles(),
+                  reference_pool[j]->residentCycles())
+            << j;
+    }
+}
+
+/**
+ * A window with staying, leaving and entering units, the parallel
+ * job's threads split across the cores, and a core left idle.
+ */
+const std::vector<Pick> kWindow = {
+    {{{0, 1}, {3, 0}}, {{1, 0}, {2, 0}}},
+    {{{3, 0}, {0, 0}}, {{2, 0}, {4, 0}}},
+    {{{0, 0}, {0, 1}}, {{4, 0}}},
+    {{{4, 0}, {1, 0}}},
+};
+
+/**
+ * The open system's fork: the fork's window equals the live engine
+ * continuing, field for field.
  */
 void
 expectForkContinuesLiveRun(const SampleWindows &sample)
 {
-    Machine live_machine(twoCores());
-    MachineEngine live(live_machine, 10000, sample);
-    JobMix mix(12);
-    mix.addParallelJob("ARRAY", 2);
-    mix.addJob("EP");
-    mix.addJob("FP");
-    mix.addJob("MG");
-    mix.addJob("GCC");
-    std::vector<Job *> pool;
-    for (int j = 0; j < mix.numJobs(); ++j)
-        pool.push_back(&mix.job(j));
-
-    // Units of per-core (pool index, thread) pairs over @p jobs.
-    using Pick = std::vector<std::vector<std::pair<int, int>>>;
-    const auto unitsOf = [](const std::vector<Job *> &jobs,
-                            const Pick &pick) {
-        std::vector<std::vector<ThreadRef>> units(pick.size());
-        for (std::size_t k = 0; k < pick.size(); ++k)
-            for (const auto &[index, thread] : pick[k])
-                units[k].push_back(ThreadRef{
-                    jobs[static_cast<std::size_t>(index)], thread});
-        return units;
-    };
+    MachineEngine live(twoCores(), 10000, sample);
+    JobMix mix = poolMix(12);
+    const std::vector<Job *> pool = poolOf(mix);
 
     // Warm up, with a partial swap so core 0's residents are out of
     // input order: ARRAY thread 1 stays in slot 1, MG takes slot 0.
@@ -290,49 +376,8 @@ expectForkContinuesLiveRun(const SampleWindows &sample)
     EXPECT_EQ(residents[0].unit, (ThreadRef{pool[3], 0}));
     EXPECT_EQ(residents[1].unit, (ThreadRef{pool[0], 1}));
 
-    // Fork the way EngineBackend::forkLive does.
-    Machine fork_machine(live_machine);
-    MachineEngine fork(fork_machine, 10000, sample);
-    std::vector<std::unique_ptr<Job>> fork_jobs;
-    std::vector<Job *> fork_pool;
-    for (const Job *job : pool) {
-        fork_jobs.push_back(std::make_unique<Job>(*job));
-        fork_pool.push_back(fork_jobs.back().get());
-    }
-    std::vector<MachineEngine::Resident> remapped = residents;
-    for (MachineEngine::Resident &resident : remapped) {
-        const auto position = static_cast<std::size_t>(
-            std::find(pool.begin(), pool.end(), resident.unit.job) -
-            pool.begin());
-        resident.unit.job = fork_pool.at(position);
-    }
-    fork.adopt(remapped);
-
-    // A window with staying, leaving and entering units, the parallel
-    // job's threads split across the cores, and a core left idle.
-    const std::vector<Pick> window = {
-        {{{0, 1}, {3, 0}}, {{1, 0}, {2, 0}}},
-        {{{3, 0}, {0, 0}}, {{2, 0}, {4, 0}}},
-        {{{0, 0}, {0, 1}}, {{4, 0}}},
-        {{{4, 0}, {1, 0}}},
-    };
-    for (const Pick &pick : window) {
-        const MachineEngine::SliceResult expected =
-            live.runSlice(unitsOf(pool, pick));
-        const MachineEngine::SliceResult forked =
-            fork.runSlice(unitsOf(fork_pool, pick));
-        EXPECT_EQ(forked.machine, expected.machine);
-        EXPECT_EQ(forked.perCore, expected.perCore);
-        EXPECT_EQ(forked.unitRetired, expected.unitRetired);
-        EXPECT_EQ(forked.sampling, expected.sampling);
-        EXPECT_GT(forked.machine.retired, 0u);
-    }
-    for (std::size_t j = 0; j < pool.size(); ++j) {
-        EXPECT_EQ(fork_pool[j]->retired(), pool[j]->retired()) << j;
-        EXPECT_EQ(fork_pool[j]->residentCycles(),
-                  pool[j]->residentCycles())
-            << j;
-    }
+    PoolFork fork(live, pool);
+    expectSameWindow(live, pool, fork, kWindow);
 }
 
 TEST(MachineEngineFork, AdoptedResidentsContinueTheLiveRun)
@@ -343,6 +388,68 @@ TEST(MachineEngineFork, AdoptedResidentsContinueTheLiveRun)
 TEST(MachineEngineFork, AdoptedResidentsContinueTheLiveSampledRun)
 {
     expectForkContinuesLiveRun(parseSampleWindows("5000:1000:2000"));
+}
+
+/**
+ * twoCores() made heterogeneous: core 1 has half the fetch width, half
+ * the ROB and half the L1D of core 0.
+ */
+MachineParams
+heteroCores()
+{
+    MachineParams params = twoCores();
+    CoreParams little = params.core;
+    little.fetchWidth /= 2;
+    little.robSize /= 2;
+    MemParams little_mem = params.mem;
+    little_mem.l1d.sizeBytes /= 2;
+    params.cores = {params.core, little};
+    params.coreMem = {params.mem, little_mem};
+    return params;
+}
+
+/**
+ * A fork of an adopted fork (the open system's live engine after
+ * adoptFork is exactly such a fork) continues like the fork it was
+ * taken from, on a machine whose cores differ.
+ */
+void
+expectForkOfForkContinues(const SampleWindows &sample)
+{
+    MachineEngine live(heteroCores(), 10000, sample);
+    ASSERT_FALSE(live.machine().params().homogeneous());
+    JobMix mix = poolMix(13);
+    const std::vector<Job *> pool = poolOf(mix);
+
+    // Warm up with ARRAY's threads split across the cores, then swap
+    // partially: core 0 keeps EP in slot 1 while MG takes slot 0, and
+    // core 1 keeps ARRAY thread 1 in slot 0 while GCC takes slot 1.
+    live.runSlice(unitsOf(pool, {{{0, 0}, {1, 0}}, {{0, 1}, {2, 0}}}));
+    live.runSlice(unitsOf(pool, {{{3, 0}, {1, 0}}, {{0, 1}, {4, 0}}}));
+    const auto residents = live.residents();
+    ASSERT_EQ(residents.size(), 4u);
+    EXPECT_EQ(residents[0].unit, (ThreadRef{pool[3], 0}));
+    EXPECT_EQ(residents[1].unit, (ThreadRef{pool[1], 0}));
+    EXPECT_EQ(residents[2].unit, (ThreadRef{pool[0], 1}));
+    EXPECT_EQ(residents[3].unit, (ThreadRef{pool[4], 0}));
+
+    PoolFork a(live, pool);
+    for (const Pick &pick : {Pick{{{1, 0}, {3, 0}}, {{0, 1}, {2, 0}}},
+                             Pick{{{0, 0}, {3, 0}}, {{0, 1}, {4, 0}}}})
+        a.engine.runSlice(unitsOf(a.pool, pick));
+
+    PoolFork b(a.engine, a.pool);
+    expectSameWindow(a.engine, a.pool, b, kWindow);
+}
+
+TEST(MachineEngineFork, ForkOfAForkContinuesOnAHeterogeneousMachine)
+{
+    expectForkOfForkContinues(SampleWindows{});
+}
+
+TEST(MachineEngineFork, ForkOfAForkContinuesOnAHeterogeneousSampledMachine)
+{
+    expectForkOfForkContinues(parseSampleWindows("5000:1000:2000"));
 }
 
 } // namespace

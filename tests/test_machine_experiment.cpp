@@ -133,7 +133,7 @@ subtree(const stats::Registry &registry, const std::string &prefix)
 TEST(MachineExperiment, PublishedMachineCountersMatchAFromScratchRun)
 {
     // The "machine" subtree comes from the best candidate's own sweep
-    // run, a fork of its allocation's warm snapshot. The reference
+    // run, a fork of its allocation's warm engine. The reference
     // builds that candidate from scratch: a fresh machine, one period
     // of its allocation's warm-up, then its schedule to the symbios
     // length. Sampled, so no golden pins this case.
@@ -155,8 +155,8 @@ TEST(MachineExperiment, PublishedMachineCountersMatchAFromScratchRun)
     const ParallelScheduleRunner::SweepSpec sweep =
         exp.sweep(exp.schedules());
     JobMix mix = sweep.makeMix(best);
-    Machine machine(sweep.machine);
-    MachineEngine engine(machine, sweep.timesliceCycles, sweep.sample);
+    MachineEngine engine(sweep.machine, sweep.timesliceCycles,
+                         sweep.sample);
     const MachineSchedule warm = sweep.warmup(best);
     engine.runSchedule(mix, warm, {warm.periodTimeslices()});
     const std::uint64_t symbios_slices = std::max<std::uint64_t>(

@@ -302,16 +302,6 @@ TEST(ParallelRunner, CheckpointsEqualSeparateRuns)
     }
 }
 
-TEST(ParallelRunner, MapPreservesIndexOrder)
-{
-    const ParallelScheduleRunner runner(4);
-    const std::vector<int> out = runner.map<int>(
-        100, [](std::size_t i) { return static_cast<int>(i) * 3; });
-    ASSERT_EQ(out.size(), 100u);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], static_cast<int>(i) * 3);
-}
-
 TEST(ThreadPool, RunsEveryTaskExactlyOnce)
 {
     for (int workers : {1, 2, 8}) {

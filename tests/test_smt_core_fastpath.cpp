@@ -377,7 +377,7 @@ checkCopyMidRun(int cores, int contexts, std::uint64_t from)
     ASSERT_TRUE(found) << "no copy point at SMT " << contexts;
 
     // The copy: machine state by value, threads rebound to job copies
-    // at the same stream positions (what the snapshot layer does).
+    // at the same stream positions (what an engine fork does).
     Machine copy(machine);
     std::vector<std::unique_ptr<Job>> job_copies;
     for (const auto &job : jobs)

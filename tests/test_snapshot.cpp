@@ -1,13 +1,13 @@
 /**
  * @file
- * The snapshot-fork determinism contract (DESIGN.md §5c): forking a
- * warmed simulation is semantics-preserving. A fork's measured
- * interval must be bit-identical to letting the original warmed run
- * continue, on one core and on a whole machine; a sweep, which warms
- * one snapshot per warm-up group and forks it per candidate, must
- * measure exactly what building each candidate from scratch measures;
- * and the experiment sweeps must produce byte-identical manifests at
- * any worker count.
+ * The fork determinism contract (DESIGN.md §5c): forking a warmed
+ * engine onto a copy of its mix is semantics-preserving. A fork's
+ * measured interval must be bit-identical to letting the original
+ * warmed run continue, on one core and on a whole machine; a sweep,
+ * which warms one engine per warm-up group and forks it per
+ * candidate, must measure exactly what building each candidate from
+ * scratch measures; and the experiment sweeps must produce
+ * byte-identical manifests at any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -20,12 +20,21 @@
 #include "sim/batch_experiment.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/params_io.hh"
-#include "sim/snapshot.hh"
 #include "stats/manifest.hh"
 #include "stats/stats.hh"
 
 namespace sos {
 namespace {
+
+/** Each job's counterpart in @p mix, a copy of the forked engine's. */
+MachineEngine::JobMap
+jobsOf(JobMix &mix)
+{
+    // Job ids are 1-based insertion order within a mix.
+    return [&mix](const Job &job) {
+        return &mix.job(static_cast<int>(job.id()) - 1);
+    };
+}
 
 TEST(Snapshot, SingleCoreForkMatchesOriginal)
 {
@@ -33,27 +42,24 @@ TEST(Snapshot, SingleCoreForkMatchesOriginal)
     const ExperimentSpec &spec = experimentByLabel("Jsb(4,2,2)");
 
     JobMix mix = spec.makeMix(config.seed);
-    Machine machine(config.coreFor(spec.level), config.mem);
-    MachineEngine engine(machine, config.timesliceCycles());
+    MachineEngine engine(
+        homogeneousMachine(config.coreFor(spec.level), config.mem),
+        config.timesliceCycles());
     const MachineSchedule warm(
         Schedule::fromRotation({0, 1, 2, 3}, spec.level, spec.swap));
     engine.runSchedule(mix, warm, {warm.periodTimeslices()});
 
-    const MachineSnapshot snapshot(machine, mix, engine);
+    JobMix fork_mix = mix;
+    MachineEngine fork(engine, jobsOf(fork_mix));
 
-    // The original warmed run simply continues; the fork re-creates
-    // that state from the snapshot. Same schedule, same interval.
+    // The original warmed run simply continues; the fork carries on
+    // from the same warm state. Same schedule, same interval.
     const MachineSchedule measured(
         Schedule::fromRotation({3, 1, 0, 2}, spec.level, spec.swap));
     const MachineEngine::MachineRunResult original =
         engine.runSchedule(mix, measured, {6}).front();
-
-    MachineSnapshot::Fork fork(snapshot);
-    MachineEngine forked_engine(fork.machine(),
-                                config.timesliceCycles());
-    fork.adopt(forked_engine);
     const MachineEngine::MachineRunResult forked =
-        forked_engine.runSchedule(fork.mix(), measured, {6}).front();
+        fork.runSchedule(fork_mix, measured, {6}).front();
 
     EXPECT_EQ(forked.total, original.total);
     EXPECT_EQ(forked.jobRetired, original.jobRetired);
@@ -79,24 +85,19 @@ TEST(Snapshot, MachineForkMatchesOriginal)
     ASSERT_EQ(schedules.size(), 2u);
 
     JobMix mix = spec.makeMix(0x5eed);
-    Machine machine(config.coreFor(spec.level), config.mem,
-                    spec.numCores);
-    MachineEngine engine(machine, config.timesliceCycles());
+    MachineEngine engine(homogeneousMachine(config.coreFor(spec.level),
+                                            config.mem, spec.numCores),
+                         config.timesliceCycles());
     engine.runSchedule(mix, schedules[0],
                        {schedules[0].periodTimeslices()});
 
-    const MachineSnapshot snapshot(machine, mix, engine);
+    JobMix fork_mix = mix;
+    MachineEngine fork(engine, jobsOf(fork_mix));
 
     const MachineEngine::MachineRunResult original =
         engine.runSchedule(mix, schedules[1], {6}).front();
-
-    MachineSnapshot::Fork fork(snapshot);
-    MachineEngine forked_engine(fork.machine(),
-                                config.timesliceCycles());
-    fork.adopt(forked_engine);
     const MachineEngine::MachineRunResult forked =
-        forked_engine.runSchedule(fork.mix(), schedules[1], {6})
-            .front();
+        fork.runSchedule(fork_mix, schedules[1], {6}).front();
 
     EXPECT_EQ(forked.total, original.total);
     EXPECT_EQ(forked.perCore, original.perCore);
@@ -113,25 +114,22 @@ TEST(Snapshot, RepeatedForksAreIndependent)
     const ExperimentSpec &spec = experimentByLabel("Jsb(4,2,2)");
 
     JobMix mix = spec.makeMix(config.seed);
-    Machine machine(config.coreFor(spec.level), config.mem);
-    MachineEngine engine(machine, config.timesliceCycles());
+    MachineEngine engine(
+        homogeneousMachine(config.coreFor(spec.level), config.mem),
+        config.timesliceCycles());
     const MachineSchedule warm(
         Schedule::fromRotation({0, 1, 2, 3}, spec.level, spec.swap));
     engine.runSchedule(mix, warm, {warm.periodTimeslices()});
-    const MachineSnapshot snapshot(machine, mix, engine);
 
     const MachineSchedule measured(
         Schedule::fromRotation({2, 0, 3, 1}, spec.level, spec.swap));
     const auto run_fork = [&] {
-        MachineSnapshot::Fork fork(snapshot);
-        MachineEngine forked_engine(fork.machine(),
-                                    config.timesliceCycles());
-        fork.adopt(forked_engine);
-        return forked_engine.runSchedule(fork.mix(), measured, {4})
-            .front();
+        JobMix fork_mix = mix;
+        MachineEngine fork(engine, jobsOf(fork_mix));
+        return fork.runSchedule(fork_mix, measured, {4}).front();
     };
-    // Running one fork must not perturb the snapshot: a second fork
-    // reproduces the first bit-for-bit.
+    // Running one fork must not perturb the warm engine: a second
+    // fork reproduces the first bit-for-bit.
     const MachineEngine::MachineRunResult first = run_fork();
     const MachineEngine::MachineRunResult second = run_fork();
     EXPECT_EQ(first.total, second.total);
@@ -150,8 +148,8 @@ fromScratch(const ParallelScheduleRunner::SweepSpec &sweep,
             std::uint64_t length)
 {
     JobMix mix = sweep.makeMix(i);
-    Machine machine(sweep.machine);
-    MachineEngine engine(machine, sweep.timesliceCycles, sweep.sample);
+    MachineEngine engine(sweep.machine, sweep.timesliceCycles,
+                         sweep.sample);
     const MachineSchedule warm = sweep.warmup(i);
     engine.runSchedule(mix, warm, {warm.periodTimeslices()});
     MachineEngine::MachineRunResult run =
@@ -162,11 +160,11 @@ fromScratch(const ParallelScheduleRunner::SweepSpec &sweep,
 
 TEST(Snapshot, SweepMatchesCandidatesBuiltFromScratch)
 {
-    // runAll warms one snapshot per warm-up group and forks it per
+    // runAll warms one engine per warm-up group and forks it per
     // candidate; that must be invisible next to re-running each
     // candidate's warm-up on its own machine, at every worker count
     // and every checkpoint -- the memory counters included, which a
-    // fork inherits from the snapshot's warm-up.
+    // fork inherits from its group's warm-up.
     const ExperimentSpec cmp{
         .label = "Jm(4,2,2,2)",
         .entries = {{"FP"}, {"MG"}, {"GCC"}, {"IS"}},
